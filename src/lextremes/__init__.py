@@ -20,6 +20,7 @@ from .extremes import (
 from .lfunc import (
     ApproxErrorCensus,
     LValue,
+    LValueBatch,
     SigmaPoint,
     approx_error_census,
     digamma,

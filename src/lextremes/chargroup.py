@@ -20,6 +20,29 @@ import numpy as np
 from . import numth
 
 
+def _block_powers(g: int, q: int, count: int) -> np.ndarray:
+    """g**k mod q for k = 0..count-1 as an int64 array, by block powers.
+
+    With b = ceil(sqrt(count)), entry k = i*b + j is (g**(i*b) mod q) *
+    (g**j mod q) mod q; both factors are below q < 2**31, so the int64
+    products stay below 2**62 and are exact.
+    """
+    if q >= numth.MODULUS_LIMIT:
+        raise ValueError(f"modulus {q} exceeds the 2**31 limit")
+    b = math.isqrt(max(count - 1, 0)) + 1
+    small = np.empty(b, dtype=np.int64)
+    big = np.empty(-(-count // b), dtype=np.int64)
+    a = 1
+    for j in range(b):
+        small[j] = a
+        a = a * g % q
+    step, a = a, 1
+    for i in range(big.size):
+        big[i] = a
+        a = a * step % q
+    return ((big[:, None] * small[None, :]) % q).ravel()[:count]
+
+
 class CharacterGroup:
     """Full character group mod an odd prime q, with O(1) evaluation tables.
 
@@ -36,13 +59,9 @@ class CharacterGroup:
         self.q = q
         self.g = g
         self.phi = q - 1
+        power_residues = _block_powers(g, q, q - 1)
         dlog = np.full(q, -1, dtype=np.int64)
-        power_residues = np.empty(q - 1, dtype=np.int64)
-        a = 1
-        for k in range(q - 1):
-            power_residues[k] = a
-            dlog[a] = k
-            a = (a * g) % q
+        dlog[power_residues] = np.arange(q - 1)
         self.dlog = dlog
         self.power_residues = power_residues
         # one shared root-of-unity table fixes the rounding profile everywhere

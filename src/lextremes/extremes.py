@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numth
 from .chargroup import CharacterGroup, build_group
-from .lfunc import approx_error_census, l_value_batch
+from .lfunc import _census_from_abs, l_value_batch
 from .resonance import EULER_GAMMA, ResonanceReport, half_weight_certificate
 from .resonator import WeightScheme, linear_scheme
 
@@ -69,7 +69,7 @@ def _iterated_logs(q: int) -> tuple[float, float, float]:
 
 def _abs_l_batch(group: CharacterGroup, sigma: float) -> np.ndarray:
     """|L(sigma, chi_j)| for j = 1..q-2 (non-principal, index order)."""
-    return np.array([abs(lv.value) for lv in l_value_batch(group, sigma)])
+    return l_value_batch(group, sigma).abs_values()
 
 
 def _resonator_abs_sq_all(group: CharacterGroup, scheme: WeightScheme) -> np.ndarray:
@@ -268,9 +268,11 @@ def scan_sigma_strip(
     start = time.perf_counter()
     group = build_group(q)
     x = min(log_q ** (3 / (sigma - 0.5)), x_cap)
-    census = approx_error_census(group, sigma, x, census_tol)
     labs = _abs_l_batch(group, sigma)
-    eligible = np.setdiff1d(np.arange(1, q - 1), np.array(census.indices, dtype=np.int64))
+    census = _census_from_abs(group, sigma, x, census_tol, labs)
+    keep = np.ones(q - 1, dtype=bool)
+    keep[[0, *census.indices]] = False
+    eligible = np.flatnonzero(keep)
     if eligible.size == 0:
         raise ValueError(f"census at tol={census_tol} excluded every character of q={q}")
     log_abs = np.log(labs[eligible - 1])

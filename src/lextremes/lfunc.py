@@ -27,7 +27,7 @@ import numpy as np
 from . import numth
 from .chargroup import CharacterGroup, dft_over_group
 
-_L_METHODS = ("digamma", "hurwitz", "euler_product", "dirichlet_series")
+_L_METHODS = ("digamma", "hurwitz")
 
 # absolute error bound for the digamma evaluation below (asymptotic-series
 # remainder ~2e-20 at the lift threshold plus float rounding)
@@ -70,6 +70,28 @@ class LValue:
             raise ValueError("err_estimate must be >= 0")
         if self.method == "digamma" and self.sigma != 1.0:
             raise ValueError("digamma backend is specific to sigma = 1")
+
+
+@dataclass(frozen=True)
+class LValueBatch:
+    """L(sigma, chi_j) for every non-principal chi_j of one group.
+
+    values[j - 1] is L(sigma, chi_j) for j = 1..q-2 (a read-only complex
+    array); `err_estimate` bounds the error of every entry.
+    """
+
+    sigma: float
+    values: np.ndarray
+    method: str
+    err_estimate: float
+
+    def abs_values(self) -> np.ndarray:
+        """|L(sigma, chi_j)| for j = 1..q-2.
+
+        np.hypot on the parts equals Python's abs(complex) bit for bit;
+        np.abs on complex input can differ from it in the last ulp.
+        """
+        return np.hypot(self.values.real, self.values.imag)
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +212,7 @@ def l_value(chi, sigma) -> LValue:
     return LValue(getattr(chi, "index", None), s, value, method, err)
 
 
-def l_value_batch(group: CharacterGroup, sigma) -> list[LValue]:
+def l_value_batch(group: CharacterGroup, sigma) -> LValueBatch:
     """L(sigma, chi) for every non-principal chi, via one group DFT.
 
     Agrees with per-character `l_value` to well below 1e-9; the DFT kernel
@@ -209,7 +231,9 @@ def l_value_batch(group: CharacterGroup, sigma) -> list[LValue]:
         values = q ** (-s) * transformed
         err = (q - 1) * q ** (-s) * hurwitz_zeta_error(s)
         method = "hurwitz"
-    return [LValue(j, s, complex(values[j]), method, err) for j in range(1, q - 1)]
+    values = values[1 : q - 1]
+    values.setflags(write=False)
+    return LValueBatch(s, values, method, err)
 
 
 def euler_product_truncated(chi, sigma, x: float) -> complex:
@@ -271,6 +295,11 @@ def approx_error_census(group: CharacterGroup, sigma, x: float, tol: float) -> A
     all non-principal characters, not only the offenders.
     """
     s = as_sigma(sigma)
+    return _census_from_abs(group, s, x, tol, l_value_batch(group, s).abs_values())
+
+
+def _census_from_abs(group: CharacterGroup, s: float, x: float, tol: float, labs: np.ndarray) -> ApproxErrorCensus:
+    """The census of `approx_error_census`, given |L(s, chi_j)| for j = 1..q-2."""
     if tol < 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
     if x < 2:
@@ -281,9 +310,8 @@ def approx_error_census(group: CharacterGroup, sigma, x: float, tol: float) -> A
     by_residue = np.zeros(q)
     np.add.at(by_residue, primes % q, weights)
     prime_sums = dft_over_group(group, by_residue[1:])
-    labs = np.array([abs(lv.value) for lv in l_value_batch(group, s)])
     deviations = np.abs(np.log(labs) - prime_sums[1 : q - 1].real)
-    bad = tuple(int(j) for j in range(1, q - 1) if deviations[j - 1] > tol)
+    bad = tuple((np.flatnonzero(deviations > tol) + 1).tolist())
     return ApproxErrorCensus(
         sigma=s,
         x=float(x),

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lextremes import build_group, dft_over_group, orthogonality_sum
+from lextremes import build_group, dft_over_group, orthogonality_sum, sieve_primes
+from lextremes.chargroup import _block_powers
+
+_ODD_PRIMES = sieve_primes(2 * 10**4).primes[1:].tolist()
 
 
 class TestBuildGroup:
@@ -22,6 +27,23 @@ class TestBuildGroup:
     def test_modulus_limit(self):
         with pytest.raises(ValueError):
             build_group(2**31 + 11)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(_ODD_PRIMES))
+    def test_tables_match_pow(self, q):
+        group = build_group(q)
+        expected = [pow(group.g, k, q) for k in range(q - 1)]
+        assert group.power_residues.tolist() == expected
+        assert group.dlog[0] == -1
+        assert group.dlog[group.power_residues].tolist() == list(range(q - 1))
+
+    def test_block_powers_exact_near_int64_limit(self):
+        # q < 2**31 keeps the block products below 2**62; check them against
+        # exact integer powers at the largest prime the limit admits
+        q, g = 2**31 - 1, 7  # 7 is a primitive root of this Mersenne prime
+        powers = _block_powers(g, q, 10**4)
+        assert powers.dtype == np.int64
+        assert powers.tolist() == [pow(g, k, q) for k in range(10**4)]
 
 
 class TestCharValue:

@@ -13,6 +13,8 @@ from lextremes import (
     threshold_census,
 )
 
+from lextremes.extremes import _abs_l_batch
+
 EULER_GAMMA = 0.5772156649015329
 
 
@@ -45,9 +47,18 @@ class TestScanSigma1:
 
     def test_argmax_consistency(self, group_of):
         report = scan_sigma1(1009)
-        labs = [abs(lv.value) for lv in l_value_batch(group_of(1009), 1.0)]
+        labs = [abs(complex(v)) for v in l_value_batch(group_of(1009), 1.0).values]
         assert report.max_abs_l == pytest.approx(max(labs), abs=1e-14)
         assert labs[report.argmax_index - 1] == pytest.approx(report.max_abs_l, abs=1e-14)
+
+    @pytest.mark.parametrize("q", [1009, 10007])
+    @pytest.mark.parametrize("sigma", [1.0, 0.75])
+    def test_abs_l_bit_identical_to_python_abs(self, group_of, q, sigma):
+        # scans and censuses compare |L| against thresholds and take argmax,
+        # so the array path must round exactly like abs(complex)
+        values = l_value_batch(group_of(q), sigma).values
+        expected = [abs(complex(v)) for v in values]
+        assert _abs_l_batch(group_of(q), sigma).tolist() == expected
 
     @pytest.mark.parametrize(
         "q,margin,argmax,resonant",
@@ -67,7 +78,7 @@ class TestScanSigma1:
         # the resonator's pick has |L(1, chi)| at least the group median;
         # verified on first run, asserted as a hard invariant thereafter
         report = scan_sigma1(q)
-        labs = np.array([abs(lv.value) for lv in l_value_batch(group_of(q), 1.0)])
+        labs = np.array([abs(complex(v)) for v in l_value_batch(group_of(q), 1.0).values])
         assert report.resonant_abs_l >= np.median(labs)
         assert report.max_abs_l >= report.resonant_abs_l
 
