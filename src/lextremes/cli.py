@@ -285,7 +285,7 @@ def _compute_one(command: str, q: int, config: RunConfig):
         report = ratio_certificate(
             q, config.b, n_limit=config.n, k_limit=config.k, y=config.y, tau_budget=config.tau_budget
         )
-        starred = exclude_principal(report, build_group(q), report.scheme, 1.0, report.y)
+        starred = exclude_principal(report)
         return report, starred
     if command == "scan-t1":
         return scan_sigma1(q, epsilon=config.epsilon)

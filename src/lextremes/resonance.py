@@ -13,6 +13,17 @@ orthogonality as lattice sums over residue classes (congruence form):
     S2 = phi(q) * sum_{m = n (mod q)} w_m w_n,
     S1 = sum_k b_k phi(q) * sum_{k m = n (mod q)} w_m w_n.
 
+The congruence form works on residue sums V[a] (of w_n over n = a) and
+W[r] (of b_k over k = r), both zero at residue 0.  Since k m = n exactly
+when k = n * m**(-1) (mod q),
+
+    S1 = phi(q) * sum_{a in supp V} V[a] * sum_{c in supp V} V[c] W[c a**(-1)]
+       = phi(q) * sum_{a in supp V} V[a] * sum_{r in supp W} W[r] V[r a],
+
+and the kernel gathers over the smaller support, so S1 costs
+|supp V| * min(|supp V|, |supp W|) products of residues (< q**2 < 2**62).
+It imports nothing from `chargroup`, so the two routes stay independent.
+
 All terms are nonnegative, so truncation tails are exact and the quotient
 |S1|/S2 certifies a computable lower bound for extreme values.  Certificates
 report tau_cert, the slack actually consumed against the ideal full-series
@@ -130,17 +141,18 @@ class ResonanceReport:
 # the two evaluation routes
 
 
-def _residue_sums(coeffs: ResonatorCoeffs, q: int) -> np.ndarray:
-    """v[r] = sum of w_n over truncated entries with n = r (mod q).
+def _residue_sums(q: int, ns: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """t[r] = sum of values[i] over the indices with ns[i] = r (mod q).
 
     Residue class 0 is dropped: every character vanishes on multiples of q,
-    so those entries contribute to neither route.  (They only exist when the
-    scheme cutoff reaches q.)
+    so those terms contribute to neither route.  (Resonator entries there
+    only exist when the scheme cutoff reaches q, series terms when y or K
+    does.)
     """
-    v = np.zeros(q)
-    np.add.at(v, coeffs.ns % q, coeffs.weights)
-    v[0] = 0.0
-    return v
+    t = np.zeros(q)
+    np.add.at(t, ns % q, values)
+    t[0] = 0.0
+    return t
 
 
 def _series_support(sigma: float, y: float, k_limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,17 +163,55 @@ def _series_support(sigma: float, y: float, k_limit: int) -> tuple[np.ndarray, n
 
 def square_sum_characters(group: CharacterGroup, scheme: WeightScheme, n_limit: int) -> float:
     """S2 via one group DFT of the residue-aggregated coefficients."""
-    v = _residue_sums(enumerate_coeffs(scheme, n_limit), group.q)
+    coeffs = enumerate_coeffs(scheme, n_limit)
+    v = _residue_sums(group.q, coeffs.ns, coeffs.weights)
     transformed = dft_over_group(group, v[1:])
     return float(np.sum(np.abs(transformed) ** 2))
+
+
+def _square_sum(q: int, v: np.ndarray) -> float:
+    """S2 from the resonator residue sums: phi(q) * sum_a V[a]**2."""
+    return (q - 1) * float(np.sum(v * v))
+
+
+# index entries per gather block; bounds the kernel's scratch memory
+_BLOCK = 1 << 18
+
+
+def _weighted_sum(q: int, v: np.ndarray, ks: np.ndarray, bs: np.ndarray) -> float:
+    """S1 from the resonator residue sums v and the series support (ks, bs).
+
+    The outer sum runs over supp V.  The inner gather runs over the smaller
+    of supp V (table W at c * a**(-1)) and supp W (table V at r * a); both
+    give the same lattice sum.  Blocks hold at most _BLOCK index entries.
+    """
+    w = _residue_sums(q, ks, bs)
+    outer = np.flatnonzero(v)
+    cols = np.flatnonzero(w)
+    if outer.size <= cols.size:
+        mult = np.array([pow(a, -1, q) for a in outer.tolist()], dtype=np.int64)
+        cols, col_weights, table = outer, v[outer], w
+    else:
+        mult, col_weights, table = outer, w[cols], v
+    outer_weights = v[outer]
+    total = 0.0
+    for c0 in range(0, cols.size, _BLOCK):
+        block_cols = cols[c0 : c0 + _BLOCK]
+        block_weights = col_weights[c0 : c0 + _BLOCK]
+        rows = _BLOCK // block_cols.size
+        for r0 in range(0, mult.size, rows):
+            idx = np.multiply.outer(mult[r0 : r0 + rows], block_cols)
+            idx %= q
+            total += float(outer_weights[r0 : r0 + rows] @ (table[idx] @ block_weights))
+    return (q - 1) * total
 
 
 def square_sum_congruence(q: int, scheme: WeightScheme, n_limit: int) -> float:
     """S2 via orthogonality: phi(q) * sum over pairs m = n (mod q)."""
     if not numth.is_prime(q):
         raise ValueError(f"modulus must be prime, got {q}")
-    v = _residue_sums(enumerate_coeffs(scheme, n_limit), q)
-    return (q - 1) * float(np.sum(v * v))
+    coeffs = enumerate_coeffs(scheme, n_limit)
+    return _square_sum(q, _residue_sums(q, coeffs.ns, coeffs.weights))
 
 
 def weighted_sum_characters(
@@ -171,12 +221,9 @@ def weighted_sum_characters(
     s = as_sigma(sigma)
     if y < scheme.cutoff:
         raise ValueError(f"series cutoff y = {y} must be >= scheme cutoff {scheme.cutoff}")
-    q = group.q
-    v = _residue_sums(enumerate_coeffs(scheme, n_limit), q)
-    ks, bs = _series_support(s, y, k_limit)
-    w = np.zeros(q)
-    np.add.at(w, ks % q, bs)
-    w[0] = 0.0  # chi(k) = 0 whenever q | k
+    coeffs = enumerate_coeffs(scheme, n_limit)
+    v = _residue_sums(group.q, coeffs.ns, coeffs.weights)
+    w = _residue_sums(group.q, *_series_support(s, y, k_limit))
     l_vals = dft_over_group(group, w[1:])
     r_vals = dft_over_group(group, v[1:])
     return complex(np.sum(l_vals * np.abs(r_vals) ** 2))
@@ -187,9 +234,10 @@ def weighted_sum_congruence(
 ) -> float:
     """S1 via orthogonality: sum_k b_k phi(q) sum_{km = n (mod q)} w_m w_n.
 
-    Pairs are bucketed by residue class, so the work is O(#entries * #k)
-    with vectorized inner sweeps; terms k with q | k vanish automatically
-    because no resonator entry sits in residue class 0.
+    Pairs are regrouped by residue class (see the module docstring), so the
+    work is |supp V| * min(|supp V|, |supp W|) residue products, gathered in
+    blocks of at most 2**18 entries; terms with q | k or q | n vanish
+    because residue 0 is dropped from both tables.
     """
     if not numth.is_prime(q):
         raise ValueError(f"modulus must be prime, got {q}")
@@ -197,25 +245,20 @@ def weighted_sum_congruence(
     if y < scheme.cutoff:
         raise ValueError(f"series cutoff y = {y} must be >= scheme cutoff {scheme.cutoff}")
     coeffs = enumerate_coeffs(scheme, n_limit)
-    v = _residue_sums(coeffs, q)
-    ks, bs = _series_support(s, y, k_limit)
-    total = 0.0
-    for n, w in zip(coeffs.ns.tolist(), coeffs.weights.tolist()):
-        idx = (ks * (n % q)) % q
-        total += w * float(np.dot(bs, v[idx]))
-    return (q - 1) * total
+    v = _residue_sums(q, coeffs.ns, coeffs.weights)
+    return _weighted_sum(q, v, *_series_support(s, y, k_limit))
 
 
-def _provable_bound(q: int, coeffs: ResonatorCoeffs, terms: list[tuple[int, float]]) -> float:
+def _provable_bound(coeffs: ResonatorCoeffs, v: np.ndarray, terms: list[tuple[int, float]]) -> float:
     """Exact finite-chain lower bound sum c_k * Q(N, N//k) / Q(N, N).
 
     Q(N, M) = sum_{m <= N, n <= M, m = n (mod q)} w_m w_n; restricting the
     series index to multiples k*r and using complete multiplicativity gives
     S1/S2 >= sum_k c_k Q(N, N//k)/Q(N, N) with only positivity used, so the
-    computed ratio must always exceed this number (up to rounding).
+    computed ratio must always exceed this number (up to rounding).  `v`
+    holds the residue sums of `coeffs` mod q, so q = v.size.
     """
-    v = _residue_sums(coeffs, q)
-    col = coeffs.weights * v[coeffs.ns % q]
+    col = coeffs.weights * v[coeffs.ns % v.size]
     prefix = np.cumsum(col)
     q_full = float(prefix[-1])
     n_limit = coeffs.limit
@@ -275,9 +318,11 @@ def ratio_certificate(
         raise ValueError(f"series cutoff y = {y} must be >= x = {x:.3f}")
     scheme = linear_scheme(x)
     coeffs = enumerate_coeffs(scheme, n_limit)
+    v = _residue_sums(q, coeffs.ns, coeffs.weights)
+    ks, bs = _series_support(1.0, y, k_limit)
 
-    s2 = square_sum_congruence(q, scheme, n_limit)
-    s1 = weighted_sum_congruence(q, scheme, 1.0, y, n_limit, k_limit)
+    s2 = _square_sum(q, v)
+    s1 = _weighted_sum(q, v, ks, bs)
     ratio = abs(s1) / s2
     target = lower_bound_product(scheme).value
 
@@ -285,10 +330,9 @@ def ratio_certificate(
     target_coeffs = coeffs if k_limit == n_limit else enumerate_coeffs(scheme, k_limit)
     a_terms = [(int(n), w / n) for n, w in zip(target_coeffs.ns.tolist(), target_coeffs.weights.tolist())]
     a_partial = math.fsum(c for _, c in a_terms)
-    ks, bs = _series_support(1.0, y, k_limit)
     b_partial = math.fsum(bs[ks % q != 0].tolist())
     b_total = mertens_product(y) if y >= 2 else 1.0
-    provable = _provable_bound(q, coeffs, a_terms)
+    provable = _provable_bound(coeffs, v, a_terms)
 
     r0 = coeffs.partial_sum
     l_principal = b_partial
@@ -321,25 +365,24 @@ def ratio_certificate(
     )
 
 
-def exclude_principal(
-    report: ResonanceReport, group: CharacterGroup, scheme: WeightScheme, sigma, y: float
-) -> ResonanceReport:
+def exclude_principal(report: ResonanceReport) -> ResonanceReport:
     """Remove the principal-character contribution from S1 and S2.
 
     S1* = S1 - L_K(sigma, chi_0) |R_N(chi_0)|**2 and S2* = S2 - |R_N(chi_0)|**2,
     with the certificate re-evaluated against the same target and budget.
     Applies to smooth-series reports (b_k = k**(-sigma) on y-smooth k <= K,
     as produced by ratio_certificate); the half-weight certificate reports
-    its own principal terms instead.  extras record log |R_N(chi_0)|**2 next
-    to the closed-form untruncated value, the separation the asymptotic
-    argument relies on.
+    its own principal terms instead.  The modulus, scheme, sigma, y and the
+    truncations N, K are read from the report.  extras record
+    log |R_N(chi_0)|**2 next to the closed-form untruncated value, the
+    separation the asymptotic argument relies on.
     """
-    s = as_sigma(sigma)
+    scheme = report.scheme
     coeffs = enumerate_coeffs(scheme, report.n)
     r0 = coeffs.partial_sum
     r0_sq = r0 * r0
-    ks, bs = _series_support(s, y, report.k)
-    l_principal = math.fsum(bs[ks % group.q != 0].tolist())
+    ks, bs = _series_support(as_sigma(report.sigma), report.y, report.k)
+    l_principal = math.fsum(bs[ks % report.q != 0].tolist())
     s1_star = report.s1 - l_principal * r0_sq
     s2_star = report.s2 - r0_sq
     if s2_star <= 0:
@@ -396,30 +439,23 @@ def half_weight_certificate(
     x = min(log_q ** (3 / (sigma - 0.5)), x_cap)
     scheme = half_scheme(y)
     coeffs = enumerate_coeffs(scheme, n_limit)
-    v = _residue_sums(coeffs, q)
+    v = _residue_sums(q, coeffs.ns, coeffs.weights)
 
     primes = numth.sieve_primes(int(x)).primes[:k_limit]
     bs = primes.astype(float) ** (-sigma)
 
-    s1 = 0.0
-    for n, w in zip(coeffs.ns.tolist(), coeffs.weights.tolist()):
-        idx = (primes * (n % q)) % q
-        s1 += w * float(np.dot(bs, v[idx]))
-    s1 *= q - 1
-    s2 = (q - 1) * float(np.sum(v * v))
+    s1 = _weighted_sum(q, v, primes, bs)
+    s2 = _square_sum(q, v)
 
     group = build_group(q)
-    u = np.zeros(q)
-    np.add.at(u, primes % q, bs)
-    u[0] = 0.0
-    s_vals = dft_over_group(group, u[1:])
+    s_vals = dft_over_group(group, _residue_sums(q, primes, bs)[1:])
     r_vals = dft_over_group(group, v[1:])
     s1_char = complex(np.sum(s_vals * np.abs(r_vals) ** 2))
     s2_char = float(np.sum(np.abs(r_vals) ** 2))
 
     y_primes = [p for p in numth.sieve_primes(int(y)).primes.tolist() if p != q]
     target = math.fsum(0.5 * p ** (-sigma) for p in y_primes)
-    provable = _provable_bound(q, coeffs, [(p, 0.5 * p ** (-sigma)) for p in y_primes])
+    provable = _provable_bound(coeffs, v, [(p, 0.5 * p ** (-sigma)) for p in y_primes])
 
     r0 = coeffs.partial_sum
     l_principal = math.fsum(bs[primes % q != 0].tolist())

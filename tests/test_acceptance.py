@@ -12,7 +12,6 @@ import time
 import pytest
 
 from lextremes import (
-    build_group,
     exclude_principal,
     half_weight_certificate,
     l_value,
@@ -49,7 +48,7 @@ def certificates():
     reports = {}
     for q in (1009, 10007):
         report = ratio_certificate(q, 1.4, n_limit=10**4, k_limit=10**4, y=1e4)
-        starred = exclude_principal(report, build_group(q), report.scheme, 1.0, report.y)
+        starred = exclude_principal(report)
         reports[q] = (report, starred)
     return reports
 

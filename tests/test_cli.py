@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -130,6 +131,16 @@ class TestRun:
         assert code == 1
         assert (tmp_path / "certify_q10007.json").exists()
 
+    def test_certify_builds_no_group(self, tmp_path, monkeypatch):
+        import lextremes.cli as cli_module
+
+        def no_group(q):
+            raise AssertionError("certify must not build a character group")
+
+        monkeypatch.setattr(cli_module, "build_group", no_group)
+        assert main(["certify", "--q", "1009", "--output-dir", str(tmp_path)]) == 0
+        assert main(["certify", "--q", "10007", "--output-dir", str(tmp_path)]) == 1
+
     def test_exit_code_2_from_main(self):
         assert main(["certify", "--q", "7", "--B", "1.0"]) == 2
         assert main(["census", "--q", "4"]) == 2
@@ -194,6 +205,47 @@ def test_golden_csv(tmp_path, q, command):
     assert main([command, "--q", str(q), *extra, "--format", "csv", "--output-dir", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / f"{command}_q{q}.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_CSV_SHA256[q, command]
+
+
+# certify CSV rows recorded before the congruence S1 kernel was regrouped by
+# residue class; the new summation order may move the last ulps of s1, ratio
+# and margin, so floats compare to 1e-12 relative and everything else exactly.
+CERTIFY_HEADER = (
+    "q,sigma,scheme_kind,cutoff,x,y,n,k,s1_real,s1_imag,s2,ratio,lower_bound,tail_fraction,"
+    "r0_sq,l_r0_sq,certificate_passed,certificate_margin,tau_cert,tau_budget,s1_star_real,"
+    "s1_star_imag,s2_star,ratio_star,certificate_star_passed"
+)
+CERTIFY_RECORD = {
+    1009: (
+        "1009,1.0,linear,9.554656006847093,9.554656006847093,10000.0,10000,10000,"
+        "22294.384711608414,0.0,7336.390296443633,3.038876587906695,2.464204327204856,"
+        "0.284356681290118,806.6313553509457,7892.728342221103,true,0.6978824770620817,0.0,0.05,"
+        "14401.65636938731,0.0,6529.758941092688,2.2055418123869273,false"
+    ),
+    10007: (
+        "10007,1.0,linear,14.608727921717403,14.608727921717403,10000.0,10000,10000,"
+        "636012.2627088946,0.0,222959.70944781636,2.852588318687924,3.0714259146100855,"
+        "0.7271442347287812,7800.17619903293,76345.05164786443,false,-0.06526630019165713,"
+        "0.07124951146670999,0.05,559667.2110610302,0.0,215159.53324878344,2.6011731974427614,false"
+    ),
+}
+
+
+def _cell_matches(got: str, want: str) -> bool:
+    if "." not in want:  # ints, strings and verdicts
+        return got == want
+    return math.isclose(float(got), float(want), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("q", sorted(CERTIFY_RECORD))
+def test_certify_csv_matches_record(tmp_path, q):
+    main(["certify", "--q", str(q), "--format", "csv", "--output-dir", str(tmp_path)])
+    header, row = (tmp_path / f"certify_q{q}.csv").read_text().splitlines()
+    assert header == CERTIFY_HEADER
+    cells = dict(zip(header.split(","), row.split(",")))
+    want = dict(zip(CERTIFY_HEADER.split(","), CERTIFY_RECORD[q].split(",")))
+    mismatched = {key: (cells[key], want[key]) for key in want if not _cell_matches(cells[key], want[key])}
+    assert mismatched == {}
 
 
 def test_help_exits_cleanly(capsys):

@@ -2,11 +2,15 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lextremes import (
     CertificateResult,
     ResonanceReport,
+    build_group,
     enumerate_coeffs,
     exceptional_set_budget,
     exclude_principal,
@@ -14,11 +18,14 @@ from lextremes import (
     half_weight_certificate,
     linear_scheme,
     ratio_certificate,
+    sieve_primes,
+    smooth_numbers,
     square_sum_characters,
     square_sum_congruence,
     weighted_sum_characters,
     weighted_sum_congruence,
 )
+from lextremes import resonance
 
 TOY_S2 = 5244 / 729  # hand enumeration: pairs of powers of two <= 8 mod 7
 TOY_S1 = 31 / 3  # hand enumeration over 3-smooth k <= 8
@@ -89,6 +96,69 @@ class TestWeightedSum:
         s1_cong = weighted_sum_congruence(q, scheme, 1.0, y, 1000, 1000)
         assert abs(s2_char - s2_cong) <= 1e-11 * s2_cong
         assert abs(s1_char - s1_cong) <= 1e-11 * abs(s1_cong)
+
+
+def per_n_sweep(q, scheme, sigma, y, n_limit, k_limit):
+    """Brute-force S1: for every resonator entry n, gather V over k * n for
+    every series term k (cost #coefficients * #series terms)."""
+    coeffs = enumerate_coeffs(scheme, n_limit)
+    v = np.zeros(q)
+    np.add.at(v, coeffs.ns % q, coeffs.weights)
+    v[0] = 0.0
+    ks = np.array(smooth_numbers(int(y), k_limit), dtype=np.int64)
+    bs = ks.astype(float) ** (-sigma)
+    total = 0.0
+    for n, w in zip(coeffs.ns.tolist(), coeffs.weights.tolist()):
+        idx = (ks * (n % q)) % q
+        total += w * float(np.dot(bs, v[idx]))
+    return (q - 1) * total
+
+
+PRIMES_BELOW_2E4 = sieve_primes(20000).primes[1:].tolist()  # odd primes
+
+
+@st.composite
+def congruence_configs(draw):
+    q = draw(st.sampled_from(PRIMES_BELOW_2E4))
+    x = draw(st.floats(min_value=1.0, max_value=q - 0.5))
+    y = x + draw(st.floats(min_value=0.0, max_value=2000.0))
+    sigma = draw(st.floats(min_value=0.55, max_value=1.0))
+    n_limit = draw(st.integers(min_value=1, max_value=2000))
+    k_limit = draw(st.integers(min_value=1, max_value=2000))
+    return q, x, y, sigma, n_limit, k_limit
+
+
+class TestCongruenceKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(congruence_configs())
+    @example((10007, 15.0, 100.0, 1.0, 2000, 3))  # N >> K: gather over supp W
+    @example((10007, 15.0, 2000.0, 1.0, 3, 2000))  # K >> N: gather over supp V
+    @example((19997, 19000.0, 19500.0, 0.6, 2000, 40))
+    def test_matches_character_route_and_per_n_sweep(self, config):
+        q, x, y, sigma, n_limit, k_limit = config
+        scheme = linear_scheme(x)
+        cong = weighted_sum_congruence(q, scheme, sigma, y, n_limit, k_limit)
+        char = weighted_sum_characters(build_group(q), scheme, sigma, y, n_limit, k_limit)
+        sweep = per_n_sweep(q, scheme, sigma, y, n_limit, k_limit)
+        assert abs(cong - char) <= 1e-11 * abs(cong)
+        assert abs(cong - sweep) <= 1e-12 * abs(sweep)
+
+    def test_residue_zero_on_both_sides(self, group_of):
+        # 7 | n (7 <= x = 10) and 7 | k (7 <= y = 100): both drop out
+        scheme = linear_scheme(10)
+        cong = weighted_sum_congruence(7, scheme, 1.0, 100.0, 200, 200)
+        char = weighted_sum_characters(group_of(7), scheme, 1.0, 100.0, 200, 200)
+        sweep = per_n_sweep(7, scheme, 1.0, 100.0, 200, 200)
+        assert abs(cong - char) <= 1e-11 * abs(cong)
+        assert abs(cong - sweep) <= 1e-12 * abs(sweep)
+
+    @pytest.mark.parametrize("n_limit,k_limit", [(1000, 50), (50, 1000)])
+    def test_block_size_changes_rounding_only(self, monkeypatch, n_limit, k_limit):
+        scheme = linear_scheme(12)
+        whole = weighted_sum_congruence(1009, scheme, 1.0, 100.0, n_limit, k_limit)
+        monkeypatch.setattr(resonance, "_BLOCK", 7)  # many row and column blocks
+        blocked = weighted_sum_congruence(1009, scheme, 1.0, 100.0, n_limit, k_limit)
+        assert blocked == pytest.approx(whole, rel=1e-13)
 
 
 class TestFiniteRelationExact:
@@ -187,30 +257,30 @@ class TestExcludePrincipal:
             certificate=CertificateResult(True, 0.0, 0.0, 0.05),
         )
 
-    def test_toy_values(self, group_of):
+    def test_toy_values(self):
         report = self._toy_report()
-        star = exclude_principal(report, group_of(7), report.scheme, 1.0, 3.0)
+        star = exclude_principal(report)
         r0_sq = (40 / 27) ** 2
         assert star.principal_terms[0] == pytest.approx(r0_sq, abs=1e-12)
         assert star.s2 == pytest.approx(TOY_S2 - r0_sq, abs=1e-12)
         l_principal = 1 + 1 / 2 + 1 / 3 + 1 / 4 + 1 / 6 + 1 / 8
         assert star.s1.real == pytest.approx(TOY_S1 - l_principal * r0_sq, abs=1e-12)
 
-    def test_trivial_resonator_subtracts_one(self, group_of):
+    def test_trivial_resonator_subtracts_one(self):
         report = ratio_certificate(7, 1.4)  # x < 2, so R = 1 identically
-        star = exclude_principal(report, group_of(7), report.scheme, 1.0, report.y)
+        star = exclude_principal(report)
         assert star.s2 == pytest.approx(report.s2 - 1.0, rel=1e-12)
 
-    def test_degenerate_scale_error(self, group_of):
+    def test_degenerate_scale_error(self):
         from dataclasses import replace
 
         report = replace(self._toy_report(), s2=2.0)  # below |R(chi_0)|^2 = 2.195
         with pytest.raises(ValueError):
-            exclude_principal(report, group_of(7), report.scheme, 1.0, 3.0)
+            exclude_principal(report)
 
     def test_q10007_shift_regression(self):
         report = ratio_certificate(10007, 1.4)
-        star = exclude_principal(report, __import__("lextremes").build_group(10007), report.scheme, 1.0, report.y)
+        star = exclude_principal(report)
         shift = (star.ratio - report.ratio) / report.ratio
         assert shift == pytest.approx(-0.08813578867938553, abs=1e-9)
         # scale sanity: the surviving mass still dominates the principal term
