@@ -21,7 +21,6 @@ from .lfunc import (
     ApproxErrorCensus,
     LValue,
     LValueBatch,
-    SigmaPoint,
     approx_error_census,
     digamma,
     dirichlet_poly,

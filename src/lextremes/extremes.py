@@ -280,7 +280,7 @@ def scan_sigma_strip(
     argmax = int(eligible[pick])
     max_log = float(log_abs[pick])
     target_shape = log_q ** (1 - sigma) * log2_q ** (-sigma)
-    quotient = half_weight_certificate(q, sigma, a_sigma=a_sigma, y_min=y_min, x_cap=x_cap)
+    quotient = half_weight_certificate(group, sigma, a_sigma=a_sigma, y_min=y_min, x_cap=x_cap)
     r_sq = _resonator_abs_sq_all(group, quotient.scheme)
     resonant = int(eligible[np.argmax(r_sq[eligible])])
     return ScanReport(

@@ -34,20 +34,9 @@ _L_METHODS = ("digamma", "hurwitz")
 DIGAMMA_ERR = 1e-13
 
 
-@dataclass(frozen=True)
-class SigmaPoint:
-    """A real evaluation point sigma with 1/2 < sigma <= 1."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not 0.5 < self.sigma <= 1.0:
-            raise ValueError(f"sigma must lie in (1/2, 1], got {self.sigma}")
-
-
 def as_sigma(sigma) -> float:
-    """Coerce a float or SigmaPoint to a validated float in (1/2, 1]."""
-    value = sigma.sigma if isinstance(sigma, SigmaPoint) else float(sigma)
+    """Coerce sigma to a validated float in (1/2, 1]."""
+    value = float(sigma)
     if not 0.5 < value <= 1.0:
         raise ValueError(f"sigma must lie in (1/2, 1], got {value}")
     return value
@@ -134,11 +123,20 @@ def _hurwitz_vec(sigma: float, x: np.ndarray) -> np.ndarray:
     Explicit sum over the first M = max(30, ceil(10/(sigma-1/2))) terms,
     then the tail integral, the half-term, and four Bernoulli corrections.
     The first omitted term is below 1e-14 throughout sigma in [0.51, 0.99].
+
+    The head sum_{k<M} (k + x)**(-sigma) is accumulated term by term into
+    one array, so memory stays a few arrays of len(x) for any M.  The
+    additions run in the order numpy uses to reduce axis 0 of the
+    M x len(x) matrix of terms, so the result equals that sum bit for bit.
     """
     x = np.asarray(x, dtype=float)
     m = _em_terms(sigma)
-    head = ((np.arange(m)[:, None] + x[None, :]) ** (-sigma)).sum(axis=0)
-    z = m + x
+    head = x ** (-sigma)
+    term = np.empty_like(head)
+    for k in range(1, m):
+        np.add(x, k, out=term)
+        head += np.power(term, -sigma, out=term)
+    z = np.add(x, m, out=term)
     total = head + z ** (1 - sigma) / (sigma - 1) + 0.5 * z ** (-sigma)
     for j, b2j in _BERNOULLI_CORRECTIONS:
         rising = 1.0

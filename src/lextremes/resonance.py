@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numth
-from .chargroup import CharacterGroup, build_group, dft_over_group
+from .chargroup import CharacterGroup, dft_over_group
 from .lfunc import as_sigma
 from .resonator import (
     ResonatorCoeffs,
@@ -408,7 +408,7 @@ def exclude_principal(report: ResonanceReport) -> ResonanceReport:
 
 
 def half_weight_certificate(
-    q: int,
+    group: CharacterGroup,
     sigma: float,
     a_sigma: float | None = None,
     y_min: float = 20.0,
@@ -424,12 +424,12 @@ def half_weight_certificate(
     weights on p <= y, y = max((a_sigma/2) log q loglog q, y_min), and the
     target is sum_{p<=y} p**(-sigma)/2.  S1 and S2 are computed via both
     routes; the congruence values are reported and the relative agreement
-    of the character route is recorded in extras.
+    of the character route is recorded in extras.  The modulus is
+    q = group.q; the group also serves the character route.
     """
     if not 0.5 < sigma < 1.0:
         raise ValueError(f"sigma must lie strictly inside (1/2, 1), got {sigma}")
-    if not numth.is_prime(q) or q == 2:
-        raise ValueError(f"modulus must be an odd prime, got {q}")
+    q = group.q
     if a_sigma is None:
         a_sigma = (2 * sigma - 1) / (2 - sigma)
     log_q = math.log(q)
@@ -447,7 +447,6 @@ def half_weight_certificate(
     s1 = _weighted_sum(q, v, primes, bs)
     s2 = _square_sum(q, v)
 
-    group = build_group(q)
     s_vals = dft_over_group(group, _residue_sums(q, primes, bs)[1:])
     r_vals = dft_over_group(group, v[1:])
     s1_char = complex(np.sum(s_vals * np.abs(r_vals) ** 2))

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from lextremes import (
+    build_group,
     exclude_principal,
     half_weight_certificate,
     l_value,
@@ -183,7 +184,7 @@ def test_criterion_06_runtime(certificates):
 
 def test_criterion_07_half_weight_certificate():
     start = time.perf_counter()
-    report = half_weight_certificate(1009, 0.75, y_min=20.0, x_cap=1e5)
+    report = half_weight_certificate(build_group(1009), 0.75, y_min=20.0, x_cap=1e5)
     elapsed = time.perf_counter() - start
     tau = report.certificate.tau_cert
     ok = report.certificate.passed and tau <= 0.05 and elapsed < 300

@@ -189,6 +189,8 @@ class TestRun:
 # change to the numerics or the CSV layout of these commands shows up here.
 # The values go through numpy's FFT, so a numpy whose FFT rounds differently
 # needs them re-recorded after checking the difference is rounding only.
+# A command key carries its extra arguments; bare "scan-t3" runs at sigma 0.75.
+# At sigma 0.55 the Hurwitz head has M = 200 terms (40 at sigma 0.75).
 GOLDEN_CSV_SHA256 = {
     (1009, "scan-t1"): "faa301620758c7634699c4854cae36d52a72a419273b10379d89a8fa550d34de",
     (1009, "census"): "303fefac7c31731e2dcdbee6724d0d05aaa21ffcef8f6ec183d656636cfd6404",
@@ -196,14 +198,18 @@ GOLDEN_CSV_SHA256 = {
     (10007, "scan-t1"): "69b272f82c83c0de262120b7550283c6329b11726488c9a5d16428f76bfe4a5f",
     (10007, "census"): "c2f779555d60a11ded63434f73e629856fd053228c1057fbfcc482c8540ea668",
     (10007, "scan-t3"): "a6d2266757b005b3c65557f2b7ccda7437f04dbb7b159abfa5afd3fd8c5de982",
+    (1009, "scan-t3 --sigma 0.55"): "a6986fbdfceaafb4ec957378624d28f49cc8b2b260a5489a335eb232d3599af9",
+    (10007, "scan-t3 --sigma 0.55"): "5eed909110e16b15fe4ca33203b2db3bfc5411c1f1ee04b9c423820fbc64d0ff",
 }
 
 
 @pytest.mark.parametrize("q,command", sorted(GOLDEN_CSV_SHA256))
 def test_golden_csv(tmp_path, q, command):
-    extra = ["--sigma", "0.75"] if command == "scan-t3" else []
-    assert main([command, "--q", str(q), *extra, "--format", "csv", "--output-dir", str(tmp_path)]) == 0
-    digest = hashlib.sha256((tmp_path / f"{command}_q{q}.csv").read_bytes()).hexdigest()
+    name, *extra = command.split()
+    if command == "scan-t3":
+        extra = ["--sigma", "0.75"]
+    assert main([name, "--q", str(q), *extra, "--format", "csv", "--output-dir", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / f"{name}_q{q}.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_CSV_SHA256[q, command]
 
 

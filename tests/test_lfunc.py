@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lextremes import (
     LValue,
-    SigmaPoint,
     approx_error_census,
     digamma,
     dirichlet_poly,
@@ -17,11 +19,29 @@ from lextremes import (
     prime_sum,
     sieve_primes,
 )
+from lextremes import lfunc
 from lextremes.lfunc import hurwitz_zeta_error
 
 from conftest import series_l1_oracle, zeta_via_eta
 
 EULER_GAMMA = 0.5772156649015329
+
+_ODD_PRIMES = sieve_primes(2 * 10**4).primes[1:].tolist()
+
+
+def matrix_hurwitz_vec(sigma: float, x: np.ndarray) -> np.ndarray:
+    """The Euler-Maclaurin evaluation with its head summed as one
+    M x len(x) matrix reduced over axis 0: the oracle for the streamed head."""
+    m = lfunc._em_terms(sigma)
+    head = ((np.arange(m)[:, None] + x[None, :]) ** (-sigma)).sum(axis=0)
+    z = m + x
+    total = head + z ** (1 - sigma) / (sigma - 1) + 0.5 * z ** (-sigma)
+    for j, b2j in lfunc._BERNOULLI_CORRECTIONS:
+        rising = 1.0
+        for i in range(2 * j - 1):
+            rising *= sigma + i
+        total += b2j / math.factorial(2 * j) * rising * z ** (-sigma - 2 * j + 1)
+    return total
 
 
 class TestDigamma:
@@ -86,6 +106,24 @@ class TestHurwitzZeta:
         for sigma in (0.51, 0.6, 0.75, 0.99):
             assert hurwitz_zeta_error(sigma) < 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(q=st.sampled_from(_ODD_PRIMES), sigma=st.floats(0.51, 0.99))
+    @example(q=19997, sigma=1 - 1e-6)
+    def test_streamed_head_equals_matrix_sum(self, q, sigma):
+        x = np.arange(1, q) / q
+        assert np.array_equal(lfunc._hurwitz_vec(sigma, x), matrix_hurwitz_vec(sigma, x))
+
+    def test_streamed_head_memory(self):
+        # M = 1000 terms at sigma = 0.51; the matrix head held 2M arrays of len q-1
+        q = 20011
+        tracemalloc.start()
+        try:
+            lfunc._hurwitz_vec(0.51, np.arange(1, q) / q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (q - 1) * 8
+
     def test_rejections(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(1.0, 0.5)  # pole
@@ -123,10 +161,6 @@ class TestLValue:
     def test_sigma_half_rejected(self, group_of):
         with pytest.raises(ValueError):
             l_value(group_of(7).character(1), 0.5)
-
-    def test_accepts_sigma_point(self, group_of):
-        chi = group_of(7).character(1)
-        assert l_value(chi, SigmaPoint(0.75)).value == l_value(chi, 0.75).value
 
     def test_err_estimate_fields(self, group_of):
         result = l_value(group_of(7).character(1), 0.75)

@@ -288,8 +288,8 @@ class TestExcludePrincipal:
 
 
 class TestHalfWeightCertificate:
-    def test_q1009_passes(self):
-        report = half_weight_certificate(1009, 0.75)
+    def test_q1009_passes(self, group_of):
+        report = half_weight_certificate(group_of(1009), 0.75)
         assert report.scheme.kind == "half"
         assert report.y == 20.0
         assert report.lower_bound == pytest.approx(1.0528421617488057, rel=1e-12)
@@ -298,19 +298,19 @@ class TestHalfWeightCertificate:
         assert report.extras["s1_route_rel_diff"] < 1e-9
         assert report.extras["s2_route_rel_diff"] < 1e-9
 
-    def test_single_prime_target(self):
+    def test_single_prime_target(self, group_of):
         # y_min low enough that only p = 2 is below the formula cutoff
-        report = half_weight_certificate(1009, 0.75, y_min=2.5)
+        report = half_weight_certificate(group_of(1009), 0.75, y_min=2.5)
         assert report.lower_bound == pytest.approx(1 / (2 * 2**0.75), abs=1e-12)
 
-    def test_sigma_range_rejected(self):
+    def test_sigma_range_rejected(self, group_of):
         for sigma in (0.5, 1.0, 1.2):
             with pytest.raises(ValueError):
-                half_weight_certificate(1009, sigma)
+                half_weight_certificate(group_of(1009), sigma)
 
-    def test_cutoff_above_modulus_rejected(self):
+    def test_cutoff_above_modulus_rejected(self, group_of):
         with pytest.raises(ValueError):
-            half_weight_certificate(23, 0.75, y_min=30.0)
+            half_weight_certificate(group_of(23), 0.75, y_min=30.0)
 
 
 class TestExceptionalSetBudget:
@@ -339,8 +339,8 @@ class TestReportSerialization:
             "ratio", "lower_bound", "tail_fraction", "principal_terms", "certificate",
         }
 
-    def test_csv_single_row(self):
-        report = half_weight_certificate(1009, 0.75)
+    def test_csv_single_row(self, group_of):
+        report = half_weight_certificate(group_of(1009), 0.75)
         header, row = report.to_csv_row()
         assert len(header) == len(row)
         assert header[0] == "q" and row[0] == 1009
