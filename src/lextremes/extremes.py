@@ -20,7 +20,7 @@ import numpy as np
 from . import numth
 from .chargroup import CharacterGroup, build_group
 from .lfunc import _census_from_abs, l_value_batch
-from .resonance import EULER_GAMMA, ResonanceReport, half_weight_certificate
+from .resonance import EULER_GAMMA, ResonanceReport, _prime_cutoff, half_weight_certificate
 from .resonator import WeightScheme, linear_scheme
 
 CSV_COLUMNS = [
@@ -267,7 +267,7 @@ def scan_sigma_strip(
     log_q, log2_q, _ = _iterated_logs(q)
     start = time.perf_counter()
     group = build_group(q)
-    x = min(log_q ** (3 / (sigma - 0.5)), x_cap)
+    x = _prime_cutoff(log_q, sigma, x_cap)
     labs = _abs_l_batch(group, sigma)
     census = _census_from_abs(group, sigma, x, census_tol, labs)
     keep = np.ones(q - 1, dtype=bool)

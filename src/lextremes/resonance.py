@@ -407,6 +407,14 @@ def exclude_principal(report: ResonanceReport) -> ResonanceReport:
     )
 
 
+def _prime_cutoff(log_q: float, sigma: float, x_cap: float) -> float:
+    """x = min((log q)**(3/(sigma-1/2)), x_cap); x_cap when the power overflows."""
+    try:
+        return min(log_q ** (3 / (sigma - 0.5)), x_cap)
+    except OverflowError:
+        return x_cap
+
+
 def half_weight_certificate(
     group: CharacterGroup,
     sigma: float,
@@ -436,7 +444,7 @@ def half_weight_certificate(
     y = max(a_sigma / 2 * log_q * math.log(log_q), y_min)
     if y >= q:
         raise ValueError(f"half-weight cutoff y = {y:.3f} must be < q = {q}")
-    x = min(log_q ** (3 / (sigma - 0.5)), x_cap)
+    x = _prime_cutoff(log_q, sigma, x_cap)
     scheme = half_scheme(y)
     coeffs = enumerate_coeffs(scheme, n_limit)
     v = _residue_sums(q, coeffs.ns, coeffs.weights)

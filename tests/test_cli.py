@@ -2,9 +2,12 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import lextremes
 from lextremes.cli import ConfigError, main, oracle_check, parse_config, run
 
 
@@ -123,6 +126,13 @@ class TestRun:
         assert payload["sigma"] == 0.75
         # exit code mirrors the attached quotient certificate
         assert code == (0 if payload["quotient"]["certificate"]["passed"] else 1)
+
+    def test_scan_t3_prime_cutoff_power_overflow(self, tmp_path, capsys):
+        # (log q)**(3/(sigma-1/2)) overflows a float here; x falls back to x_cap
+        code = main(["scan-t3", "--q", "100003", "--sigma", "0.51", "--output-dir", str(tmp_path)])
+        assert code in (0, 1)
+        assert (tmp_path / "scan-t3_q100003.csv").exists()
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_exit_code_1_when_certificate_over_budget(self, tmp_path):
         # q = 10007 at the default truncations consumes 7.1% slack, over the
@@ -276,3 +286,11 @@ class TestOracleCheck:
 
     def test_empty_exit_2(self):
         assert main(["oracle-check"]) == 2
+
+
+def test_cli_import_loads_no_scipy():
+    probe = "import sys, lextremes.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = os.path.dirname(os.path.dirname(lextremes.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

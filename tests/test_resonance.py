@@ -313,6 +313,23 @@ class TestHalfWeightCertificate:
             half_weight_certificate(group_of(23), 0.75, y_min=30.0)
 
 
+class TestPrimeCutoff:
+    def test_bit_identical_to_the_inline_expression(self):
+        overflowed = 0
+        for q in (17, 101, 1009, 10007, 100003, 1000003, 2147483647):
+            log_q = math.log(q)
+            for sigma in (0.501, 0.51, 0.52, 0.55, 0.6, 0.75, 0.9, 0.99):
+                for x_cap in (20.0, 1e5, 1e12, math.inf):
+                    try:
+                        old = min(log_q ** (3 / (sigma - 0.5)), x_cap)
+                    except OverflowError:
+                        overflowed += 1
+                        assert resonance._prime_cutoff(log_q, sigma, x_cap) == x_cap
+                        continue
+                    assert resonance._prime_cutoff(log_q, sigma, x_cap).hex() == old.hex()
+        assert overflowed > 0
+
+
 class TestExceptionalSetBudget:
     def test_default_exponent(self):
         budget = exceptional_set_budget(1009, 0.75)

@@ -228,3 +228,61 @@ class TestSecondMomentIntegral:
         result = second_moment_integral(10.0)
         assert result.tail_part == 0.0
         assert result.total == result.main_part > 0
+
+
+# second_moment_integral(x) as (total, main_part) from the adaptive-quadrature
+# route it replaced (scipy quad at relative error 1e-10 in t)
+QUAD_RECORD = {
+    10.0: (0.35835651920202827, 0.35835651920202827),
+    10.5: (0.35428267248348444, 0.35428267248348444),
+    12.0: (0.34283816797677275, 0.34283816797677275),
+    20.0: (0.298614821984132, 0.29053843021861026),
+    50.0: (0.23088071199113905, 0.21699782087688824),
+    1e2: (0.19237065673620724, 0.18012931958333905),
+    1e3: (0.1182596733770619, 0.11364876430261245),
+    1e4: (0.08430888177721192, 0.08265999588065784),
+    1e5: (0.06559686034431464, 0.06489415066265214),
+    1e6: (0.05375618184461222, 0.05340013154439887),
+    1e7: (0.0455652282798556, 0.045360572541724334),
+    1e8: (0.039551681770849605, 0.03942326394925566),
+    1e12: (0.025905645364594516, 0.02587278590961508),
+}
+
+
+def _mp_integral(mpmath, a, b, log_x):
+    """int_a^b dt / ((log(2-t) + log x) t) in t, broken at t = 2 - 2**-k."""
+    points = [a]
+    k = 1
+    while 2 - mpmath.mpf(2) ** -k <= a:
+        k += 1
+    while 2 - mpmath.mpf(2) ** -k < b:
+        points.append(2 - mpmath.mpf(2) ** -k)
+        k += 1
+    points.append(b)
+    return mpmath.quad(lambda t: 1 / ((mpmath.log(2 - t) + log_x) * t), points)
+
+
+class TestSecondMomentIntegralAccuracy:
+    @pytest.mark.parametrize("x", sorted(QUAD_RECORD))
+    def test_against_mpmath(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            log_x = mpmath.log(mpmath.mpf(x))
+            upper = 2 - 2 / mpmath.mpf(x)
+            split = min(2 - log_x**-2, upper)
+            main = _mp_integral(mpmath, mpmath.mpf(1), split, log_x)
+            tail = _mp_integral(mpmath, split, upper, log_x) if split < upper else mpmath.mpf(0)
+            expected = (main + tail, main, tail)
+            result = second_moment_integral(x)
+            for got, want in zip((result.total, result.main_part, result.tail_part), expected):
+                if want == 0:
+                    assert got == 0.0
+                else:
+                    assert float(abs((got - want) / want)) <= 1e-13
+
+    @pytest.mark.parametrize("x", sorted(QUAD_RECORD))
+    def test_matches_quad_record(self, x):
+        total, main_part = QUAD_RECORD[x]
+        result = second_moment_integral(x)
+        assert result.total == pytest.approx(total, rel=1e-12, abs=0)
+        assert result.main_part == pytest.approx(main_part, rel=1e-12, abs=0)
