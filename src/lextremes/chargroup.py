@@ -75,12 +75,6 @@ class CharacterGroup:
             raise ValueError(f"character index must lie in [0, {self.q - 2}], got {index}")
         return Character(self, index)
 
-    def characters(self, include_principal: bool = True):
-        """Iterate characters in index order."""
-        start = 0 if include_principal else 1
-        for j in range(start, self.q - 1):
-            yield Character(self, j)
-
     def character_values(self, index: int) -> np.ndarray:
         """chi_index(a) for a = 1..q-1 as one complex array."""
         return self._roots[(index * self.dlog[1:]) % (self.q - 1)]
@@ -143,16 +137,15 @@ def build_group(q: int) -> CharacterGroup:
 def orthogonality_sum(group: CharacterGroup, m: int, n: int) -> float:
     """Sum of chi(m) * conj(chi(n)) over all chi, by direct summation.
 
-    Equals phi(q) when m = n (mod q) and 0 otherwise; kept as the slow,
-    obviously-correct oracle for the DFT-based paths.
+    Equals phi(q) when m = n (mod q) and 0 otherwise.  The q - 1 products
+    come from the evaluation tables and are added with math.fsum, so the
+    sum is exactly rounded and independent of `dft_over_group`: it stays
+    the obviously-correct oracle for the DFT-based paths.
     """
     q = group.q
     if math.gcd(m * n, q) != 1:
         raise ValueError(f"orthogonality_sum requires gcd(mn, q) = 1, got m={m}, n={n}, q={q}")
-    total = 0j
-    for j in range(q - 1):
-        total += group.character(j).value(m) * group.character(j).value(n).conjugate()
-    return total.real
+    return math.fsum((group.values_at(m) * np.conj(group.values_at(n))).real)
 
 
 def dft_over_group(group: CharacterGroup, f: np.ndarray) -> np.ndarray:

@@ -375,13 +375,14 @@ def _result_files(command: str, q: int, result, config: RunConfig) -> dict[str, 
     return files
 
 
-def _certificates_passed(command: str, result) -> bool:
+def _certificate(command: str, result):
+    """The certificate that decides the exit code, or None for commands without one."""
     if command == "certify":
         report, _ = result
-        return report.certificate.passed
+        return report.certificate
     if command == "scan-t3":
-        return result.quotient.certificate.passed
-    return True
+        return result.quotient.certificate
+    return None
 
 
 def run(config: RunConfig) -> int:
@@ -414,7 +415,14 @@ def run(config: RunConfig) -> int:
     try:
         for q in sorted(results):
             result = results[q]
-            all_passed &= _certificates_passed(config.command, result)
+            certificate = _certificate(config.command, result)
+            if certificate is not None and not certificate.passed:
+                all_passed = False
+                print(
+                    f"{config.command}: certificate failed at q={q}: tau_cert={certificate.tau_cert:.6g}"
+                    f" > tau_budget={certificate.tau_budget:.6g}, margin={certificate.margin:.6g}",
+                    file=sys.stderr,
+                )
             for name, data in _result_files(config.command, q, result, config).items():
                 _atomic_write(outdir / name, data)
     except OSError as exc:
@@ -428,33 +436,48 @@ def run(config: RunConfig) -> int:
 
 
 def _check_rows_for(q: int) -> list[tuple[str, bool, str]]:
-    rows = []
+    # one function per row, so each row's arrays are freed before the next runs
     group = build_group(q)
-    phi = q - 1
+    return [
+        _orthogonality_row(group),
+        _group_dft_row(group),
+        _batch_vs_single_row(group, 1.0, "digamma"),
+        _batch_vs_single_row(group, 0.75, "hurwitz"),
+        _dual_oracle_row(group),
+    ]
 
-    value_diag = orthogonality_sum(group, 1, q + 1)
+
+def _orthogonality_row(group) -> tuple[str, bool, str]:
+    phi = group.phi
+    value_diag = orthogonality_sum(group, 1, group.q + 1)
     value_off = orthogonality_sum(group, 2, 1)
     ok = abs(value_diag - phi) <= 1e-9 * phi and abs(value_off) <= 1e-9 * phi
-    rows.append(("orthogonality", ok, f"diag={value_diag:.6f} off={value_off:.2e}"))
+    return ("orthogonality", ok, f"diag={value_diag:.6f} off={value_off:.2e}")
 
+
+def _group_dft_row(group) -> tuple[str, bool, str]:
+    q = group.q
     rng = np.random.default_rng(q)
     f = rng.standard_normal(q - 1) + 1j * rng.standard_normal(q - 1)
     transformed = dft_over_group(group, f)
-    sample = range(0, q - 1, max(1, (q - 1) // 16))
     worst = 0.0
-    for j in sample:
+    for j in range(0, q - 1, max(1, (q - 1) // 16)):
         naive = np.sum(f * group.character_values(j))
         worst = max(worst, abs(naive - transformed[j]) / max(abs(naive), 1.0))
-    rows.append(("group-dft vs naive", worst <= 1e-9, f"max rel diff {worst:.2e}"))
+    return ("group-dft vs naive", worst <= 1e-9, f"max rel diff {worst:.2e}")
 
-    for sigma, label in ((1.0, "digamma"), (0.75, "hurwitz")):
-        values = l_value_batch(group, sigma).values
-        worst = 0.0
-        for j in range(1, q - 1, max(1, values.size // 8)):
-            single = l_value(group.character(j), sigma)
-            worst = max(worst, abs(single.value - complex(values[j - 1])))
-        rows.append((f"batch vs single ({label})", worst <= 1e-9, f"max abs diff {worst:.2e}"))
 
+def _batch_vs_single_row(group, sigma: float, label: str) -> tuple[str, bool, str]:
+    values = l_value_batch(group, sigma).values
+    worst = 0.0
+    for j in range(1, group.q - 1, max(1, values.size // 8)):
+        single = l_value(group.character(j), sigma)
+        worst = max(worst, abs(single.value - complex(values[j - 1])))
+    return (f"batch vs single ({label})", worst <= 1e-9, f"max abs diff {worst:.2e}")
+
+
+def _dual_oracle_row(group) -> tuple[str, bool, str]:
+    q = group.q
     x = min(7.0, q - 1.5)
     scheme = linear_scheme(x)
     y = max(x, 100.0)
@@ -465,8 +488,7 @@ def _check_rows_for(q: int) -> list[tuple[str, bool, str]]:
     s1_cong = weighted_sum_congruence(q, scheme, 1.0, y, n_limit, k_limit)
     d2 = abs(s2_char - s2_cong) / s2_cong
     d1 = abs(s1_char - s1_cong) / abs(s1_cong)
-    rows.append(("dual-oracle quotient sums", d1 <= 1e-9 and d2 <= 1e-9, f"s1 {d1:.2e} s2 {d2:.2e}"))
-    return rows
+    return ("dual-oracle quotient sums", d1 <= 1e-9 and d2 <= 1e-9, f"s1 {d1:.2e} s2 {d2:.2e}")
 
 
 def oracle_check(q_list) -> int:

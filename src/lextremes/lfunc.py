@@ -19,6 +19,7 @@ true L-values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,8 +95,7 @@ def _digamma_vec(x: np.ndarray) -> np.ndarray:
     steps = np.maximum(np.ceil(lift - x), 0.0).astype(np.int64)
     acc = np.zeros_like(x)
     for k in range(int(steps.max()) if steps.size else 0):
-        live = k < steps
-        acc[live] += 1.0 / (x[live] + k)
+        np.add(acc, 1.0 / (x + k), out=acc, where=k < steps)
     z = x + steps
     w = 1.0 / (z * z)
     # psi(z) ~ ln z - 1/(2z) - sum B_{2n} / (2n z^{2n}), through B_14
@@ -186,25 +186,43 @@ def _fsum_complex(values: np.ndarray) -> complex:
     return complex(math.fsum(values.real), math.fsum(values.imag))
 
 
+def _residue_values(q: int, s: float) -> np.ndarray:
+    """psi(a/q) at s = 1, zeta(s, a/q) at s < 1, for a = 1..q-1."""
+    a_over_q = np.arange(1, q) / q
+    return _digamma_vec(a_over_q) if s == 1.0 else _hurwitz_vec(s, a_over_q)
+
+
+@functools.lru_cache(maxsize=1)
+def _residue_kernel(q: int, s: float) -> np.ndarray:
+    """`_residue_values(q, s)`, read-only and kept for the last (q, s) only.
+
+    Single-character calls at one (q, s) share it; one cached entry keeps
+    the held memory at a single length-(q-1) array.
+    """
+    kernel = _residue_values(q, s)
+    kernel.setflags(write=False)
+    return kernel
+
+
 def l_value(chi, sigma) -> LValue:
     """L(sigma, chi) by the digamma (sigma = 1) or Hurwitz (sigma < 1) formula.
 
     Accepts any completely multiplicative character object exposing
     `modulus`, `is_principal` and `value(n)`; accumulation over residues
-    uses exact (fsum) summation.
+    uses exact (fsum) summation.  Calls at the same (q, sigma) share one
+    cached residue kernel.
     """
     s = as_sigma(sigma)
     q = chi.modulus
-    chivals = _character_values(chi, q)
-    a_over_q = np.arange(1, q) / q
+    if s == 1.0 and chi.is_principal:
+        raise ValueError("L(1, chi) has a pole at the principal character")
+    weighted = _character_values(chi, q) * _residue_kernel(q, s)
     if s == 1.0:
-        if chi.is_principal:
-            raise ValueError("L(1, chi) has a pole at the principal character")
-        value = -_fsum_complex(chivals * _digamma_vec(a_over_q)) / q
+        value = -_fsum_complex(weighted) / q
         err = (q - 1) / q * DIGAMMA_ERR
         method = "digamma"
     else:
-        value = q ** (-s) * _fsum_complex(chivals * _hurwitz_vec(s, a_over_q))
+        value = q ** (-s) * _fsum_complex(weighted)
         err = (q - 1) * q ** (-s) * hurwitz_zeta_error(s)
         method = "hurwitz"
     return LValue(getattr(chi, "index", None), s, value, method, err)
@@ -218,14 +236,13 @@ def l_value_batch(group: CharacterGroup, sigma) -> LValueBatch:
     """
     s = as_sigma(sigma)
     q = group.q
-    a_over_q = np.arange(1, q) / q
+    # uncached: a scan holds no q-length kernel after its batch returns
+    transformed = dft_over_group(group, _residue_values(q, s))
     if s == 1.0:
-        transformed = dft_over_group(group, _digamma_vec(a_over_q))
         values = -transformed / q
         err = (q - 1) / q * DIGAMMA_ERR
         method = "digamma"
     else:
-        transformed = dft_over_group(group, _hurwitz_vec(s, a_over_q))
         values = q ** (-s) * transformed
         err = (q - 1) * q ** (-s) * hurwitz_zeta_error(s)
         method = "hurwitz"

@@ -1,12 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lextremes import build_group, dft_over_group, orthogonality_sum, sieve_primes
 from lextremes.chargroup import _block_powers
 
 _ODD_PRIMES = sieve_primes(2 * 10**4).primes[1:].tolist()
+
+
+def per_character_orthogonality(group, m: int, n: int) -> float:
+    """Sum of chi(m) * conj(chi(n)) by one Character object per index: the
+    oracle for the table-driven orthogonality_sum."""
+    total = 0j
+    for j in range(group.q - 1):
+        chi = group.character(j)
+        total += chi.value(m) * chi.value(n).conjugate()
+    return total.real
 
 
 class TestBuildGroup:
@@ -112,6 +122,39 @@ class TestOrthogonality:
         for m, n in [(1, 1), (2, 103), (3, 50), (17, 17 + 101), (50, 49)]:
             expected = 100.0 if (m - n) % 101 == 0 else 0.0
             assert orthogonality_sum(group, m, n) == pytest.approx(expected, abs=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        q=st.sampled_from(_ODD_PRIMES),
+        m=st.integers(1, 10**6),
+        n=st.integers(1, 10**6),
+        diagonal=st.booleans(),
+    )
+    def test_matches_per_character_loop(self, q, m, n, diagonal):
+        if diagonal:
+            n = m + q * (n % 5)
+        assume(m % q != 0 and n % q != 0)
+        group = build_group(q)
+        got = orthogonality_sum(group, m, n)
+        assert abs(got - per_character_orthogonality(group, m, n)) <= 1e-9 * group.phi
+
+    @pytest.mark.parametrize("q", [5, 101, 1009, 10007, 98017])
+    def test_diagonal_is_exactly_phi(self, group_of, q):
+        group = group_of(q)
+        for m in (1, 2, q // 2, q - 1):
+            for n in (m, m + q, m + 7 * q):
+                assert orthogonality_sum(group, m, n) == q - 1
+
+    def test_builds_no_character_objects(self, group_of, monkeypatch):
+        import lextremes.chargroup as chargroup_module
+
+        def no_character(*args, **kwargs):
+            raise AssertionError("orthogonality_sum must not build Character objects")
+
+        group = group_of(1009)
+        monkeypatch.setattr(chargroup_module, "Character", no_character)
+        assert orthogonality_sum(group, 3, 3 + 1009) == 1008
+        assert orthogonality_sum(group, 2, 3) == pytest.approx(0.0, abs=1e-9 * 1008)
 
 
 class TestGroupDft:

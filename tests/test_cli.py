@@ -151,6 +151,35 @@ class TestRun:
         assert main(["certify", "--q", "1009", "--output-dir", str(tmp_path)]) == 0
         assert main(["certify", "--q", "10007", "--output-dir", str(tmp_path)]) == 1
 
+    def test_failed_certificate_prints_one_stderr_line(self, tmp_path, capsys):
+        assert main(["certify", "--q", "1009", "--output-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["certify", "--q", "1009,10007", "--output-dir", str(tmp_path)]) == 1
+        cert = json.loads((tmp_path / "certify_q10007.json").read_text())["report"]["certificate"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"certify: certificate failed at q=10007: tau_cert={cert['tau_cert']:.6g}"
+            f" > tau_budget={cert['tau_budget']:.6g}, margin={cert['margin']:.6g}"
+        ]
+
+    def test_failed_scan_t3_certificate_prints_its_line(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        import lextremes.cli as cli_module
+        from lextremes.resonance import CertificateResult
+
+        real_scan = cli_module.scan_sigma_strip
+
+        def failing_scan(*args, **kwargs):
+            report = real_scan(*args, **kwargs)
+            failed = CertificateResult(False, -0.25, 0.5, 0.05)
+            return dataclasses.replace(report, quotient=dataclasses.replace(report.quotient, certificate=failed))
+
+        monkeypatch.setattr(cli_module, "scan_sigma_strip", failing_scan)
+        assert main(["scan-t3", "--q", "101", "--sigma", "0.75", "--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "scan-t3: certificate failed at q=101: tau_cert=0.5 > tau_budget=0.05, margin=-0.25"
+        ]
+
     def test_exit_code_2_from_main(self):
         assert main(["certify", "--q", "7", "--B", "1.0"]) == 2
         assert main(["census", "--q", "4"]) == 2

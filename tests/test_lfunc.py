@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,6 +23,7 @@ from lextremes import (
     prime_sum,
     sieve_primes,
 )
+import lextremes
 from lextremes import lfunc
 from lextremes.lfunc import hurwitz_zeta_error
 
@@ -44,7 +49,34 @@ def matrix_hurwitz_vec(sigma: float, x: np.ndarray) -> np.ndarray:
     return total
 
 
+def masked_digamma_vec(x: np.ndarray) -> np.ndarray:
+    """The digamma evaluation with its recurrence lift gathered through a
+    boolean mask per step: the oracle for the masked-store lift."""
+    x = np.asarray(x, dtype=float)
+    steps = np.maximum(np.ceil(16.0 - x), 0.0).astype(np.int64)
+    acc = np.zeros_like(x)
+    for k in range(int(steps.max()) if steps.size else 0):
+        live = k < steps
+        acc[live] += 1.0 / (x[live] + k)
+    z = x + steps
+    w = 1.0 / (z * z)
+    series = w * (1 / 12 - w * (1 / 120 - w * (1 / 252 - w * (1 / 240 - w * (1 / 132 - w * (691 / 32760 - w / 12))))))
+    return np.log(z) - 0.5 / z - series - acc
+
+
 class TestDigamma:
+    @settings(max_examples=25, deadline=None)
+    @given(q=st.sampled_from(_ODD_PRIMES))
+    def test_lift_equals_masked_form_on_residue_grid(self, q):
+        x = np.arange(1, q) / q
+        assert np.array_equal(lfunc._digamma_vec(x), masked_digamma_vec(x))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(1e-9, 100.0), min_size=1, max_size=200))
+    def test_lift_equals_masked_form_on_mixed_arguments(self, xs):
+        x = np.array(xs)
+        assert np.array_equal(lfunc._digamma_vec(x), masked_digamma_vec(x))
+
     def test_at_one(self):
         assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-13)
 
@@ -172,6 +204,48 @@ class TestLValue:
             LValue(1, 0.75, 1 + 0j, "digamma", 0.0)  # digamma only at sigma=1
         with pytest.raises(ValueError):
             LValue(1, 1.0, 1 + 0j, "digamma", -1.0)
+
+
+_KERNEL_CASES = [(q, sigma, j) for j in (1, 2, 50) for q in (101, 1009) for sigma in (1.0, 0.75)]
+
+_FRESH_PROBE = """
+import json, sys
+from lextremes import build_group, l_value
+for q, sigma, j in json.loads(sys.argv[1]):
+    value = l_value(build_group(q).character(j), sigma).value
+    print(value.real.hex(), value.imag.hex())
+"""
+
+
+class TestResidueKernel:
+    def test_read_only(self):
+        kernel = lfunc._residue_kernel(101, 0.75)
+        assert not kernel.flags.writeable
+        with pytest.raises(ValueError):
+            kernel[0] = 0.0
+
+    def test_interleaved_singles_match_fresh_process(self, group_of):
+        # every call switches (q, sigma), so each one replaces the cached kernel
+        got = []
+        for q, sigma, j in _KERNEL_CASES:
+            value = l_value(group_of(q).character(j), sigma).value
+            got.append(f"{value.real.hex()} {value.imag.hex()}")
+        src = os.path.dirname(os.path.dirname(lextremes.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        # the fresh process takes the cases grouped by (q, sigma), so there most calls reuse the kernel
+        grouped = sorted(_KERNEL_CASES)
+        out = subprocess.run(
+            [sys.executable, "-c", _FRESH_PROBE, json.dumps(grouped)],
+            capture_output=True, text=True, env=env, check=True, timeout=60,
+        )
+        fresh = dict(zip(map(tuple, grouped), out.stdout.splitlines()))
+        assert got == [fresh[case] for case in _KERNEL_CASES]
+
+    def test_batch_leaves_the_cache_alone(self, group_of):
+        lfunc._residue_kernel.cache_clear()
+        l_value_batch(group_of(101), 1.0)
+        l_value_batch(group_of(101), 0.75)
+        assert lfunc._residue_kernel.cache_info().currsize == 0
 
 
 class TestBatchEvaluation:
