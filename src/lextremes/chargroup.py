@@ -5,9 +5,12 @@ Characters are indexed by an exponent j against a fixed primitive root g:
     chi_j(g**k) = exp(2*pi*i * j*k / (q-1)),   chi_j(n) = 0 when q | n.
 
 A discrete-log table gives O(1) evaluation, and a sum of the whole group
-against any residue-indexed vector is one length-(q-1) DFT (numpy's FFT
-handles arbitrary lengths, falling back to the chirp/Bluestein algorithm
-for large prime factors).
+against any residue-indexed vector is one length-(q-1) DFT.  Every vector
+the package transforms is real and q-1 is even, so `dft_over_group` runs
+it as one half-length complex FFT (numpy's, which handles arbitrary
+lengths and falls back to the chirp/Bluestein algorithm for large prime
+factors) and fills the conjugate half by symmetry; complex input is
+transformed as its real and imaginary rows.
 """
 
 from __future__ import annotations
@@ -149,14 +152,51 @@ def orthogonality_sum(group: CharacterGroup, m: int, n: int) -> float:
 
 
 def dft_over_group(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
-    """out[j] = sum_{a=1}^{q-1} f(a) * chi_j(a) for every character index j.
+    """out[..., j] = sum_{a=1}^{q-1} f(..., a) * chi_j(a) for every character index j.
 
-    `f` holds the values at residues 1..q-1 (entry i is the value at a=i+1).
-    Reindexing f along powers of g turns the character sum into a plain
-    length-(q-1) DFT with positive sign convention, i.e. ifft * (q-1).
+    `f` holds the values at residues 1..q-1 (entry i is the value at a=i+1),
+    as one vector or as a (k, q-1) stack whose rows are transformed
+    together; each row of a stack equals a separate call bit for bit.
+    Reindexing along powers of g turns the character sum into a length-n
+    DFT with positive sign convention, n = q-1.
+
+    Real input is packed as z[m] = x[2m] + i*x[2m+1] for the reordered
+    vector x and transformed by one unscaled length-n/2 FFT Z.  The even
+    and odd half-spectra E[j] = (Z[j] + conj Z[-j])/2 and
+    O[j] = -i(Z[j] - conj Z[-j])/2 give out[j] = E[j] + w**j O[j] for
+    j < n/2 (w = exp(2 pi i/n), read from the group's root table) and
+    out[n/2] = E[0] - O[0]; the upper half is out[n-j] = conj(out[j]), so
+    L(sigma, conj chi) = conj L(sigma, chi) holds exactly.  Complex input
+    goes through the same kernel as the stack of its real and imaginary
+    parts, out = row0 + i*row1.
     """
     f = np.asarray(f)
-    if f.shape != (group.q - 1,):
-        raise ValueError(f"expected {group.q - 1} residue values, got shape {f.shape}")
-    reordered = f[group.power_residues - 1]
-    return np.fft.ifft(reordered) * (group.q - 1)
+    n = group.q - 1
+    if f.ndim not in (1, 2) or f.shape[-1] != n:
+        raise ValueError(f"expected {n} residue values per row, got shape {f.shape}")
+    if np.iscomplexobj(f):
+        parts = _real_group_dft(group, np.stack((f.real, f.imag)))
+        return parts[0] + 1j * parts[1]
+    return _real_group_dft(group, f)
+
+
+def _real_group_dft(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
+    """The half-length kernel of `dft_over_group` for real f of shape (..., q-1)."""
+    n = group.q - 1
+    h = n // 2
+    order = group.power_residues - 1
+    z = np.empty(f.shape[:-1] + (h,), dtype=complex)
+    z.real = f[..., order[0::2]]
+    z.imag = f[..., order[1::2]]
+    spec = np.fft.ifft(z, norm="forward")  # unscaled: sum_m z[m] exp(2 pi i jm/h)
+    del z
+    mirror = np.conj(spec[..., -np.arange(h)])  # conj Z[-j mod h]
+    even = (spec + mirror) * 0.5
+    odd = (spec - mirror) * -0.5j
+    del spec, mirror
+    out = np.empty(f.shape[:-1] + (n,), dtype=complex)
+    out[..., h] = even[..., 0] - odd[..., 0]
+    odd *= group._roots[:h]
+    np.add(even, odd, out=out[..., :h])
+    np.conjugate(out[..., h - 1 : 0 : -1], out=out[..., h + 1 :])
+    return out

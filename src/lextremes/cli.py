@@ -299,6 +299,9 @@ def _compute_one(command: str, q: int, config: RunConfig):
             a_sigma=config.a_sigma,
             y_min=config.y_min,
             census_tol=config.tol,
+            n_limit=config.n,
+            k_limit=config.k,
+            tau_budget=config.tau_budget,
         )
     raise AssertionError(command)
 

@@ -254,13 +254,17 @@ def scan_sigma_strip(
     a_sigma: float | None = None,
     y_min: float = 20.0,
     census_tol: float = 1.0,
+    n_limit: int = 10**4,
+    k_limit: int = 10**4,
+    tau_budget: float = 0.05,
 ) -> ScanReport:
     """Scan log |L(sigma, chi)| for sigma in (1/2, 1), excluding the
     empirical census of characters badly approximated by the short prime
     sum, and report the ratio c_hat against the reference shape
     (log q)**(1-sigma) * (loglog q)**(-sigma).
 
-    A companion half-weight quotient certificate is attached.
+    A companion half-weight quotient certificate is attached; n_limit,
+    k_limit and tau_budget are passed on to `half_weight_certificate`.
     """
     if not 0.5 < sigma < 1.0:
         raise ValueError(f"sigma must lie strictly inside (1/2, 1), got {sigma}")
@@ -280,7 +284,16 @@ def scan_sigma_strip(
     argmax = int(eligible[pick])
     max_log = float(log_abs[pick])
     target_shape = log_q ** (1 - sigma) * log2_q ** (-sigma)
-    quotient = half_weight_certificate(group, sigma, a_sigma=a_sigma, y_min=y_min, x_cap=x_cap)
+    quotient = half_weight_certificate(
+        group,
+        sigma,
+        a_sigma=a_sigma,
+        y_min=y_min,
+        x_cap=x_cap,
+        n_limit=n_limit,
+        k_limit=k_limit,
+        tau_budget=tau_budget,
+    )
     r_sq = _resonator_abs_sq_all(group, quotient.scheme)
     resonant = int(eligible[np.argmax(r_sq[eligible])])
     return ScanReport(

@@ -232,7 +232,8 @@ def l_value_batch(group: CharacterGroup, sigma) -> LValueBatch:
     """L(sigma, chi) for every non-principal chi, via one group DFT.
 
     Agrees with per-character `l_value` to well below 1e-9; the DFT kernel
-    and the fixed residue ordering make the reduction deterministic.
+    and the fixed residue ordering make the reduction deterministic, and
+    conjugate characters get exactly conjugate values.
     """
     s = as_sigma(sigma)
     q = group.q

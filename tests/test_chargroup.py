@@ -1,12 +1,33 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lextremes import build_group, dft_over_group, orthogonality_sum, sieve_primes
 from lextremes.chargroup import _block_powers
+from lextremes.lfunc import _residue_values
 
 _ODD_PRIMES = sieve_primes(2 * 10**4).primes[1:].tolist()
+
+
+def full_length_dft(group, f) -> np.ndarray:
+    """The full-length formula: reorder along powers of g, then one
+    length-(q-1) inverse FFT times q-1; the oracle for the half-length
+    kernel of dft_over_group."""
+    return np.fft.ifft(np.asarray(f)[..., group.power_residues - 1]) * (group.q - 1)
+
+
+def longdouble_dft(group, f) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of sum_a f(a) chi_j(a) for real f, summed
+    naively in np.longdouble with twiddles exp(2 pi i m/(q-1)) evaluated in
+    np.longdouble."""
+    n = group.q - 1
+    pi = 4 * np.arctan(np.longdouble(1))
+    angles = 2 * pi * np.arange(n, dtype=np.longdouble) / n
+    cos_t, sin_t = np.cos(angles), np.sin(angles)
+    f = np.asarray(f, dtype=np.longdouble)
+    idx = (np.arange(n)[:, None] * group.dlog[1:][None, :]) % n
+    return (cos_t[idx] * f).sum(axis=1), (sin_t[idx] * f).sum(axis=1)
 
 
 def per_character_orthogonality(group, m: int, n: int) -> float:
@@ -172,8 +193,9 @@ class TestGroupDft:
         assert np.max(np.abs(out - 1.0)) < 1e-12
 
     def test_length_mismatch_rejected(self, group_of):
-        with pytest.raises(ValueError):
-            dft_over_group(group_of(7), np.ones(7))
+        for shape in ((7,), (6, 1), (2, 3, 6), ()):
+            with pytest.raises(ValueError):
+                dft_over_group(group_of(7), np.ones(shape))
 
     @pytest.mark.parametrize("q", [101, 1009, 10007])
     def test_matches_naive_summation(self, group_of, q):
@@ -202,3 +224,75 @@ class TestGroupDft:
         f = rng.standard_normal(100)
         out = dft_over_group(group, f)
         assert np.sum(np.abs(out) ** 2) == pytest.approx(100 * np.sum(f**2), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.sampled_from(_ODD_PRIMES), seed=st.integers(0, 2**32 - 1))
+    @example(q=3, seed=0)
+    @example(q=5, seed=1)
+    @example(q=7, seed=2)
+    def test_matches_full_length_formula(self, q, seed):
+        group = build_group(q)
+        rng = np.random.default_rng(seed)
+        real = rng.standard_normal(q - 1)
+        for f in (real, real + 1j * rng.standard_normal(q - 1), rng.standard_normal((3, q - 1))):
+            got, want = dft_over_group(group, f), full_length_dft(group, f)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(f).sum(axis=-1, keepdims=True))
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.sampled_from(_ODD_PRIMES), seed=st.integers(0, 2**32 - 1))
+    @example(q=3, seed=0)
+    @example(q=5, seed=1)
+    @example(q=7, seed=2)
+    def test_real_input_is_exactly_conjugate_symmetric(self, q, seed):
+        group = build_group(q)
+        f = np.random.default_rng(seed).standard_normal((2, q - 1))
+        for out in (dft_over_group(group, f[0]), dft_over_group(group, f)):
+            assert np.array_equal(out[..., 1:][..., ::-1], np.conj(out[..., 1:]))
+            assert np.all(out[..., 0].imag == 0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(q=st.sampled_from(_ODD_PRIMES), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @example(q=19583, rows=2, seed=0)  # (q-1)/2 = 9791 is prime: numpy's Bluestein path
+    def test_stacked_rows_equal_separate_calls(self, q, rows, seed):
+        group = build_group(q)
+        stack = np.random.default_rng(seed).standard_normal((rows, q - 1))
+        out = dft_over_group(group, stack)
+        for row, f in zip(out, stack):
+            assert np.array_equal(row, dft_over_group(group, f))
+
+    def test_complex_input_is_the_stack_of_its_parts(self, group_of):
+        group = group_of(1009)
+        rng = np.random.default_rng(11)
+        f = rng.standard_normal(1008) + 1j * rng.standard_normal(1008)
+        expected = dft_over_group(group, f.real) + 1j * dft_over_group(group, f.imag)
+        assert np.array_equal(dft_over_group(group, f), expected)
+
+    def test_runs_one_half_length_fft(self, group_of, monkeypatch):
+        group = group_of(1009)
+        lengths = []
+        ifft = np.fft.ifft
+
+        def recording_ifft(a, *args, **kwargs):
+            lengths.append(np.shape(a))
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", recording_ifft)
+        dft_over_group(group, np.ones(1008))
+        dft_over_group(group, np.ones((3, 1008)))
+        assert lengths == [(504,), (3, 504)]
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision longdouble")
+    @pytest.mark.parametrize("sigma", [1.0, 0.75, 0.55])
+    def test_accuracy_against_longdouble(self, group_of, sigma):
+        # Standard FFT error bound ||y_hat - y||_2 <= c u log2(n) ||y||_2 with
+        # unit roundoff u = eps/2; Parseval gives ||y||_2 = sqrt(n) ||f||_2, so
+        # with c = 2 the RMS error over the n outputs is <= eps log2(n) ||f||_2.
+        group = group_of(1009)
+        n = group.q - 1
+        f = _residue_values(group.q, sigma)
+        out = dft_over_group(group, f)
+        ref_re, ref_im = longdouble_dft(group, f)
+        sq_err = (out.real.astype(np.longdouble) - ref_re) ** 2 + (out.imag.astype(np.longdouble) - ref_im) ** 2
+        rms = float(np.sqrt(sq_err.mean()))
+        assert rms <= np.finfo(float).eps * np.log2(n) * np.linalg.norm(f)

@@ -134,6 +134,13 @@ class TestRun:
         assert (tmp_path / "scan-t3_q100003.csv").exists()
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_scan_t3_forwards_certificate_truncations(self, tmp_path):
+        argv = ["scan-t3", "--q", "1009", "--sigma", "0.75", "--N", "50", "--K", "7", "--tau-budget", "0"]
+        main([*argv, "--format", "json", "--output-dir", str(tmp_path)])
+        quotient = json.loads((tmp_path / "scan-t3_q1009.json").read_text())["quotient"]
+        assert (quotient["n"], quotient["k"]) == (50, 7)
+        assert quotient["certificate"]["tau_budget"] == 0.0
+
     def test_exit_code_1_when_certificate_over_budget(self, tmp_path):
         # q = 10007 at the default truncations consumes 7.1% slack, over the
         # default 5% budget; files are still written
@@ -236,7 +243,7 @@ GOLDEN_CSV_SHA256 = {
     (1009, "scan-t3"): "29f12253467684c9adf517c3a09a0076f5ae8c8b2f01e00e84a06d40a1539018",
     (10007, "scan-t1"): "69b272f82c83c0de262120b7550283c6329b11726488c9a5d16428f76bfe4a5f",
     (10007, "census"): "c2f779555d60a11ded63434f73e629856fd053228c1057fbfcc482c8540ea668",
-    (10007, "scan-t3"): "a6d2266757b005b3c65557f2b7ccda7437f04dbb7b159abfa5afd3fd8c5de982",
+    (10007, "scan-t3"): "e6a0074f4d9f9ce65a1616a5f6887715e9e83f8985317a712dd9f8e50acd02d5",
     (1009, "scan-t3 --sigma 0.55"): "a6986fbdfceaafb4ec957378624d28f49cc8b2b260a5489a335eb232d3599af9",
     (10007, "scan-t3 --sigma 0.55"): "5eed909110e16b15fe4ca33203b2db3bfc5411c1f1ee04b9c423820fbc64d0ff",
 }
