@@ -21,7 +21,7 @@ from . import numth
 from .chargroup import CharacterGroup, build_group
 from .lfunc import _census_from_abs, l_value_batch
 from .resonance import EULER_GAMMA, ResonanceReport, _prime_cutoff, half_weight_certificate
-from .resonator import WeightScheme, linear_scheme
+from .resonator import WeightScheme, _scheme_primes, linear_scheme
 
 CSV_COLUMNS = [
     "q", "sigma", "delta", "threshold", "count",
@@ -73,15 +73,40 @@ def _abs_l_batch(group: CharacterGroup, sigma: float) -> np.ndarray:
 
 
 def _resonator_abs_sq_all(group: CharacterGroup, scheme: WeightScheme) -> np.ndarray:
-    """|R(chi_j)|**2 for every j at once (full products, vectorized over j)."""
-    values = np.ones(group.q - 1, dtype=complex)
-    for p in numth.sieve_primes(int(scheme.cutoff)).primes.tolist():
-        if p > scheme.cutoff:
+    """|R(chi_j)|**2 for every character index j = 0..q-2, in real arithmetic.
+
+    Each prime contributes |1 - w chi_j(p)|**(-2), and
+    |1 - w e(t)|**2 = 1 + w**2 - 2w cos(2 pi t) = (1 - w)**2 + 2w (1 - cos(2 pi t))
+    with t = j ind(p) / (q-1); the second form has no cancellation near
+    t = 0.  Only j = 0..(q-1)/2 is evaluated; the rest is mirrored,
+    |R(chi_{q-1-j})|**2 = |R(chi_j)|**2, so conjugate characters get
+    bit-identical values.  The exponent j ind(p) mod (q-1) is formed in
+    int64 (below 2**62 for q < 2**31) in one reused buffer and folded to
+    k <= (q-1)/2, where 1 - cos is read from the first half of the group's
+    root table.  Primes and weights come from `resonator._scheme_primes`;
+    the prime q itself, where every character vanishes, contributes 1.
+    """
+    n = group.q - 1
+    h = n // 2
+    one_minus_cos = 1.0 - group._roots.real[: h + 1]
+    js = np.arange(h + 1, dtype=np.int64)
+    k = np.empty(h + 1, dtype=np.int64)
+    factor = np.empty(h + 1)
+    half = np.ones(h + 1)
+    for p, w in zip(*_scheme_primes(scheme)):
+        if w <= 0 or p == group.q:
             continue
-        w = 1 - p / scheme.cutoff if scheme.kind == "linear" else 0.5
-        if w > 0:
-            values /= 1 - w * group.values_at(p)
-    return np.abs(values) ** 2
+        np.multiply(js, group.dlog[p % group.q], out=k)
+        np.remainder(k, n, out=k)
+        np.minimum(k, n - k, out=k)
+        np.take(one_minus_cos, k, out=factor)
+        factor *= 2 * w
+        factor += (1 - w) ** 2
+        half /= factor
+    values = np.empty(n)
+    values[: h + 1] = half
+    values[h + 1 :] = half[h - 1 : 0 : -1]
+    return values
 
 
 @dataclass(frozen=True)

@@ -89,13 +89,29 @@ class LValueBatch:
 
 
 def _digamma_vec(x: np.ndarray) -> np.ndarray:
-    """psi(x) for x > 0: recurrence lift to >= 16, then asymptotic series."""
+    """psi(x) for x > 0: recurrence lift to >= 16, then asymptotic series.
+
+    The lift adds 1/(x + k) for k < steps = ceil(16 - x) through one
+    scratch array; steps below min(steps) are added unmasked (on the a/q
+    grid, where steps = 16 throughout, that is every step) and the rest
+    with a masked add.  The scratch array is freed before the series, so
+    the peak stays at the arrays the series itself needs.
+    """
     x = np.asarray(x, dtype=float)
     lift = 16.0
     steps = np.maximum(np.ceil(lift - x), 0.0).astype(np.int64)
     acc = np.zeros_like(x)
-    for k in range(int(steps.max()) if steps.size else 0):
-        np.add(acc, 1.0 / (x + k), out=acc, where=k < steps)
+    if steps.size:
+        tmp = np.empty_like(x)
+        unmasked = int(steps.min())
+        for k in range(int(steps.max())):
+            np.add(x, k, out=tmp)
+            np.divide(1.0, tmp, out=tmp)
+            if k < unmasked:
+                acc += tmp
+            else:
+                np.add(acc, tmp, out=acc, where=k < steps)
+        del tmp
     z = x + steps
     w = 1.0 / (z * z)
     # psi(z) ~ ln z - 1/(2z) - sum B_{2n} / (2n z^{2n}), through B_14
@@ -183,7 +199,12 @@ def _character_values(chi, q: int) -> np.ndarray:
 
 
 def _fsum_complex(values: np.ndarray) -> complex:
-    return complex(math.fsum(values.real), math.fsum(values.imag))
+    """Exactly rounded sum of a 1-d complex array.
+
+    A memoryview hands fsum plain Python floats, which it adds faster than
+    numpy scalars, without the list of floats that `.tolist()` would hold.
+    """
+    return complex(math.fsum(memoryview(values.real)), math.fsum(memoryview(values.imag)))
 
 
 def _residue_values(q: int, s: float) -> np.ndarray:

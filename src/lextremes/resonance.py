@@ -81,7 +81,9 @@ class ResonanceReport:
     cutoff, or the prime-sum cutoff for the half-weight certificate), `y`
     the smoothness cutoff of the series coefficients, `n` the resonator
     truncation and `k` the series truncation.  `principal_terms` holds
-    (|R_N(chi_0)|**2, |L_K(chi_0)| * |R_N(chi_0)|**2).
+    (|R_N(chi_0)|**2, |L_K(chi_0)| * |R_N(chi_0)|**2) and `l_principal` the
+    signed L_K(sigma, chi_0), so the principal contribution to S1 can be
+    re-formed exactly.
     """
 
     q: int
@@ -97,6 +99,7 @@ class ResonanceReport:
     lower_bound: float
     tail_fraction: float
     principal_terms: tuple[float, float]
+    l_principal: float
     certificate: CertificateResult
     extras: dict = field(default_factory=dict)
 
@@ -115,6 +118,7 @@ class ResonanceReport:
             "lower_bound": self.lower_bound,
             "tail_fraction": self.tail_fraction,
             "principal_terms": list(self.principal_terms),
+            "l_principal": self.l_principal,
             "certificate": self.certificate.to_json_dict(),
             "extras": dict(self.extras),
         }
@@ -360,6 +364,7 @@ def ratio_certificate(
         lower_bound=target,
         tail_fraction=coeffs.tail_fraction,
         principal_terms=(r0 * r0, abs(l_principal) * r0 * r0),
+        l_principal=l_principal,
         certificate=certificate,
         extras=extras,
     )
@@ -370,20 +375,15 @@ def exclude_principal(report: ResonanceReport) -> ResonanceReport:
 
     S1* = S1 - L_K(sigma, chi_0) |R_N(chi_0)|**2 and S2* = S2 - |R_N(chi_0)|**2,
     with the certificate re-evaluated against the same target and budget.
-    Applies to smooth-series reports (b_k = k**(-sigma) on y-smooth k <= K,
-    as produced by ratio_certificate); the half-weight certificate reports
-    its own principal terms instead.  The modulus, scheme, sigma, y and the
-    truncations N, K are read from the report.  extras record
-    log |R_N(chi_0)|**2 next to the closed-form untruncated value, the
-    separation the asymptotic argument relies on.
+    |R_N(chi_0)|**2 = principal_terms[0] and L_K(sigma, chi_0) = l_principal
+    are read from the report, exactly as its certificate computed them, so
+    nothing is enumerated again.  extras record log |R_N(chi_0)|**2 next to
+    the closed-form untruncated value (linear scheme), the separation the
+    asymptotic argument relies on.
     """
     scheme = report.scheme
-    coeffs = enumerate_coeffs(scheme, report.n)
-    r0 = coeffs.partial_sum
-    r0_sq = r0 * r0
-    ks, bs = _series_support(as_sigma(report.sigma), report.y, report.k)
-    l_principal = math.fsum(bs[ks % report.q != 0].tolist())
-    s1_star = report.s1 - l_principal * r0_sq
+    r0_sq = report.principal_terms[0]
+    s1_star = report.s1 - report.l_principal * r0_sq
     s2_star = report.s2 - r0_sq
     if s2_star <= 0:
         raise ValueError(
@@ -401,7 +401,6 @@ def exclude_principal(report: ResonanceReport) -> ResonanceReport:
         s1=complex(s1_star),
         s2=s2_star,
         ratio=ratio_star,
-        principal_terms=(r0_sq, abs(l_principal) * r0_sq),
         certificate=_certify(ratio_star, report.lower_bound, report.certificate.tau_budget),
         extras=extras,
     )
@@ -487,6 +486,7 @@ def half_weight_certificate(
         lower_bound=target,
         tail_fraction=coeffs.tail_fraction,
         principal_terms=(r0 * r0, abs(l_principal) * r0 * r0),
+        l_principal=l_principal,
         certificate=certificate,
         extras=extras,
     )

@@ -3,19 +3,72 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lextremes import (
     l_value_batch,
     reference_constants,
     scan_sigma1,
     scan_sigma_strip,
+    sieve_primes,
     sigma1_upper_check,
     threshold_census,
 )
-
-from lextremes.extremes import _abs_l_batch
+from lextremes.chargroup import CharacterGroup
+from lextremes.extremes import _abs_l_batch, _resonator_abs_sq_all
+from lextremes.resonator import half_scheme, linear_scheme
 
 EULER_GAMMA = 0.5772156649015329
+
+_ODD_PRIMES = sieve_primes(2 * 10**4).primes[1:].tolist()
+
+
+def complex_resonator_abs_sq(group, scheme) -> np.ndarray:
+    """|R(chi_j)|**2 as the complex product over primes, divided out over
+    all q-1 characters with `values_at` and its own weight formula: the
+    oracle for the real half-group kernel."""
+    values = np.ones(group.q - 1, dtype=complex)
+    for p in sieve_primes(int(scheme.cutoff)).primes.tolist():
+        if p > scheme.cutoff:
+            continue
+        w = 1 - p / scheme.cutoff if scheme.kind == "linear" else 0.5
+        if w > 0:
+            values /= 1 - w * group.values_at(p)
+    return np.abs(values) ** 2
+
+
+class TestResonatorScan:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.sampled_from(_ODD_PRIMES),
+        kind=st.sampled_from(["linear", "half"]),
+        cutoff=st.floats(2.0, 100.0),
+    )
+    @example(q=3, kind="linear", cutoff=7.5)  # cutoff past q: the prime 3 drops out
+    @example(q=10007, kind="linear", cutoff=math.log(10007) * math.log(math.log(10007)) / 1.4)
+    def test_matches_complex_product(self, group_of, q, kind, cutoff):
+        scheme = linear_scheme(cutoff) if kind == "linear" else half_scheme(cutoff)
+        group = group_of(q)
+        got = _resonator_abs_sq_all(group, scheme)
+        want = complex_resonator_abs_sq(group, scheme)
+        assert got.shape == (q - 1,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.array_equal(got[1:], got[:0:-1])
+
+    def test_uses_no_character_table(self, monkeypatch):
+        def refuse(self, n):
+            raise AssertionError("the resonator scan evaluated values_at")
+
+        monkeypatch.setattr(CharacterGroup, "values_at", refuse)
+        scan_sigma1(1009)
+        scan_sigma_strip(1009, 0.75)
+
+    @pytest.mark.parametrize("q", [1009, 10007])
+    def test_resonant_index_is_lower_of_its_pair(self, q):
+        # |R|**2 ties exactly on a conjugate pair and argmax keeps the first
+        for report in (scan_sigma1(q), scan_sigma_strip(q, 0.75)):
+            assert 1 <= report.resonant_index <= (q - 1) // 2
 
 
 class TestConstants:
@@ -64,7 +117,8 @@ class TestScanSigma1:
         "q,margin,argmax,resonant",
         [
             (1009, 1.0634714145071023, 99, 504),
-            (10007, 1.0901415993635952, 1185, 9930),
+            # 76 = 10006 - 9930: the pair's tie now goes to the lower index
+            (10007, 1.0901415993635952, 1185, 76),
         ],
     )
     def test_margin_regression(self, q, margin, argmax, resonant):

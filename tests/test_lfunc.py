@@ -65,6 +65,30 @@ def masked_digamma_vec(x: np.ndarray) -> np.ndarray:
     return np.log(z) - 0.5 / z - series - acc
 
 
+def unbuffered_digamma_vec(x: np.ndarray) -> np.ndarray:
+    """The digamma evaluation with fresh temporaries and a where-masked add
+    at every lift step: the memory baseline for the buffered lift."""
+    x = np.asarray(x, dtype=float)
+    steps = np.maximum(np.ceil(16.0 - x), 0.0).astype(np.int64)
+    acc = np.zeros_like(x)
+    for k in range(int(steps.max()) if steps.size else 0):
+        np.add(acc, 1.0 / (x + k), out=acc, where=k < steps)
+    z = x + steps
+    w = 1.0 / (z * z)
+    series = w * (1 / 12 - w * (1 / 120 - w * (1 / 252 - w * (1 / 240 - w * (1 / 132 - w * (691 / 32760 - w / 12))))))
+    return np.log(z) - 0.5 / z - series - acc
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc sees numpy allocate during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestDigamma:
     @settings(max_examples=25, deadline=None)
     @given(q=st.sampled_from(_ODD_PRIMES))
@@ -77,6 +101,12 @@ class TestDigamma:
     def test_lift_equals_masked_form_on_mixed_arguments(self, xs):
         x = np.array(xs)
         assert np.array_equal(lfunc._digamma_vec(x), masked_digamma_vec(x))
+
+    def test_lift_peak_memory_not_above_unbuffered_form(self):
+        # the scratch array is freed before the series tail, whose arrays set the peak
+        x = np.arange(1, 20011) / 20011
+        assert np.array_equal(lfunc._digamma_vec(x), unbuffered_digamma_vec(x))
+        assert traced_peak(lfunc._digamma_vec, x) <= traced_peak(unbuffered_digamma_vec, x)
 
     def test_at_one(self):
         assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-13)
@@ -169,6 +199,13 @@ class TestHurwitzZeta:
 
 
 class TestLValue:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False), min_size=1, max_size=300))
+    def test_exact_sum_same_over_python_floats(self, zs):
+        # math.fsum rounds exactly, so summing .tolist() floats cannot move a bit
+        values = np.array(zs, dtype=complex)
+        assert lfunc._fsum_complex(values) == complex(math.fsum(values.real), math.fsum(values.imag))
+
     def test_mod3_closed_form(self, chi_mod3):
         result = l_value(chi_mod3, 1.0)
         assert result.method == "digamma"

@@ -238,6 +238,11 @@ class TestRatioCertificate:
 
 
 class TestExcludePrincipal:
+    # q = 7, x = y = 3, N = K = 8: R_N(chi_0) = 40/27 and L_K(1, chi_0) sums
+    # 1/k over the 3-smooth k <= 8, as ratio_certificate records them
+    TOY_R0_SQ = (40 / 27) ** 2
+    TOY_L_PRINCIPAL = 1 + 1 / 2 + 1 / 3 + 1 / 4 + 1 / 6 + 1 / 8
+
     def _toy_report(self):
         scheme = linear_scheme(3)
         return ResonanceReport(
@@ -253,7 +258,8 @@ class TestExcludePrincipal:
             ratio=TOY_S1 / TOY_S2,
             lower_bound=1.2,
             tail_fraction=enumerate_coeffs(scheme, 8).tail_fraction,
-            principal_terms=(0.0, 0.0),
+            principal_terms=(self.TOY_R0_SQ, self.TOY_L_PRINCIPAL * self.TOY_R0_SQ),
+            l_principal=self.TOY_L_PRINCIPAL,
             certificate=CertificateResult(True, 0.0, 0.0, 0.05),
         )
 
@@ -265,6 +271,24 @@ class TestExcludePrincipal:
         assert star.s2 == pytest.approx(TOY_S2 - r0_sq, abs=1e-12)
         l_principal = 1 + 1 / 2 + 1 / 3 + 1 / 4 + 1 / 6 + 1 / 8
         assert star.s1.real == pytest.approx(TOY_S1 - l_principal * r0_sq, abs=1e-12)
+
+    @pytest.mark.parametrize("q", [1009, 10007])
+    def test_reads_the_recorded_principal_terms(self, q, monkeypatch):
+        # the certificate's own r0**2 and L_K(chi_0), not a second enumeration
+        report = ratio_certificate(q, 1.4)
+        coeffs = enumerate_coeffs(report.scheme, report.n)
+        ks, bs = resonance._series_support(1.0, report.y, report.k)
+        assert report.principal_terms[0] == coeffs.partial_sum**2
+        assert report.l_principal == math.fsum(bs[ks % q != 0].tolist())
+
+        def refuse(*args):
+            raise AssertionError("exclude_principal enumerated again")
+
+        monkeypatch.setattr(resonance, "enumerate_coeffs", refuse)
+        monkeypatch.setattr(resonance, "_series_support", refuse)
+        star = exclude_principal(report)
+        assert star.s2 == report.s2 - report.principal_terms[0]
+        assert star.s1 == report.s1 - report.l_principal * report.principal_terms[0]
 
     def test_trivial_resonator_subtracts_one(self):
         report = ratio_certificate(7, 1.4)  # x < 2, so R = 1 identically
