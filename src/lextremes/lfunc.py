@@ -94,12 +94,15 @@ def _digamma_vec(x: np.ndarray) -> np.ndarray:
     The lift adds 1/(x + k) for k < steps = ceil(16 - x) through one
     scratch array; steps below min(steps) are added unmasked (on the a/q
     grid, where steps = 16 throughout, that is every step) and the rest
-    with a masked add.  The scratch array is freed before the series, so
-    the peak stays at the arrays the series itself needs.
+    with a masked add.  The asymptotic series then runs in place, in the
+    operation order of ln z - 0.5/z - w*(1/12 - w*(1/120 - ...)) - acc,
+    so at most four arrays of len(x) are alive at once.
     """
     x = np.asarray(x, dtype=float)
     lift = 16.0
-    steps = np.maximum(np.ceil(lift - x), 0.0).astype(np.int64)
+    steps = np.subtract(lift, x)
+    np.ceil(steps, out=steps)
+    np.maximum(steps, 0.0, out=steps)
     acc = np.zeros_like(x)
     if steps.size:
         tmp = np.empty_like(x)
@@ -112,11 +115,20 @@ def _digamma_vec(x: np.ndarray) -> np.ndarray:
             else:
                 np.add(acc, tmp, out=acc, where=k < steps)
         del tmp
-    z = x + steps
-    w = 1.0 / (z * z)
-    # psi(z) ~ ln z - 1/(2z) - sum B_{2n} / (2n z^{2n}), through B_14
-    series = w * (1 / 12 - w * (1 / 120 - w * (1 / 252 - w * (1 / 240 - w * (1 / 132 - w * (691 / 32760 - w / 12))))))
-    return np.log(z) - 0.5 / z - series - acc
+    z = np.add(x, steps, out=steps)
+    del steps
+    w = np.multiply(z, z)
+    np.divide(1.0, w, out=w)
+    # psi(z) ~ ln z - 1/(2z) - sum B_{2n} / (2n z^{2n}), through B_14, by Horner in w
+    series = np.divide(w, 12)
+    for c in (691 / 32760, 1 / 132, 1 / 240, 1 / 252, 1 / 120, 1 / 12):
+        np.subtract(c, series, out=series)
+        series *= w
+    out = np.log(z, out=w)
+    out -= np.divide(0.5, z, out=z)
+    out -= series
+    out -= acc
+    return out
 
 
 def digamma(x: float) -> float:
@@ -126,39 +138,64 @@ def digamma(x: float) -> float:
     return float(_digamma_vec(np.array([x]))[0])
 
 
-_BERNOULLI_CORRECTIONS = ((1, 1 / 6), (2, -1 / 30), (3, 1 / 42), (4, -1 / 30))  # B_2..B_8
+# Euler-Maclaurin parameters of the Hurwitz kernel, fixed for every sigma:
+# an explicit head of M terms and Bernoulli corrections B_2..B_2J.  With
+# M = 12 and J = 8 the first omitted term is below 1.2e-19 on (1/2, 1]
+# (bound as in Johansson, "Rigorous high-precision computation of the
+# Hurwitz zeta function and its derivatives", Numer. Algorithms 2015).
+_EM_HEAD = 12
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)  # B_2..B_16
+_BERNOULLI_NEXT = 43867 / 798  # B_18, the first omitted one
 
 
-def _em_terms(sigma: float) -> int:
-    return max(30, math.ceil(10 / (sigma - 0.5)))
+def _em_remainder(sigma: float, z: np.ndarray) -> np.ndarray:
+    """Tail, half-term and Bernoulli corrections of zeta(sigma, x) at z = x + M.
+
+    With zs = z**(-sigma) these are z * zs / (sigma - 1), zs / 2 and
+    zs / z * sum_j c_j z**(2 - 2j).  They are formed as one bracket,
+
+        zs * (z + (sigma - 1) * (1/2 + P(1/z**2) / z)) / (sigma - 1),
+
+    with P run by Horner in 1/z**2 (each step divides twice by z, so no
+    1/z**2 array is held) and the factor sigma - 1 folded into its
+    coefficients; the only power is zs.  `z` is overwritten with zs; one
+    further array is allocated and returned.
+    """
+    scaled = []  # (sigma - 1) * c_j, c_j = B_2j / (2j)! * sigma (sigma + 1) ... (sigma + 2j - 2)
+    rising = sigma
+    for j, b2j in enumerate(_BERNOULLI, 1):
+        scaled.append((sigma - 1) * (b2j / math.factorial(2 * j) * rising))
+        rising *= (sigma + 2 * j - 1) * (sigma + 2 * j)
+    acc = np.divide(scaled[-1], z)
+    for c in reversed(scaled[:-1]):
+        acc /= z
+        acc += c
+        acc /= z
+    acc += 0.5 * (sigma - 1)
+    acc += z
+    acc *= np.power(z, -sigma, out=z)
+    acc /= sigma - 1
+    return acc
 
 
 def _hurwitz_vec(sigma: float, x: np.ndarray) -> np.ndarray:
-    """Hurwitz zeta(sigma, x) by Euler-Maclaurin with B_2..B_8 corrections.
-
-    Explicit sum over the first M = max(30, ceil(10/(sigma-1/2))) terms,
-    then the tail integral, the half-term, and four Bernoulli corrections.
-    The first omitted term is below 1e-14 throughout sigma in [0.51, 0.99].
+    """Hurwitz zeta(sigma, x) by Euler-Maclaurin with M = 12, B_2..B_16.
 
     The head sum_{k<M} (k + x)**(-sigma) is accumulated term by term into
-    one array, so memory stays a few arrays of len(x) for any M.  The
-    additions run in the order numpy uses to reduce axis 0 of the
-    M x len(x) matrix of terms, so the result equals that sum bit for bit.
+    one array, in the order numpy uses to reduce axis 0 of the M x len(x)
+    matrix of terms, so it equals that sum bit for bit.  `_em_remainder`
+    adds the rest from the single power (x + M)**(-sigma): M + 1 powers
+    per call, and three arrays of len(x) at the peak, at every sigma.
+    `hurwitz_zeta_error` bounds the truncation.
     """
     x = np.asarray(x, dtype=float)
-    m = _em_terms(sigma)
     head = x ** (-sigma)
     term = np.empty_like(head)
-    for k in range(1, m):
+    for k in range(1, _EM_HEAD):
         np.add(x, k, out=term)
         head += np.power(term, -sigma, out=term)
-    z = np.add(x, m, out=term)
-    total = head + z ** (1 - sigma) / (sigma - 1) + 0.5 * z ** (-sigma)
-    for j, b2j in _BERNOULLI_CORRECTIONS:
-        rising = 1.0
-        for i in range(2 * j - 1):
-            rising *= sigma + i
-        total += b2j / math.factorial(2 * j) * rising * z ** (-sigma - 2 * j + 1)
+    total = _em_remainder(sigma, np.add(x, _EM_HEAD, out=term))
+    total += head
     return total
 
 
@@ -174,16 +211,19 @@ def hurwitz_zeta(sigma: float, x: float) -> float:
 
 
 def hurwitz_zeta_error(sigma: float) -> float:
-    """Certified absolute error bound of hurwitz_zeta, uniform over x in (0, 1].
+    """Truncation bound of hurwitz_zeta, uniform over x in (0, 1], sigma > 0.
 
-    Magnitude of the first omitted Euler-Maclaurin correction (the B_10
-    term) at the smallest shifted argument M + x >= M.
+    Magnitude of the first omitted Euler-Maclaurin correction (the B_2J+2
+    term, J = len(_BERNOULLI)) at the smallest shifted argument M + x >= M:
+    |B_2J+2| / (2J+2)! * sigma (sigma + 1) ... (sigma + 2J) * M**(-sigma-2J-1).
+    The derivatives of (t + x)**(-sigma) keep one sign, so the remainder is
+    no larger than this term.  Float rounding is not included.
     """
-    m = _em_terms(sigma)
+    order = 2 * len(_BERNOULLI) + 2
     rising = 1.0
-    for i in range(9):
+    for i in range(order - 1):
         rising *= sigma + i
-    return abs(5 / 66) / math.factorial(10) * rising * m ** (-sigma - 9)
+    return abs(_BERNOULLI_NEXT) / math.factorial(order) * rising * _EM_HEAD ** (-sigma - order + 1)
 
 
 # ----------------------------------------------------------------------

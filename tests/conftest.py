@@ -109,6 +109,19 @@ def series_l1_oracle(group, j: int, h_by_residue: np.ndarray, m_aligned: int) ->
     return partial + mu / m_aligned
 
 
+def longdouble_dft(group, f) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of sum_a f(a) chi_j(a) for real f, summed
+    naively in np.longdouble with twiddles exp(2 pi i m/(q-1)) evaluated in
+    np.longdouble."""
+    n = group.q - 1
+    pi = 4 * np.arctan(np.longdouble(1))
+    angles = 2 * pi * np.arange(n, dtype=np.longdouble) / n
+    cos_t, sin_t = np.cos(angles), np.sin(angles)
+    f = np.asarray(f, dtype=np.longdouble)
+    idx = (np.arange(n)[:, None] * group.dlog[1:][None, :]) % n
+    return (cos_t[idx] * f).sum(axis=1), (sin_t[idx] * f).sum(axis=1)
+
+
 def gpf_table(limit: int) -> np.ndarray:
     """Greatest-prime-factor sieve; gpf[1] = 0."""
     gpf = np.zeros(limit + 1, dtype=np.int64)

@@ -7,6 +7,8 @@ from lextremes import build_group, dft_over_group, orthogonality_sum, sieve_prim
 from lextremes.chargroup import _block_powers
 from lextremes.lfunc import _residue_values
 
+from conftest import longdouble_dft
+
 _ODD_PRIMES = sieve_primes(2 * 10**4).primes[1:].tolist()
 
 
@@ -15,19 +17,6 @@ def full_length_dft(group, f) -> np.ndarray:
     length-(q-1) inverse FFT times q-1; the oracle for the half-length
     kernel of dft_over_group."""
     return np.fft.ifft(np.asarray(f)[..., group.power_residues - 1]) * (group.q - 1)
-
-
-def longdouble_dft(group, f) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of sum_a f(a) chi_j(a) for real f, summed
-    naively in np.longdouble with twiddles exp(2 pi i m/(q-1)) evaluated in
-    np.longdouble."""
-    n = group.q - 1
-    pi = 4 * np.arctan(np.longdouble(1))
-    angles = 2 * pi * np.arange(n, dtype=np.longdouble) / n
-    cos_t, sin_t = np.cos(angles), np.sin(angles)
-    f = np.asarray(f, dtype=np.longdouble)
-    idx = (np.arange(n)[:, None] * group.dlog[1:][None, :]) % n
-    return (cos_t[idx] * f).sum(axis=1), (sin_t[idx] * f).sum(axis=1)
 
 
 def per_character_orthogonality(group, m: int, n: int) -> float:

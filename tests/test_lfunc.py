@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ import lextremes
 from lextremes import lfunc
 from lextremes.lfunc import hurwitz_zeta_error
 
-from conftest import series_l1_oracle, zeta_via_eta
+from conftest import longdouble_dft, series_l1_oracle, zeta_via_eta
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -36,18 +37,11 @@ _ODD_PRIMES = sieve_primes(2 * 10**4).primes[1:].tolist()
 
 
 def matrix_hurwitz_vec(sigma: float, x: np.ndarray) -> np.ndarray:
-    """The Euler-Maclaurin evaluation with its head summed as one
+    """The Euler-Maclaurin evaluation with its M = 12 term head summed as one
     M x len(x) matrix reduced over axis 0: the oracle for the streamed head."""
-    m = lfunc._em_terms(sigma)
+    m = lfunc._EM_HEAD
     head = ((np.arange(m)[:, None] + x[None, :]) ** (-sigma)).sum(axis=0)
-    z = m + x
-    total = head + z ** (1 - sigma) / (sigma - 1) + 0.5 * z ** (-sigma)
-    for j, b2j in lfunc._BERNOULLI_CORRECTIONS:
-        rising = 1.0
-        for i in range(2 * j - 1):
-            rising *= sigma + i
-        total += b2j / math.factorial(2 * j) * rising * z ** (-sigma - 2 * j + 1)
-    return total
+    return head + lfunc._em_remainder(sigma, m + x)
 
 
 def masked_digamma_vec(x: np.ndarray) -> np.ndarray:
@@ -97,16 +91,21 @@ class TestDigamma:
         assert np.array_equal(lfunc._digamma_vec(x), masked_digamma_vec(x))
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(1e-9, 100.0), min_size=1, max_size=200))
+    @given(st.lists(st.floats(1e-12, 1e6), min_size=1, max_size=200))
+    @example([16.0, 1e-12, 1e6])
     def test_lift_equals_masked_form_on_mixed_arguments(self, xs):
+        # x >= 16 skips the lift, so there the in-place series alone meets the nested expression
         x = np.array(xs)
         assert np.array_equal(lfunc._digamma_vec(x), masked_digamma_vec(x))
 
     def test_lift_peak_memory_not_above_unbuffered_form(self):
-        # the scratch array is freed before the series tail, whose arrays set the peak
+        # the scratch array is freed before the series, which holds acc, z, w
+        # and its own buffer: four arrays, the steps array having become z
         x = np.arange(1, 20011) / 20011
         assert np.array_equal(lfunc._digamma_vec(x), unbuffered_digamma_vec(x))
-        assert traced_peak(lfunc._digamma_vec, x) <= traced_peak(unbuffered_digamma_vec, x)
+        peak = traced_peak(lfunc._digamma_vec, x)
+        assert peak <= traced_peak(unbuffered_digamma_vec, x)
+        assert peak < 4.5 * x.nbytes
 
     def test_at_one(self):
         assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-13)
@@ -158,16 +157,28 @@ class TestHurwitzZeta:
         assert hurwitz_zeta(sigma, 1.0) == pytest.approx(zeta_via_eta(sigma), abs=1e-10)
 
     def test_against_mpmath_grid(self):
+        # The value is a sum of about M + 8 rounded operations whose operands
+        # are bounded by the head terms and the tail z**(1-sigma)/|sigma-1|;
+        # each may add eps times their total, on top of the truncation bound.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
-        for sigma in (0.51, 0.6, 0.75, 0.9, 0.99, 2.0):
-            for x in (0.01, 0.3, 1.0):
-                expected = float(mpmath.zeta(sigma, x))
-                assert hurwitz_zeta(sigma, x) == pytest.approx(expected, abs=1e-12, rel=1e-12)
+        m = lfunc._EM_HEAD
+        for sigma in (0.501, 0.51, 0.55, 0.75, 0.9, 0.99, 2.0):
+            for q in (211, 300809):
+                for x in (1 / q, 0.01, 0.3, 0.5, 1 - 1 / q, 1.0):
+                    scale = math.fsum((k + x) ** -sigma for k in range(m)) + (m + x) ** (1 - sigma) / abs(sigma - 1)
+                    budget = (m + 8) * np.finfo(float).eps * scale + hurwitz_zeta_error(sigma)
+                    assert abs(float(hurwitz_zeta(sigma, x) - mpmath.zeta(sigma, x))) <= budget
 
     def test_error_bound_is_tiny(self):
-        for sigma in (0.51, 0.6, 0.75, 0.99):
-            assert hurwitz_zeta_error(sigma) < 1e-12
+        for sigma in np.linspace(0.5, 1.0, 51)[1:]:
+            assert 0 < hurwitz_zeta_error(float(sigma)) <= 1e-18
+
+    def test_error_bound_is_first_omitted_term(self):
+        # B_18 / 18! * (sigma)_17 * M**(-sigma-17), by exact rational arithmetic at sigma = 2
+        rising = math.factorial(18)  # (2)_17 = 18!
+        term = Fraction(43867, 798) / math.factorial(18) * rising / Fraction(12) ** 19
+        assert hurwitz_zeta_error(2.0) == pytest.approx(float(term), rel=1e-14)
 
     @settings(max_examples=25, deadline=None)
     @given(q=st.sampled_from(_ODD_PRIMES), sigma=st.floats(0.51, 0.99))
@@ -177,15 +188,11 @@ class TestHurwitzZeta:
         assert np.array_equal(lfunc._hurwitz_vec(sigma, x), matrix_hurwitz_vec(sigma, x))
 
     def test_streamed_head_memory(self):
-        # M = 1000 terms at sigma = 0.51; the matrix head held 2M arrays of len q-1
-        q = 20011
-        tracemalloc.start()
-        try:
-            lfunc._hurwitz_vec(0.51, np.arange(1, q) / q)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * (q - 1) * 8
+        # the head, the term buffer (reused for z and z**-sigma) and the
+        # remainder bracket: three arrays of len q-1 at every sigma
+        x = np.arange(1, 20011) / 20011
+        for sigma in (0.51, 0.75):
+            assert traced_peak(lfunc._hurwitz_vec, sigma, x) < 3.5 * x.nbytes
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -308,6 +315,46 @@ class TestBatchEvaluation:
         # values[q-2-j] == conj(values[j-1]) exactly
         values = l_value_batch(build_group(q), sigma).values
         assert np.array_equal(values[::-1], np.conj(values))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        q=st.sampled_from(_ODD_PRIMES),
+        sigma=st.one_of(st.just(1.0), st.floats(0.51, 0.99)),
+        picks=st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=4),
+    )
+    @example(q=3, sigma=1.0, picks=[0.0])
+    @example(q=19997, sigma=0.51, picks=[0.0, 0.5])
+    def test_batch_matches_single_within_rounding_budget(self, q, sigma, picks):
+        # Both routes weight the same residue kernel K.  The group DFT obeys the
+        # standard bound ||err||_2 <= eps log2(n) ||DFT K||_2 = eps log2(n) sqrt(n) ||K||_2
+        # (as in the chargroup accuracy test), which bounds every entry; the exact
+        # sum of the single route adds at most 2 eps ||K||_1 from rounded
+        # character values and products.  Both are scaled by q**-sigma.
+        group = build_group(q)
+        n = q - 1
+        kernel = lfunc._residue_values(q, sigma)
+        eps = np.finfo(float).eps
+        budget = eps * q**-sigma * (math.log2(n) * math.sqrt(n) * np.linalg.norm(kernel) + 2 * np.abs(kernel).sum())
+        values = l_value_batch(group, sigma).values
+        for j in sorted({1 + int(p * (q - 2)) for p in picks}):
+            assert abs(complex(values[j - 1]) - l_value(group.character(j), sigma).value) <= budget
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision longdouble")
+    @pytest.mark.parametrize("sigma", [0.51, 0.55, 0.75])
+    def test_batch_against_mpmath_longdouble_reference(self, group_of, sigma):
+        # zeta(sigma, a/q) from mpmath at 30 digits, character sum in long double
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        q = 211
+        zetas = np.array(
+            [np.longdouble(mpmath.nstr(mpmath.zeta(sigma, mpmath.mpf(a) / q), 25)) for a in range(1, q)]
+        )
+        scale = np.longdouble(mpmath.nstr(mpmath.mpf(q) ** -sigma, 25))
+        ref_re, ref_im = longdouble_dft(group_of(q), zetas)
+        ref = (ref_re[1 : q - 1] + 1j * ref_im[1 : q - 1]) * scale
+        values = l_value_batch(group_of(q), sigma).values
+        rel = np.abs(values - ref) / np.abs(ref)
+        assert float(rel.max()) <= 1e-13
 
     @pytest.mark.parametrize("q", [101, 1009])
     def test_series_oracle_agreement(self, group_of, harmonic_by_residue, q):
