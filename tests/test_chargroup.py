@@ -4,12 +4,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lextremes import build_group, dft_over_group, orthogonality_sum, sieve_primes
-from lextremes.chargroup import _block_powers
+from lextremes.chargroup import _block_powers, _good_thomas_split
 from lextremes.lfunc import _residue_values
 
 from conftest import longdouble_dft
 
 _ODD_PRIMES = sieve_primes(2 * 10**4).primes[1:].tolist()
+SPLIT_Q = 1031  # (q-1)/2 = 5*103 and 103**2 > 515: the Good-Thomas split
 
 
 def full_length_dft(group, f) -> np.ndarray:
@@ -64,6 +65,63 @@ class TestBuildGroup:
         powers = _block_powers(g, q, 10**4)
         assert powers.dtype == np.int64
         assert powers.tolist() == [pow(g, k, q) for k in range(10**4)]
+
+    def test_tables_are_int32(self, group_of):
+        group = group_of(1009)
+        assert group.dlog.dtype == np.int32
+        assert group.power_residues.dtype == np.int32
+
+    @pytest.mark.parametrize("q", [1009, 98017])
+    def test_root_table_upper_half_is_exact_mirror(self, group_of, q):
+        roots = group_of(q)._roots
+        n, h = q - 1, (q - 1) // 2
+        assert np.array_equal(roots[:0:-1], np.conj(roots[1:]))
+        assert roots[h] == -1  # the order-2 character is exactly real
+        # the DFT twiddles roots[:h] and the resonator's 1 - cos, read from
+        # roots[:h+1].real, are the direct evaluation
+        direct = np.exp(2j * np.pi * np.arange(n) / n)
+        assert np.array_equal(roots[:h], direct[:h])
+        assert np.array_equal(roots.real[: h + 1], direct.real[: h + 1])
+
+    @pytest.mark.parametrize("q", [1009, 98017])
+    def test_retained_tables_at_most_24_bytes_per_residue(self, group_of, q):
+        group = group_of(q)
+        held = sum(v.nbytes for v in vars(group).values() if isinstance(v, np.ndarray))
+        assert held <= 24 * q
+
+
+class TestTableEvaluation:
+    # At q = 98017 the exponent j * ind(a) reaches 9.6e9 > 2**31, so a product
+    # formed in int32 would wrap and pick the wrong root.  The expected value
+    # is read from the root table at (j*k) mod (q-1) with a = g**k, computed
+    # with Python integers, so it does not go through dlog.
+    Q = 98017
+    INDICES = (1, 2, 48_000, 49_009, 98_014, 98_015)
+    EXPONENTS = (0, 1, 7, 49_007, 49_008, 65_537, 98_000, 98_015)
+
+    def expected(self, group, j, k):
+        return group._roots[j * k % (group.q - 1)]
+
+    def test_character_values(self, group_of):
+        group = group_of(self.Q)
+        for j in self.INDICES:
+            values = group.character_values(j)
+            for k in self.EXPONENTS:
+                assert values[pow(group.g, k, self.Q) - 1] == self.expected(group, j, k)
+
+    def test_values_at(self, group_of):
+        group = group_of(self.Q)
+        for k in self.EXPONENTS:
+            values = group.values_at(pow(group.g, k, self.Q) + 3 * self.Q)
+            for j in self.INDICES:
+                assert values[j] == self.expected(group, j, k)
+
+    def test_character_value(self, group_of):
+        group = group_of(self.Q)
+        for j in self.INDICES:
+            chi = group.character(j)
+            for k in self.EXPONENTS:
+                assert chi.value(pow(group.g, k, self.Q)) == self.expected(group, j, k)
 
 
 class TestCharValue:
@@ -219,6 +277,8 @@ class TestGroupDft:
     @example(q=3, seed=0)
     @example(q=5, seed=1)
     @example(q=7, seed=2)
+    @example(q=SPLIT_Q, seed=3)
+    @example(q=19037, seed=4)  # (q-1)/2 = 2*4759: a split with r = 2
     def test_matches_full_length_formula(self, q, seed):
         group = build_group(q)
         rng = np.random.default_rng(seed)
@@ -233,6 +293,7 @@ class TestGroupDft:
     @example(q=3, seed=0)
     @example(q=5, seed=1)
     @example(q=7, seed=2)
+    @example(q=SPLIT_Q, seed=3)
     def test_real_input_is_exactly_conjugate_symmetric(self, q, seed):
         group = build_group(q)
         f = np.random.default_rng(seed).standard_normal((2, q - 1))
@@ -243,6 +304,7 @@ class TestGroupDft:
     @settings(max_examples=25, deadline=None)
     @given(q=st.sampled_from(_ODD_PRIMES), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     @example(q=19583, rows=2, seed=0)  # (q-1)/2 = 9791 is prime: numpy's Bluestein path
+    @example(q=SPLIT_Q, rows=3, seed=0)
     def test_stacked_rows_equal_separate_calls(self, q, rows, seed):
         group = build_group(q)
         stack = np.random.default_rng(seed).standard_normal((rows, q - 1))
@@ -257,19 +319,42 @@ class TestGroupDft:
         expected = dft_over_group(group, f.real) + 1j * dft_over_group(group, f.imag)
         assert np.array_equal(dft_over_group(group, f), expected)
 
-    def test_runs_one_half_length_fft(self, group_of, monkeypatch):
-        group = group_of(1009)
-        lengths = []
+    @staticmethod
+    def recorded_iffts(group, monkeypatch):
+        """(input shape, axis) of every np.fft.ifft call for one vector and one 3-row stack."""
+        calls = []
         ifft = np.fft.ifft
 
-        def recording_ifft(a, *args, **kwargs):
-            lengths.append(np.shape(a))
-            return ifft(a, *args, **kwargs)
+        def recording_ifft(a, *args, axis=-1, **kwargs):
+            calls.append((np.shape(a), axis))
+            return ifft(a, *args, axis=axis, **kwargs)
 
         monkeypatch.setattr(np.fft, "ifft", recording_ifft)
-        dft_over_group(group, np.ones(1008))
-        dft_over_group(group, np.ones((3, 1008)))
-        assert lengths == [(504,), (3, 504)]
+        n = group.q - 1
+        dft_over_group(group, np.ones(n))
+        dft_over_group(group, np.ones((3, n)))
+        monkeypatch.undo()
+        return calls
+
+    def test_runs_one_half_length_fft(self, group_of, monkeypatch):
+        for q in (1009, 10007):  # h = 2**3 * 3**2 * 7 and h prime: no split
+            h = (q - 1) // 2
+            assert self.recorded_iffts(group_of(q), monkeypatch) == [((h,), -1), ((3, h), -1)]
+
+    def test_split_runs_no_length_h_fft(self, group_of, monkeypatch):
+        # h = 515 = 103 * 5: batched FFTs of lengths 5 (axis -1) and 103 (axis -2)
+        assert self.recorded_iffts(group_of(SPLIT_Q), monkeypatch) == [
+            ((103, 5), -1),
+            ((103, 5), -2),
+            ((3, 103, 5), -1),
+            ((3, 103, 5), -2),
+        ]
+
+    def test_split_rule(self):
+        assert _good_thomas_split(515) == (103, 5)
+        assert _good_thomas_split(492854) == (2969, 166)  # q = 985709
+        for h in (1, 2, 3, 504, 5003, 2**10, 3**9):  # p**2 <= h, or h = p
+            assert _good_thomas_split(h) is None
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision longdouble")
     @pytest.mark.parametrize("sigma", [1.0, 0.75, 0.55])
@@ -277,11 +362,12 @@ class TestGroupDft:
         # Standard FFT error bound ||y_hat - y||_2 <= c u log2(n) ||y||_2 with
         # unit roundoff u = eps/2; Parseval gives ||y||_2 = sqrt(n) ||f||_2, so
         # with c = 2 the RMS error over the n outputs is <= eps log2(n) ||f||_2.
-        group = group_of(1009)
-        n = group.q - 1
-        f = _residue_values(group.q, sigma)
-        out = dft_over_group(group, f)
-        ref_re, ref_im = longdouble_dft(group, f)
-        sq_err = (out.real.astype(np.longdouble) - ref_re) ** 2 + (out.imag.astype(np.longdouble) - ref_im) ** 2
-        rms = float(np.sqrt(sq_err.mean()))
-        assert rms <= np.finfo(float).eps * np.log2(n) * np.linalg.norm(f)
+        for q in (1009, SPLIT_Q):  # one plain and one split transform
+            group = group_of(q)
+            n = group.q - 1
+            f = _residue_values(group.q, sigma)
+            out = dft_over_group(group, f)
+            ref_re, ref_im = longdouble_dft(group, f)
+            sq_err = (out.real.astype(np.longdouble) - ref_re) ** 2 + (out.imag.astype(np.longdouble) - ref_im) ** 2
+            rms = float(np.sqrt(sq_err.mean()))
+            assert rms <= np.finfo(float).eps * np.log2(n) * np.linalg.norm(f)

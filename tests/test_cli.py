@@ -315,6 +315,11 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_passes_at_a_split_modulus(self, capsys):
+        # (q-1)/2 = 5 * 103: the group DFT takes the Good-Thomas split
+        assert oracle_check([1031]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_cli_entry(self, capsys):
         assert main(["oracle-check", "--q", "7"]) == 0
         assert "all checks passed" in capsys.readouterr().out

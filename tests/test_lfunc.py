@@ -15,6 +15,7 @@ from lextremes import (
     LValue,
     approx_error_census,
     build_group,
+    dft_over_group,
     digamma,
     dirichlet_poly,
     euler_product_truncated,
@@ -303,6 +304,14 @@ class TestBatchEvaluation:
             abs(complex(v) - l_value(group.character(j), sigma).value) for j, v in enumerate(values, 1)
         )
         assert worst < 1e-9
+
+    @pytest.mark.parametrize("q", [1009, 1031])
+    @pytest.mark.parametrize("sigma", [1.0, 0.75])
+    def test_in_place_scaling_equals_out_of_place_forms(self, group_of, q, sigma):
+        group = group_of(q)
+        transformed = dft_over_group(group, lfunc._residue_values(q, sigma))
+        expected = -transformed / q if sigma == 1.0 else q ** (-sigma) * transformed
+        assert np.array_equal(l_value_batch(group, sigma).values, expected[1 : q - 1])
 
     @settings(max_examples=25, deadline=None)
     @given(q=st.sampled_from(_ODD_PRIMES), sigma=st.one_of(st.just(1.0), st.floats(0.51, 0.99)))
