@@ -260,8 +260,8 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"format must be csv, json or both, got {config.format!r}")
     if config.jobs < 1:
         raise ConfigError("jobs must be >= 1")
-    if config.n < 1 or config.k < 1:
-        raise ConfigError("N and K must be >= 1")
+    if not (1 <= config.n < 2**63 and 1 <= config.k < 2**63):
+        raise ConfigError("N and K must lie in [1, 2**63)")
     if config.command == "certify" and config.b <= math.log(4):
         raise ConfigError(f"B = {config.b} violates B > log 4 = {math.log(4):.6f}")
     if config.command == "census":

@@ -1,8 +1,10 @@
 """Multiplicative number theory primitives.
 
 Primes, factorization, Euler's phi, the von Mangoldt function, and
-smooth-number enumeration.  Moduli throughout the package are restricted
-to q < 2**31 so every modular product fits comfortably in 64 bits.
+smooth-number enumeration by a vectorised closure over the primes, whose
+cost and memory follow the output size rather than the limit.  Moduli
+throughout the package are restricted to q < 2**31 so every modular
+product fits comfortably in 64 bits.
 """
 
 from __future__ import annotations
@@ -114,27 +116,55 @@ def mangoldt(n: int) -> float:
     return 0.0
 
 
+def _smooth_closure(primes: np.ndarray, weights: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """All n <= limit built from `primes` (ascending), with the completely
+    multiplicative weights w_n = prod w_p**e, as ascending int64 ns and ws.
+
+    Primes p <= isqrt(limit) extend the set power by power; every larger
+    prime multiplies the sorted prefix n <= limit // p once, since such an
+    n is below sqrt(limit) < p.  Each w_n is the product of its prime
+    weights taken in ascending prime order, so it does not depend on how
+    the set was built.  Cost and memory follow the output size.
+    """
+    if limit >= 2**63:
+        raise ValueError(f"limit must be < 2**63, got {limit}")
+    primes = np.asarray(primes, dtype=np.int64)
+    root = math.isqrt(limit)
+    small = int(np.searchsorted(primes, root, side="right"))
+    done, ns, ws = [], np.ones(1, dtype=np.int64), np.ones(1)
+    for p, w in zip(primes[:small].tolist(), weights[:small].tolist()):
+        cap = limit // p
+        keep = ns <= cap  # the rest exceed limit // p' for every later p' too
+        done.append((ns[~keep], ws[~keep]))
+        parts = [(ns[keep], ws[keep])]
+        while parts[-1][0].size:
+            part_ns, part_ws = parts[-1]
+            keep = part_ns <= cap
+            parts.append((part_ns[keep] * p, part_ws[keep] * w))
+        ns, ws = (np.concatenate(a) for a in zip(*parts))
+    # n <= root never exceeds limit // p for p <= root, so the cofactors of
+    # the large primes are all still in ns
+    head = np.flatnonzero(ns <= root)
+    head = head[np.argsort(ns[head])]
+    counts = np.searchsorted(ns[head], limit // primes[small:], side="right")
+    cofactor = head[np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)]
+    done += [(ns, ws), (ns[cofactor] * np.repeat(primes[small:], counts),
+                        ws[cofactor] * np.repeat(weights[small:], counts))]
+    ns, ws = (np.concatenate(a) for a in zip(*done))
+    order = np.argsort(ns)
+    return ns[order], ws[order]
+
+
 def smooth_numbers(bound: int, limit: int) -> list[int]:
     """All n <= limit whose prime factors are all <= bound, ascending.
 
-    Enumerates by recursive prime-power multiplication, so a large limit
-    with a small bound stays cheap (the output size governs the cost).
+    Built by `_smooth_closure`, so a large limit with a small bound stays
+    cheap (the output size governs the cost and the memory).
     """
     if bound < 1 or limit < 1:
         raise ValueError("smooth_numbers requires bound >= 1 and limit >= 1")
-    primes = sieve_primes(min(bound, limit)).primes.tolist()
-    out: list[int] = []
-
-    def descend(idx: int, n: int) -> None:
-        out.append(n)
-        for j in range(idx, len(primes)):
-            if n * primes[j] > limit:
-                break  # primes ascend, so every later branch overflows too
-            descend(j, n * primes[j])
-
-    descend(0, 1)
-    out.sort()
-    return out
+    primes = sieve_primes(min(bound, limit)).primes
+    return _smooth_closure(primes, np.ones(primes.size), limit)[0].tolist()
 
 
 def primitive_root(q: int) -> int:

@@ -161,7 +161,8 @@ def _residue_sums(q: int, ns: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _series_support(sigma: float, y: float, k_limit: int) -> tuple[np.ndarray, np.ndarray]:
     """y-smooth k <= k_limit with b_k = k**(-sigma)."""
-    ks = np.array(numth.smooth_numbers(int(y), k_limit), dtype=np.int64)
+    primes = numth.sieve_primes(min(int(y), k_limit)).primes
+    ks = numth._smooth_closure(primes, np.ones(primes.size), k_limit)[0]
     return ks, ks.astype(float) ** (-sigma)
 
 
@@ -253,30 +254,23 @@ def weighted_sum_congruence(
     return _weighted_sum(q, v, *_series_support(s, y, k_limit))
 
 
-def _provable_bound(coeffs: ResonatorCoeffs, v: np.ndarray, terms: list[tuple[int, float]]) -> float:
+def _provable_bound(coeffs: ResonatorCoeffs, v: np.ndarray, ks: np.ndarray, cs: np.ndarray) -> float:
     """Exact finite-chain lower bound sum c_k * Q(N, N//k) / Q(N, N).
 
     Q(N, M) = sum_{m <= N, n <= M, m = n (mod q)} w_m w_n; restricting the
     series index to multiples k*r and using complete multiplicativity gives
     S1/S2 >= sum_k c_k Q(N, N//k)/Q(N, N) with only positivity used, so the
     computed ratio must always exceed this number (up to rounding).  `v`
-    holds the residue sums of `coeffs` mod q, so q = v.size.
+    holds the residue sums of `coeffs` mod q, so q = v.size.  The terms
+    (ks, cs) with k <= N are added in their given order (a sequential
+    cumsum, unlike the pairwise np.sum).
     """
-    col = coeffs.weights * v[coeffs.ns % v.size]
-    prefix = np.cumsum(col)
-    q_full = float(prefix[-1])
-    n_limit = coeffs.limit
-
-    def q_at(m: int) -> float:
-        i = int(np.searchsorted(coeffs.ns, m, side="right"))
-        return float(prefix[i - 1]) if i > 0 else 0.0
-
-    bound = 0.0
-    for k, c in terms:
-        if k > n_limit:
-            continue
-        bound += c * q_at(n_limit // k)
-    return bound / q_full
+    prefix = np.cumsum(coeffs.weights * v[coeffs.ns % v.size])
+    keep = ks <= coeffs.limit
+    # coeffs.ns starts at 1 <= N // k, so every index below is >= 0
+    q_at = prefix[np.searchsorted(coeffs.ns, coeffs.limit // ks[keep], side="right") - 1]
+    bound = np.cumsum(np.append(0.0, cs[keep] * q_at))[-1]
+    return float(bound / prefix[-1])
 
 
 def _certify(ratio: float, target: float, tau_budget: float) -> CertificateResult:
@@ -332,11 +326,11 @@ def ratio_certificate(
 
     # exact positive tails and the provable finite-chain bound
     target_coeffs = coeffs if k_limit == n_limit else enumerate_coeffs(scheme, k_limit)
-    a_terms = [(int(n), w / n) for n, w in zip(target_coeffs.ns.tolist(), target_coeffs.weights.tolist())]
-    a_partial = math.fsum(c for _, c in a_terms)
+    a_cs = target_coeffs.weights / target_coeffs.ns
+    a_partial = math.fsum(memoryview(a_cs))
     b_partial = math.fsum(bs[ks % q != 0].tolist())
     b_total = mertens_product(y) if y >= 2 else 1.0
-    provable = _provable_bound(coeffs, v, a_terms)
+    provable = _provable_bound(coeffs, v, target_coeffs.ns, a_cs)
 
     r0 = coeffs.partial_sum
     l_principal = b_partial
@@ -460,8 +454,9 @@ def half_weight_certificate(
     s2_char = float(np.sum(np.abs(r_vals) ** 2))
 
     y_primes = [p for p in numth.sieve_primes(int(y)).primes.tolist() if p != q]
-    target = math.fsum(0.5 * p ** (-sigma) for p in y_primes)
-    provable = _provable_bound(coeffs, v, [(p, 0.5 * p ** (-sigma)) for p in y_primes])
+    y_cs = [0.5 * p ** (-sigma) for p in y_primes]
+    target = math.fsum(y_cs)
+    provable = _provable_bound(coeffs, v, np.array(y_primes, dtype=np.int64), np.array(y_cs))
 
     r0 = coeffs.partial_sum
     l_principal = math.fsum(bs[primes % q != 0].tolist())

@@ -130,29 +130,14 @@ def enumerate_coeffs(scheme: WeightScheme, limit: int) -> ResonatorCoeffs:
     """All (n, w_n) with w_n > 0 and n <= limit, plus exact tail."""
     if limit < 1:
         raise ValueError(f"enumerate_coeffs requires limit >= 1, got {limit}")
-    primes, weights = _scheme_primes(scheme)
-    live = [(p, w) for p, w in zip(primes, weights) if w > 0]
-    ns: list[int] = []
-    ws: list[float] = []
-
-    def descend(idx: int, n: int, w: float) -> None:
-        ns.append(n)
-        ws.append(w)
-        for j in range(idx, len(live)):
-            p, wp = live[j]
-            if n * p > limit:
-                break
-            descend(j, n * p, w * wp)
-
-    descend(0, 1, 1.0)
-    order = np.argsort(np.array(ns))
-    ns_arr = np.array(ns, dtype=np.int64)[order]
-    ws_arr = np.array(ws)[order]
+    primes, weights = (np.array(a) for a in _scheme_primes(scheme))
+    live = weights > 0
+    ns, ws = numth._smooth_closure(primes[live], weights[live], limit)
     total = 1.0
-    for _, w in live:
+    for w in weights[live].tolist():
         total /= 1 - w
-    tail = max(total - math.fsum(ws_arr.tolist()), 0.0)
-    return ResonatorCoeffs(scheme, limit, ns_arr, ws_arr, total, tail)
+    tail = max(total - math.fsum(ws.tolist()), 0.0)
+    return ResonatorCoeffs(scheme, limit, ns, ws, total, tail)
 
 
 def log_principal_square(scheme: WeightScheme) -> float:

@@ -192,6 +192,14 @@ class TestRun:
         assert main(["census", "--q", "4"]) == 2
         assert main(["census"]) == 2
 
+    def test_n_and_k_past_int64_rejected_before_any_work(self, capsys):
+        for flag in ("--N", "--K"):
+            assert main(["certify", "--q", "1009", flag, "99999999999999999999"]) == 2
+            assert capsys.readouterr().err.startswith("error: N and K must lie in")
+        with pytest.raises(ConfigError):
+            parse_config(["scan-t3", "--q", "1009", "--sigma", "0.75", "--K", str(2**63)])
+        assert parse_config(["certify", "--q", "1009", "--N", str(2**63 - 1)]).n == 2**63 - 1
+
     def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,11 +110,23 @@ class TestSmoothNumbers:
         assert values[0] == 1 and values[-1] <= 10**9
         assert all(max(p for p, _ in factorize(v).factors) <= 5 for v in values[1:])
 
+    def test_memory_follows_output_not_limit(self):
+        # 768 outputs; a table indexed by n <= 10**7 would hold 80 MB
+        tracemalloc.start()
+        try:
+            smooth_numbers(5, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             smooth_numbers(0, 10)
         with pytest.raises(ValueError):
             smooth_numbers(3, 0)
+        with pytest.raises(ValueError):
+            smooth_numbers(3, 2**63)  # past int64
 
 
 class TestFactorize:

@@ -191,6 +191,30 @@ class TestFiniteRelationExact:
             assert lhs >= rhs
 
 
+def loop_provable_bound(coeffs, v, terms):
+    """The finite-chain bound one (k, c_k) term at a time, in the given order."""
+    prefix = np.cumsum(coeffs.weights * v[coeffs.ns % v.size])
+    bound = 0.0
+    for k, c in terms:
+        if k <= coeffs.limit:
+            i = int(np.searchsorted(coeffs.ns, coeffs.limit // k, side="right"))
+            bound += c * float(prefix[i - 1])
+    return bound / float(prefix[-1])
+
+
+class TestProvableBound:
+    @pytest.mark.parametrize("q,n_limit", [(1009, 10**4), (101837, 10**4), (10007, 1)])
+    def test_equals_the_sequential_loop(self, q, n_limit):
+        x = math.log(q) * math.log(math.log(q)) / 1.4
+        coeffs = enumerate_coeffs(linear_scheme(x), n_limit)
+        v = resonance._residue_sums(q, coeffs.ns, coeffs.weights)
+        target = enumerate_coeffs(linear_scheme(x), 10**5)  # terms with k > N are skipped
+        primes = sieve_primes(40).primes
+        for ks, cs in [(target.ns, target.weights / target.ns), (primes, 0.5 * primes ** -0.75)]:
+            loop = loop_provable_bound(coeffs, v, zip(ks.tolist(), cs.tolist()))
+            assert resonance._provable_bound(coeffs, v, ks, cs) == loop
+
+
 class TestRatioCertificate:
     def test_toy_quotient_beats_target(self):
         # X = 3, Y = 3, N = K = 8: computed ratio against the full-series

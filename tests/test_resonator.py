@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lextremes import (
+    WeightScheme,
     coeff,
     enumerate_coeffs,
     half_scheme,
@@ -15,6 +18,7 @@ from lextremes import (
     second_moment_integral,
     second_moment_product,
     sieve_primes,
+    smooth_numbers,
     weight,
 )
 
@@ -89,7 +93,51 @@ class TestResonatorValue:
             assert abs(truncated - full) <= coeffs.tail + 1e-12
 
 
+def descent_coeffs(scheme: WeightScheme, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference enumeration: recursive descent over the primes with w_p > 0,
+    one Python call per entry, multiplying weights in ascending prime order."""
+    live = [(p, weight(scheme, p)) for p in sieve_primes(int(scheme.cutoff)).primes.tolist()]
+    live = [(p, w) for p, w in live if w > 0]
+    ns, ws = [], []
+
+    def descend(idx, n, w):
+        ns.append(n)
+        ws.append(w)
+        for j in range(idx, len(live)):
+            p, wp = live[j]
+            if n * p > limit:
+                break
+            descend(j, n * p, w * wp)
+
+    descend(0, 1, 1.0)
+    order = np.argsort(ns)
+    return np.array(ns, dtype=np.int64)[order], np.array(ws)[order]
+
+
 class TestEnumerateCoeffs:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(["linear", "half"]),
+        cutoff=st.integers(min_value=2, max_value=3000),
+        limit=st.integers(min_value=1, max_value=2 * 10**5),
+    )
+    @example(kind="half", cutoff=2, limit=1)
+    @example(kind="linear", cutoff=5, limit=3)  # every prime above isqrt(3) = 1
+    @example(kind="half", cutoff=3000, limit=2)
+    @example(kind="linear", cutoff=2000, limit=10**5)  # 2000 > isqrt(10**5) = 316
+    def test_closure_equals_descent(self, kind, cutoff, limit):
+        scheme = WeightScheme(kind, float(cutoff))
+        coeffs = enumerate_coeffs(scheme, limit)
+        ns, ws = descent_coeffs(scheme, limit)
+        assert coeffs.ns.dtype == np.int64
+        assert np.array_equal(coeffs.ns, ns) and np.array_equal(coeffs.weights, ws)
+        smooth, _ = descent_coeffs(half_scheme(cutoff), limit)
+        assert np.array_equal(smooth_numbers(cutoff, limit), smooth)
+
+    def test_rejects_limit_past_int64(self):
+        with pytest.raises(ValueError):
+            enumerate_coeffs(half_scheme(7), 2**63)
+
     def test_geometric_toy(self):
         coeffs = enumerate_coeffs(linear_scheme(3), 8)
         assert coeffs.ns.tolist() == [1, 2, 4, 8]
