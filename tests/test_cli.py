@@ -1,13 +1,17 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import lextremes
+from lextremes import cli
 from lextremes.cli import ConfigError, main, oracle_check, parse_config, run
 
 
@@ -268,6 +272,75 @@ def test_golden_csv(tmp_path, q, command):
     digest = hashlib.sha256((tmp_path / f"{name}_q{q}.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_CSV_SHA256[q, command]
 
+
+
+# sha256 of JSON files written by the reference implementation, with every
+# `elapsed_seconds` line removed (the only field that changes between runs).
+# Every other byte is pinned: key names and order, float formatting, the
+# [re, im] encoding of complex values and null for NaN.  The numerics are the
+# ones the CSV goldens above pin, so the same re-recording rules apply.
+GOLDEN_JSON_SHA256 = {
+    (101, "certify"): "6ef3cc22d5032464fb30d6fdebb12b753d51818ea3ee5ef3b140f57b538ca555",
+    (101, "scan-t1"): "6e92839989a661a4bb6b46e1af923f7b92575c9f4bdc33a4168409e25947452f",
+    (101, "census"): "31d87c3d9d20a04902403bfb26f160bd1465e5d81dda709f1d7e774e2ca13a6b",
+    (101, "scan-t3"): "dfce60d7dcc65a6c96aa1cd207558339a57382a0e6659880544f026b813113ca",
+    (1009, "certify"): "07bbd5a0d7ea58c80cb864a87002f99c98df44c89031738d3593b5a46029d9dd",
+    (1009, "scan-t1"): "be44ae37d56a991171b0b17a496245bf5df0bd998e5f8a0bac1d324dd40f373a",
+    (1009, "census"): "2f238fb549b5b2abe8001eb6aa58561b25a60e58273bdda7115de75e7b7de950",
+    (1009, "scan-t3"): "23805d4ffca72c30469dbd2fab8621e0891587a1f1728c4237acfece561aedf7",
+}
+
+
+@pytest.mark.parametrize("q,command", sorted(GOLDEN_JSON_SHA256))
+def test_golden_json(tmp_path, q, command):
+    extra = ["--sigma", "0.75"] if command == "scan-t3" else []
+    main([command, "--q", str(q), *extra, "--format", "json", "--output-dir", str(tmp_path)])
+    data = (tmp_path / f"{command}_q{q}.json").read_bytes()
+    kept = re.sub(rb'\n *"elapsed_seconds": [^\n]*', b"", data)
+    assert hashlib.sha256(kept).hexdigest() == GOLDEN_JSON_SHA256[q, command]
+
+
+# The command-line surface: each command's options and the config key each
+# one sets, the keys a config file accepts, and the RunConfig attributes.
+COMMON_OPTIONS = {"--q": "q", "--config": "config", "--output-dir": "output_dir", "--format": "format", "--jobs": "jobs"}
+CLI_OPTIONS = {
+    "certify": {**COMMON_OPTIONS, "--B": "b", "--N": "n", "--K": "k", "--Y": "y", "--tau-budget": "tau_budget"},
+    "scan-t1": {**COMMON_OPTIONS, "--epsilon": "epsilon"},
+    "census": {**COMMON_OPTIONS, "--delta": "delta"},
+    "scan-t3": {
+        **COMMON_OPTIONS, "--sigma": "sigma", "--a-sigma": "a_sigma", "--x-cap": "x_cap", "--y-min": "y_min",
+        "--N": "n", "--K": "k", "--tol": "tol", "--tau-budget": "tau_budget",
+    },
+    "oracle-check": COMMON_OPTIONS,
+}
+CONFIG_KEYS = {
+    "q", "sigma", "delta", "b", "epsilon", "a_sigma", "x_cap", "y_min",
+    "n", "k", "y", "tol", "tau_budget", "output_dir", "format", "jobs",
+}
+
+
+def test_cli_options_per_command():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(CLI_OPTIONS)
+    for command, sub in commands.items():
+        options = {s: a.dest for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")}
+        assert options == CLI_OPTIONS[command], command
+
+
+def test_config_file_keys(tmp_path):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key.replace('_', '-')} = 1\n" for key in sorted(CONFIG_KEYS)))
+    assert set(cli._read_config_file(str(cfg))) == CONFIG_KEYS
+    for key in ("config", "command", "q_list", "delta_list"):
+        cfg.write_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError):
+            cli._read_config_file(str(cfg))
+
+
+def test_run_config_attributes():
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    assert fields == (CONFIG_KEYS - {"q", "delta"}) | {"command", "q_list", "delta_list"}
 
 # certify CSV rows recorded before the congruence S1 kernel was regrouped by
 # residue class; the new summation order may move the last ulps of s1, ratio
