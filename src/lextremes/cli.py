@@ -29,8 +29,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, make_dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,89 +49,72 @@ from .resonance import (
 )
 from .resonator import linear_scheme
 
-COMMANDS = ("certify", "scan-t1", "census", "scan-t3", "oracle-check")
-
-DEFAULTS = {
-    "q": (),
-    "sigma": None,
-    "delta": (0.5, 1.0, 2.0, 3.0),
-    "b": 1.4,
-    "epsilon": 0.0,
-    "a_sigma": None,
-    "x_cap": 1e5,
-    "y_min": 20.0,
-    "n": 10**4,
-    "k": 10**4,
-    "y": 1e4,
-    "tol": 1.0,
-    "tau_budget": 0.05,
-    "output_dir": "results",
-    "format": "both",
-    "jobs": 1,
+_COMMAND_HELP = {
+    "certify": "linear-scheme quotient certificate per q",
+    "scan-t1": "extreme-value scan of |L(1, chi)|",
+    "census": "threshold census of |L(1, chi)|",
+    "scan-t3": "extreme-value scan of log |L(sigma, chi)|",
+    "oracle-check": "dual-oracle and known-value self checks",
 }
+COMMANDS = tuple(_COMMAND_HELP)
 
 
 class ConfigError(Exception):
     """Invalid configuration; maps to exit code 2."""
 
 
-def _parse_int_list(text) -> tuple[int, ...]:
-    if isinstance(text, tuple):
-        return text
+def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part.strip()) for part in str(text).split(",") if part.strip())
+        return tuple(int(part.strip()) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
-def _parse_float_list(text) -> tuple[float, ...]:
-    if isinstance(text, tuple):
-        return text
+def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part.strip()) for part in str(text).split(",") if part.strip())
+        return tuple(float(part.strip()) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"expected a comma-separated float list, got {text!r}") from exc
 
 
-_PARSERS = {
-    "q": _parse_int_list,
-    "delta": _parse_float_list,
-    "sigma": float,
-    "b": float,
-    "epsilon": float,
-    "a_sigma": float,
-    "x_cap": float,
-    "y_min": float,
-    "n": int,
-    "k": int,
-    "y": float,
-    "tol": float,
-    "tau_budget": float,
-    "output_dir": str,
-    "format": str,
-    "jobs": int,
+class _Key(NamedTuple):
+    default: object
+    parse: Callable[[str], object]
+    flag: str
+    commands: tuple[str, ...]
+    help: str | None = None
+    attr: str | None = None  # the RunConfig attribute, when it is not the key
+
+
+# One row per config key: the config file, the flags of each command and
+# RunConfig are all derived from this table.
+_KEYS = {
+    "q": _Key((), _parse_int_list, "--q", COMMANDS, "comma-separated prime moduli", "q_list"),
+    "sigma": _Key(None, float, "--sigma", ("scan-t3",)),
+    "delta": _Key(
+        (0.5, 1.0, 2.0, 3.0), _parse_float_list, "--delta", ("census",), "comma-separated deltas", "delta_list"
+    ),
+    "b": _Key(1.4, float, "--B", ("certify",)),
+    "epsilon": _Key(0.0, float, "--epsilon", ("scan-t1",)),
+    "a_sigma": _Key(None, float, "--a-sigma", ("scan-t3",)),
+    "x_cap": _Key(1e5, float, "--x-cap", ("scan-t3",)),
+    "y_min": _Key(20.0, float, "--y-min", ("scan-t3",)),
+    "n": _Key(10**4, int, "--N", ("certify", "scan-t3")),
+    "k": _Key(10**4, int, "--K", ("certify", "scan-t3")),
+    "y": _Key(1e4, float, "--Y", ("certify",)),
+    "tol": _Key(1.0, float, "--tol", ("scan-t3",)),
+    "tau_budget": _Key(0.05, float, "--tau-budget", ("certify", "scan-t3")),
+    "output_dir": _Key("results", str, "--output-dir", COMMANDS),
+    "format": _Key("both", str, "--format", COMMANDS, "csv, json or both"),
+    "jobs": _Key(1, int, "--jobs", COMMANDS),
 }
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    q_list: tuple[int, ...]
-    sigma: float | None
-    delta_list: tuple[float, ...]
-    b: float
-    epsilon: float
-    a_sigma: float | None
-    x_cap: float
-    y_min: float
-    n: int
-    k: int
-    y: float
-    tol: float
-    tau_budget: float
-    output_dir: str
-    format: str
-    jobs: int
+RunConfig = make_dataclass(
+    "RunConfig",
+    ["command", *(row.attr or key for key, row in _KEYS.items())],
+    frozen=True,
+    namespace={"__module__": __name__, "__doc__": "A run's command and one attribute per row of _KEYS."},
+)
 
 
 def _read_config_file(path: str) -> dict:
@@ -147,7 +131,7 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower().replace("-", "_")
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
@@ -158,43 +142,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lextremes", description="Extreme values of Dirichlet L-functions mod a prime."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--q", dest="q", default=argparse.SUPPRESS, help="comma-separated prime moduli")
+    for command, help_text in _COMMAND_HELP.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", default=None, help="flat key = value config file")
-        p.add_argument("--output-dir", dest="output_dir", default=argparse.SUPPRESS)
-        p.add_argument("--format", dest="format", default=argparse.SUPPRESS, choices=("csv", "json", "both"))
-        p.add_argument("--jobs", dest="jobs", default=argparse.SUPPRESS, type=int)
-
-    p = sub.add_parser("certify", help="linear-scheme quotient certificate per q")
-    add_common(p)
-    p.add_argument("--B", dest="b", default=argparse.SUPPRESS, type=float)
-    p.add_argument("--N", dest="n", default=argparse.SUPPRESS, type=int)
-    p.add_argument("--K", dest="k", default=argparse.SUPPRESS, type=int)
-    p.add_argument("--Y", dest="y", default=argparse.SUPPRESS, type=float)
-    p.add_argument("--tau-budget", dest="tau_budget", default=argparse.SUPPRESS, type=float)
-
-    p = sub.add_parser("scan-t1", help="extreme-value scan of |L(1, chi)|")
-    add_common(p)
-    p.add_argument("--epsilon", dest="epsilon", default=argparse.SUPPRESS, type=float)
-
-    p = sub.add_parser("census", help="threshold census of |L(1, chi)|")
-    add_common(p)
-    p.add_argument("--delta", dest="delta", default=argparse.SUPPRESS, help="comma-separated deltas")
-
-    p = sub.add_parser("scan-t3", help="extreme-value scan of log |L(sigma, chi)|")
-    add_common(p)
-    p.add_argument("--sigma", dest="sigma", default=argparse.SUPPRESS, type=float)
-    p.add_argument("--a-sigma", dest="a_sigma", default=argparse.SUPPRESS, type=float)
-    p.add_argument("--x-cap", dest="x_cap", default=argparse.SUPPRESS, type=float)
-    p.add_argument("--y-min", dest="y_min", default=argparse.SUPPRESS, type=float)
-    p.add_argument("--N", dest="n", default=argparse.SUPPRESS, type=int)
-    p.add_argument("--K", dest="k", default=argparse.SUPPRESS, type=int)
-    p.add_argument("--tol", dest="tol", default=argparse.SUPPRESS, type=float)
-    p.add_argument("--tau-budget", dest="tau_budget", default=argparse.SUPPRESS, type=float)
-
-    p = sub.add_parser("oracle-check", help="dual-oracle and known-value self checks")
-    add_common(p)
+        for key, row in _KEYS.items():
+            if command in row.commands:
+                p.add_argument(row.flag, dest=key, default=argparse.SUPPRESS, type=row.parse, help=row.help)
     return parser
 
 
@@ -209,37 +162,15 @@ def parse_config(argv) -> RunConfig:
         # argparse exits with 2 on bad flags, which matches our contract,
         # but surface it as ConfigError so callers can handle it uniformly
         raise ConfigError("invalid command line") from exc
-    merged = dict(DEFAULTS)
-    config_path = getattr(namespace, "config", None)
-    if config_path:
-        for key, raw in _read_config_file(config_path).items():
+    merged = {key: row.default for key, row in _KEYS.items()}
+    if namespace.config:
+        for key, raw in _read_config_file(namespace.config).items():
             try:
-                merged[key] = _PARSERS[key](raw)
+                merged[key] = _KEYS[key].parse(raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from exc
-    for key in _PARSERS:
-        if hasattr(namespace, key):
-            value = getattr(namespace, key)
-            merged[key] = _PARSERS[key](value) if isinstance(value, str) and key in ("q", "delta") else value
-    config = RunConfig(
-        command=namespace.command,
-        q_list=_parse_int_list(merged["q"]),
-        sigma=merged["sigma"],
-        delta_list=_parse_float_list(merged["delta"]),
-        b=float(merged["b"]),
-        epsilon=float(merged["epsilon"]),
-        a_sigma=None if merged["a_sigma"] is None else float(merged["a_sigma"]),
-        x_cap=float(merged["x_cap"]),
-        y_min=float(merged["y_min"]),
-        n=int(merged["n"]),
-        k=int(merged["k"]),
-        y=float(merged["y"]),
-        tol=float(merged["tol"]),
-        tau_budget=float(merged["tau_budget"]),
-        output_dir=str(merged["output_dir"]),
-        format=str(merged["format"]),
-        jobs=int(merged["jobs"]),
-    )
+    merged.update((key, getattr(namespace, key)) for key in _KEYS if hasattr(namespace, key))
+    config = RunConfig(namespace.command, *merged.values())  # merged keeps the table's order
     _validate(config)
     return config
 
@@ -322,11 +253,15 @@ def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
 
 
 def _json_sanitize(obj):
+    """Complex values become [re, im] and NaN becomes null, inside any nesting
+    of dicts, lists and tuples (the shapes `dataclasses.asdict` produces)."""
     if isinstance(obj, float) and math.isnan(obj):
         return None
+    if isinstance(obj, complex):
+        return [_json_sanitize(obj.real), _json_sanitize(obj.imag)]
     if isinstance(obj, dict):
         return {k: _json_sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return [_json_sanitize(v) for v in obj]
     return obj
 
@@ -364,13 +299,11 @@ def _result_files(command: str, q: int, result, config: RunConfig) -> dict[str, 
             starred.s1.real, starred.s1.imag, starred.s2, starred.ratio, starred.certificate.passed,
         ]
         csv_data = _csv_bytes(header, [row])
-        json_data = _json_bytes(
-            {"report": report.to_json_dict(), "principal_excluded": starred.to_json_dict()}
-        )
+        json_data = _json_bytes({"report": asdict(report), "principal_excluded": asdict(starred)})
     else:
         header, rows = result.csv_rows()
         csv_data = _csv_bytes(header, rows)
-        json_data = _json_bytes(result.to_json_dict())
+        json_data = _json_bytes(asdict(result))
     if config.format in ("csv", "both"):
         files[f"{command}_q{q}.csv"] = csv_data
     if config.format in ("json", "both"):

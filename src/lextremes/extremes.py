@@ -38,14 +38,6 @@ class Constants:
     c0: float
     conjectural_offset: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "e_gamma": self.e_gamma,
-            "c": self.c,
-            "c0": self.c0,
-            "conjectural_offset": self.conjectural_offset,
-        }
-
 
 def reference_constants() -> Constants:
     """e**gamma, the sigma = 1 offset constant c = 1 + log log 4, and the
@@ -65,11 +57,6 @@ def _iterated_logs(q: int) -> tuple[float, float, float]:
     log_q = math.log(q)
     log2_q = math.log(log_q)
     return log_q, log2_q, math.log(log2_q)
-
-
-def _abs_l_batch(group: CharacterGroup, sigma: float) -> np.ndarray:
-    """|L(sigma, chi_j)| for j = 1..q-2 (non-principal, index order)."""
-    return l_value_batch(group, sigma).abs_values()
 
 
 def _resonator_abs_sq_all(group: CharacterGroup, scheme: WeightScheme) -> np.ndarray:
@@ -134,23 +121,6 @@ class ScanReport:
     quotient: ResonanceReport | None = None
     elapsed_seconds: float = 0.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "sigma": self.sigma,
-            "max_abs_l": self.max_abs_l,
-            "argmax_index": self.argmax_index,
-            "bound_value": self.bound_value,
-            "margin": self.margin,
-            "resonant_index": self.resonant_index,
-            "resonant_abs_l": self.resonant_abs_l,
-            "max_log_abs_l": self.max_log_abs_l,
-            "c_hat": self.c_hat,
-            "excluded_indices": list(self.excluded_indices),
-            "quotient": self.quotient.to_json_dict() if self.quotient else None,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
     def csv_rows(self) -> tuple[list[str], list[list]]:
         row = [
             self.q, self.sigma, "", "", "",
@@ -180,21 +150,6 @@ class CensusReport:
     constants: Constants = field(default_factory=reference_constants)
     elapsed_seconds: float = 0.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "sigma": self.sigma,
-            "deltas": list(self.deltas),
-            "thresholds": list(self.thresholds),
-            "counts": list(self.counts),
-            "exponents_emp": list(self.exponents_emp),
-            "exponents_ref": list(self.exponents_ref),
-            "b_values": list(self.b_values),
-            "max_abs_l": self.max_abs_l,
-            "constants": self.constants.to_json_dict(),
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
     def csv_rows(self) -> tuple[list[str], list[list]]:
         rows = []
         for d, t, c, emp, ref in zip(
@@ -216,7 +171,7 @@ def scan_sigma1(q: int, epsilon: float = 0.0) -> ScanReport:
     log_q, log2_q, log3_q = _iterated_logs(q)
     start = time.perf_counter()
     group = build_group(q)
-    labs = _abs_l_batch(group, 1.0)
+    labs = l_value_batch(group, 1.0).abs_values()
     const = reference_constants()
     bound = const.e_gamma * (log2_q + log3_q - const.c - epsilon)
     argmax = 1 + int(np.argmax(labs))
@@ -246,7 +201,7 @@ def threshold_census(q: int, deltas) -> CensusReport:
         raise ValueError("census requires a nonempty grid of deltas > 0")
     start = time.perf_counter()
     group = build_group(q)
-    labs = _abs_l_batch(group, 1.0)
+    labs = l_value_batch(group, 1.0).abs_values()
     const = reference_constants()
     thresholds, counts, emp, ref, b_values = [], [], [], [], []
     for d in deltas:
@@ -297,7 +252,7 @@ def scan_sigma_strip(
     start = time.perf_counter()
     group = build_group(q)
     x = _prime_cutoff(log_q, sigma, x_cap)
-    labs = _abs_l_batch(group, sigma)
+    labs = l_value_batch(group, sigma).abs_values()
     census = _census_from_abs(group, sigma, x, census_tol, labs)
     keep = np.ones(q - 1, dtype=bool)
     keep[[0, *census.indices]] = False
@@ -350,6 +305,6 @@ def sigma1_upper_check(q: int, slack: float = 0.5) -> UpperCheck:
     violations are flagged rather than impossible."""
     _iterated_logs(q)
     group = build_group(q)
-    max_abs = float(_abs_l_batch(group, 1.0).max())
+    max_abs = float(l_value_batch(group, 1.0).abs_values().max())
     bound = math.log(q) / 3 * (1 + slack)
     return UpperCheck(max_abs, bound, max_abs <= bound)

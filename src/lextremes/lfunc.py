@@ -386,9 +386,7 @@ def _census_from_abs(group: CharacterGroup, s: float, x: float, tol: float, labs
     q = group.q
     primes = numth.sieve_primes(int(x)).primes
     weights = primes.astype(float) ** (-s)
-    by_residue = np.zeros(q)
-    np.add.at(by_residue, primes % q, weights)
-    prime_sums = dft_over_group(group, by_residue[1:])
+    prime_sums = dft_over_group(group, numth._residue_sums(q, primes, weights)[1:])
     deviations = np.abs(np.log(labs) - prime_sums[1 : q - 1].real)
     bad = tuple((np.flatnonzero(deviations > tol) + 1).tolist())
     return ApproxErrorCensus(

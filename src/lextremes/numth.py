@@ -116,6 +116,18 @@ def mangoldt(n: int) -> float:
     return 0.0
 
 
+def _residue_sums(q: int, ns: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """t[r] = sum of values[i] over the indices with ns[i] = r (mod q).
+
+    Residue class 0 is dropped: every character mod q vanishes on multiples
+    of q, so those terms enter no character sum.
+    """
+    t = np.zeros(q)
+    np.add.at(t, ns % q, values)
+    t[0] = 0.0
+    return t
+
+
 def _smooth_closure(primes: np.ndarray, weights: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """All n <= limit built from `primes` (ascending), with the completely
     multiplicative weights w_n = prod w_p**e, as ascending int64 ns and ws.
@@ -124,7 +136,9 @@ def _smooth_closure(primes: np.ndarray, weights: np.ndarray, limit: int) -> tupl
     prime multiplies the sorted prefix n <= limit // p once, since such an
     n is below sqrt(limit) < p.  Each w_n is the product of its prime
     weights taken in ascending prime order, so it does not depend on how
-    the set was built.  Cost and memory follow the output size.
+    the set was built.  Cost and memory follow the output size: retired
+    parts and loop temporaries are dropped before the final sort, so the
+    peak is about 32 bytes per output entry.
     """
     if limit >= 2**63:
         raise ValueError(f"limit must be < 2**63, got {limit}")
@@ -133,15 +147,9 @@ def _smooth_closure(primes: np.ndarray, weights: np.ndarray, limit: int) -> tupl
     small = int(np.searchsorted(primes, root, side="right"))
     done, ns, ws = [], np.ones(1, dtype=np.int64), np.ones(1)
     for p, w in zip(primes[:small].tolist(), weights[:small].tolist()):
-        cap = limit // p
-        keep = ns <= cap  # the rest exceed limit // p' for every later p' too
+        keep = ns <= limit // p  # the rest exceed limit // p' for every later p' too
         done.append((ns[~keep], ws[~keep]))
-        parts = [(ns[keep], ws[keep])]
-        while parts[-1][0].size:
-            part_ns, part_ws = parts[-1]
-            keep = part_ns <= cap
-            parts.append((part_ns[keep] * p, part_ws[keep] * w))
-        ns, ws = (np.concatenate(a) for a in zip(*parts))
+        ns, ws = _prime_powers(ns[keep], ws[keep], p, w, limit // p)
     # n <= root never exceeds limit // p for p <= root, so the cofactors of
     # the large primes are all still in ns
     head = np.flatnonzero(ns <= root)
@@ -150,9 +158,22 @@ def _smooth_closure(primes: np.ndarray, weights: np.ndarray, limit: int) -> tupl
     cofactor = head[np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)]
     done += [(ns, ws), (ns[cofactor] * np.repeat(primes[small:], counts),
                         ws[cofactor] * np.repeat(weights[small:], counts))]
+    del ns, ws, head, cofactor
     ns, ws = (np.concatenate(a) for a in zip(*done))
+    del done
     order = np.argsort(ns)
-    return ns[order], ws[order]
+    ns = ns[order]  # one gather at a time, so the unsorted ns is freed first
+    return ns, ws[order]
+
+
+def _prime_powers(ns: np.ndarray, ws: np.ndarray, p: int, w: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """ns, ns*p, ns*p**2, ... (each factor applied to the entries <= cap), with weights."""
+    parts = [(ns, ws)]
+    while parts[-1][0].size:
+        part_ns, part_ws = parts[-1]
+        keep = part_ns <= cap
+        parts.append((part_ns[keep] * p, part_ws[keep] * w))
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def smooth_numbers(bound: int, limit: int) -> list[int]:

@@ -22,7 +22,10 @@ when k = n * m**(-1) (mod q),
 
 and the kernel gathers over the smaller support, so S1 costs
 |supp V| * min(|supp V|, |supp W|) products of residues (< q**2 < 2**62).
-It imports nothing from `chargroup`, so the two routes stay independent.
+The character route takes the same tables V and W through one group DFT
+each (`_character_sums`, the module's only use of `chargroup`); the
+congruence kernels use nothing from `chargroup`, so the routes stay
+independent.
 
 All terms are nonnegative, so truncation tails are exact and the quotient
 |S1|/S2 certifies a computable lower bound for extreme values.  Certificates
@@ -64,14 +67,6 @@ class CertificateResult:
     tau_cert: float
     tau_budget: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "margin": self.margin,
-            "tau_cert": self.tau_cert,
-            "tau_budget": self.tau_budget,
-        }
-
 
 @dataclass(frozen=True)
 class ResonanceReport:
@@ -103,26 +98,6 @@ class ResonanceReport:
     certificate: CertificateResult
     extras: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "sigma": self.sigma,
-            "scheme": {"kind": self.scheme.kind, "cutoff": self.scheme.cutoff},
-            "x": self.x,
-            "y": self.y,
-            "n": self.n,
-            "k": self.k,
-            "s1": [self.s1.real, self.s1.imag],
-            "s2": self.s2,
-            "ratio": self.ratio,
-            "lower_bound": self.lower_bound,
-            "tail_fraction": self.tail_fraction,
-            "principal_terms": list(self.principal_terms),
-            "l_principal": self.l_principal,
-            "certificate": self.certificate.to_json_dict(),
-            "extras": dict(self.extras),
-        }
-
     def to_csv_row(self) -> tuple[list[str], list]:
         header = [
             "q", "sigma", "scheme_kind", "cutoff", "x", "y", "n", "k",
@@ -145,20 +120,6 @@ class ResonanceReport:
 # the two evaluation routes
 
 
-def _residue_sums(q: int, ns: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """t[r] = sum of values[i] over the indices with ns[i] = r (mod q).
-
-    Residue class 0 is dropped: every character vanishes on multiples of q,
-    so those terms contribute to neither route.  (Resonator entries there
-    only exist when the scheme cutoff reaches q, series terms when y or K
-    does.)
-    """
-    t = np.zeros(q)
-    np.add.at(t, ns % q, values)
-    t[0] = 0.0
-    return t
-
-
 def _series_support(sigma: float, y: float, k_limit: int) -> tuple[np.ndarray, np.ndarray]:
     """y-smooth k <= k_limit with b_k = k**(-sigma)."""
     primes = numth.sieve_primes(min(int(y), k_limit)).primes
@@ -166,31 +127,46 @@ def _series_support(sigma: float, y: float, k_limit: int) -> tuple[np.ndarray, n
     return ks, ks.astype(float) ** (-sigma)
 
 
-def square_sum_characters(group: CharacterGroup, scheme: WeightScheme, n_limit: int) -> float:
-    """S2 via one group DFT of the residue-aggregated coefficients."""
+def _tables(q: int, scheme: WeightScheme, n_limit: int, series=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Residue tables of the resonator (V) and, given series = (sigma, y,
+    k_limit), of the y-smooth series coefficients (W); None without one."""
+    if not numth.is_prime(q):
+        raise ValueError(f"modulus must be prime, got {q}")
+    if series is not None:
+        sigma, y, k_limit = series
+        s = as_sigma(sigma)
+        if y < scheme.cutoff:
+            raise ValueError(f"series cutoff y = {y} must be >= scheme cutoff {scheme.cutoff}")
     coeffs = enumerate_coeffs(scheme, n_limit)
-    v = _residue_sums(group.q, coeffs.ns, coeffs.weights)
-    transformed = dft_over_group(group, v[1:])
-    return float(np.sum(np.abs(transformed) ** 2))
+    v = numth._residue_sums(q, coeffs.ns, coeffs.weights)
+    return v, None if series is None else numth._residue_sums(q, *_series_support(s, y, k_limit))
 
 
-def _square_sum(q: int, v: np.ndarray) -> float:
-    """S2 from the resonator residue sums: phi(q) * sum_a V[a]**2."""
-    return (q - 1) * float(np.sum(v * v))
+def _character_sums(group: CharacterGroup, v: np.ndarray, w: np.ndarray | None) -> tuple[complex | None, float]:
+    """(S1, S2) = (sum_chi L(chi) |R(chi)|**2, sum_chi |R(chi)|**2) by one
+    group DFT per residue table; S1 is None when there is no series table w."""
+    r_sq = np.abs(dft_over_group(group, v[1:])) ** 2
+    s1 = None if w is None else complex(np.sum(dft_over_group(group, w[1:]) * r_sq))
+    return s1, float(np.sum(r_sq))
+
+
+def _square_sum(v: np.ndarray) -> float:
+    """S2 from the resonator residue sums: phi(q) * sum_a V[a]**2, q = v.size."""
+    return (v.size - 1) * float(np.sum(v * v))
 
 
 # index entries per gather block; bounds the kernel's scratch memory
 _BLOCK = 1 << 18
 
 
-def _weighted_sum(q: int, v: np.ndarray, ks: np.ndarray, bs: np.ndarray) -> float:
-    """S1 from the resonator residue sums v and the series support (ks, bs).
+def _weighted_sum(v: np.ndarray, w: np.ndarray) -> float:
+    """S1 from the residue tables v (resonator) and w (series), q = v.size.
 
     The outer sum runs over supp V.  The inner gather runs over the smaller
     of supp V (table W at c * a**(-1)) and supp W (table V at r * a); both
     give the same lattice sum.  Blocks hold at most _BLOCK index entries.
     """
-    w = _residue_sums(q, ks, bs)
+    q = v.size
     outer = np.flatnonzero(v)
     cols = np.flatnonzero(w)
     if outer.size <= cols.size:
@@ -211,27 +187,21 @@ def _weighted_sum(q: int, v: np.ndarray, ks: np.ndarray, bs: np.ndarray) -> floa
     return (q - 1) * total
 
 
+def square_sum_characters(group: CharacterGroup, scheme: WeightScheme, n_limit: int) -> float:
+    """S2 via one group DFT of the residue-aggregated coefficients."""
+    return _character_sums(group, *_tables(group.q, scheme, n_limit))[1]
+
+
 def square_sum_congruence(q: int, scheme: WeightScheme, n_limit: int) -> float:
     """S2 via orthogonality: phi(q) * sum over pairs m = n (mod q)."""
-    if not numth.is_prime(q):
-        raise ValueError(f"modulus must be prime, got {q}")
-    coeffs = enumerate_coeffs(scheme, n_limit)
-    return _square_sum(q, _residue_sums(q, coeffs.ns, coeffs.weights))
+    return _square_sum(_tables(q, scheme, n_limit)[0])
 
 
 def weighted_sum_characters(
     group: CharacterGroup, scheme: WeightScheme, sigma, y: float, n_limit: int, k_limit: int
 ) -> complex:
     """S1 via two group DFTs (series coefficients and resonator)."""
-    s = as_sigma(sigma)
-    if y < scheme.cutoff:
-        raise ValueError(f"series cutoff y = {y} must be >= scheme cutoff {scheme.cutoff}")
-    coeffs = enumerate_coeffs(scheme, n_limit)
-    v = _residue_sums(group.q, coeffs.ns, coeffs.weights)
-    w = _residue_sums(group.q, *_series_support(s, y, k_limit))
-    l_vals = dft_over_group(group, w[1:])
-    r_vals = dft_over_group(group, v[1:])
-    return complex(np.sum(l_vals * np.abs(r_vals) ** 2))
+    return _character_sums(group, *_tables(group.q, scheme, n_limit, (sigma, y, k_limit)))[0]
 
 
 def weighted_sum_congruence(
@@ -244,14 +214,7 @@ def weighted_sum_congruence(
     blocks of at most 2**18 entries; terms with q | k or q | n vanish
     because residue 0 is dropped from both tables.
     """
-    if not numth.is_prime(q):
-        raise ValueError(f"modulus must be prime, got {q}")
-    s = as_sigma(sigma)
-    if y < scheme.cutoff:
-        raise ValueError(f"series cutoff y = {y} must be >= scheme cutoff {scheme.cutoff}")
-    coeffs = enumerate_coeffs(scheme, n_limit)
-    v = _residue_sums(q, coeffs.ns, coeffs.weights)
-    return _weighted_sum(q, v, *_series_support(s, y, k_limit))
+    return _weighted_sum(*_tables(q, scheme, n_limit, (sigma, y, k_limit)))
 
 
 def _provable_bound(coeffs: ResonatorCoeffs, v: np.ndarray, ks: np.ndarray, cs: np.ndarray) -> float:
@@ -316,11 +279,11 @@ def ratio_certificate(
         raise ValueError(f"series cutoff y = {y} must be >= x = {x:.3f}")
     scheme = linear_scheme(x)
     coeffs = enumerate_coeffs(scheme, n_limit)
-    v = _residue_sums(q, coeffs.ns, coeffs.weights)
+    v = numth._residue_sums(q, coeffs.ns, coeffs.weights)
     ks, bs = _series_support(1.0, y, k_limit)
 
-    s2 = _square_sum(q, v)
-    s1 = _weighted_sum(q, v, ks, bs)
+    s2 = _square_sum(v)
+    s1 = _weighted_sum(v, numth._residue_sums(q, ks, bs))
     ratio = abs(s1) / s2
     target = lower_bound_product(scheme).value
 
@@ -408,6 +371,11 @@ def _prime_cutoff(log_q: float, sigma: float, x_cap: float) -> float:
         return x_cap
 
 
+def _a_sigma(sigma: float, a_sigma: float | None) -> float:
+    """The given a_sigma, or the default exponent (2 sigma - 1)/(2 - sigma)."""
+    return (2 * sigma - 1) / (2 - sigma) if a_sigma is None else a_sigma
+
+
 def half_weight_certificate(
     group: CharacterGroup,
     sigma: float,
@@ -431,8 +399,7 @@ def half_weight_certificate(
     if not 0.5 < sigma < 1.0:
         raise ValueError(f"sigma must lie strictly inside (1/2, 1), got {sigma}")
     q = group.q
-    if a_sigma is None:
-        a_sigma = (2 * sigma - 1) / (2 - sigma)
+    a_sigma = _a_sigma(sigma, a_sigma)
     log_q = math.log(q)
     y = max(a_sigma / 2 * log_q * math.log(log_q), y_min)
     if y >= q:
@@ -440,18 +407,15 @@ def half_weight_certificate(
     x = _prime_cutoff(log_q, sigma, x_cap)
     scheme = half_scheme(y)
     coeffs = enumerate_coeffs(scheme, n_limit)
-    v = _residue_sums(q, coeffs.ns, coeffs.weights)
+    v = numth._residue_sums(q, coeffs.ns, coeffs.weights)
 
     primes = numth.sieve_primes(int(x)).primes[:k_limit]
     bs = primes.astype(float) ** (-sigma)
+    w = numth._residue_sums(q, primes, bs)
 
-    s1 = _weighted_sum(q, v, primes, bs)
-    s2 = _square_sum(q, v)
-
-    s_vals = dft_over_group(group, _residue_sums(q, primes, bs)[1:])
-    r_vals = dft_over_group(group, v[1:])
-    s1_char = complex(np.sum(s_vals * np.abs(r_vals) ** 2))
-    s2_char = float(np.sum(np.abs(r_vals) ** 2))
+    s1 = _weighted_sum(v, w)
+    s2 = _square_sum(v)
+    s1_char, s2_char = _character_sums(group, v, w)
 
     y_primes = [p for p in numth.sieve_primes(int(y)).primes.tolist() if p != q]
     y_cs = [0.5 * p ** (-sigma) for p in y_primes]
@@ -495,9 +459,7 @@ class SetBudget(NamedTuple):
 def exceptional_set_budget(q: int, sigma: float, a_sigma: float | None = None, y: float = 20.0) -> SetBudget:
     """Size budget q**(1-a) for the excluded character set and the uniform
     per-character bound |R(chi)|**2 <= 2**(2 pi(y)) for the half scheme."""
-    if a_sigma is None:
-        a_sigma = (2 * sigma - 1) / (2 - sigma)
-    count_bound = q ** (1 - a_sigma)
+    count_bound = q ** (1 - _a_sigma(sigma, a_sigma))
     n_primes = len(numth.sieve_primes(int(y)))
     try:
         resonator_bound = float(2 ** (2 * n_primes))

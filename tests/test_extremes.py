@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lextremes import (
+    CensusReport,
     l_value_batch,
     reference_constants,
     scan_sigma1,
@@ -16,7 +18,8 @@ from lextremes import (
     threshold_census,
 )
 from lextremes.chargroup import CharacterGroup
-from lextremes.extremes import _abs_l_batch, _resonator_abs_sq_all
+from lextremes.cli import _json_bytes
+from lextremes.extremes import _resonator_abs_sq_all
 from lextremes.resonator import half_scheme, linear_scheme
 
 EULER_GAMMA = 0.5772156649015329
@@ -111,7 +114,7 @@ class TestScanSigma1:
         # so the array path must round exactly like abs(complex)
         values = l_value_batch(group_of(q), sigma).values
         expected = [abs(complex(v)) for v in values]
-        assert _abs_l_batch(group_of(q), sigma).tolist() == expected
+        assert l_value_batch(group_of(q), sigma).abs_values().tolist() == expected
 
     @pytest.mark.parametrize(
         "q,margin,argmax,resonant",
@@ -232,14 +235,14 @@ class TestUpperCheck:
 class TestReportSerialization:
     def test_scan_report_round_trip(self):
         report = scan_sigma1(1009)
-        parsed = json.loads(json.dumps(report.to_json_dict()))
+        parsed = json.loads(_json_bytes(dataclasses.asdict(report)))
         for key in ("max_abs_l", "bound_value", "margin", "resonant_abs_l"):
             assert parsed[key] == pytest.approx(getattr(report, key), abs=1e-12)
         assert parsed["q"] == 1009 and parsed["argmax_index"] == report.argmax_index
 
     def test_census_report_round_trip(self):
         report = threshold_census(1009, [0.5, 1.0])
-        parsed = json.loads(json.dumps(report.to_json_dict()))
+        parsed = json.loads(_json_bytes(dataclasses.asdict(report)))
         assert parsed["counts"] == list(report.counts)
         for got, expected in zip(parsed["thresholds"], report.thresholds):
             assert got == pytest.approx(expected, abs=1e-12)
@@ -247,6 +250,13 @@ class TestReportSerialization:
 
     def test_strip_scan_includes_quotient(self):
         report = scan_sigma_strip(1009, 0.75)
-        parsed = json.loads(json.dumps(report.to_json_dict()))
+        parsed = json.loads(_json_bytes(dataclasses.asdict(report)))
         assert parsed["quotient"]["certificate"]["passed"] is True
         assert parsed["c_hat"] == pytest.approx(report.c_hat, abs=1e-12)
+
+    def test_nan_in_a_tuple_field_becomes_null(self):
+        # an empty census cell has exponent_emp = log(0) -> NaN; JSON has no NaN
+        report = CensusReport(1009, 1.0, (9.0,), (4.0,), (0,), (math.nan,), (0.9,), (1.0,), 3.0)
+        data = _json_bytes(dataclasses.asdict(report))
+        assert b"NaN" not in data
+        assert json.loads(data)["exponents_emp"] == [None]

@@ -9,6 +9,7 @@ from lextremes import (
     factorize,
     is_prime,
     mangoldt,
+    numth,
     primitive_root,
     sieve_primes,
     smooth_numbers,
@@ -119,6 +120,19 @@ class TestSmoothNumbers:
         finally:
             tracemalloc.stop()
         assert peak <= 2**20
+
+    def test_closure_peak_per_output_entry(self):
+        # the output is 16 B per entry (int64 n, float64 weight); retired parts
+        # and loop temporaries must be gone before the final sort and gather
+        primes = sieve_primes(10**4).primes
+        weights = np.ones(primes.size)
+        tracemalloc.start()
+        try:
+            ns, _ = numth._smooth_closure(primes, weights, 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 45 * ns.size
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -25,7 +26,8 @@ from lextremes import (
     weighted_sum_characters,
     weighted_sum_congruence,
 )
-from lextremes import resonance
+from lextremes import numth, resonance
+from lextremes.cli import _json_bytes
 
 TOY_S2 = 5244 / 729  # hand enumeration: pairs of powers of two <= 8 mod 7
 TOY_S1 = 31 / 3  # hand enumeration over 3-smooth k <= 8
@@ -207,7 +209,7 @@ class TestProvableBound:
     def test_equals_the_sequential_loop(self, q, n_limit):
         x = math.log(q) * math.log(math.log(q)) / 1.4
         coeffs = enumerate_coeffs(linear_scheme(x), n_limit)
-        v = resonance._residue_sums(q, coeffs.ns, coeffs.weights)
+        v = numth._residue_sums(q, coeffs.ns, coeffs.weights)
         target = enumerate_coeffs(linear_scheme(x), 10**5)  # terms with k > N are skipped
         primes = sieve_primes(40).primes
         for ks, cs in [(target.ns, target.weights / target.ns), (primes, 0.5 * primes ** -0.75)]:
@@ -391,7 +393,7 @@ class TestExceptionalSetBudget:
 class TestReportSerialization:
     def test_json_round_trip(self):
         report = ratio_certificate(1009, 1.4)
-        parsed = json.loads(json.dumps(report.to_json_dict()))
+        parsed = json.loads(_json_bytes(dataclasses.asdict(report)))
         assert parsed["q"] == 1009
         assert parsed["s1"][0] == pytest.approx(report.s1.real, abs=1e-12)
         assert parsed["s2"] == pytest.approx(report.s2, abs=1e-12)
