@@ -251,7 +251,10 @@ class TestRun:
 # The Hurwitz kernel has a head of M = 12 terms at every sigma.  The sigma 0.55
 # digest at q = 1009 was re-recorded when the head shrank from M = 200 terms:
 # max_abs_l and margin moved by under 3e-15 relative, toward the mpmath value.
+# The certify digests pin the whole row, principal-excluded columns included.
 GOLDEN_CSV_SHA256 = {
+    (101, "certify"): "0df8675ccf402b6ae1d78758f855a7df3a896da328f7d93c41a247aa70d2e48e",
+    (1009, "certify"): "523184c0783522fb37aab3b018c533771255c6c9d1799fecba1e88121bfa4def",
     (1009, "scan-t1"): "faa301620758c7634699c4854cae36d52a72a419273b10379d89a8fa550d34de",
     (1009, "census"): "303fefac7c31731e2dcdbee6724d0d05aaa21ffcef8f6ec183d656636cfd6404",
     (1009, "scan-t3"): "29f12253467684c9adf517c3a09a0076f5ae8c8b2f01e00e84a06d40a1539018",
