@@ -8,11 +8,12 @@ A discrete-log table gives O(1) evaluation, and a sum of the whole group
 against any residue-indexed vector is one length-(q-1) DFT.  Every vector
 the package transforms is real and q-1 is even, so `dft_over_group` runs
 it as one half-length complex FFT of length h = (q-1)/2 and fills the
-conjugate half by symmetry; complex input is transformed as its real and
-imaginary rows.  When the largest prime p of h has p**2 > h (numpy would
-take its chirp/Bluestein path) and h != p, that FFT is split by the
-Good-Thomas prime-factor map into batched FFTs of the coprime lengths p
-and h/p, which needs no twiddles; otherwise it is one numpy call.
+conjugate half by symmetry; a complex vector takes two such transforms,
+one of its real part and one of its imaginary part.  When the largest
+prime p of h has p**2 > h (numpy would take its chirp/Bluestein path) and
+h != p, that FFT is split by the Good-Thomas prime-factor map into
+batched FFTs of the coprime lengths p and h/p, which needs no twiddles;
+otherwise it is one numpy call.
 
 The group keeps 24 bytes per residue: int32 `dlog` and `power_residues`
 (q < 2**31) and a complex root table whose upper half is the exact
@@ -171,13 +172,11 @@ def orthogonality_sum(group: CharacterGroup, m: int, n: int) -> float:
 
 
 def dft_over_group(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
-    """out[..., j] = sum_{a=1}^{q-1} f(..., a) * chi_j(a) for every character index j.
+    """out[j] = sum_{a=1}^{q-1} f(a) * chi_j(a) for every character index j.
 
-    `f` holds the values at residues 1..q-1 (entry i is the value at a=i+1),
-    as one vector or as a (k, q-1) stack whose rows are transformed
-    together; each row of a stack equals a separate call bit for bit.
-    Reindexing along powers of g turns the character sum into a length-n
-    DFT with positive sign convention, n = q-1.
+    `f` is one vector of the values at residues 1..q-1 (entry i is the
+    value at a=i+1).  Reindexing along powers of g turns the character sum
+    into a length-n DFT with positive sign convention, n = q-1.
 
     Real input is packed as z[m] = x[2m] + i*x[2m+1] for the reordered
     vector x and transformed by one unscaled length-n/2 FFT Z.  The even
@@ -186,61 +185,57 @@ def dft_over_group(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
     j < n/2 (w = exp(2 pi i/n), read from the group's root table) and
     out[n/2] = E[0] - O[0]; the upper half is out[n-j] = conj(out[j]), so
     L(sigma, conj chi) = conj L(sigma, chi) holds exactly.  Complex input
-    goes through the same kernel as the stack of its real and imaginary
-    parts, out = row0 + i*row1.
+    is transformed as out = dft(f.real) + i*dft(f.imag).
 
     Z is one numpy FFT unless h = n/2 has a prime factor p with p**2 > h
     and h != p, where numpy would run Bluestein.  Then, with r = h/p
     (coprime to p), z is gathered through the Ruritanian map
-    z2[a, b] = z[(r*a + p*b) mod h] into a (..., p, r) array, both axes are
+    z2[a, b] = z[(r*a + p*b) mod h] into a (p, r) array, both axes are
     transformed in place by batched numpy FFTs, and Z[k] is read back
     through the CRT map k -> (k mod p, k mod r).  No twiddles are needed.
     At q = 985709 (h = 2*83*2969) the transform takes 0.08 s instead of
     0.17 s, and numpy's length-h Bluestein buffers are never built.
     """
     f = np.asarray(f)
-    n = group.q - 1
-    if f.ndim not in (1, 2) or f.shape[-1] != n:
-        raise ValueError(f"expected {n} residue values per row, got shape {f.shape}")
+    if f.shape != (group.q - 1,):
+        raise ValueError(f"expected {group.q - 1} residue values, got shape {f.shape}")
     if np.iscomplexobj(f):
-        parts = _real_group_dft(group, np.stack((f.real, f.imag)))
-        return parts[0] + 1j * parts[1]
+        return _real_group_dft(group, f.real) + 1j * _real_group_dft(group, f.imag)
     return _real_group_dft(group, f)
 
 
 def _real_group_dft(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
-    """The half-length kernel of `dft_over_group` for real f of shape (..., q-1)."""
+    """The half-length kernel of `dft_over_group` for a real vector f."""
     n = group.q - 1
     h = n // 2
-    lead = f.shape[:-1]
     pairs = (group.power_residues - 1).reshape(h, 2)  # row m: positions packed into z[m]
     split = _good_thomas_split(h)
     if split:
         p, r = split
         pairs = pairs[(r * np.arange(p)[:, None] + p * np.arange(r)) % h]  # Ruritanian map
-    z = np.empty(lead + pairs.shape[:-1], dtype=complex)
-    z.real = f[..., pairs[..., 0]]
-    z.imag = f[..., pairs[..., 1]]
+    z = np.empty(pairs.shape[:-1], dtype=complex)
+    z.real = f[pairs[..., 0]]
+    z.imag = f[pairs[..., 1]]
     del pairs
     if split:
         # unscaled 2-D transform in place; entry (k mod p, k mod r) is Z[k]
-        np.fft.ifft(z, axis=-1, norm="forward", out=z)
-        np.fft.ifft(z, axis=-2, norm="forward", out=z)
+        np.fft.ifft(z, axis=1, norm="forward", out=z)
+        np.fft.ifft(z, axis=0, norm="forward", out=z)
         k = np.arange(h)
-        spec = z.reshape(lead + (h,))[..., k % p * r + k % r]
+        spec = z.ravel()[k % p * r + k % r]
         del k
     else:
         spec = np.fft.ifft(z, norm="forward")  # unscaled: sum_m z[m] exp(2 pi i jm/h)
     del z
-    mirror = np.conj(spec[..., -np.arange(h)])  # conj Z[-j mod h]
+    mirror = np.conj(spec[-np.arange(h)])  # conj Z[-j mod h]
     even = (spec + mirror) * 0.5
     odd = (spec - mirror) * -0.5j
     del spec, mirror
-    out = np.empty(lead + (n,), dtype=complex)
-    out[..., h] = even[..., 0] - odd[..., 0]
+    out = np.empty(n, dtype=complex)
+    out[h] = even[0] - odd[0]
     odd *= group._roots[:h]
-    np.add(even, odd, out=out[..., :h])
-    np.conjugate(out[..., h - 1 : 0 : -1], out=out[..., h + 1 :])
+    np.add(even, odd, out=out[:h])
+    np.conjugate(out[h - 1 : 0 : -1], out=out[h + 1 :])
     return out
 
 

@@ -63,18 +63,16 @@ class ConfigError(Exception):
     """Invalid configuration; maps to exit code 2."""
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from exc
+def _list_of(kind: type) -> Callable[[str], tuple]:
+    """A parser of comma-separated `kind` values."""
 
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part.strip()) for part in text.split(",") if part.strip())
+        except ValueError as exc:
+            raise ConfigError(f"expected a comma-separated list of {kind.__name__} values, got {text!r}") from exc
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part.strip()) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated float list, got {text!r}") from exc
+    return parse
 
 
 class _Key(NamedTuple):
@@ -89,10 +87,10 @@ class _Key(NamedTuple):
 # One row per config key: the config file, the flags of each command and
 # RunConfig are all derived from this table.
 _KEYS = {
-    "q": _Key((), _parse_int_list, "--q", COMMANDS, "comma-separated prime moduli", "q_list"),
+    "q": _Key((), _list_of(int), "--q", COMMANDS, "comma-separated prime moduli", "q_list"),
     "sigma": _Key(None, float, "--sigma", ("scan-t3",)),
     "delta": _Key(
-        (0.5, 1.0, 2.0, 3.0), _parse_float_list, "--delta", ("census",), "comma-separated deltas", "delta_list"
+        (0.5, 1.0, 2.0, 3.0), _list_of(float), "--delta", ("census",), "comma-separated deltas", "delta_list"
     ),
     "b": _Key(1.4, float, "--B", ("certify",)),
     "epsilon": _Key(0.0, float, "--epsilon", ("scan-t1",)),
@@ -176,6 +174,11 @@ def parse_config(argv) -> RunConfig:
 
 
 def _validate(config: RunConfig) -> None:
+    for key, row in _KEYS.items():
+        value = getattr(config, row.attr or key)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ConfigError(f"{key} must be finite, got {item}")
     if not config.q_list:
         raise ConfigError("q list must be nonempty")
     min_q = 5 if config.command in ("oracle-check", "certify") else 17
@@ -240,9 +243,7 @@ def _compute_one(command: str, q: int, config: RunConfig):
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # a float's str is its shortest round-trip repr
 
 
 def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
@@ -250,6 +251,37 @@ def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
     for row in rows:
         lines.append(",".join(_format_cell(cell) for cell in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _csv_table(command: str, result) -> tuple[list[str], list[list]]:
+    """The CSV header and rows of a result.  certify's one row ends with the
+    principal-excluded sums; the scans and the census share one layout."""
+    if command == "certify":
+        report, starred = result
+        header = [
+            "q", "sigma", "scheme_kind", "cutoff", "x", "y", "n", "k",
+            "s1_real", "s1_imag", "s2", "ratio", "lower_bound",
+            "tail_fraction", "r0_sq", "l_r0_sq", "certificate_passed",
+            "certificate_margin", "tau_cert", "tau_budget",
+            "s1_star_real", "s1_star_imag", "s2_star", "ratio_star", "certificate_star_passed",
+        ]
+        cert = report.certificate
+        row = [
+            report.q, report.sigma, report.scheme.kind, report.scheme.cutoff, report.x, report.y, report.n, report.k,
+            report.s1.real, report.s1.imag, report.s2, report.ratio, report.lower_bound, report.tail_fraction,
+            *report.principal_terms, cert.passed, cert.margin, cert.tau_cert, cert.tau_budget,
+            starred.s1.real, starred.s1.imag, starred.s2, starred.ratio, starred.certificate.passed,
+        ]
+        return header, [row]
+    header = [
+        "q", "sigma", "delta", "threshold", "count",
+        "max_abs_l", "bound", "margin", "exponent_emp", "exponent_ref",
+    ]
+    r = result
+    if command == "census":
+        cells = zip(r.deltas, r.thresholds, r.counts, r.exponents_emp, r.exponents_ref)
+        return header, [[r.q, r.sigma, d, t, c, r.max_abs_l, "", "", emp, ref] for d, t, c, emp, ref in cells]
+    return header, [[r.q, r.sigma, "", "", "", r.max_abs_l, r.bound_value, r.margin, "", ""]]
 
 
 def _json_sanitize(obj):
@@ -290,24 +322,16 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 
 def _result_files(command: str, q: int, result, config: RunConfig) -> dict[str, bytes]:
+    """The files of one modulus, in the formats that config.format asks for."""
     files = {}
-    if command == "certify":
-        report, starred = result
-        header, row = report.to_csv_row()
-        header = header + ["s1_star_real", "s1_star_imag", "s2_star", "ratio_star", "certificate_star_passed"]
-        row = row + [
-            starred.s1.real, starred.s1.imag, starred.s2, starred.ratio, starred.certificate.passed,
-        ]
-        csv_data = _csv_bytes(header, [row])
-        json_data = _json_bytes({"report": asdict(report), "principal_excluded": asdict(starred)})
-    else:
-        header, rows = result.csv_rows()
-        csv_data = _csv_bytes(header, rows)
-        json_data = _json_bytes(asdict(result))
     if config.format in ("csv", "both"):
-        files[f"{command}_q{q}.csv"] = csv_data
+        files[f"{command}_q{q}.csv"] = _csv_bytes(*_csv_table(command, result))
     if config.format in ("json", "both"):
-        files[f"{command}_q{q}.json"] = json_data
+        if command == "certify":
+            payload = {"report": asdict(result[0]), "principal_excluded": asdict(result[1])}
+        else:
+            payload = asdict(result)
+        files[f"{command}_q{q}.json"] = _json_bytes(payload)
     return files
 
 
@@ -331,18 +355,13 @@ def run(config: RunConfig) -> int:
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 3
-    results = {}
     try:
         if config.jobs > 1 and len(config.q_list) > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                futures = {
-                    q: pool.submit(_compute_one, config.command, q, config) for q in config.q_list
-                }
-                for q, fut in futures.items():
-                    results[q] = fut.result()
+                futures = {q: pool.submit(_compute_one, config.command, q, config) for q in config.q_list}
+                results = {q: future.result() for q, future in futures.items()}
         else:
-            for q in config.q_list:
-                results[q] = _compute_one(config.command, q, config)
+            results = {q: _compute_one(config.command, q, config) for q in config.q_list}
     except ValueError as exc:
         # an operation-level precondition (e.g. a cutoff reaching the modulus)
         print(f"error: {exc}", file=sys.stderr)

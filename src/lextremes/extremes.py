@@ -23,11 +23,6 @@ from .lfunc import _census_from_abs, l_value_batch
 from .resonance import EULER_GAMMA, ResonanceReport, _prime_cutoff, half_weight_certificate
 from .resonator import WeightScheme, _scheme_primes, linear_scheme
 
-CSV_COLUMNS = [
-    "q", "sigma", "delta", "threshold", "count",
-    "max_abs_l", "bound", "margin", "exponent_emp", "exponent_ref",
-]
-
 
 @dataclass(frozen=True)
 class Constants:
@@ -121,13 +116,6 @@ class ScanReport:
     quotient: ResonanceReport | None = None
     elapsed_seconds: float = 0.0
 
-    def csv_rows(self) -> tuple[list[str], list[list]]:
-        row = [
-            self.q, self.sigma, "", "", "",
-            self.max_abs_l, self.bound_value, self.margin, "", "",
-        ]
-        return CSV_COLUMNS, [row]
-
 
 @dataclass(frozen=True)
 class CensusReport:
@@ -149,14 +137,6 @@ class CensusReport:
     max_abs_l: float
     constants: Constants = field(default_factory=reference_constants)
     elapsed_seconds: float = 0.0
-
-    def csv_rows(self) -> tuple[list[str], list[list]]:
-        rows = []
-        for d, t, c, emp, ref in zip(
-            self.deltas, self.thresholds, self.counts, self.exponents_emp, self.exponents_ref
-        ):
-            rows.append([self.q, self.sigma, d, t, c, self.max_abs_l, "", "", emp, ref])
-        return CSV_COLUMNS, rows
 
 
 def scan_sigma1(q: int, epsilon: float = 0.0) -> ScanReport:

@@ -265,6 +265,14 @@ def _residue_kernel(q: int, s: float) -> np.ndarray:
     return kernel
 
 
+def _method_and_error(q: int, s: float) -> tuple[str, float]:
+    """The method tag and the error bound of an L-value mod q at sigma = s:
+    q - 1 digamma or Hurwitz evaluations, scaled by 1/q or q**(-s)."""
+    if s == 1.0:
+        return "digamma", (q - 1) / q * DIGAMMA_ERR
+    return "hurwitz", (q - 1) * q ** (-s) * hurwitz_zeta_error(s)
+
+
 def l_value(chi, sigma) -> LValue:
     """L(sigma, chi) by the digamma (sigma = 1) or Hurwitz (sigma < 1) formula.
 
@@ -278,15 +286,8 @@ def l_value(chi, sigma) -> LValue:
     if s == 1.0 and chi.is_principal:
         raise ValueError("L(1, chi) has a pole at the principal character")
     weighted = _character_values(chi, q) * _residue_kernel(q, s)
-    if s == 1.0:
-        value = -_fsum_complex(weighted) / q
-        err = (q - 1) / q * DIGAMMA_ERR
-        method = "digamma"
-    else:
-        value = q ** (-s) * _fsum_complex(weighted)
-        err = (q - 1) * q ** (-s) * hurwitz_zeta_error(s)
-        method = "hurwitz"
-    return LValue(getattr(chi, "index", None), s, value, method, err)
+    value = -_fsum_complex(weighted) / q if s == 1.0 else q ** (-s) * _fsum_complex(weighted)
+    return LValue(getattr(chi, "index", None), s, value, *_method_and_error(q, s))
 
 
 def l_value_batch(group: CharacterGroup, sigma) -> LValueBatch:
@@ -304,15 +305,11 @@ def l_value_batch(group: CharacterGroup, sigma) -> LValueBatch:
     if s == 1.0:
         np.negative(values, out=values)
         values /= q
-        err = (q - 1) / q * DIGAMMA_ERR
-        method = "digamma"
     else:
         values *= q ** (-s)
-        err = (q - 1) * q ** (-s) * hurwitz_zeta_error(s)
-        method = "hurwitz"
     values = values[1 : q - 1]
     values.setflags(write=False)
-    return LValueBatch(s, values, method, err)
+    return LValueBatch(s, values, *_method_and_error(q, s))
 
 
 def euler_product_truncated(chi, sigma, x: float) -> complex:
@@ -349,8 +346,6 @@ def prime_sum(chi, sigma, x: float) -> complex:
     s = as_sigma(sigma)
     if x < 0:
         raise ValueError(f"prime_sum requires x >= 0, got {x}")
-    if x < 2:
-        return 0j
     terms = [chi.value(p) * p ** (-s) for p in numth.sieve_primes(int(x)).primes.tolist()]
     return _fsum_complex(np.array(terms)) if terms else 0j
 

@@ -43,8 +43,6 @@ def sieve_primes(limit: int) -> PrimeTable:
     """Eratosthenes sieve; limit 0 or 1 yields an empty table."""
     if limit < 0:
         raise ValueError(f"sieve limit must be >= 0, got {limit}")
-    if limit < 2:
-        return PrimeTable(limit, np.empty(0, dtype=np.int64))
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -53,20 +51,15 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit, np.flatnonzero(mask).astype(np.int64))
 
 
-def is_prime(n: int) -> bool:
-    """Trial division; adequate for n < 2**31."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
+def _trial_divisors():
+    """2, 3, then every 6k - 1 and 6k + 1: a superset of the primes."""
+    yield 2
+    yield 3
     d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
-            return False
+    while True:
+        yield d
+        yield d + 2
         d += 6
-    return True
 
 
 def factorize(n: int) -> Factorization:
@@ -75,26 +68,23 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     m = n
     factors = []
-    for p in (2, 3):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
+    for p in _trial_divisors():
+        if p * p > m:
+            break
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
             factors.append((p, e))
-    d = 5
-    while d * d <= m:
-        for p in (d, d + 2):
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                factors.append((p, e))
-        d += 6
     if m > 1:
         factors.append((m, 1))
     return Factorization(n, tuple(factors))
+
+
+def is_prime(n: int) -> bool:
+    """Trial division, as n's factorization being n itself; adequate for n < 2**31."""
+    return n >= 2 and factorize(n).factors == ((n, 1),)
 
 
 def euler_phi(q: int) -> int:

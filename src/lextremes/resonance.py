@@ -98,23 +98,6 @@ class ResonanceReport:
     certificate: CertificateResult
     extras: dict = field(default_factory=dict)
 
-    def to_csv_row(self) -> tuple[list[str], list]:
-        header = [
-            "q", "sigma", "scheme_kind", "cutoff", "x", "y", "n", "k",
-            "s1_real", "s1_imag", "s2", "ratio", "lower_bound",
-            "tail_fraction", "r0_sq", "l_r0_sq", "certificate_passed",
-            "certificate_margin", "tau_cert", "tau_budget",
-        ]
-        row = [
-            self.q, self.sigma, self.scheme.kind, self.scheme.cutoff,
-            self.x, self.y, self.n, self.k,
-            self.s1.real, self.s1.imag, self.s2, self.ratio, self.lower_bound,
-            self.tail_fraction, self.principal_terms[0], self.principal_terms[1],
-            self.certificate.passed, self.certificate.margin,
-            self.certificate.tau_cert, self.certificate.tau_budget,
-        ]
-        return header, row
-
 
 # ----------------------------------------------------------------------
 # the two evaluation routes
@@ -242,6 +225,35 @@ def _certify(ratio: float, target: float, tau_budget: float) -> CertificateResul
     return CertificateResult(tau_cert <= tau_budget, margin, tau_cert, tau_budget)
 
 
+def _certificate_report(
+    q: int, sigma: float, x: float, y: float, k_limit: int, coeffs: ResonatorCoeffs,
+    s1: float, s2: float, target: float, l_principal: float, tau_budget: float, extras: dict,
+) -> ResonanceReport:
+    """The report of a certificate on the resonator coefficients `coeffs`:
+    S1/S2, the principal terms from L_K(sigma, chi_0) = l_principal, and the
+    verdict of that ratio against `target` within `tau_budget`."""
+    r0 = coeffs.partial_sum
+    ratio = s1 / s2
+    return ResonanceReport(
+        q=q,
+        sigma=sigma,
+        scheme=coeffs.scheme,
+        x=float(x),
+        y=float(y),
+        n=coeffs.limit,
+        k=k_limit,
+        s1=complex(s1),
+        s2=s2,
+        ratio=ratio,
+        lower_bound=target,
+        tail_fraction=coeffs.tail_fraction,
+        principal_terms=(r0 * r0, abs(l_principal) * r0 * r0),
+        l_principal=l_principal,
+        certificate=_certify(ratio, target, tau_budget),
+        extras=extras,
+    )
+
+
 # ----------------------------------------------------------------------
 # certificates
 
@@ -284,7 +296,6 @@ def ratio_certificate(
 
     s2 = _square_sum(v)
     s1 = _weighted_sum(v, numth._residue_sums(q, ks, bs))
-    ratio = abs(s1) / s2
     target = lower_bound_product(scheme).value
 
     # exact positive tails and the provable finite-chain bound
@@ -295,9 +306,6 @@ def ratio_certificate(
     b_total = mertens_product(y) if y >= 2 else 1.0
     provable = _provable_bound(coeffs, v, target_coeffs.ns, a_cs)
 
-    r0 = coeffs.partial_sum
-    l_principal = b_partial
-    certificate = _certify(ratio, target, tau_budget)
     extras = {
         "a_tail_fraction": max(0.0, 1.0 - a_partial / target),
         "b_tail_fraction": max(0.0, 1.0 - b_partial / b_total),
@@ -307,23 +315,9 @@ def ratio_certificate(
         ),
         "b": b,
     }
-    return ResonanceReport(
-        q=q,
-        sigma=1.0,
-        scheme=scheme,
-        x=x,
-        y=float(y),
-        n=n_limit,
-        k=k_limit,
-        s1=complex(s1),
-        s2=s2,
-        ratio=ratio,
-        lower_bound=target,
-        tail_fraction=coeffs.tail_fraction,
-        principal_terms=(r0 * r0, abs(l_principal) * r0 * r0),
-        l_principal=l_principal,
-        certificate=certificate,
-        extras=extras,
+    return _certificate_report(
+        q=q, sigma=1.0, x=x, y=y, k_limit=k_limit, coeffs=coeffs, s1=s1, s2=s2,
+        target=target, l_principal=b_partial, tau_budget=tau_budget, extras=extras,
     )
 
 
@@ -422,32 +416,16 @@ def half_weight_certificate(
     target = math.fsum(y_cs)
     provable = _provable_bound(coeffs, v, np.array(y_primes, dtype=np.int64), np.array(y_cs))
 
-    r0 = coeffs.partial_sum
-    l_principal = math.fsum(bs[primes % q != 0].tolist())
-    certificate = _certify(s1 / s2, target, tau_budget)
     extras = {
         "a_sigma": a_sigma,
         "provable_bound": provable,
         "s1_route_rel_diff": abs(s1 - s1_char.real) / abs(s1) if s1 else 0.0,
         "s2_route_rel_diff": abs(s2 - s2_char) / s2,
     }
-    return ResonanceReport(
-        q=q,
-        sigma=sigma,
-        scheme=scheme,
-        x=float(x),
-        y=float(y),
-        n=n_limit,
-        k=k_limit,
-        s1=complex(s1),
-        s2=s2,
-        ratio=s1 / s2,
-        lower_bound=target,
-        tail_fraction=coeffs.tail_fraction,
-        principal_terms=(r0 * r0, abs(l_principal) * r0 * r0),
-        l_principal=l_principal,
-        certificate=certificate,
-        extras=extras,
+    l_principal = math.fsum(bs[primes % q != 0].tolist())
+    return _certificate_report(
+        q=q, sigma=sigma, x=x, y=y, k_limit=k_limit, coeffs=coeffs, s1=s1, s2=s2,
+        target=target, l_principal=l_principal, tau_budget=tau_budget, extras=extras,
     )
 
 

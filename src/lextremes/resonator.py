@@ -69,7 +69,7 @@ def coeff(scheme: WeightScheme, n: int) -> float:
 
 
 def _scheme_primes(scheme: WeightScheme) -> tuple[list[int], list[float]]:
-    primes = [int(p) for p in numth.sieve_primes(int(scheme.cutoff)).primes if p <= scheme.cutoff]
+    primes = numth.sieve_primes(int(scheme.cutoff)).primes.tolist()
     return primes, [weight(scheme, p) for p in primes]
 
 
@@ -249,8 +249,5 @@ def second_moment_integral(x: float) -> IntegralSplit:
     u_upper = math.log(2) - log_x
     u_split = max(-2 * math.log(log_x), u_upper)
     main_part = _log_substituted_integral(log_x, u_split, 0.0)
-    if u_split > u_upper:
-        tail_part = _log_substituted_integral(log_x, u_upper, u_split)
-    else:
-        tail_part = 0.0
+    tail_part = _log_substituted_integral(log_x, u_upper, u_split)  # 0.0 when clamped
     return IntegralSplit(main_part + tail_part, main_part, tail_part)

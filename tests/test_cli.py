@@ -89,6 +89,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(["certify", "--q", "7", "--config", str(cfg)])
 
+    @pytest.mark.parametrize("key", sorted(key for key, row in cli._KEYS.items() if row.parse is float) + ["delta"])
+    def test_non_finite_floats_rejected(self, tmp_path, key):
+        # nan and inf pass float(); each must stop at parse time with exit 2
+        row = cli._KEYS[key]
+        command = row.commands[0]
+        base = ["--q", "101", *(["--sigma", "0.75"] if command == "scan-t3" and key != "sigma" else [])]
+        cfg = tmp_path / "run.cfg"
+        for text in ("nan", "inf", "-inf"):
+            value = f"0.5,{text}" if key == "delta" else text
+            with pytest.raises(ConfigError, match="must be finite"):
+                parse_config([command, *base, f"{row.flag}={value}"])
+            cfg.write_text(f"{key} = {value}\n")
+            with pytest.raises(ConfigError, match="must be finite"):
+                parse_config([command, *base, "--config", str(cfg)])
+
 
 class TestRun:
     def test_certify_toy_smoke(self, tmp_path):
@@ -223,6 +238,15 @@ class TestRun:
         assert code == 3
         produced = list((tmp_path / "out").glob("census*"))
         assert produced == []
+
+    @pytest.mark.parametrize("fmt,unused", [("csv", "_json_bytes"), ("json", "_csv_table")])
+    def test_only_the_asked_format_is_built(self, tmp_path, monkeypatch, fmt, unused):
+        def fail(*args):
+            raise AssertionError(f"{unused} called for --format {fmt}")
+
+        monkeypatch.setattr(cli, unused, fail)
+        assert main(["census", "--q", "17", "--format", fmt, "--output-dir", str(tmp_path)]) == 0
+        assert [path.name for path in tmp_path.iterdir()] == [f"census_q17.{fmt}"]
 
     def test_jobs_flag_parallel_results_match(self, tmp_path):
         seq, par = tmp_path / "seq", tmp_path / "par"

@@ -405,9 +405,3 @@ class TestReportSerialization:
             "q", "sigma", "scheme", "x", "y", "n", "k", "s1", "s2",
             "ratio", "lower_bound", "tail_fraction", "principal_terms", "certificate",
         }
-
-    def test_csv_single_row(self, group_of):
-        report = half_weight_certificate(group_of(1009), 0.75)
-        header, row = report.to_csv_row()
-        assert len(header) == len(row)
-        assert header[0] == "q" and row[0] == 1009
