@@ -219,8 +219,8 @@ def _real_group_dft(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
     del pairs
     if split:
         # unscaled 2-D transform in place; entry (k mod p, k mod r) is Z[k]
-        np.fft.ifft(z, axis=1, norm="forward", out=z)
-        np.fft.ifft(z, axis=0, norm="forward", out=z)
+        np.fft.ifft(z, axis=-1, norm="forward", out=z)
+        np.fft.ifft(z, axis=-2, norm="forward", out=z)
         k = np.arange(h)
         spec = z.ravel()[k % p * r + k % r]
         del k

@@ -329,8 +329,8 @@ class TestGroupDft:
             assert self.recorded_iffts(group_of(q), monkeypatch) == [((h,), -1)]
 
     def test_split_runs_no_length_h_fft(self, group_of, monkeypatch):
-        # h = 515 = 103 * 5: batched FFTs of lengths 5 (axis 1) and 103 (axis 0)
-        assert self.recorded_iffts(group_of(SPLIT_Q), monkeypatch) == [((103, 5), 1), ((103, 5), 0)]
+        # h = 515 = 103 * 5: batched FFTs of lengths 5 (axis -1) and 103 (axis -2)
+        assert self.recorded_iffts(group_of(SPLIT_Q), monkeypatch) == [((103, 5), -1), ((103, 5), -2)]
 
     def test_split_rule(self):
         assert _good_thomas_split(515) == (103, 5)
