@@ -31,8 +31,6 @@ from .lfunc import (
     prime_sum,
 )
 from .numth import (
-    Factorization,
-    PrimeTable,
     euler_phi,
     factorize,
     is_prime,

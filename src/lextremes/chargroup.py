@@ -247,7 +247,7 @@ def _good_thomas_split(h: int) -> tuple[int, int] | None:
     """
     if h < 2:
         return None
-    p = numth.factorize(h).factors[-1][0]
+    p = numth.factorize(h)[-1][0]
     if p * p <= h or p == h:
         return None
     return p, h // p

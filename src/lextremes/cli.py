@@ -192,8 +192,11 @@ def _validate(config: RunConfig) -> None:
             )
     if config.format not in ("csv", "json", "both"):
         raise ConfigError(f"format must be csv, json or both, got {config.format!r}")
-    if config.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
+    for key, low in (("jobs", 1), ("epsilon", 0), ("tol", 0), ("x_cap", 2)):
+        if getattr(config, key) < low:
+            raise ConfigError(f"{key} must be >= {low}")
+    if not 0 <= config.tau_budget < 1:
+        raise ConfigError(f"tau_budget must lie in [0, 1), got {config.tau_budget}")
     if not (1 <= config.n < 2**63 and 1 <= config.k < 2**63):
         raise ConfigError("N and K must lie in [1, 2**63)")
     if config.command == "certify" and config.b <= math.log(4):
@@ -206,8 +209,6 @@ def _validate(config: RunConfig) -> None:
             raise ConfigError("scan-t3 requires --sigma")
         if not 0.5 < config.sigma < 1.0:
             raise ConfigError(f"sigma = {config.sigma} violates sigma in (1/2, 1)")
-    if config.command == "scan-t1" and config.epsilon < 0:
-        raise ConfigError("epsilon must be >= 0")
 
 
 # ----------------------------------------------------------------------

@@ -318,7 +318,7 @@ def euler_product_truncated(chi, sigma, x: float) -> complex:
     if x < 2:
         raise ValueError(f"euler_product_truncated requires x >= 2, got {x}")
     product = 1 + 0j
-    for p in numth.sieve_primes(int(x)).primes.tolist():
+    for p in numth.sieve_primes(int(x)).tolist():
         product /= 1 - chi.value(p) * p ** (-s)
     return product
 
@@ -332,7 +332,7 @@ def dirichlet_poly(chi, sigma, x: float) -> complex:
     if x < 2:
         raise ValueError(f"dirichlet_poly requires x >= 2, got {x}")
     terms = []
-    for p in numth.sieve_primes(int(x)).primes.tolist():
+    for p in numth.sieve_primes(int(x)).tolist():
         pk, k = p, 1
         while pk <= x:
             terms.append(chi.value(pk) / (k * pk**s))
@@ -346,7 +346,7 @@ def prime_sum(chi, sigma, x: float) -> complex:
     s = as_sigma(sigma)
     if x < 0:
         raise ValueError(f"prime_sum requires x >= 0, got {x}")
-    terms = [chi.value(p) * p ** (-s) for p in numth.sieve_primes(int(x)).primes.tolist()]
+    terms = [chi.value(p) * p ** (-s) for p in numth.sieve_primes(int(x)).tolist()]
     return _fsum_complex(np.array(terms)) if terms else 0j
 
 
@@ -379,7 +379,7 @@ def _census_from_abs(group: CharacterGroup, s: float, x: float, tol: float, labs
     if x < 2:
         raise ValueError(f"census requires x >= 2, got {x}")
     q = group.q
-    primes = numth.sieve_primes(int(x)).primes
+    primes = numth.sieve_primes(int(x))
     weights = primes.astype(float) ** (-s)
     prime_sums = dft_over_group(group, numth._residue_sums(q, primes, weights)[1:])
     deviations = np.abs(np.log(labs) - prime_sums[1 : q - 1].real)

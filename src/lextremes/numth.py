@@ -10,37 +10,15 @@ product fits comfortably in 64 bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 MODULUS_LIMIT = 2**31
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes <= limit, ascending."""
-
-    limit: int
-    primes: np.ndarray
-
-    def __post_init__(self):
-        self.primes.setflags(write=False)
-
-    def __len__(self) -> int:
-        return int(self.primes.size)
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """n = prod p**e with primes strictly increasing and e >= 1."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-
-def sieve_primes(limit: int) -> PrimeTable:
-    """Eratosthenes sieve; limit 0 or 1 yields an empty table."""
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, as a read-only int64 array (empty for
+    limit 0 or 1), by the sieve of Eratosthenes."""
     if limit < 0:
         raise ValueError(f"sieve limit must be >= 0, got {limit}")
     mask = np.ones(limit + 1, dtype=bool)
@@ -48,7 +26,9 @@ def sieve_primes(limit: int) -> PrimeTable:
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return PrimeTable(limit, np.flatnonzero(mask).astype(np.int64))
+    primes = np.flatnonzero(mask).astype(np.int64)
+    primes.setflags(write=False)
+    return primes
 
 
 def _trial_divisors():
@@ -62,8 +42,9 @@ def _trial_divisors():
         d += 6
 
 
-def factorize(n: int) -> Factorization:
-    """Trial-division factorization; n = 1 gives an empty factor list."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """n = prod p**e as ((p, e), ...) with p strictly increasing and e >= 1,
+    by trial division; n = 1 gives ()."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     m = n
@@ -79,19 +60,19 @@ def factorize(n: int) -> Factorization:
             factors.append((p, e))
     if m > 1:
         factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+    return tuple(factors)
 
 
 def is_prime(n: int) -> bool:
     """Trial division, as n's factorization being n itself; adequate for n < 2**31."""
-    return n >= 2 and factorize(n).factors == ((n, 1),)
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 def euler_phi(q: int) -> int:
     if q < 1:
         raise ValueError(f"euler_phi requires q >= 1, got {q}")
     phi = q
-    for p, _ in factorize(q).factors:
+    for p, _ in factorize(q):
         phi -= phi // p
     return phi
 
@@ -100,7 +81,7 @@ def mangoldt(n: int) -> float:
     """log p if n is a prime power p**k, else 0. mangoldt(1) = 0."""
     if n < 1:
         raise ValueError(f"mangoldt requires n >= 1, got {n}")
-    fac = factorize(n).factors
+    fac = factorize(n)
     if len(fac) == 1:
         return math.log(fac[0][0])
     return 0.0
@@ -174,7 +155,7 @@ def smooth_numbers(bound: int, limit: int) -> list[int]:
     """
     if bound < 1 or limit < 1:
         raise ValueError("smooth_numbers requires bound >= 1 and limit >= 1")
-    primes = sieve_primes(min(bound, limit)).primes
+    primes = sieve_primes(min(bound, limit))
     return _smooth_closure(primes, np.ones(primes.size), limit)[0].tolist()
 
 
@@ -182,7 +163,7 @@ def primitive_root(q: int) -> int:
     """Smallest generator g >= 2 of (Z/qZ)* for an odd prime q."""
     if q == 2 or not is_prime(q):
         raise ValueError(f"primitive_root requires an odd prime, got {q}")
-    exponents = [(q - 1) // r for r, _ in factorize(q - 1).factors]
+    exponents = [(q - 1) // r for r, _ in factorize(q - 1)]
     for g in range(2, q):
         if all(pow(g, e, q) != 1 for e in exponents):
             return g

@@ -105,7 +105,7 @@ class ResonanceReport:
 
 def _series_support(sigma: float, y: float, k_limit: int) -> tuple[np.ndarray, np.ndarray]:
     """y-smooth k <= k_limit with b_k = k**(-sigma)."""
-    primes = numth.sieve_primes(min(int(y), k_limit)).primes
+    primes = numth.sieve_primes(min(int(y), k_limit))
     ks = numth._smooth_closure(primes, np.ones(primes.size), k_limit)[0]
     return ks, ks.astype(float) ** (-sigma)
 
@@ -225,17 +225,29 @@ def _certify(ratio: float, target: float, tau_budget: float) -> CertificateResul
     return CertificateResult(tau_cert <= tau_budget, margin, tau_cert, tau_budget)
 
 
+def _congruence_sums(q: int, coeffs: ResonatorCoeffs, ks: np.ndarray, bs: np.ndarray) -> tuple:
+    """First step of a certificate: the residue tables V of the resonator
+    `coeffs` and W of the series terms b_k (ks, bs) mod q, S1 and S2 from
+    them by the congruence route, and L_K(sigma, chi_0), the sum of the b_k
+    with k prime to q.  Returns (V, W, S1, S2, L_K(sigma, chi_0))."""
+    v = numth._residue_sums(q, coeffs.ns, coeffs.weights)
+    w = numth._residue_sums(q, ks, bs)
+    return v, w, _weighted_sum(v, w), _square_sum(v), math.fsum(bs[ks % q != 0].tolist())
+
+
 def _certificate_report(
-    q: int, sigma: float, x: float, y: float, k_limit: int, coeffs: ResonatorCoeffs,
-    s1: float, s2: float, target: float, l_principal: float, tau_budget: float, extras: dict,
+    sigma: float, x: float, y: float, k_limit: int, coeffs: ResonatorCoeffs, v: np.ndarray,
+    s1: float, s2: float, l_principal: float, target: float, chain: tuple, tau_budget: float,
+    extras: dict,
 ) -> ResonanceReport:
-    """The report of a certificate on the resonator coefficients `coeffs`:
-    S1/S2, the principal terms from L_K(sigma, chi_0) = l_principal, and the
-    verdict of that ratio against `target` within `tau_budget`."""
+    """Second step of a certificate: the provable bound over the terms chain =
+    (ks, cs) into extras, the principal terms from L_K(sigma, chi_0) =
+    l_principal, and the report of S1/S2 judged against `target`; q = v.size."""
+    extras["provable_bound"] = _provable_bound(coeffs, v, *chain)
     r0 = coeffs.partial_sum
     ratio = s1 / s2
     return ResonanceReport(
-        q=q,
+        q=v.size,
         sigma=sigma,
         scheme=coeffs.scheme,
         x=float(x),
@@ -291,33 +303,26 @@ def ratio_certificate(
         raise ValueError(f"series cutoff y = {y} must be >= x = {x:.3f}")
     scheme = linear_scheme(x)
     coeffs = enumerate_coeffs(scheme, n_limit)
-    v = numth._residue_sums(q, coeffs.ns, coeffs.weights)
     ks, bs = _series_support(1.0, y, k_limit)
-
-    s2 = _square_sum(v)
-    s1 = _weighted_sum(v, numth._residue_sums(q, ks, bs))
+    v, _, s1, s2, b_partial = _congruence_sums(q, coeffs, ks, bs)
     target = lower_bound_product(scheme).value
 
-    # exact positive tails and the provable finite-chain bound
+    # exact positive tails; the provable bound runs over c_k = w_k / k
     target_coeffs = coeffs if k_limit == n_limit else enumerate_coeffs(scheme, k_limit)
     a_cs = target_coeffs.weights / target_coeffs.ns
     a_partial = math.fsum(memoryview(a_cs))
-    b_partial = math.fsum(bs[ks % q != 0].tolist())
     b_total = mertens_product(y) if y >= 2 else 1.0
-    provable = _provable_bound(coeffs, v, target_coeffs.ns, a_cs)
-
     extras = {
         "a_tail_fraction": max(0.0, 1.0 - a_partial / target),
         "b_tail_fraction": max(0.0, 1.0 - b_partial / b_total),
-        "provable_bound": provable,
         "mertens_reference": (
             math.exp(EULER_GAMMA) * math.log(x) * (1 - 1 / math.log(x)) if x >= 2 else None
         ),
         "b": b,
     }
     return _certificate_report(
-        q=q, sigma=1.0, x=x, y=y, k_limit=k_limit, coeffs=coeffs, s1=s1, s2=s2,
-        target=target, l_principal=b_partial, tau_budget=tau_budget, extras=extras,
+        sigma=1.0, x=x, y=y, k_limit=k_limit, coeffs=coeffs, v=v, s1=s1, s2=s2, l_principal=b_partial,
+        target=target, chain=(target_coeffs.ns, a_cs), tau_budget=tau_budget, extras=extras,
     )
 
 
@@ -399,33 +404,22 @@ def half_weight_certificate(
     if y >= q:
         raise ValueError(f"half-weight cutoff y = {y:.3f} must be < q = {q}")
     x = _prime_cutoff(log_q, sigma, x_cap)
-    scheme = half_scheme(y)
-    coeffs = enumerate_coeffs(scheme, n_limit)
-    v = numth._residue_sums(q, coeffs.ns, coeffs.weights)
-
-    primes = numth.sieve_primes(int(x)).primes[:k_limit]
-    bs = primes.astype(float) ** (-sigma)
-    w = numth._residue_sums(q, primes, bs)
-
-    s1 = _weighted_sum(v, w)
-    s2 = _square_sum(v)
+    coeffs = enumerate_coeffs(half_scheme(y), n_limit)
+    ks = numth.sieve_primes(int(x))[:k_limit]
+    bs = ks.astype(float) ** (-sigma)
+    v, w, s1, s2, l_principal = _congruence_sums(q, coeffs, ks, bs)
     s1_char, s2_char = _character_sums(group, v, w)
-
-    y_primes = [p for p in numth.sieve_primes(int(y)).primes.tolist() if p != q]
-    y_cs = [0.5 * p ** (-sigma) for p in y_primes]
-    target = math.fsum(y_cs)
-    provable = _provable_bound(coeffs, v, np.array(y_primes, dtype=np.int64), np.array(y_cs))
-
     extras = {
         "a_sigma": a_sigma,
-        "provable_bound": provable,
         "s1_route_rel_diff": abs(s1 - s1_char.real) / abs(s1) if s1 else 0.0,
         "s2_route_rel_diff": abs(s2 - s2_char) / s2,
     }
-    l_principal = math.fsum(bs[primes % q != 0].tolist())
+    y_primes = numth.sieve_primes(int(y))  # y < q, so q is not among them
+    y_cs = [0.5 * p ** (-sigma) for p in y_primes.tolist()]
     return _certificate_report(
-        q=q, sigma=sigma, x=x, y=y, k_limit=k_limit, coeffs=coeffs, s1=s1, s2=s2,
-        target=target, l_principal=l_principal, tau_budget=tau_budget, extras=extras,
+        sigma=sigma, x=x, y=y, k_limit=k_limit, coeffs=coeffs, v=v, s1=s1, s2=s2,
+        l_principal=l_principal, target=math.fsum(y_cs), chain=(y_primes, np.array(y_cs)),
+        tau_budget=tau_budget, extras=extras,
     )
 
 

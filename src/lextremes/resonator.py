@@ -63,13 +63,13 @@ def coeff(scheme: WeightScheme, n: int) -> float:
     if n < 1:
         raise ValueError(f"coeff requires n >= 1, got {n}")
     value = 1.0
-    for p, e in numth.factorize(n).factors:
+    for p, e in numth.factorize(n):
         value *= weight(scheme, p) ** e
     return value
 
 
 def _scheme_primes(scheme: WeightScheme) -> tuple[list[int], list[float]]:
-    primes = numth.sieve_primes(int(scheme.cutoff)).primes.tolist()
+    primes = numth.sieve_primes(int(scheme.cutoff)).tolist()
     return primes, [weight(scheme, p) for p in primes]
 
 
@@ -182,7 +182,7 @@ def mertens_product(x: float) -> float:
     if x < 2:
         raise ValueError(f"mertens_product requires x >= 2, got {x}")
     value = 1.0
-    for p in numth.sieve_primes(int(x)).primes.tolist():
+    for p in numth.sieve_primes(int(x)).tolist():
         value /= 1 - 1 / p
     return value
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from lextremes import build_group
+from lextremes import build_group, sieve_primes
+
+ODD_PRIMES = sieve_primes(2 * 10**4)[1:].tolist()  # every odd prime below 2 * 10**4
 
 
 @pytest.fixture(scope="session")

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lextremes import build_group, dft_over_group, orthogonality_sum, sieve_primes
+from lextremes import build_group, dft_over_group, orthogonality_sum
 from lextremes.chargroup import _block_powers, _good_thomas_split
 from lextremes.lfunc import _residue_values
 
-from conftest import longdouble_dft
+from conftest import ODD_PRIMES, longdouble_dft
 
-_ODD_PRIMES = sieve_primes(2 * 10**4).primes[1:].tolist()
 SPLIT_Q = 1031  # (q-1)/2 = 5*103 and 103**2 > 515: the Good-Thomas split
 
 
@@ -50,7 +49,7 @@ class TestBuildGroup:
             build_group(2**31 + 11)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(_ODD_PRIMES))
+    @given(st.sampled_from(ODD_PRIMES))
     def test_tables_match_pow(self, q):
         group = build_group(q)
         expected = [pow(group.g, k, q) for k in range(q - 1)]
@@ -193,7 +192,7 @@ class TestOrthogonality:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        q=st.sampled_from(_ODD_PRIMES),
+        q=st.sampled_from(ODD_PRIMES),
         m=st.integers(1, 10**6),
         n=st.integers(1, 10**6),
         diagonal=st.booleans(),
@@ -273,7 +272,7 @@ class TestGroupDft:
         assert np.sum(np.abs(out) ** 2) == pytest.approx(100 * np.sum(f**2), rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
-    @given(q=st.sampled_from(_ODD_PRIMES), seed=st.integers(0, 2**32 - 1))
+    @given(q=st.sampled_from(ODD_PRIMES), seed=st.integers(0, 2**32 - 1))
     @example(q=3, seed=0)
     @example(q=5, seed=1)
     @example(q=7, seed=2)
@@ -289,7 +288,7 @@ class TestGroupDft:
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(f).sum())
 
     @settings(max_examples=40, deadline=None)
-    @given(q=st.sampled_from(_ODD_PRIMES), seed=st.integers(0, 2**32 - 1))
+    @given(q=st.sampled_from(ODD_PRIMES), seed=st.integers(0, 2**32 - 1))
     @example(q=3, seed=0)
     @example(q=5, seed=1)
     @example(q=7, seed=2)

@@ -219,6 +219,30 @@ class TestRun:
             parse_config(["scan-t3", "--q", "1009", "--sigma", "0.75", "--K", str(2**63)])
         assert parse_config(["certify", "--q", "1009", "--N", str(2**63 - 1)]).n == 2**63 - 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--q", "101", "--tau-budget=-0.01"],
+            ["certify", "--q", "101", "--tau-budget=1"],
+            ["scan-t3", "--q", "10007", "--sigma", "0.75", "--tau-budget=-1"],
+            ["scan-t3", "--q", "10007", "--sigma", "0.75", "--tau-budget=2"],
+            ["scan-t3", "--q", "10007", "--sigma", "0.75", "--tol=-1"],
+            ["scan-t3", "--q", "10007", "--sigma", "0.75", "--x-cap=1.5"],
+        ],
+    )
+    def test_budget_tol_and_cap_ranges_rejected_before_any_work(self, tmp_path, argv):
+        with pytest.raises(ConfigError):
+            parse_config(argv)
+        out = tmp_path / "out"
+        assert main([*argv, "--output-dir", str(out)]) == 2
+        assert not out.exists()  # run() never started: no directory, no group, no file
+
+    def test_budget_tol_and_cap_range_ends_accepted(self):
+        base = ["scan-t3", "--q", "10007", "--sigma", "0.75"]
+        config = parse_config([*base, "--tau-budget=0", "--tol=0", "--x-cap=2"])
+        assert (config.tau_budget, config.tol, config.x_cap) == (0.0, 0.0, 2.0)
+        assert parse_config([*base, "--tau-budget=0.999"]).tau_budget == 0.999
+
     def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

@@ -22,9 +22,9 @@ from lextremes.cli import _json_bytes
 from lextremes.extremes import _resonator_abs_sq_all
 from lextremes.resonator import half_scheme, linear_scheme
 
-EULER_GAMMA = 0.5772156649015329
+from conftest import ODD_PRIMES
 
-_ODD_PRIMES = sieve_primes(2 * 10**4).primes[1:].tolist()
+EULER_GAMMA = 0.5772156649015329
 
 
 def complex_resonator_abs_sq(group, scheme) -> np.ndarray:
@@ -32,7 +32,7 @@ def complex_resonator_abs_sq(group, scheme) -> np.ndarray:
     all q-1 characters with `values_at` and its own weight formula: the
     oracle for the real half-group kernel."""
     values = np.ones(group.q - 1, dtype=complex)
-    for p in sieve_primes(int(scheme.cutoff)).primes.tolist():
+    for p in sieve_primes(int(scheme.cutoff)).tolist():
         if p > scheme.cutoff:
             continue
         w = 1 - p / scheme.cutoff if scheme.kind == "linear" else 0.5
@@ -44,7 +44,7 @@ def complex_resonator_abs_sq(group, scheme) -> np.ndarray:
 class TestResonatorScan:
     @settings(max_examples=40, deadline=None)
     @given(
-        q=st.sampled_from(_ODD_PRIMES),
+        q=st.sampled_from(ODD_PRIMES),
         kind=st.sampled_from(["linear", "half"]),
         cutoff=st.floats(2.0, 100.0),
     )

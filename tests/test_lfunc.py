@@ -30,11 +30,9 @@ import lextremes
 from lextremes import lfunc
 from lextremes.lfunc import hurwitz_zeta_error
 
-from conftest import longdouble_dft, series_l1_oracle, zeta_via_eta
+from conftest import ODD_PRIMES, longdouble_dft, series_l1_oracle, zeta_via_eta
 
 EULER_GAMMA = 0.5772156649015329
-
-_ODD_PRIMES = sieve_primes(2 * 10**4).primes[1:].tolist()
 
 
 def matrix_hurwitz_vec(sigma: float, x: np.ndarray) -> np.ndarray:
@@ -86,7 +84,7 @@ def traced_peak(fn, *args) -> int:
 
 class TestDigamma:
     @settings(max_examples=25, deadline=None)
-    @given(q=st.sampled_from(_ODD_PRIMES))
+    @given(q=st.sampled_from(ODD_PRIMES))
     def test_lift_equals_masked_form_on_residue_grid(self, q):
         x = np.arange(1, q) / q
         assert np.array_equal(lfunc._digamma_vec(x), masked_digamma_vec(x))
@@ -182,7 +180,7 @@ class TestHurwitzZeta:
         assert hurwitz_zeta_error(2.0) == pytest.approx(float(term), rel=1e-14)
 
     @settings(max_examples=25, deadline=None)
-    @given(q=st.sampled_from(_ODD_PRIMES), sigma=st.floats(0.51, 0.99))
+    @given(q=st.sampled_from(ODD_PRIMES), sigma=st.floats(0.51, 0.99))
     @example(q=19997, sigma=1 - 1e-6)
     def test_streamed_head_equals_matrix_sum(self, q, sigma):
         x = np.arange(1, q) / q
@@ -314,7 +312,7 @@ class TestBatchEvaluation:
         assert np.array_equal(l_value_batch(group, sigma).values, expected[1 : q - 1])
 
     @settings(max_examples=25, deadline=None)
-    @given(q=st.sampled_from(_ODD_PRIMES), sigma=st.one_of(st.just(1.0), st.floats(0.51, 0.99)))
+    @given(q=st.sampled_from(ODD_PRIMES), sigma=st.one_of(st.just(1.0), st.floats(0.51, 0.99)))
     @example(q=101, sigma=1.0)
     @example(q=101, sigma=0.75)
     @example(q=3, sigma=1.0)
@@ -327,7 +325,7 @@ class TestBatchEvaluation:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        q=st.sampled_from(_ODD_PRIMES),
+        q=st.sampled_from(ODD_PRIMES),
         sigma=st.one_of(st.just(1.0), st.floats(0.51, 0.99)),
         picks=st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=4),
     )
@@ -380,7 +378,7 @@ class TestBatchEvaluation:
 def _euler_products_all(group, x: float) -> np.ndarray:
     """(1 - chi_j(p)/p)^(-1) over p <= x, vectorized over every j."""
     values = np.ones(group.q - 1, dtype=complex)
-    for p in sieve_primes(int(x)).primes.tolist():
+    for p in sieve_primes(int(x)).tolist():
         if p % group.q == 0:
             continue  # chi(p) = 0, unit factor
         values /= 1 - group.values_at(p) / p
@@ -452,7 +450,7 @@ class TestDirichletPolyAndPrimeSum:
         group = group_of(101)
         x = 10**4
         bound = 0.0
-        for p in sieve_primes(int(math.isqrt(x))).primes.tolist():
+        for p in sieve_primes(int(math.isqrt(x))).tolist():
             pk, k = p * p, 2
             while pk <= x:
                 bound += pk ** (-sigma) / k

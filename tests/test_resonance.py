@@ -29,6 +29,8 @@ from lextremes import (
 from lextremes import numth, resonance
 from lextremes.cli import _json_bytes
 
+from conftest import ODD_PRIMES
+
 TOY_S2 = 5244 / 729  # hand enumeration: pairs of powers of two <= 8 mod 7
 TOY_S1 = 31 / 3  # hand enumeration over 3-smooth k <= 8
 
@@ -116,12 +118,9 @@ def per_n_sweep(q, scheme, sigma, y, n_limit, k_limit):
     return (q - 1) * total
 
 
-PRIMES_BELOW_2E4 = sieve_primes(20000).primes[1:].tolist()  # odd primes
-
-
 @st.composite
 def congruence_configs(draw):
-    q = draw(st.sampled_from(PRIMES_BELOW_2E4))
+    q = draw(st.sampled_from(ODD_PRIMES))
     x = draw(st.floats(min_value=1.0, max_value=q - 0.5))
     y = x + draw(st.floats(min_value=0.0, max_value=2000.0))
     sigma = draw(st.floats(min_value=0.55, max_value=1.0))
@@ -211,7 +210,7 @@ class TestProvableBound:
         coeffs = enumerate_coeffs(linear_scheme(x), n_limit)
         v = numth._residue_sums(q, coeffs.ns, coeffs.weights)
         target = enumerate_coeffs(linear_scheme(x), 10**5)  # terms with k > N are skipped
-        primes = sieve_primes(40).primes
+        primes = sieve_primes(40)
         for ks, cs in [(target.ns, target.weights / target.ns), (primes, 0.5 * primes ** -0.75)]:
             loop = loop_provable_bound(coeffs, v, zip(ks.tolist(), cs.tolist()))
             assert resonance._provable_bound(coeffs, v, ks, cs) == loop
@@ -261,6 +260,14 @@ class TestRatioCertificate:
         report = ratio_certificate(1009, 1.4)
         assert report.tail_fraction == pytest.approx(0.284356681290118, abs=1e-9)
         assert 0 <= report.tail_fraction < 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(q=st.sampled_from([q for q in ODD_PRIMES if q >= 5]))
+    @example(q=5)
+    @example(q=19997)
+    def test_ratio_beats_the_provable_bound(self, q):
+        report = ratio_certificate(q, 1.4)
+        assert report.ratio >= report.extras["provable_bound"] * (1 - 1e-12)
 
 
 class TestExcludePrincipal:
@@ -361,6 +368,16 @@ class TestHalfWeightCertificate:
     def test_cutoff_above_modulus_rejected(self, group_of):
         with pytest.raises(ValueError):
             half_weight_certificate(group_of(23), 0.75, y_min=30.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(q=st.sampled_from([q for q in ODD_PRIMES if q >= 23]), sigma=st.floats(0.51, 0.95))
+    @example(q=23, sigma=0.51)
+    @example(q=19997, sigma=0.95)
+    def test_ratio_beats_the_provable_bound_and_routes_agree(self, q, sigma):
+        report = half_weight_certificate(build_group(q), sigma)
+        assert report.ratio >= report.extras["provable_bound"] * (1 - 1e-12)
+        assert report.extras["s1_route_rel_diff"] <= 1e-9
+        assert report.extras["s2_route_rel_diff"] <= 1e-9
 
 
 class TestPrimeCutoff:

@@ -96,7 +96,7 @@ class TestResonatorValue:
 def descent_coeffs(scheme: WeightScheme, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Reference enumeration: recursive descent over the primes with w_p > 0,
     one Python call per entry, multiplying weights in ascending prime order."""
-    live = [(p, weight(scheme, p)) for p in sieve_primes(int(scheme.cutoff)).primes.tolist()]
+    live = [(p, weight(scheme, p)) for p in sieve_primes(int(scheme.cutoff)).tolist()]
     live = [(p, w) for p, w in live if w > 0]
     ns, ws = [], []
 
@@ -180,7 +180,7 @@ class TestClosedFormProducts:
         scheme = linear_scheme(x)
         closed = log_principal_square(scheme)
         product = 1.0
-        for p in sieve_primes(int(x)).primes.tolist():
+        for p in sieve_primes(int(x)).tolist():
             product /= 1 - (1 - p / x)
         assert closed == pytest.approx(2 * math.log(product), abs=1e-12)
 
@@ -213,7 +213,7 @@ class TestClosedFormProducts:
         # per prime: -log((p-1)/(p-w_p)) <= 1/x + 2/(p x)
         for x in (10.0, 100.0, 1000.0):
             scheme = linear_scheme(x)
-            for p in sieve_primes(int(x)).primes.tolist():
+            for p in sieve_primes(int(x)).tolist():
                 w = weight(scheme, p)
                 per_prime = -math.log((p - 1) / (p - w))
                 assert per_prime <= 1 / x + 2 / (p * x) + 1e-15
