@@ -462,6 +462,13 @@ class TestOracleCheck:
     def test_empty_exit_2(self):
         assert main(["oracle-check"]) == 2
 
+    def test_golden_stdout(self, capsys):
+        # sha256 of the whole report at q = 101 and 1009: every residual it
+        # prints comes from the table, DFT and single-character L-value paths
+        assert oracle_check([101, 1009]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "727bdd60fd1360be305c32235075a9f4092780caeaec912a5e6d1081391e9ac2"
+
 
 def test_cli_import_loads_no_scipy():
     probe = "import sys, lextremes.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
