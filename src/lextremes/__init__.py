@@ -5,7 +5,7 @@ sums with finite-truncation certificates, and desk-scale extreme-value
 scans of |L(sigma, chi)| for sigma in (1/2, 1].
 """
 
-from .chargroup import Character, CharacterGroup, build_group, dft_over_group, orthogonality_sum
+from .chargroup import CharacterGroup, build_group, dft_over_group, orthogonality_sum
 from .extremes import (
     CensusReport,
     Constants,

@@ -4,16 +4,17 @@ Characters are indexed by an exponent j against a fixed primitive root g:
 
     chi_j(g**k) = exp(2*pi*i * j*k / (q-1)),   chi_j(n) = 0 when q | n.
 
-A discrete-log table gives O(1) evaluation, and a sum of the whole group
-against any residue-indexed vector is one length-(q-1) DFT.  Every vector
-the package transforms is real and q-1 is even, so `dft_over_group` runs
-it as one half-length complex FFT of length h = (q-1)/2 and fills the
-conjugate half by symmetry; a complex vector takes two such transforms,
-one of its real part and one of its imaginary part.  When the largest
-prime p of h has p**2 > h (numpy would take its chirp/Bluestein path) and
-h != p, that FFT is split by the Good-Thomas prime-factor map into
-batched FFTs of the coprime lengths p and h/p, which needs no twiddles;
-otherwise it is one numpy call.
+A single character is the plain pair (group, j).  A discrete-log table
+gives O(1) evaluation (one gather for a whole array of arguments), and a
+sum of the whole group against any residue-indexed vector is one
+length-(q-1) DFT.  Every vector the package transforms is real and q-1
+is even, so `dft_over_group` runs it as one half-length complex FFT of
+length h = (q-1)/2 and fills the conjugate half by symmetry; a complex
+vector takes two such transforms, one of its real part and one of its
+imaginary part.  When the largest prime p of h has p**2 > h (numpy would
+take its chirp/Bluestein path) and h != p, that FFT is split by the
+Good-Thomas prime-factor map into batched FFTs of the coprime lengths p
+and h/p, which needs no twiddles; otherwise it is one numpy call.
 
 The group keeps 24 bytes per residue: int32 `dlog` and `power_residues`
 (q < 2**31) and a complex root table whose upper half is the exact
@@ -23,7 +24,6 @@ conjugate mirror of its lower half.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,14 +93,18 @@ class CharacterGroup:
         self.power_residues.setflags(write=False)
         self._roots.setflags(write=False)
 
-    def character(self, index: int) -> "Character":
+    def character(self, index: int) -> tuple[CharacterGroup, int]:
+        """chi_index as the pair (group, index) that single-character functions take."""
         if not 0 <= index <= self.q - 2:
             raise ValueError(f"character index must lie in [0, {self.q - 2}], got {index}")
-        return Character(self, index)
+        return self, index
 
-    def character_values(self, index: int) -> np.ndarray:
-        """chi_index(a) for a = 1..q-1 as one complex array."""
-        return self._roots[np.multiply(self.dlog[1:], index, dtype=np.int64) % (self.q - 1)]
+    def character_values(self, index: int, ns: np.ndarray) -> np.ndarray:
+        """chi_index(n) for every n of the int array `ns` (zeros where q | n)."""
+        residues = np.asarray(ns) % self.q
+        values = self._roots[np.multiply(self.dlog[residues], index, dtype=np.int64) % (self.q - 1)]
+        values[residues == 0] = 0
+        return values
 
     def values_at(self, n: int) -> np.ndarray:
         """chi_j(n) for every character index j at once (zeros when q | n)."""
@@ -111,38 +115,6 @@ class CharacterGroup:
 
     def __repr__(self) -> str:
         return f"CharacterGroup(q={self.q}, g={self.g})"
-
-
-@dataclass(frozen=True)
-class Character:
-    """A single Dirichlet character mod q, indexed by its exponent."""
-
-    group: CharacterGroup
-    index: int
-
-    @property
-    def modulus(self) -> int:
-        return self.group.q
-
-    @property
-    def is_principal(self) -> bool:
-        return self.index == 0
-
-    def value(self, n: int) -> complex:
-        if n < 0:
-            raise ValueError(f"character argument must be >= 0, got {n}")
-        q = self.group.q
-        r = n % q
-        if r == 0:
-            return 0j
-        t = self.index * int(self.group.dlog[r]) % (q - 1)
-        return complex(self.group._roots[t])
-
-    def conjugate(self) -> "Character":
-        return Character(self.group, (-self.index) % (self.group.q - 1))
-
-    def __repr__(self) -> str:
-        return f"Character(q={self.group.q}, j={self.index})"
 
 
 def build_group(q: int) -> CharacterGroup:

@@ -47,7 +47,7 @@ def as_sigma(sigma) -> float:
 class LValue:
     """A computed L(sigma, chi) with method tag and error estimate."""
 
-    chi_index: int | None
+    chi_index: int
     sigma: float
     value: complex
     method: str
@@ -230,14 +230,6 @@ def hurwitz_zeta_error(sigma: float) -> float:
 # L-values
 
 
-def _character_values(chi, q: int) -> np.ndarray:
-    """chi(a) for a = 1..q-1; fast path for group-backed characters."""
-    group = getattr(chi, "group", None)
-    if isinstance(group, CharacterGroup):
-        return group.character_values(chi.index)
-    return np.array([chi.value(a) for a in range(1, q)])
-
-
 def _fsum_complex(values: np.ndarray) -> complex:
     """Exactly rounded sum of a 1-d complex array.
 
@@ -273,21 +265,21 @@ def _method_and_error(q: int, s: float) -> tuple[str, float]:
     return "hurwitz", (q - 1) * q ** (-s) * hurwitz_zeta_error(s)
 
 
-def l_value(chi, sigma) -> LValue:
-    """L(sigma, chi) by the digamma (sigma = 1) or Hurwitz (sigma < 1) formula.
+def l_value(chi: tuple[CharacterGroup, int], sigma) -> LValue:
+    """L(sigma, chi_j) by the digamma (sigma = 1) or Hurwitz (sigma < 1) formula.
 
-    Accepts any completely multiplicative character object exposing
-    `modulus`, `is_principal` and `value(n)`; accumulation over residues
-    uses exact (fsum) summation.  Calls at the same (q, sigma) share one
-    cached residue kernel.
+    `chi` is the pair (group, j) that `CharacterGroup.character(j)` returns.
+    The q - 1 products chi_j(a) * kernel(a) are added by exact (fsum)
+    summation.  Calls at the same (q, sigma) share one cached residue kernel.
     """
     s = as_sigma(sigma)
-    q = chi.modulus
-    if s == 1.0 and chi.is_principal:
+    group, j = chi
+    q = group.q
+    if s == 1.0 and j == 0:
         raise ValueError("L(1, chi) has a pole at the principal character")
-    weighted = _character_values(chi, q) * _residue_kernel(q, s)
+    weighted = group.character_values(j, np.arange(1, q)) * _residue_kernel(q, s)
     value = -_fsum_complex(weighted) / q if s == 1.0 else q ** (-s) * _fsum_complex(weighted)
-    return LValue(getattr(chi, "index", None), s, value, *_method_and_error(q, s))
+    return LValue(j, s, value, *_method_and_error(q, s))
 
 
 def l_value_batch(group: CharacterGroup, sigma) -> LValueBatch:
@@ -312,18 +304,20 @@ def l_value_batch(group: CharacterGroup, sigma) -> LValueBatch:
     return LValueBatch(s, values, *_method_and_error(q, s))
 
 
-def euler_product_truncated(chi, sigma, x: float) -> complex:
-    """prod_{p <= x} (1 - chi(p) * p**(-sigma))**(-1)."""
+def euler_product_truncated(chi: tuple[CharacterGroup, int], sigma, x: float) -> complex:
+    """prod_{p <= x} (1 - chi(p) * p**(-sigma))**(-1) for chi = (group, j)."""
     s = as_sigma(sigma)
     if x < 2:
         raise ValueError(f"euler_product_truncated requires x >= 2, got {x}")
+    group, j = chi
+    primes = numth.sieve_primes(int(x))
     product = 1 + 0j
-    for p in numth.sieve_primes(int(x)).tolist():
-        product /= 1 - chi.value(p) * p ** (-s)
+    for p, value in zip(primes.tolist(), group.character_values(j, primes).tolist()):
+        product /= 1 - value * p ** (-s)
     return product
 
 
-def dirichlet_poly(chi, sigma, x: float) -> complex:
+def dirichlet_poly(chi: tuple[CharacterGroup, int], sigma, x: float) -> complex:
     """sum over prime powers n = p**k <= x of Lambda(n) chi(n) / (n**sigma log n).
 
     Since Lambda(p**k)/log(p**k) = 1/k the term is chi(p**k) / (k p**(k sigma)).
@@ -331,22 +325,26 @@ def dirichlet_poly(chi, sigma, x: float) -> complex:
     s = as_sigma(sigma)
     if x < 2:
         raise ValueError(f"dirichlet_poly requires x >= 2, got {x}")
-    terms = []
+    group, j = chi
+    powers = []  # (p**k, k), ascending in p, then in k
     for p in numth.sieve_primes(int(x)).tolist():
         pk, k = p, 1
         while pk <= x:
-            terms.append(chi.value(pk) / (k * pk**s))
+            powers.append((pk, k))
             pk *= p
             k += 1
-    return _fsum_complex(np.array(terms)) if terms else 0j
+    values = group.character_values(j, np.array([pk for pk, _ in powers])).tolist()
+    return _fsum_complex(np.array([v / (k * pk**s) for v, (pk, k) in zip(values, powers)]))
 
 
-def prime_sum(chi, sigma, x: float) -> complex:
-    """sum_{p <= x} chi(p) * p**(-sigma); empty sum (x < 2) is 0."""
+def prime_sum(chi: tuple[CharacterGroup, int], sigma, x: float) -> complex:
+    """sum_{p <= x} chi(p) * p**(-sigma) for chi = (group, j); empty sum (x < 2) is 0."""
     s = as_sigma(sigma)
     if x < 0:
         raise ValueError(f"prime_sum requires x >= 0, got {x}")
-    terms = [chi.value(p) * p ** (-s) for p in numth.sieve_primes(int(x)).tolist()]
+    group, j = chi
+    primes = numth.sieve_primes(int(x))
+    terms = [v * p ** (-s) for p, v in zip(primes.tolist(), group.character_values(j, primes).tolist())]
     return _fsum_complex(np.array(terms)) if terms else 0j
 
 

@@ -74,21 +74,23 @@ def _scheme_primes(scheme: WeightScheme) -> tuple[list[int], list[float]]:
 
 
 def resonator_value(scheme: WeightScheme, chi) -> complex:
-    """R(chi) = prod_{p <= cutoff} (1 - w_p chi(p))**(-1).
+    """R(chi) = prod_{p <= cutoff} (1 - w_p chi(p))**(-1) for chi = (group, j).
 
     The cutoff must stay below the modulus so every retained prime is
     coprime to q.
     """
-    if scheme.cutoff >= chi.modulus:
+    group, j = chi
+    if scheme.cutoff >= group.q:
         raise ValueError(
-            f"scheme cutoff {scheme.cutoff} must be < modulus {chi.modulus} "
+            f"scheme cutoff {scheme.cutoff} must be < modulus {group.q} "
             "to keep all resonator primes coprime to q"
         )
     product = 1 + 0j
     primes, weights = _scheme_primes(scheme)
-    for p, w in zip(primes, weights):
+    values = group.character_values(j, np.array(primes, dtype=np.int64)).tolist()
+    for w, value in zip(weights, values):
         if w > 0:
-            product /= 1 - w * chi.value(p)
+            product /= 1 - w * value
     return product
 
 

@@ -8,7 +8,6 @@ and sieve-based tables for phi / greatest prime factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -29,38 +28,6 @@ def group_of():
         return cache[q]
 
     return get
-
-
-@dataclass(frozen=True)
-class TableCharacter:
-    """Duck-typed character given by an explicit residue table.
-
-    Lets the L-machinery run on non-prime moduli fixtures (the classical
-    mod-3 and mod-4 characters with known closed-form L-values).
-    """
-
-    modulus: int
-    table: tuple[complex, ...]  # value at residue a, index a in 0..modulus-1
-    index: int | None = None
-
-    @property
-    def is_principal(self) -> bool:
-        return all(v == 1 for a, v in enumerate(self.table) if math.gcd(a, self.modulus) == 1)
-
-    def value(self, n: int) -> complex:
-        return self.table[n % self.modulus]
-
-
-@pytest.fixture(scope="session")
-def chi_mod4():
-    """The nontrivial character mod 4: chi(1) = 1, chi(3) = -1."""
-    return TableCharacter(4, (0j, 1 + 0j, 0j, -1 + 0j))
-
-
-@pytest.fixture(scope="session")
-def chi_mod3():
-    """The nontrivial character mod 3: chi(1) = 1, chi(2) = -1."""
-    return TableCharacter(3, (0j, 1 + 0j, -1 + 0j))
 
 
 def zeta_via_eta(s: float, terms: int = 60) -> float:
@@ -105,7 +72,7 @@ def series_l1_oracle(group, j: int, h_by_residue: np.ndarray, m_aligned: int) ->
     tail integral equals mu/M + O(q**2 / M**2) where mu = -(1/q) sum a chi(a).
     Independent of the digamma machinery.
     """
-    chi = group.character_values(j)
+    chi = group.character_values(j, np.arange(1, group.q))
     partial = complex(np.sum(chi * h_by_residue[1:]))
     mu = -complex(np.sum(np.arange(1, group.q) * chi)) / group.q
     return partial + mu / m_aligned

@@ -33,7 +33,7 @@ from lextremes import (
 )
 from lextremes.cli import main as cli_main
 
-from conftest import TableCharacter, series_l1_oracle
+from conftest import series_l1_oracle
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -88,15 +88,18 @@ def test_criterion_01_dual_oracle_identity(group_of):
 
 
 def test_criterion_02_known_l_values():
+    # L(1, chi) at the real characters mod 3 (odd), 5 (even) and 7 (odd)
     start = time.perf_counter()
-    chi3 = TableCharacter(3, (0j, 1 + 0j, -1 + 0j))
-    chi4 = TableCharacter(4, (0j, 1 + 0j, 0j, -1 + 0j))
-    err3 = abs(l_value(chi3, 1.0).value - math.pi / (3 * math.sqrt(3)))
-    err4 = abs(l_value(chi4, 1.0).value - math.pi / 4)
+    closed = {
+        (3, 1): math.pi / (3 * math.sqrt(3)),
+        (5, 2): 2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5),
+        (7, 3): math.pi / math.sqrt(7),
+    }
+    errs = {q: abs(l_value(build_group(q).character(j), 1.0).value - v) for (q, j), v in closed.items()}
     elapsed = time.perf_counter() - start
-    ok = err3 <= 1e-10 and err4 <= 1e-10 and elapsed < 1
-    _line("2", ok, f"mod-3 err {err3:.2e}, mod-4 err {err4:.2e}, {elapsed:.2f}s")
-    assert err3 <= 1e-10 and err4 <= 1e-10
+    ok = max(errs.values()) <= 1e-10 and elapsed < 1
+    _line("2", ok, ", ".join(f"mod-{q} err {e:.2e}" for q, e in errs.items()) + f", {elapsed:.2f}s")
+    assert max(errs.values()) <= 1e-10
     assert elapsed < 1
 
 

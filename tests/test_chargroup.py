@@ -20,13 +20,24 @@ def full_length_dft(group, f) -> np.ndarray:
 
 
 def per_character_orthogonality(group, m: int, n: int) -> float:
-    """Sum of chi(m) * conj(chi(n)) by one Character object per index: the
+    """Sum of chi(m) * conj(chi(n)) by one gather per character index: the
     oracle for the table-driven orthogonality_sum."""
     total = 0j
     for j in range(group.q - 1):
-        chi = group.character(j)
-        total += chi.value(m) * chi.value(n).conjugate()
+        chi_m, chi_n = group.character_values(j, np.array([m, n])).tolist()
+        total += chi_m * chi_n.conjugate()
     return total.real
+
+
+@st.composite
+def character_arguments(draw):
+    """(q, j, ns): an odd prime, a character index and arguments in [0, 20q],
+    with 0 and the multiples of q drawn as often as the other residues."""
+    q = draw(st.sampled_from(ODD_PRIMES))
+    j = draw(st.integers(0, q - 2))
+    n = st.integers(0, 20 * q)
+    ns = draw(st.lists(st.one_of(n, n.map(lambda v: v // q * q)), min_size=1, max_size=8))
+    return q, j, np.array(ns)
 
 
 class TestBuildGroup:
@@ -104,7 +115,7 @@ class TestTableEvaluation:
     def test_character_values(self, group_of):
         group = group_of(self.Q)
         for j in self.INDICES:
-            values = group.character_values(j)
+            values = group.character_values(j, np.arange(1, self.Q))
             for k in self.EXPONENTS:
                 assert values[pow(group.g, k, self.Q) - 1] == self.expected(group, j, k)
 
@@ -116,50 +127,52 @@ class TestTableEvaluation:
                 assert values[j] == self.expected(group, j, k)
 
     def test_character_value(self, group_of):
+        # arguments past q gather the root of their residue
         group = group_of(self.Q)
+        ns = np.array([pow(group.g, k, self.Q) + 5 * self.Q for k in self.EXPONENTS])
         for j in self.INDICES:
-            chi = group.character(j)
-            for k in self.EXPONENTS:
-                assert chi.value(pow(group.g, k, self.Q)) == self.expected(group, j, k)
+            expected = [self.expected(group, j, k) for k in self.EXPONENTS]
+            assert group.character_values(j, ns).tolist() == expected
 
 
 class TestCharValue:
     def test_principal_is_one_on_coprime(self, group_of):
-        chi0 = group_of(7).character(0)
-        assert chi0.value(10) == pytest.approx(1.0)
+        assert group_of(7).character_values(0, np.array([10]))[0] == pytest.approx(1.0)
 
     def test_zero_on_multiples_of_q(self, group_of):
         for j in range(4):
-            assert group_of(5).character(j).value(10) == 0
+            assert group_of(5).character_values(j, np.array([10]))[0] == 0
 
     def test_i_at_2_mod_5(self, group_of):
-        value = group_of(5).character(1).value(2)
-        assert value == pytest.approx(1j, abs=1e-15)
+        assert group_of(5).character_values(1, np.array([2]))[0] == pytest.approx(1j, abs=1e-15)
 
     def test_unit_modulus_on_coprime(self, group_of):
         for q in (5, 101, 1009):
             group = group_of(q)
             for j in (1, q // 2, q - 2):
-                assert np.max(np.abs(np.abs(group.character_values(j)) - 1)) < 1e-14
-
-    def test_multiplicativity(self, group_of):
-        # chi(m) * chi(n) = chi(mn) across a deterministic sample grid
-        sample = list(range(1, 40)) + [97, 311, 554, 801, 999, 1000]
-        for q in (5, 7, 11, 101):
-            group = group_of(q)
-            for j in range(q - 1):
-                chi = group.character(j)
-                for m in sample:
-                    for n in sample[::5]:
-                        lhs = chi.value(m) * chi.value(n)
-                        assert abs(lhs - chi.value(m * n)) < 1e-12
+                assert np.max(np.abs(np.abs(group.character_values(j, np.arange(1, q))) - 1)) < 1e-14
 
     def test_conjugate_character(self, group_of):
         group = group_of(11)
+        residues = np.arange(1, 11)
         for j in range(10):
-            chi = group.character(j)
-            for a in range(1, 11):
-                assert abs(chi.conjugate().value(a) - chi.value(a).conjugate()) < 1e-14
+            conjugate = group.character_values((-j) % 10, residues)
+            assert np.array_equal(conjugate, np.conj(group.character_values(j, residues)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(character_arguments())
+    def test_multiplicativity(self, drawn):
+        # chi(m) chi(n) = chi(mn) on one gather, which also matches the
+        # all-characters table, vanishes exactly on multiples of q, and is
+        # exactly conjugated by the index q - 1 - j
+        q, j, ns = drawn
+        group = build_group(q)
+        values = group.character_values(j, ns)
+        assert values.tolist() == [group.values_at(int(n))[j] for n in ns]
+        assert np.array_equal(values == 0, ns % q == 0)
+        products = group.character_values(j, np.multiply.outer(ns, ns))
+        assert np.all(np.abs(np.multiply.outer(values, values) - products) < 1e-12)
+        assert np.array_equal(group.character_values(q - 1 - j, ns), np.conj(values))
 
 
 class TestOrthogonality:
@@ -212,17 +225,6 @@ class TestOrthogonality:
             for n in (m, m + q, m + 7 * q):
                 assert orthogonality_sum(group, m, n) == q - 1
 
-    def test_builds_no_character_objects(self, group_of, monkeypatch):
-        import lextremes.chargroup as chargroup_module
-
-        def no_character(*args, **kwargs):
-            raise AssertionError("orthogonality_sum must not build Character objects")
-
-        group = group_of(1009)
-        monkeypatch.setattr(chargroup_module, "Character", no_character)
-        assert orthogonality_sum(group, 3, 3 + 1009) == 1008
-        assert orthogonality_sum(group, 2, 3) == pytest.approx(0.0, abs=1e-9 * 1008)
-
 
 class TestGroupDft:
     def test_constant_vector(self, group_of):
@@ -251,7 +253,7 @@ class TestGroupDft:
         out = dft_over_group(group, f)
         indices = sorted({0, 1, 2, q // 3, q // 2, q - 2} | set(range(0, q - 1, max(1, (q - 1) // 24))))
         for j in indices:
-            naive = complex(np.sum(f * group.character_values(j)))
+            naive = complex(np.sum(f * group.character_values(j, np.arange(1, q))))
             assert abs(out[j] - naive) <= 1e-9 * max(1.0, abs(naive))
 
     def test_full_naive_q101(self, group_of):
@@ -260,7 +262,7 @@ class TestGroupDft:
         f = rng.standard_normal(100) + 1j * rng.standard_normal(100)
         out = dft_over_group(group, f)
         for j in range(100):
-            naive = complex(np.sum(f * group.character_values(j)))
+            naive = complex(np.sum(f * group.character_values(j, np.arange(1, 101))))
             assert abs(out[j] - naive) <= 1e-9 * max(1.0, abs(naive))
 
     def test_parseval_consistency(self, group_of):

@@ -212,23 +212,29 @@ class TestLValue:
         values = np.array(zs, dtype=complex)
         assert lfunc._fsum_complex(values) == complex(math.fsum(values.real), math.fsum(values.imag))
 
-    def test_mod3_closed_form(self, chi_mod3):
-        result = l_value(chi_mod3, 1.0)
+    def test_mod3_closed_form(self, group_of):
+        result = l_value(group_of(3).character(1), 1.0)
         assert result.method == "digamma"
+        assert result.chi_index == 1
         assert abs(result.value - math.pi / (3 * math.sqrt(3))) < 1e-10
 
-    def test_mod4_closed_form(self, chi_mod4):
-        result = l_value(chi_mod4, 1.0)
-        assert abs(result.value - math.pi / 4) < 1e-10
+    def test_mod5_closed_form(self, group_of):
+        # chi_2 mod 5 is the Legendre symbol (./5), an even character
+        result = l_value(group_of(5).character(2), 1.0)
+        assert abs(result.value - 2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)) < 1e-10
 
-    def test_mod4_against_leibniz_oracle(self, chi_mod4):
-        # averaged partial sums of 1 - 1/3 + 1/5 - ... kill the O(1/K) term
-        k = np.arange(2 * 10**6)
-        terms = (-1.0) ** k / (2 * k + 1)
-        partials = np.cumsum(terms)
-        oracle = 0.5 * (partials[-1] + partials[-2])
-        assert abs(oracle - math.pi / 4) < 1e-12
-        assert abs(complex(l_value(chi_mod4, 1.0).value) - oracle) < 1e-10
+    def test_mod7_closed_form(self, group_of):
+        # chi_3 mod 7 is the Legendre symbol (./7), an odd character
+        result = l_value(group_of(7).character(3), 1.0)
+        assert abs(result.value - math.pi / math.sqrt(7)) < 1e-10
+
+    def test_mod7_against_series_oracle(self, group_of, harmonic_by_residue):
+        # partial sums of sum (n/7)/n plus the periodic-mean tail, no digamma
+        group = group_of(7)
+        h, m_aligned = harmonic_by_residue(7)
+        oracle = series_l1_oracle(group, 3, h, m_aligned)
+        assert abs(oracle - math.pi / math.sqrt(7)) < 1e-12
+        assert abs(l_value(group.character(3), 1.0).value - oracle) < 1e-10
 
     def test_principal_pole_rejected(self, group_of):
         with pytest.raises(ValueError):
@@ -386,8 +392,10 @@ def _euler_products_all(group, x: float) -> np.ndarray:
 
 
 class TestEulerProductTruncated:
-    def test_mod4_two_factors(self, chi_mod4):
-        assert euler_product_truncated(chi_mod4, 1.0, 3) == pytest.approx(0.75, abs=1e-14)
+    def test_mod5_two_factors(self, group_of):
+        # (./5) at p = 2, 3 is -1, and the factor at p = 5 is 1
+        chi = group_of(5).character(2)
+        assert euler_product_truncated(chi, 1.0, 5) == pytest.approx(2 / 3 * 3 / 4, abs=1e-14)
 
     def test_principal_single_factor(self, group_of):
         chi0 = group_of(7).character(0)
@@ -415,25 +423,21 @@ class TestEulerProductTruncated:
 
 
 class TestDirichletPolyAndPrimeSum:
-    def test_mod4_only_n3_survives(self, chi_mod4):
-        assert dirichlet_poly(chi_mod4, 1.0, 4) == pytest.approx(-1 / 3, abs=1e-14)
-
-    def test_below_two_rejected(self, chi_mod4):
+    def test_below_two_rejected(self, group_of):
         with pytest.raises(ValueError):
-            dirichlet_poly(chi_mod4, 1.0, 1.5)
+            dirichlet_poly(group_of(7).character(1), 1.0, 1.5)
 
-    def test_mod3_hand_enumeration(self, chi_mod3):
-        # terms n = 2, 4, 5 (chi(3) = 0): Lambda(n)/(n log n) recomputed via
-        # the Lambda oracle; Lambda(4)/log 4 = 1/2 so the value is
-        # -1/2 + 1/8 - 1/5 = -0.575
-        expected = math.fsum(
-            (mangoldt(n) / (n * math.log(n)) * chi_mod3.value(n)).real for n in range(2, 6)
-        )
+    def test_mod3_hand_enumeration(self, group_of):
+        # terms n = 2, 4, 5 (chi(3) = 0 drops out): Lambda(n)/(n log n)
+        # recomputed via the Lambda oracle with chi = (1, -1) at residues 1, 2;
+        # Lambda(4)/log 4 = 1/2 so the value is -1/2 + 1/8 - 1/5 = -0.575
+        table = (0, 1, -1)
+        expected = math.fsum(mangoldt(n) / (n * math.log(n)) * table[n % 3] for n in range(2, 6))
         assert expected == pytest.approx(-0.575, abs=1e-14)
-        assert dirichlet_poly(chi_mod3, 1.0, 5) == pytest.approx(expected, abs=1e-14)
+        assert dirichlet_poly(group_of(3).character(1), 1.0, 5) == pytest.approx(expected, abs=1e-14)
 
-    def test_prime_sum_mod3(self, chi_mod3):
-        assert prime_sum(chi_mod3, 1.0, 3) == pytest.approx(-0.5, abs=1e-14)
+    def test_prime_sum_mod3(self, group_of):
+        assert prime_sum(group_of(3).character(1), 1.0, 3) == pytest.approx(-0.5, abs=1e-14)
 
     def test_prime_sum_empty(self, group_of):
         assert prime_sum(group_of(7).character(1), 1.0, 1) == 0j
