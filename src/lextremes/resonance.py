@@ -416,9 +416,10 @@ def half_weight_certificate(
     }
     y_primes = numth.sieve_primes(int(y))  # y < q, so q is not among them
     y_cs = [0.5 * p ** (-sigma) for p in y_primes.tolist()]
+    held = np.isin(y_primes, ks)  # the chain may only use terms that S1 sums
     return _certificate_report(
         sigma=sigma, x=x, y=y, k_limit=k_limit, coeffs=coeffs, v=v, s1=s1, s2=s2,
-        l_principal=l_principal, target=math.fsum(y_cs), chain=(y_primes, np.array(y_cs)),
+        l_principal=l_principal, target=math.fsum(y_cs), chain=(y_primes[held], np.array(y_cs)[held]),
         tau_budget=tau_budget, extras=extras,
     )
 

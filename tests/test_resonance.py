@@ -262,11 +262,19 @@ class TestRatioCertificate:
         assert 0 <= report.tail_fraction < 1
 
     @settings(max_examples=25, deadline=None)
-    @given(q=st.sampled_from([q for q in ODD_PRIMES if q >= 5]))
-    @example(q=5)
-    @example(q=19997)
-    def test_ratio_beats_the_provable_bound(self, q):
-        report = ratio_certificate(q, 1.4)
+    @given(
+        q=st.sampled_from([q for q in ODD_PRIMES if q >= 5]),
+        b=st.floats(1.39, 4.0),
+        n_limit=st.integers(1, 10**4),
+        k_limit=st.integers(1, 10**4),
+        y_over_x=st.none() | st.floats(1.0, 10**3),
+    )
+    @example(q=5, b=1.4, n_limit=10**4, k_limit=10**4, y_over_x=None)
+    @example(q=19997, b=1.4, n_limit=10**4, k_limit=10**4, y_over_x=None)
+    @example(q=10007, b=1.4, n_limit=10**4, k_limit=1, y_over_x=1.0)
+    def test_ratio_beats_the_provable_bound(self, q, b, n_limit, k_limit, y_over_x):
+        y = None if y_over_x is None else math.log(q) * math.log(math.log(q)) / b * y_over_x
+        report = ratio_certificate(q, b, n_limit, k_limit, y)
         assert report.ratio >= report.extras["provable_bound"] * (1 - 1e-12)
 
 
@@ -370,11 +378,22 @@ class TestHalfWeightCertificate:
             half_weight_certificate(group_of(23), 0.75, y_min=30.0)
 
     @settings(max_examples=25, deadline=None)
-    @given(q=st.sampled_from([q for q in ODD_PRIMES if q >= 23]), sigma=st.floats(0.51, 0.95))
-    @example(q=23, sigma=0.51)
-    @example(q=19997, sigma=0.95)
-    def test_ratio_beats_the_provable_bound_and_routes_agree(self, q, sigma):
-        report = half_weight_certificate(build_group(q), sigma)
+    @given(
+        q=st.sampled_from([q for q in ODD_PRIMES if q >= 23]),
+        sigma=st.floats(0.51, 0.95),
+        n_limit=st.integers(1, 10**4),
+        k_limit=st.integers(1, 10**4),
+        x_cap=st.floats(2.0, 1e5),
+        y_min=st.floats(2.0, 20.0),
+    )
+    @example(q=23, sigma=0.51, n_limit=10**4, k_limit=10**4, x_cap=1e5, y_min=20.0)
+    @example(q=19997, sigma=0.95, n_limit=10**4, k_limit=10**4, x_cap=1e5, y_min=20.0)
+    # the series stops short of the chain primes p <= y = 20
+    @example(q=10007, sigma=0.75, n_limit=10**4, k_limit=1, x_cap=1e5, y_min=20.0)
+    @example(q=10007, sigma=0.75, n_limit=10**4, k_limit=3, x_cap=1e5, y_min=20.0)
+    @example(q=10007, sigma=0.75, n_limit=10**4, k_limit=10**4, x_cap=10.0, y_min=20.0)
+    def test_ratio_beats_the_provable_bound_and_routes_agree(self, q, sigma, n_limit, k_limit, x_cap, y_min):
+        report = half_weight_certificate(build_group(q), sigma, None, y_min, x_cap, n_limit, k_limit)
         assert report.ratio >= report.extras["provable_bound"] * (1 - 1e-12)
         assert report.extras["s1_route_rel_diff"] <= 1e-9
         assert report.extras["s2_route_rel_diff"] <= 1e-9
