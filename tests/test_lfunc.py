@@ -423,6 +423,16 @@ class TestEulerProductTruncated:
 
 
 class TestDirichletPolyAndPrimeSum:
+    def test_mod4_only_n3_survives(self):
+        # chi mod 4 lies outside CharacterGroup's prime moduli; dirichlet_poly
+        # reads only group.character_values, so a literal table stands in and
+        # the terms at n = 2 and n = 4 (multiples of 2 | q) drop out
+        class Mod4:
+            def character_values(self, j, ns):
+                return np.array([(0, 1, 0, -1)[n % 4] for n in ns], dtype=complex)
+
+        assert dirichlet_poly((Mod4(), 1), 1.0, 4) == pytest.approx(-1 / 3, abs=1e-14)
+
     def test_below_two_rejected(self, group_of):
         with pytest.raises(ValueError):
             dirichlet_poly(group_of(7).character(1), 1.0, 1.5)
