@@ -17,8 +17,8 @@ Good-Thomas prime-factor map into batched FFTs of the coprime lengths p
 and h/p, which needs no twiddles; otherwise it is one numpy call.
 
 The group keeps 24 bytes per residue: int32 `dlog` and `power_residues`
-(q < 2**31) and a complex root table whose upper half is the exact
-conjugate mirror of its lower half.
+(q < 2**31, as `numth.check_modulus` requires) and a complex root table
+whose upper half is the exact conjugate mirror of its lower half.
 """
 
 from __future__ import annotations
@@ -30,27 +30,18 @@ import numpy as np
 from . import numth
 
 
-def _block_powers(g: int, q: int, count: int) -> np.ndarray:
-    """g**k mod q for k = 0..count-1 as an int64 array, by block powers.
-
-    With b = ceil(sqrt(count)), entry k = i*b + j is (g**(i*b) mod q) *
-    (g**j mod q) mod q; both factors are below q < 2**31, so the int64
-    products stay below 2**62 and are exact.
-    """
-    if q >= numth.MODULUS_LIMIT:
-        raise ValueError(f"modulus {q} exceeds the 2**31 limit")
-    b = math.isqrt(max(count - 1, 0)) + 1
-    small = np.empty(b, dtype=np.int64)
-    big = np.empty(-(-count // b), dtype=np.int64)
-    a = 1
-    for j in range(b):
-        small[j] = a
-        a = a * g % q
-    step, a = a, 1
-    for i in range(big.size):
-        big[i] = a
-        a = a * step % q
-    return ((big[:, None] * small[None, :]) % q).ravel()[:count]
+def _powers(g: int, q: int, count: int) -> np.ndarray:
+    """g**k mod q for k = 0..count-1 as an int64 array, by doubling: entries
+    m..2m-1 are entries 0..m-1 times g**m mod q.  Both factors are below
+    q < 2**31, so each product stays below 2**62 and is exact in int64."""
+    powers = np.ones(count, dtype=np.int64)
+    m = 1
+    while m < count:
+        block = powers[m : 2 * m]
+        np.multiply(powers[: block.size], pow(g, m, q), out=block)
+        block %= q
+        m *= 2
+    return powers
 
 
 class CharacterGroup:
@@ -77,7 +68,7 @@ class CharacterGroup:
         self.q = q
         self.g = g
         self.phi = q - 1
-        power_residues = _block_powers(g, q, q - 1).astype(np.int32)
+        power_residues = _powers(g, q, q - 1).astype(np.int32)
         dlog = np.full(q, -1, dtype=np.int32)
         dlog[power_residues] = np.arange(q - 1, dtype=np.int32)
         self.dlog = dlog
@@ -120,11 +111,9 @@ class CharacterGroup:
 
 
 def build_group(q: int) -> CharacterGroup:
-    """Construct the character group mod q, verifying the dlog bijection."""
-    if q >= numth.MODULUS_LIMIT:
-        raise ValueError(f"modulus {q} exceeds the 2**31 limit")
-    if q == 2 or not numth.is_prime(q):
-        raise ValueError(f"modulus must be an odd prime, got {q}")
+    """Construct the character group mod q (`numth.check_modulus`),
+    verifying the dlog bijection."""
+    numth.check_modulus(q)
     group = CharacterGroup(q, numth.primitive_root(q))
     if np.any(group.dlog[1:] < 0):
         raise AssertionError(f"discrete-log table for q={q} is not a bijection")

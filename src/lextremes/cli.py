@@ -181,15 +181,12 @@ def _validate(config: RunConfig) -> None:
                 raise ConfigError(f"{key} must be finite, got {item}")
     if not config.q_list:
         raise ConfigError("q list must be nonempty")
-    min_q = 5 if config.command in ("oracle-check", "certify") else 17
+    least = 5 if config.command in ("oracle-check", "certify") else 17  # 17: the iterated-log guard
     for q in config.q_list:
-        if not numth.is_prime(q):
-            raise ConfigError(f"q = {q} is not prime")
-        if q < min_q:
-            raise ConfigError(
-                f"q = {q} violates q >= {min_q} for {config.command}"
-                + (" (iterated-log domain guard)" if min_q == 17 else "")
-            )
+        try:
+            numth.check_modulus(q, least)
+        except ValueError as exc:
+            raise ConfigError(f"{config.command}: {exc}") from exc
     if config.format not in ("csv", "json", "both"):
         raise ConfigError(f"format must be csv, json or both, got {config.format!r}")
     for key, low in (("jobs", 1), ("epsilon", 0), ("tol", 0), ("x_cap", 2)):

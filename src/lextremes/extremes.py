@@ -20,7 +20,7 @@ import numpy as np
 from . import numth
 from .chargroup import CharacterGroup, build_group
 from .lfunc import _census_from_abs, l_value_batch
-from .resonance import EULER_GAMMA, ResonanceReport, _prime_cutoff, half_weight_certificate
+from .resonance import EULER_GAMMA, ResonanceReport, _half_weight_cutoff, _prime_cutoff, half_weight_certificate
 from .resonator import WeightScheme, _scheme_primes, linear_scheme
 
 
@@ -47,8 +47,7 @@ def reference_constants() -> Constants:
 
 
 def _iterated_logs(q: int) -> tuple[float, float, float]:
-    if not numth.is_prime(q) or q < 17:
-        raise ValueError(f"q must be a prime >= 17 (so loglog q >= 1), got {q}")
+    numth.check_modulus(q, least=17)  # so loglog q >= 1
     log_q = math.log(q)
     log2_q = math.log(log_q)
     return log_q, log2_q, math.log(log2_q)
@@ -229,6 +228,7 @@ def scan_sigma_strip(
     if not 0.5 < sigma < 1.0:
         raise ValueError(f"sigma must lie strictly inside (1/2, 1), got {sigma}")
     log_q, log2_q, _ = _iterated_logs(q)
+    _half_weight_cutoff(q, sigma, a_sigma, y_min)  # reject a bad cutoff before the group is built
     start = time.perf_counter()
     group = build_group(q)
     x = _prime_cutoff(log_q, sigma, x_cap)

@@ -2,9 +2,9 @@
 
 Primes, factorization, Euler's phi, the von Mangoldt function, and
 smooth-number enumeration by a vectorised closure over the primes, whose
-cost and memory follow the output size rather than the limit.  Moduli
-throughout the package are restricted to q < 2**31 so every modular
-product fits comfortably in 64 bits.
+cost and memory follow the output size rather than the limit.
+`check_modulus` is the package's one definition of a valid modulus: an
+odd prime q < 2**31, so every modular product fits comfortably in 64 bits.
 """
 
 from __future__ import annotations
@@ -64,8 +64,17 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division, as n's factorization being n itself; adequate for n < 2**31."""
+    """Trial division, as n's factorization being n itself; adequate below 2**31 (`check_modulus`)."""
     return n >= 2 and factorize(n) == ((n, 1),)
+
+
+def check_modulus(q: int, least: int = 3) -> None:
+    """Raise ValueError unless q is an odd prime with least <= q < 2**31.
+    The bound is tested first, so an oversized q costs no trial division."""
+    if not least <= q < MODULUS_LIMIT:
+        raise ValueError(f"modulus q = {q} must lie in [{least}, 2**31)")
+    if q % 2 == 0 or not is_prime(q):
+        raise ValueError(f"modulus q = {q} is not an odd prime")
 
 
 def euler_phi(q: int) -> int:
@@ -160,9 +169,8 @@ def smooth_numbers(bound: int, limit: int) -> list[int]:
 
 
 def primitive_root(q: int) -> int:
-    """Smallest generator g >= 2 of (Z/qZ)* for an odd prime q."""
-    if q == 2 or not is_prime(q):
-        raise ValueError(f"primitive_root requires an odd prime, got {q}")
+    """Smallest generator g >= 2 of (Z/qZ)* for a modulus q (`check_modulus`)."""
+    check_modulus(q)
     exponents = [(q - 1) // r for r, _ in factorize(q - 1)]
     for g in range(2, q):
         if all(pow(g, e, q) != 1 for e in exponents):

@@ -113,8 +113,7 @@ def _series_support(sigma: float, y: float, k_limit: int) -> tuple[np.ndarray, n
 def _tables(q: int, scheme: WeightScheme, n_limit: int, series=None) -> tuple[np.ndarray, np.ndarray | None]:
     """Residue tables of the resonator (V) and, given series = (sigma, y,
     k_limit), of the y-smooth series coefficients (W); None without one."""
-    if not numth.is_prime(q):
-        raise ValueError(f"modulus must be prime, got {q}")
+    numth.check_modulus(q)
     if series is not None:
         sigma, y, k_limit = series
         s = as_sigma(sigma)
@@ -290,8 +289,7 @@ def ratio_certificate(
     the provable finite-chain bound are informational) plus the Mertens-form
     reference value e**gamma * log x * (1 - 1/log x).
     """
-    if q == 2 or not numth.is_prime(q):
-        raise ValueError(f"modulus must be an odd prime, got {q}")
+    numth.check_modulus(q)
     if b <= math.log(4):
         raise ValueError(f"b must exceed log 4 = {math.log(4):.6f}, got {b}")
     x = math.log(q) * math.log(math.log(q)) / b
@@ -375,6 +373,16 @@ def _a_sigma(sigma: float, a_sigma: float | None) -> float:
     return (2 * sigma - 1) / (2 - sigma) if a_sigma is None else a_sigma
 
 
+def _half_weight_cutoff(q: int, sigma: float, a_sigma: float | None, y_min: float) -> tuple[float, float]:
+    """(a_sigma, y) of the half-weight certificate, with the resonator cutoff
+    y = max((a_sigma/2) log q loglog q, y_min) checked to stay below q."""
+    a_sigma = _a_sigma(sigma, a_sigma)
+    y = max(a_sigma / 2 * math.log(q) * math.log(math.log(q)), y_min)
+    if y >= q:
+        raise ValueError(f"half-weight cutoff y = {y:.3f} must be < q = {q}")
+    return a_sigma, y
+
+
 def half_weight_certificate(
     group: CharacterGroup,
     sigma: float,
@@ -398,12 +406,8 @@ def half_weight_certificate(
     if not 0.5 < sigma < 1.0:
         raise ValueError(f"sigma must lie strictly inside (1/2, 1), got {sigma}")
     q = group.q
-    a_sigma = _a_sigma(sigma, a_sigma)
-    log_q = math.log(q)
-    y = max(a_sigma / 2 * log_q * math.log(log_q), y_min)
-    if y >= q:
-        raise ValueError(f"half-weight cutoff y = {y:.3f} must be < q = {q}")
-    x = _prime_cutoff(log_q, sigma, x_cap)
+    a_sigma, y = _half_weight_cutoff(q, sigma, a_sigma, y_min)
+    x = _prime_cutoff(math.log(q), sigma, x_cap)
     coeffs = enumerate_coeffs(half_scheme(y), n_limit)
     ks = numth.sieve_primes(int(x))[:k_limit]
     bs = ks.astype(float) ** (-sigma)

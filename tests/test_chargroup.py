@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lextremes import build_group, dft_over_group, orthogonality_sum
-from lextremes.chargroup import _block_powers, _good_thomas_split
+from lextremes.chargroup import _good_thomas_split, _powers
 from lextremes.lfunc import _residue_values
 
 from conftest import ODD_PRIMES, longdouble_dft
@@ -69,10 +69,10 @@ class TestBuildGroup:
         assert group.dlog[group.power_residues].tolist() == list(range(q - 1))
 
     def test_block_powers_exact_near_int64_limit(self):
-        # q < 2**31 keeps the block products below 2**62; check them against
+        # q < 2**31 keeps the doubling products below 2**62; check them against
         # exact integer powers at the largest prime the limit admits
         q, g = 2**31 - 1, 7  # 7 is a primitive root of this Mersenne prime
-        powers = _block_powers(g, q, 10**4)
+        powers = _powers(g, q, 10**4)
         assert powers.dtype == np.int64
         assert powers.tolist() == [pow(g, k, q) for k in range(10**4)]
 

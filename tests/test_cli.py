@@ -11,8 +11,8 @@ import sys
 import pytest
 
 import lextremes
-from lextremes import cli
-from lextremes.cli import ConfigError, main, oracle_check, parse_config, run
+from lextremes import cli, numth
+from lextremes.cli import COMMANDS, ConfigError, main, oracle_check, parse_config, run
 
 
 class TestParseConfig:
@@ -236,6 +236,26 @@ class TestRun:
         out = tmp_path / "out"
         assert main([*argv, "--output-dir", str(out)]) == 2
         assert not out.exists()  # run() never started: no directory, no group, no file
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_prime_past_modulus_limit_exits_2_before_any_work(self, tmp_path, capsys, command):
+        # 2**31 + 11 is prime; certify used to ask numpy for a 16 GiB residue table
+        sigma = ["--sigma", "0.75"] if command == "scan-t3" else []
+        out = tmp_path / "out"
+        assert main([command, "--q", "2147483659", *sigma, "--output-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert not out.exists()
+
+    def test_huge_prime_q_rejected_without_trial_division(self, monkeypatch):
+        # 2**61 - 1 is prime; trial division would run up to its root, about 1.5e9
+        def no_trial_division(n):
+            raise AssertionError(f"is_prime({n}) was called")
+
+        monkeypatch.setattr(numth, "is_prime", no_trial_division)
+        with pytest.raises(ConfigError, match=r"2\*\*31"):
+            parse_config(["scan-t1", "--q", str(2**61 - 1)])
 
     def test_budget_tol_and_cap_range_ends_accepted(self):
         base = ["scan-t3", "--q", "10007", "--sigma", "0.75"]

@@ -17,6 +17,7 @@ from lextremes import (
     sigma1_upper_check,
     threshold_census,
 )
+from lextremes import extremes
 from lextremes.chargroup import CharacterGroup
 from lextremes.cli import _json_bytes
 from lextremes.extremes import _resonator_abs_sq_all
@@ -183,6 +184,15 @@ class TestScanSigmaStrip:
             scan_sigma_strip(1009, 1.0)
         with pytest.raises(ValueError):
             scan_sigma_strip(1009, 0.5)
+
+    def test_cutoff_past_modulus_rejected_before_the_group_is_built(self, monkeypatch):
+        # y = max(..., y_min) = 1e6 >= q: refused before the group and the L-value batch
+        def no_group(q):
+            raise AssertionError("build_group was called")
+
+        monkeypatch.setattr(extremes, "build_group", no_group)
+        with pytest.raises(ValueError, match="half-weight cutoff"):
+            scan_sigma_strip(300809, 0.75, y_min=1e6)
 
     def test_target_shape_q10007(self):
         report = scan_sigma_strip(10007, 0.75)

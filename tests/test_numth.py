@@ -191,6 +191,38 @@ class TestPrimitiveRoot:
             assert order == q - 1
 
 
+@pytest.mark.parametrize(
+    "q, least, accepted",
+    [
+        (2, 3, False),
+        (4, 3, False),
+        (2**31 + 11, 3, False),  # prime, past the bound
+        (2**61 - 1, 3, False),  # prime, past the bound
+        (3, 3, True),
+        (2**31 - 1, 3, True),
+        (13, 17, False),
+        (17, 17, True),
+        (3, 5, False),
+        (5, 5, True),
+    ],
+)
+def test_check_modulus(monkeypatch, q, least, accepted):
+    # the bound is tested before primality: trial division never sees n >= 2**31
+    trial_division = numth.is_prime
+
+    def guarded_is_prime(n):
+        if n >= 2**31:
+            raise AssertionError(f"is_prime({n}) ran before the bound was tested")
+        return trial_division(n)
+
+    monkeypatch.setattr(numth, "is_prime", guarded_is_prime)
+    if accepted:
+        numth.check_modulus(q, least)
+    else:
+        with pytest.raises(ValueError):
+            numth.check_modulus(q, least)
+
+
 def test_is_prime_matches_trial_division():
     for n in range(0, 3000):
         assert is_prime(n) == trial_division_prime(n)

@@ -236,6 +236,25 @@ class TestRatioCertificate:
         with pytest.raises(ValueError):
             ratio_certificate(10, 1.4)
 
+    @pytest.mark.parametrize("q", [2, 2**31 + 11])
+    def test_both_routes_refuse_what_the_group_refuses(self, monkeypatch, q):
+        # q = 2 has no odd-prime group and 2**31 + 11 is past the bound: the
+        # congruence route refuses both before any residue table is allocated
+        def no_tables(*args):
+            raise AssertionError("a residue table was allocated")
+
+        monkeypatch.setattr(numth, "_residue_sums", no_tables)
+        scheme = linear_scheme(1.5)
+        calls = (
+            lambda: build_group(q),
+            lambda: square_sum_congruence(q, scheme, 10),
+            lambda: weighted_sum_congruence(q, scheme, 1.0, 10.0, 10, 10),
+            lambda: ratio_certificate(q, 1.4),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="modulus"):
+                call()
+
     def test_q1009_regression(self):
         report = ratio_certificate(1009, 1.4)
         assert report.x == pytest.approx(math.log(1009) * math.log(math.log(1009)) / 1.4, rel=1e-12)
