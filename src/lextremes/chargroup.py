@@ -147,8 +147,11 @@ def dft_over_group(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
     O[j] = -i(Z[j] - conj Z[-j])/2 give out[j] = E[j] + w**j O[j] for
     j < n/2 (w = exp(2 pi i/n), read from the group's root table) and
     out[n/2] = E[0] - O[0]; the upper half is out[n-j] = conj(out[j]), so
-    L(sigma, conj chi) = conj L(sigma, chi) holds exactly.  Complex input
-    is transformed as out = dft(f.real) + i*dft(f.imag).
+    L(sigma, conj chi) = conj L(sigma, chi) holds exactly.  conj Z[-j] is
+    read from the reversed view of Z into the still unused upper half of
+    out, E is formed in out[:n/2] and O in Z's own buffer, so the output and
+    Z are the only arrays alive at the peak (48 bytes per n/2).  Complex
+    input is transformed as out = dft(f.real) + i*dft(f.imag).
 
     Z is one numpy FFT unless h = n/2 has a prime factor p with p**2 > h
     and h != p, where numpy would run Bluestein.  Then, with r = h/p
@@ -156,8 +159,9 @@ def dft_over_group(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
     z2[a, b] = z[(r*a + p*b) mod h] into a (p, r) array, both axes are
     transformed in place by batched numpy FFTs, and Z[k] is read back
     through the CRT map k -> (k mod p, k mod r).  No twiddles are needed.
-    At q = 985709 (h = 2*83*2969) the transform takes 0.08 s instead of
-    0.17 s, and numpy's length-h Bluestein buffers are never built.
+    At q = 985709 (h = 2*83*2969) one call takes about 0.10 s against
+    0.20 s through numpy's length-h Bluestein (medians of 45 calls each on
+    2 shared vCPUs, numpy 2.4), and Bluestein's buffers are never built.
     """
     f = np.asarray(f)
     if f.shape != (group.q - 1,):
@@ -175,7 +179,13 @@ def _real_group_dft(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
     split = _good_thomas_split(h)
     if split:
         p, r = split
-        pairs = pairs[(r * np.arange(p)[:, None] + p * np.arange(r)) % h]  # Ruritanian map
+        # Ruritanian map (r*a + p*b) mod h; every entry is below 2h
+        ruritanian = r * np.arange(p)[:, None] + p * np.arange(r)
+        np.subtract(ruritanian, h, out=ruritanian, where=ruritanian >= h)
+        # each row moved as one int64: numpy gathers 8-byte items about 5x
+        # faster than (h, 2) rows (4 against 23 ms at q = 985709)
+        pairs = pairs.view(np.int64)[ruritanian].view(np.int32)
+        del ruritanian
     z = np.empty(pairs.shape[:-1], dtype=complex)
     z.real = f[pairs[..., 0]]
     z.imag = f[pairs[..., 1]]
@@ -184,20 +194,25 @@ def _real_group_dft(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
         # unscaled 2-D transform in place; entry (k mod p, k mod r) is Z[k]
         np.fft.ifft(z, axis=-1, norm="forward", out=z)
         np.fft.ifft(z, axis=-2, norm="forward", out=z)
-        k = np.arange(h)
-        spec = z.ravel()[k % p * r + k % r]
-        del k
+        crt = np.tile(np.arange(p) * r, r)
+        crt += np.tile(np.arange(r), p)  # (k mod p) * r + k mod r
+        spec = z.ravel()[crt]
+        del crt
     else:
         spec = np.fft.ifft(z, norm="forward")  # unscaled: sum_m z[m] exp(2 pi i jm/h)
     del z
-    mirror = np.conj(spec[-np.arange(h)])  # conj Z[-j mod h]
-    even = (spec + mirror) * 0.5
-    odd = (spec - mirror) * -0.5j
-    del spec, mirror
+    # conj Z[-j mod h] goes into the upper half of out, which is free until the mirror
     out = np.empty(n, dtype=complex)
+    mirror = out[h:]
+    mirror[0] = spec[0].conjugate()
+    np.conjugate(spec[:0:-1], out=mirror[1:])
+    even = np.add(spec, mirror, out=out[:h])
+    even *= 0.5
+    odd = np.subtract(spec, mirror, out=spec)
+    odd *= -0.5j
     out[h] = even[0] - odd[0]
     odd *= group._roots[:h]
-    np.add(even, odd, out=out[:h])
+    even += odd
     np.conjugate(out[h - 1 : 0 : -1], out=out[h + 1 :])
     return out
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -347,8 +348,10 @@ def run(config: RunConfig) -> int:
     """Execute the configured command; returns the process exit code."""
     if config.command == "oracle-check":
         return oracle_check(config.q_list)
+    outdir = Path(config.output_dir)
+    # the directories this run creates, deepest first, so a rejected run can take them back
+    created = list(itertools.takewhile(lambda d: not d.exists(), (outdir, *outdir.parents)))
     try:
-        outdir = Path(config.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
@@ -361,7 +364,11 @@ def run(config: RunConfig) -> int:
         else:
             results = {q: _compute_one(config.command, q, config) for q in config.q_list}
     except ValueError as exc:
-        # an operation-level precondition (e.g. a cutoff reaching the modulus)
+        # an operation-level precondition (e.g. a cutoff reaching the modulus);
+        # like a _validate rejection, it leaves no directory behind
+        for directory in created:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     all_passed = True

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -332,6 +334,28 @@ class TestGroupDft:
     def test_split_runs_no_length_h_fft(self, group_of, monkeypatch):
         # h = 515 = 103 * 5: batched FFTs of lengths 5 (axis -1) and 103 (axis -2)
         assert self.recorded_iffts(group_of(SPLIT_Q), monkeypatch) == [((103, 5), -1), ((103, 5), -2)]
+
+    # tracemalloc peak of one real-vector call per h = (q-1)/2, in bytes, as
+    # measured for the epilogue with separate mirror, even and odd arrays
+    # (numpy elides some temporaries above 256 KiB, hence 80 against 64)
+    EPILOGUE_WITH_TEMPORARIES_PEAK = {10007: 80.2, 98017: 64.1, 300809: 64.1}
+
+    @pytest.mark.parametrize("q", sorted(EPILOGUE_WITH_TEMPORARIES_PEAK))
+    def test_peak_memory_per_h(self, group_of, q):
+        # prime h, split and split: only the output (2h complex) and the
+        # spectrum (h complex) are alive at the peak, about 48 B per h
+        group = group_of(q)
+        h = (q - 1) // 2
+        f = np.random.default_rng(q).standard_normal(q - 1)
+        dft_over_group(group, f)  # numpy's FFT plan cache is traced too; fill it first
+        tracemalloc.start()
+        try:
+            dft_over_group(group, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.EPILOGUE_WITH_TEMPORARIES_PEAK[q] * h
+        assert peak < 50 * h
 
     def test_split_rule(self):
         assert _good_thomas_split(515) == (103, 5)

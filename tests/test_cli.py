@@ -269,6 +269,17 @@ class TestRun:
         code = main(["census", "--q", "17", "--output-dir", str(blocker / "sub")])
         assert code == 3
 
+    def test_operation_error_leaves_no_created_directory(self, tmp_path, capsys):
+        # the cutoff check runs inside the scan, after run() made the output
+        # directory; the rejection takes back what the run created, and only that
+        argv = ["scan-t3", "--q", "101", "--sigma", "0.75", "--y-min", "1e6", "--output-dir"]
+        assert main([*argv, str(tmp_path / "new" / "deep")]) == 2
+        assert "half-weight cutoff" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "kept").mkdir()
+        assert main([*argv, str(tmp_path / "kept" / "deep")]) == 2
+        assert [p.name for p in tmp_path.rglob("*")] == ["kept"]
+
     def test_no_partial_files_on_failure(self, tmp_path, monkeypatch):
         # force the writing step to fail after computation and check that no
         # output file (partial or complete) is left behind
@@ -350,13 +361,17 @@ def test_golden_csv(tmp_path, q, command):
 # Every other byte is pinned: key names and order, float formatting, the
 # [re, im] encoding of complex values and null for NaN.  The numerics are the
 # ones the CSV goldens above pin, so the same re-recording rules apply.
+# The q = 101 scan-t1 and census and the q = 1009 scan-t1 digests were
+# re-recorded when psi(a/q) for a <= (q-1)/2 began to come from the
+# reflection formula: their L(1) cells moved by under 4e-16 relative, and
+# the L-values moved closer to a 30-digit reference in RMS.
 GOLDEN_JSON_SHA256 = {
     (101, "certify"): "6ef3cc22d5032464fb30d6fdebb12b753d51818ea3ee5ef3b140f57b538ca555",
-    (101, "scan-t1"): "6e92839989a661a4bb6b46e1af923f7b92575c9f4bdc33a4168409e25947452f",
-    (101, "census"): "31d87c3d9d20a04902403bfb26f160bd1465e5d81dda709f1d7e774e2ca13a6b",
+    (101, "scan-t1"): "94c1125eaeb75f6d321515a7abfe5f7f7bc9bc7d7aebc06b9864f21425cce662",
+    (101, "census"): "66663aee5b55c22f3e9d5803ab17e71e04230929f9f30729d88cb9d20e553ef4",
     (101, "scan-t3"): "dfce60d7dcc65a6c96aa1cd207558339a57382a0e6659880544f026b813113ca",
     (1009, "certify"): "07bbd5a0d7ea58c80cb864a87002f99c98df44c89031738d3593b5a46029d9dd",
-    (1009, "scan-t1"): "be44ae37d56a991171b0b17a496245bf5df0bd998e5f8a0bac1d324dd40f373a",
+    (1009, "scan-t1"): "7d2361a48c0b04cad81b8040c8bbbf4c813865a1a6a14ef668dd6c4e8446e973",
     (1009, "census"): "2f238fb549b5b2abe8001eb6aa58561b25a60e58273bdda7115de75e7b7de950",
     (1009, "scan-t3"): "23805d4ffca72c30469dbd2fab8621e0891587a1f1728c4237acfece561aedf7",
 }
@@ -484,10 +499,12 @@ class TestOracleCheck:
 
     def test_golden_stdout(self, capsys):
         # sha256 of the whole report at q = 101 and 1009: every residual it
-        # prints comes from the table, DFT and single-character L-value paths
+        # prints comes from the table, DFT and single-character L-value paths.
+        # Re-recorded with the reflected digamma half: only the two "batch vs
+        # single (digamma)" residuals moved (4.4e-16 -> 3.0e-16, 6.8e-16 -> 1.3e-15)
         assert oracle_check([101, 1009]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "727bdd60fd1360be305c32235075a9f4092780caeaec912a5e6d1081391e9ac2"
+        assert digest == "676c439c78e935c313b7d1c2ac5c921acc30b0c8d1981b5721c567bcb115022f"
 
 
 def test_cli_import_loads_no_scipy():

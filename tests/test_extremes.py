@@ -108,11 +108,12 @@ class TestScanSigma1:
         assert report.max_abs_l == pytest.approx(max(labs), abs=1e-14)
         assert labs[report.argmax_index - 1] == pytest.approx(report.max_abs_l, abs=1e-14)
 
-    @pytest.mark.parametrize("q", [1009, 10007])
+    @pytest.mark.parametrize("q", [3, 5, 1009, 10007])
     @pytest.mark.parametrize("sigma", [1.0, 0.75])
     def test_abs_l_bit_identical_to_python_abs(self, group_of, q, sigma):
         # scans and censuses compare |L| against thresholds and take argmax,
-        # so the array path must round exactly like abs(complex)
+        # so the array path must round exactly like abs(complex); it mirrors
+        # the lower half, which at q = 3 is the one real character alone
         values = l_value_batch(group_of(q), sigma).values
         expected = [abs(complex(v)) for v in values]
         assert l_value_batch(group_of(q), sigma).abs_values().tolist() == expected

@@ -291,6 +291,42 @@ class TestResidueKernel:
         fresh = dict(zip(map(tuple, grouped), out.stdout.splitlines()))
         assert got == [fresh[case] for case in _KERNEL_CASES]
 
+    @pytest.mark.parametrize("q", [101, 10007, 300809])
+    def test_reflected_half_against_mpmath(self, q):
+        # a <= h comes from psi(1 - a/q) - pi cot(pi a/q); the upper half is
+        # the series itself.  Near x = 1 the series cancels (ln 17 against a
+        # lift sum of about 3.4, for psi(1) = -0.58) and errs by up to 8.6 eps
+        # at a = q - 2, q = 101, with or without the reflection; the reflected
+        # points and the series points next to x = 1/2 stay within 4 eps.
+        mpmath = pytest.importorskip("mpmath")
+        h = (q - 1) // 2
+        values = lfunc._residue_values(q, 1.0)
+        assert np.array_equal(values[h:], lfunc._digamma_vec(np.arange(h + 1, q) / q))
+        eps = np.finfo(float).eps
+        with mpmath.workdps(30):
+            for a, budget in ((1, 4), (2, 4), (h, 4), (h + 1, 4), (q - 2, 10), (q - 1, 10)):
+                exact = mpmath.psi(0, mpmath.mpf(a) / q)
+                assert abs(float((mpmath.mpf(float(values[a - 1])) - exact) / exact)) <= budget * eps, a
+
+    def test_reflection_the_other_way_cancels(self):
+        # psi(1 - x) = psi(x) + pi cot(pi x) at x = 1/q adds -q - gamma to about
+        # q: the result keeps about q * eps of absolute error, which is why the
+        # series runs on the upper half and not the lower one
+        mpmath = pytest.importorskip("mpmath")
+        q = 10007
+        x = 1 / q
+        upward = float(lfunc._digamma_vec(np.array([x]))[0]) + math.pi / math.tan(math.pi * x)
+        with mpmath.workdps(30):
+            exact = mpmath.psi(0, mpmath.mpf(q - 1) / q)
+            assert abs(float((mpmath.mpf(upward) - exact) / exact)) > 100 * np.finfo(float).eps
+
+    def test_sigma1_kernel_memory(self):
+        # the series runs on h = (q-1)/2 points (about 4 arrays of h inside
+        # _digamma_vec) and the output is allocated after it: about 20 B per
+        # residue, where the full-length series took 40
+        q = 300809
+        assert traced_peak(lfunc._residue_values, q, 1.0) <= 30 * (q - 1)
+
     def test_batch_leaves_the_cache_alone(self, group_of):
         lfunc._residue_kernel.cache_clear()
         l_value_batch(group_of(101), 1.0)
