@@ -1,16 +1,15 @@
 """Evaluation of Dirichlet L-functions L(sigma, chi) on (1/2, 1].
 
-Two certified finite formulas serve as ground truth:
+One certified finite formula serves as ground truth at every sigma:
 
-    sigma = 1:  L(1, chi) = -(1/q) * sum_{a=1}^{q-1} chi(a) * psi(a/q)
-                (non-principal chi only; the pole cancels because the
-                character values sum to zero),
-    sigma < 1:  L(sigma, chi) = q**(-sigma) * sum_a chi(a) * zeta(sigma, a/q)
+    L(sigma, chi) = q**(-sigma) * sum_{a=1}^{q-1} chi(a) * K(sigma, a/q),
+    K(sigma, x) = zeta(sigma, x) - 1/(sigma - 1),   K(1, x) = -psi(x),
 
-with psi the digamma function and zeta(s, x) the Hurwitz zeta, both
-implemented here to absolute error well below 1e-12.  Batch evaluation
-over the whole character group is a single group DFT on the vector of
-digamma / Hurwitz values.
+for non-principal chi: the character values sum to zero, so the constant
+1/(sigma - 1) drops out, and at sigma = 1 it is the pole of the Hurwitz
+zeta.  K is one Euler-Maclaurin kernel, accurate to well below 1e-12, and
+batch evaluation over the whole character group is a single group DFT on
+the vector of its values.
 
 Truncated Euler products, prime sums and the log-approximation census
 live here as well; they quantify how well short prime data tracks the
@@ -30,8 +29,9 @@ from .chargroup import CharacterGroup, dft_over_group
 
 _L_METHODS = ("digamma", "hurwitz")
 
-# absolute error bound for the digamma evaluation below (asymptotic-series
-# remainder ~2e-20 at the lift threshold plus float rounding)
+# absolute error bound of K(1, a/q) = -psi(a/q), the sigma = 1 counterpart of
+# hurwitz_zeta_error: Euler-Maclaurin truncation (below 1.2e-19) plus the
+# rounding of terms of order one
 DIGAMMA_ERR = 1e-13
 
 
@@ -93,133 +93,87 @@ class LValueBatch:
 
 
 # ----------------------------------------------------------------------
-# special-function backends
+# special-function kernel
 
-
-def _digamma_vec(x: np.ndarray) -> np.ndarray:
-    """psi(x) for x > 0: recurrence lift to >= 16, then asymptotic series.
-
-    The lift adds 1/(x + k) for k < steps = ceil(16 - x) through one
-    scratch array; steps below min(steps) are added unmasked (on the a/q
-    grid, where steps = 16 throughout, that is every step) and the rest
-    with a masked add.  The asymptotic series then runs in place, in the
-    operation order of ln z - 0.5/z - w*(1/12 - w*(1/120 - ...)) - acc,
-    so at most four arrays of len(x) are alive at once.
-    """
-    x = np.asarray(x, dtype=float)
-    lift = 16.0
-    steps = np.subtract(lift, x)
-    np.ceil(steps, out=steps)
-    np.maximum(steps, 0.0, out=steps)
-    acc = np.zeros_like(x)
-    if steps.size:
-        tmp = np.empty_like(x)
-        unmasked = int(steps.min())
-        for k in range(int(steps.max())):
-            np.add(x, k, out=tmp)
-            np.divide(1.0, tmp, out=tmp)
-            if k < unmasked:
-                acc += tmp
-            else:
-                np.add(acc, tmp, out=acc, where=k < steps)
-        del tmp
-    z = np.add(x, steps, out=steps)
-    del steps
-    w = np.multiply(z, z)
-    np.divide(1.0, w, out=w)
-    # psi(z) ~ ln z - 1/(2z) - sum B_{2n} / (2n z^{2n}), through B_14, by Horner in w
-    series = np.divide(w, 12)
-    for c in (691 / 32760, 1 / 132, 1 / 240, 1 / 252, 1 / 120, 1 / 12):
-        np.subtract(c, series, out=series)
-        series *= w
-    out = np.log(z, out=w)
-    out -= np.divide(0.5, z, out=z)
-    out -= series
-    out -= acc
-    return out
-
-
-def digamma(x: float) -> float:
-    """psi(x) to absolute error <= 1e-12 for x > 0."""
-    if x <= 0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    return float(_digamma_vec(np.array([x]))[0])
-
-
-# Euler-Maclaurin parameters of the Hurwitz kernel, fixed for every sigma:
-# an explicit head of M terms and Bernoulli corrections B_2..B_2J.  With
-# M = 12 and J = 8 the first omitted term is below 1.2e-19 on (1/2, 1]
-# (bound as in Johansson, "Rigorous high-precision computation of the
-# Hurwitz zeta function and its derivatives", Numer. Algorithms 2015).
+# Euler-Maclaurin parameters of the kernel, fixed for every sigma: an
+# explicit head of M terms and Bernoulli corrections B_2..B_2J.  With M = 12
+# and J = 8 the first omitted term is below 1.2e-19 on (1/2, 1] (bound as in
+# Johansson, "Rigorous high-precision computation of the Hurwitz zeta
+# function and its derivatives", Numer. Algorithms 2015).
 _EM_HEAD = 12
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)  # B_2..B_16
 _BERNOULLI_NEXT = 43867 / 798  # B_18, the first omitted one
 
 
-def _em_remainder(sigma: float, z: np.ndarray) -> np.ndarray:
-    """Tail, half-term and Bernoulli corrections of zeta(sigma, x) at z = x + M.
+def _zeta_kernel(sigma: float, x: np.ndarray) -> np.ndarray:
+    """K(sigma, x) = zeta(sigma, x) - 1/(sigma - 1) for x > 0, sigma > 0.
 
-    With zs = z**(-sigma) these are z * zs / (sigma - 1), zs / 2 and
-    zs / z * sum_j c_j z**(2 - 2j).  They are formed as one bracket,
+    By Euler-Maclaurin with M = 12 and B_2..B_16: with z = x + M,
 
-        zs * (z + (sigma - 1) * (1/2 + P(1/z**2) / z)) / (sigma - 1),
+        K = sum_{k<M} (k + x)**(-sigma) - expm1((1 - sigma) ln z) / (1 - sigma)
+            + z**(-sigma) * (1/2 + P(1/z**2) / z),
 
-    with P run by Horner in 1/z**2 (each step divides twice by z, so no
-    1/z**2 array is held) and the factor sigma - 1 folded into its
-    coefficients; the only power is zs.  `z` is overwritten with zs; one
-    further array is allocated and returned.
-    """
-    scaled = []  # (sigma - 1) * c_j, c_j = B_2j / (2j)! * sigma (sigma + 1) ... (sigma + 2j - 2)
-    rising = sigma
-    for j, b2j in enumerate(_BERNOULLI, 1):
-        scaled.append((sigma - 1) * (b2j / math.factorial(2 * j) * rising))
-        rising *= (sigma + 2 * j - 1) * (sigma + 2 * j)
-    acc = np.divide(scaled[-1], z)
-    for c in reversed(scaled[:-1]):
-        acc /= z
-        acc += c
-        acc /= z
-    acc += 0.5 * (sigma - 1)
-    acc += z
-    acc *= np.power(z, -sigma, out=z)
-    acc /= sigma - 1
-    return acc
+    P(w) = sum_j c_j w**(j-1), c_j = B_2j / (2j)! * sigma (sigma + 1) ... (sigma + 2j - 2).
+    The regularised tail is (z**(1-sigma) - 1)/(sigma - 1), which becomes
+    -ln z at sigma = 1, so there K(1, x) = -psi(x), with no pole.
 
-
-def _hurwitz_vec(sigma: float, x: np.ndarray) -> np.ndarray:
-    """Hurwitz zeta(sigma, x) by Euler-Maclaurin with M = 12, B_2..B_16.
-
-    The head sum_{k<M} (k + x)**(-sigma) is accumulated term by term into
-    one array, in the order numpy uses to reduce axis 0 of the M x len(x)
-    matrix of terms, so it equals that sum bit for bit.  `_em_remainder`
-    adds the rest from the single power (x + M)**(-sigma): M + 1 powers
-    per call, and three arrays of len(x) at the peak, at every sigma.
+    The remainder (corrections minus tail) is formed first, by Horner in
+    1/z**2 (each step divides twice by z), and the head terms are then
+    added to it one at a time, k = 0 first, in the order numpy uses to
+    reduce axis 0 of the matrix whose rows are the remainder and the M
+    terms, so it equals that sum bit for bit.  Started from the remainder,
+    the running sum stays below the tail in size, where a head summed first
+    would climb above it and then cancel against it next to x = 1.  Three
+    arrays of len(x) are alive at the peak, at every sigma.
     `hurwitz_zeta_error` bounds the truncation.
     """
     x = np.asarray(x, dtype=float)
-    head = x ** (-sigma)
-    term = np.empty_like(head)
-    for k in range(1, _EM_HEAD):
+    coeffs = []
+    rising = sigma
+    for j, b2j in enumerate(_BERNOULLI, 1):
+        coeffs.append(b2j / math.factorial(2 * j) * rising)
+        rising *= (sigma + 2 * j - 1) * (sigma + 2 * j)
+    z = np.add(x, _EM_HEAD)
+    total = np.log(z)
+    if sigma != 1.0:
+        total *= 1 - sigma
+        np.expm1(total, out=total)
+        total /= 1 - sigma
+    term = np.divide(coeffs[-1], z)
+    for c in reversed(coeffs[:-1]):
+        term /= z
+        term += c
+        term /= z
+    term += 0.5
+    term *= np.power(z, -sigma, out=z)
+    np.subtract(term, total, out=total)
+    for k in range(_EM_HEAD):
         np.add(x, k, out=term)
-        head += np.power(term, -sigma, out=term)
-    total = _em_remainder(sigma, np.add(x, _EM_HEAD, out=term))
-    total += head
+        total += np.power(term, -sigma, out=term)
     return total
 
 
+def digamma(x: float) -> float:
+    """psi(x) = -K(1, x) for x > 0, to absolute error <= 1e-12 * max(1, |psi(x)|)."""
+    if x <= 0:
+        raise ValueError(f"digamma requires x > 0, got {x}")
+    return -float(_zeta_kernel(1.0, np.array([x]))[0])
+
+
 def hurwitz_zeta(sigma: float, x: float) -> float:
-    """zeta(sigma, x) for sigma > 1/2, sigma != 1, 0 < x <= 1."""
+    """zeta(sigma, x) = K(sigma, x) + 1/(sigma - 1) for sigma > 1/2, sigma != 1, 0 < x <= 1."""
     if sigma <= 0.5:
         raise ValueError(f"hurwitz_zeta requires sigma > 1/2, got {sigma}")
     if sigma == 1.0:
         raise ValueError("hurwitz_zeta has a pole at sigma = 1")
     if not 0 < x <= 1:
         raise ValueError(f"hurwitz_zeta requires 0 < x <= 1, got {x}")
-    return float(_hurwitz_vec(sigma, np.array([x]))[0])
+    return float(_zeta_kernel(sigma, np.array([x]))[0]) + 1 / (sigma - 1)
 
 
 def hurwitz_zeta_error(sigma: float) -> float:
-    """Truncation bound of hurwitz_zeta, uniform over x in (0, 1], sigma > 0.
+    """Truncation bound of the kernel K, and so of hurwitz_zeta, uniform over
+    x in (0, 1], sigma > 0.
 
     Magnitude of the first omitted Euler-Maclaurin correction (the B_2J+2
     term, J = len(_BERNOULLI)) at the smallest shifted argument M + x >= M:
@@ -248,26 +202,26 @@ def _fsum_complex(values: np.ndarray) -> complex:
 
 
 def _residue_values(q: int, s: float) -> np.ndarray:
-    """psi(a/q) at s = 1, zeta(s, a/q) at s < 1, for a = 1..q-1.
+    """K(s, a/q) for a = 1..q-1.
 
-    At s = 1 the series runs only on the upper half a = h+1..q-1
+    At s = 1 the kernel runs only on the upper half a = h+1..q-1
     (h = (q-1)/2, a/q in (1/2, 1)); the lower half comes from the
-    reflection psi(x) = psi(1 - x) - pi cot(pi x) (DLMF 5.5.4) as
-    psi((q-a)/q) - pi / tan(a * (pi/q)).  For small x both terms are
-    negative, so nothing cancels.  The opposite direction would cancel
-    -1/x against 1/x and lose about q * eps.  The output is allocated after
-    the series returns, so the peak is about 20 bytes per residue instead
-    of the 40 of a full-length series.
+    reflection K(1, x) = K(1, 1 - x) + pi cot(pi x) (DLMF 5.5.4, K = -psi)
+    as K(1, (q-a)/q) + pi / tan(a * (pi/q)).  For small x both terms are
+    positive, so nothing cancels.  The opposite direction would cancel 1/x
+    against -1/x and lose about q * eps.  The output is allocated after the
+    kernel returns, so the peak is about 20 bytes per residue instead of
+    the 32 of a full-length kernel.
     """
     if s != 1.0:
-        return _hurwitz_vec(s, np.arange(1, q) / q)
+        return _zeta_kernel(s, np.arange(1, q) / q)
     h = (q - 1) // 2
-    upper = _digamma_vec(np.arange(h + 1, q) / q)
+    upper = _zeta_kernel(1.0, np.arange(h + 1, q) / q)
     out = np.empty(q - 1)
     out[h:] = upper
     pi_cot = np.tan(np.arange(1, h + 1) * (math.pi / q))
     np.divide(math.pi, pi_cot, out=pi_cot)
-    np.subtract(upper[::-1], pi_cot, out=out[:h])
+    np.add(upper[::-1], pi_cot, out=out[:h])
     return out
 
 
@@ -285,27 +239,30 @@ def _residue_kernel(q: int, s: float) -> np.ndarray:
 
 def _method_and_error(q: int, s: float) -> tuple[str, float]:
     """The method tag and the error bound of an L-value mod q at sigma = s:
-    q - 1 digamma or Hurwitz evaluations, scaled by 1/q or q**(-s)."""
+    q - 1 kernel evaluations, scaled by q**(-s)."""
     if s == 1.0:
         return "digamma", (q - 1) / q * DIGAMMA_ERR
     return "hurwitz", (q - 1) * q ** (-s) * hurwitz_zeta_error(s)
 
 
 def l_value(chi: tuple[CharacterGroup, int], sigma) -> LValue:
-    """L(sigma, chi_j) by the digamma (sigma = 1) or Hurwitz (sigma < 1) formula.
+    """L(sigma, chi_j) = q**(-sigma) * sum_a chi_j(a) * K(sigma, a/q).
 
     `chi` is the pair (group, j) that `CharacterGroup.character(j)` returns.
-    The q - 1 products chi_j(a) * kernel(a) are added by exact (fsum)
-    summation.  Calls at the same (q, sigma) share one cached residue kernel.
+    The q - 1 products chi_j(a) * K(sigma, a/q) are added by exact (fsum)
+    summation.  For the principal character (sigma < 1 only) the q - 1
+    constants 1/(sigma - 1) that K leaves out are added back.  Calls at the
+    same (q, sigma) share one cached residue kernel.
     """
     s = as_sigma(sigma)
     group, j = chi
     q = group.q
     if s == 1.0 and j == 0:
         raise ValueError("L(1, chi) has a pole at the principal character")
-    weighted = group.character_values(j, np.arange(1, q)) * _residue_kernel(q, s)
-    value = -_fsum_complex(weighted) / q if s == 1.0 else q ** (-s) * _fsum_complex(weighted)
-    return LValue(j, s, value, *_method_and_error(q, s))
+    total = _fsum_complex(group.character_values(j, np.arange(1, q)) * _residue_kernel(q, s))
+    if j == 0:
+        total += (q - 1) / (s - 1)
+    return LValue(j, s, total / q**s, *_method_and_error(q, s))
 
 
 def l_value_batch(group: CharacterGroup, sigma) -> LValueBatch:
@@ -319,12 +276,9 @@ def l_value_batch(group: CharacterGroup, sigma) -> LValueBatch:
     q = group.q
     # uncached: a scan holds no q-length kernel after its batch returns
     values = dft_over_group(group, _residue_values(q, s))
-    # scaled in place, by the same operations in the same order as -dft/q and q**-s * dft
-    if s == 1.0:
-        np.negative(values, out=values)
-        values /= q
-    else:
-        values *= q ** (-s)
+    # divided as floats, like l_value's sum: complex / real would multiply by 1 / q**s
+    parts = values.view(float)
+    parts /= q**s
     values = values[1 : q - 1]
     values.setflags(write=False)
     return LValueBatch(s, values, *_method_and_error(q, s))

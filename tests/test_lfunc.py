@@ -35,41 +35,37 @@ from conftest import ODD_PRIMES, longdouble_dft, series_l1_oracle, zeta_via_eta
 EULER_GAMMA = 0.5772156649015329
 
 
-def matrix_hurwitz_vec(sigma: float, x: np.ndarray) -> np.ndarray:
-    """The Euler-Maclaurin evaluation with its M = 12 term head summed as one
-    M x len(x) matrix reduced over axis 0: the oracle for the streamed head."""
+def matrix_zeta_kernel(sigma: float, x: np.ndarray) -> np.ndarray:
+    """The Euler-Maclaurin kernel with its remainder (corrections minus
+    tail, written out in the kernel's operation order) and its M = 12 head
+    terms stacked as one (M + 1) x len(x) matrix reduced over axis 0: the
+    oracle for the streamed head."""
     m = lfunc._EM_HEAD
-    head = ((np.arange(m)[:, None] + x[None, :]) ** (-sigma)).sum(axis=0)
-    return head + lfunc._em_remainder(sigma, m + x)
+    z = m + x
+    tail = np.log(z)
+    if sigma != 1.0:
+        tail = np.expm1((1 - sigma) * tail) / (1 - sigma)
+    coeffs, rising = [], sigma
+    for j, b2j in enumerate(lfunc._BERNOULLI, 1):
+        coeffs.append(b2j / math.factorial(2 * j) * rising)
+        rising *= (sigma + 2 * j - 1) * (sigma + 2 * j)
+    acc = coeffs[-1] / z
+    for c in reversed(coeffs[:-1]):
+        acc = (acc / z + c) / z
+    remainder = (acc + 0.5) * np.power(z, -sigma) - tail
+    return np.vstack([remainder, (np.arange(m)[:, None] + x[None, :]) ** (-sigma)]).sum(axis=0)
 
 
-def masked_digamma_vec(x: np.ndarray) -> np.ndarray:
-    """The digamma evaluation with its recurrence lift gathered through a
-    boolean mask per step: the oracle for the masked-store lift."""
-    x = np.asarray(x, dtype=float)
-    steps = np.maximum(np.ceil(16.0 - x), 0.0).astype(np.int64)
-    acc = np.zeros_like(x)
-    for k in range(int(steps.max()) if steps.size else 0):
-        live = k < steps
-        acc[live] += 1.0 / (x[live] + k)
-    z = x + steps
-    w = 1.0 / (z * z)
-    series = w * (1 / 12 - w * (1 / 120 - w * (1 / 252 - w * (1 / 240 - w * (1 / 132 - w * (691 / 32760 - w / 12))))))
-    return np.log(z) - 0.5 / z - series - acc
+def kernel_scale(sigma: float, x):
+    """The magnitudes of the kernel's head terms and tail at x, added up.
 
-
-def unbuffered_digamma_vec(x: np.ndarray) -> np.ndarray:
-    """The digamma evaluation with fresh temporaries and a where-masked add
-    at every lift step: the memory baseline for the buffered lift."""
-    x = np.asarray(x, dtype=float)
-    steps = np.maximum(np.ceil(16.0 - x), 0.0).astype(np.int64)
-    acc = np.zeros_like(x)
-    for k in range(int(steps.max()) if steps.size else 0):
-        np.add(acc, 1.0 / (x + k), out=acc, where=k < steps)
-    z = x + steps
-    w = 1.0 / (z * z)
-    series = w * (1 / 12 - w * (1 / 120 - w * (1 / 252 - w * (1 / 240 - w * (1 / 132 - w * (691 / 32760 - w / 12))))))
-    return np.log(z) - 0.5 / z - series - acc
+    K(sigma, x) is a sum of about M + 8 rounded operations on numbers no
+    larger than this (|expm1(t)| <= |t| max(1, e**t)), so it errs by at most
+    (M + 8) * eps times it, on top of the truncation bound.
+    """
+    m = lfunc._EM_HEAD
+    z = m + x
+    return sum((k + x) ** -sigma for k in range(m)) + np.log(z) * np.maximum(1.0, z ** (1 - sigma))
 
 
 def traced_peak(fn, *args) -> int:
@@ -83,29 +79,6 @@ def traced_peak(fn, *args) -> int:
 
 
 class TestDigamma:
-    @settings(max_examples=25, deadline=None)
-    @given(q=st.sampled_from(ODD_PRIMES))
-    def test_lift_equals_masked_form_on_residue_grid(self, q):
-        x = np.arange(1, q) / q
-        assert np.array_equal(lfunc._digamma_vec(x), masked_digamma_vec(x))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(1e-12, 1e6), min_size=1, max_size=200))
-    @example([16.0, 1e-12, 1e6])
-    def test_lift_equals_masked_form_on_mixed_arguments(self, xs):
-        # x >= 16 skips the lift, so there the in-place series alone meets the nested expression
-        x = np.array(xs)
-        assert np.array_equal(lfunc._digamma_vec(x), masked_digamma_vec(x))
-
-    def test_lift_peak_memory_not_above_unbuffered_form(self):
-        # the scratch array is freed before the series, which holds acc, z, w
-        # and its own buffer: four arrays, the steps array having become z
-        x = np.arange(1, 20011) / 20011
-        assert np.array_equal(lfunc._digamma_vec(x), unbuffered_digamma_vec(x))
-        peak = traced_peak(lfunc._digamma_vec, x)
-        assert peak <= traced_peak(unbuffered_digamma_vec, x)
-        assert peak < 4.5 * x.nbytes
-
     def test_at_one(self):
         assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-13)
 
@@ -124,11 +97,13 @@ class TestDigamma:
         for x in (0.001, 0.25, 3.7, 42.0):
             assert digamma(x + 1) == pytest.approx(digamma(x) + 1 / x, abs=1e-12)
 
-    def test_against_scipy(self):
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.floats(1e-4, 1e4))
+    @example(x=1e-8)  # one ulp of psi(1e-8) ~ -1e8 is 1.5e-8: the contract is relative there
+    def test_against_scipy(self, x):
         from scipy.special import digamma as scipy_digamma
 
-        for x in np.geomspace(1e-4, 1e4, 60):
-            assert digamma(float(x)) == pytest.approx(float(scipy_digamma(x)), abs=1e-12, rel=1e-12)
+        assert digamma(x) == pytest.approx(float(scipy_digamma(x)), abs=1e-12, rel=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -180,18 +155,20 @@ class TestHurwitzZeta:
         assert hurwitz_zeta_error(2.0) == pytest.approx(float(term), rel=1e-14)
 
     @settings(max_examples=25, deadline=None)
-    @given(q=st.sampled_from(ODD_PRIMES), sigma=st.floats(0.51, 0.99))
+    @given(q=st.sampled_from(ODD_PRIMES), sigma=st.one_of(st.just(1.0), st.floats(0.51, 0.99)))
     @example(q=19997, sigma=1 - 1e-6)
+    @example(q=101, sigma=1.0)
     def test_streamed_head_equals_matrix_sum(self, q, sigma):
         x = np.arange(1, q) / q
-        assert np.array_equal(lfunc._hurwitz_vec(sigma, x), matrix_hurwitz_vec(sigma, x))
+        assert np.array_equal(lfunc._zeta_kernel(sigma, x), matrix_zeta_kernel(sigma, x))
 
     def test_streamed_head_memory(self):
-        # the head, the term buffer (reused for z and z**-sigma) and the
-        # remainder bracket: three arrays of len q-1 at every sigma
+        # z (reused for z**-sigma), the sum (which holds ln z and the tail
+        # first) and the Horner buffer (reused for the head terms): three
+        # arrays of len q-1 at every sigma, sigma = 1 included
         x = np.arange(1, 20011) / 20011
-        for sigma in (0.51, 0.75):
-            assert traced_peak(lfunc._hurwitz_vec, sigma, x) < 3.5 * x.nbytes
+        for sigma in (0.51, 0.75, 1.0):
+            assert traced_peak(lfunc._zeta_kernel, sigma, x) < 3.5 * x.nbytes
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -235,6 +212,26 @@ class TestLValue:
         oracle = series_l1_oracle(group, 3, h, m_aligned)
         assert abs(oracle - math.pi / math.sqrt(7)) < 1e-12
         assert abs(l_value(group.character(3), 1.0).value - oracle) < 1e-10
+
+    @pytest.mark.parametrize("q", [7, 101])
+    @pytest.mark.parametrize("sigma", [0.55, 0.75, 0.99, 1 - 1e-9])
+    def test_principal_against_mpmath(self, group_of, q, sigma):
+        # L(sigma, chi_0) = (1 - q**-sigma) zeta(sigma): the one L-value that
+        # needs the q - 1 constants 1/(sigma - 1) that K leaves out added back.
+        # Each K(sigma, a/q) errs by at most (M + 8) eps times its term
+        # magnitudes and the sum is exact; the constant, its addition, q**sigma
+        # and the scaling round once each.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            s = mpmath.mpf(sigma)
+            exact = float((1 - mpmath.mpf(q) ** -s) * mpmath.zeta(s))
+        value = l_value(group_of(q).character(0), sigma).value
+        eps = np.finfo(float).eps
+        terms = kernel_scale(sigma, np.arange(1, q) / q).sum()
+        constant = (q - 1) / (1 - sigma)
+        budget = eps * ((lfunc._EM_HEAD + 8) * terms * q**-sigma + constant * q**-sigma + 3 * abs(exact))
+        assert value.imag == 0
+        assert abs(value.real - exact) <= budget
 
     def test_principal_pole_rejected(self, group_of):
         with pytest.raises(ValueError):
@@ -293,37 +290,38 @@ class TestResidueKernel:
 
     @pytest.mark.parametrize("q", [101, 10007, 300809])
     def test_reflected_half_against_mpmath(self, q):
-        # a <= h comes from psi(1 - a/q) - pi cot(pi a/q); the upper half is
-        # the series itself.  Near x = 1 the series cancels (ln 17 against a
-        # lift sum of about 3.4, for psi(1) = -0.58) and errs by up to 8.6 eps
-        # at a = q - 2, q = 101, with or without the reflection; the reflected
-        # points and the series points next to x = 1/2 stay within 4 eps.
+        # a <= h comes from K(1 - a/q) + pi cot(pi a/q), K = -psi; the upper
+        # half is the kernel itself.  Near x = 1 the head (about 3.1) and
+        # ln 13 = 2.6 cancel to -psi(1) = 0.58, so there the kernel errs by up
+        # to 3.5 eps (q = 101) and 5.2 eps (q = 300809), hence the wider
+        # budget at a = q - 2 and q - 1; the reflected points and the kernel
+        # points next to x = 1/2 stay within 4 eps.
         mpmath = pytest.importorskip("mpmath")
         h = (q - 1) // 2
         values = lfunc._residue_values(q, 1.0)
-        assert np.array_equal(values[h:], lfunc._digamma_vec(np.arange(h + 1, q) / q))
+        assert np.array_equal(values[h:], lfunc._zeta_kernel(1.0, np.arange(h + 1, q) / q))
         eps = np.finfo(float).eps
         with mpmath.workdps(30):
             for a, budget in ((1, 4), (2, 4), (h, 4), (h + 1, 4), (q - 2, 10), (q - 1, 10)):
-                exact = mpmath.psi(0, mpmath.mpf(a) / q)
+                exact = -mpmath.psi(0, mpmath.mpf(a) / q)
                 assert abs(float((mpmath.mpf(float(values[a - 1])) - exact) / exact)) <= budget * eps, a
 
     def test_reflection_the_other_way_cancels(self):
-        # psi(1 - x) = psi(x) + pi cot(pi x) at x = 1/q adds -q - gamma to about
-        # q: the result keeps about q * eps of absolute error, which is why the
-        # series runs on the upper half and not the lower one
+        # K(1 - x) = K(x) - pi cot(pi x) at x = 1/q adds about -q to q + gamma:
+        # the result keeps about q * eps of absolute error, which is why the
+        # kernel runs on the upper half and not the lower one
         mpmath = pytest.importorskip("mpmath")
         q = 10007
         x = 1 / q
-        upward = float(lfunc._digamma_vec(np.array([x]))[0]) + math.pi / math.tan(math.pi * x)
+        upward = float(lfunc._zeta_kernel(1.0, np.array([x]))[0]) - math.pi / math.tan(math.pi * x)
         with mpmath.workdps(30):
-            exact = mpmath.psi(0, mpmath.mpf(q - 1) / q)
+            exact = -mpmath.psi(0, mpmath.mpf(q - 1) / q)
             assert abs(float((mpmath.mpf(upward) - exact) / exact)) > 100 * np.finfo(float).eps
 
     def test_sigma1_kernel_memory(self):
-        # the series runs on h = (q-1)/2 points (about 4 arrays of h inside
-        # _digamma_vec) and the output is allocated after it: about 20 B per
-        # residue, where the full-length series took 40
+        # the kernel runs on h = (q-1)/2 points (its input and three arrays of
+        # h) and the output is allocated after it: about 20 B per residue,
+        # where the full-length kernel takes 32
         q = 300809
         assert traced_peak(lfunc._residue_values, q, 1.0) <= 30 * (q - 1)
 
@@ -350,7 +348,9 @@ class TestBatchEvaluation:
     def test_in_place_scaling_equals_out_of_place_forms(self, group_of, q, sigma):
         group = group_of(q)
         transformed = dft_over_group(group, lfunc._residue_values(q, sigma))
-        expected = -transformed / q if sigma == 1.0 else q ** (-sigma) * transformed
+        expected = np.empty_like(transformed)
+        expected.real = transformed.real / q**sigma
+        expected.imag = transformed.imag / q**sigma
         assert np.array_equal(l_value_batch(group, sigma).values, expected[1 : q - 1])
 
     @settings(max_examples=25, deadline=None)
@@ -387,6 +387,34 @@ class TestBatchEvaluation:
         values = l_value_batch(group, sigma).values
         for j in sorted({1 + int(p * (q - 2)) for p in picks}):
             assert abs(complex(values[j - 1]) - l_value(group.character(j), sigma).value) <= budget
+
+    @pytest.mark.parametrize("q", [101, 1009])
+    def test_continuity_at_sigma_one(self, group_of, q):
+        # For non-principal chi, |L'(s, chi)| <= (q - 1)/(e s): partial
+        # summation against A(t) = sum_{n <= t} chi(n), |A| <= (q - 1)/2, and
+        # int_1^oo |d(ln t / t**s)| = 2/(e s).  So |L(sigma) - L(1)| is at most
+        # (1 - sigma)(q - 1)/(e sigma) plus the rounding of the two batches.
+        # Each batch's is the DFT bound of the budget test below plus the
+        # kernel's own rounding, (M + 8) eps times its term magnitudes, both
+        # scaled by q**-s.  The DFT bound takes the norm of those magnitudes,
+        # which bound |K|, and not of the computed vector: a kernel that kept
+        # the constant 1/(sigma - 1) would raise its own floor with it.
+        group = group_of(q)
+        n = q - 1
+        eps = np.finfo(float).eps
+        x = np.arange(1, q) / q
+
+        def rounding(s):
+            scale = kernel_scale(s, x)
+            dft = math.log2(n) * math.sqrt(n) * np.linalg.norm(scale)
+            return eps * q**-s * (dft + (lfunc._EM_HEAD + 8) * scale.sum())
+
+        at_one = l_value_batch(group, 1.0).values
+        for k in range(3, 16):
+            sigma = 1 - 10.0**-k
+            gap = np.abs(l_value_batch(group, sigma).values - at_one).max()
+            bound = (1 - sigma) * n / (math.e * sigma) + rounding(sigma) + rounding(1.0)
+            assert gap <= bound, (k, gap, bound)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision longdouble")
     @pytest.mark.parametrize("sigma", [0.51, 0.55, 0.75])
