@@ -331,18 +331,20 @@ class TestRun:
 # digest at q = 1009 was re-recorded when the head shrank from M = 200 terms:
 # max_abs_l and margin moved by under 3e-15 relative, toward the mpmath value.
 # The certify digests pin the whole row, principal-excluded columns included.
-# The q = 1009 scan-t1 and census digests were re-recorded when one kernel
-# K = zeta - 1/(sigma - 1) (K = -psi at sigma = 1) replaced the digamma and
-# Hurwitz kernels: their max_abs_l and margin moved by under 5e-16 relative.
+# The q = 10007 scan-t1, census and scan-t3 digests were re-recorded when
+# one kernel K = zeta - 1/(sigma - 1) (K = -psi at sigma = 1), centred on
+# the residue grid, replaced the digamma and Hurwitz kernels: max_abs_l moved
+# by under 3e-16 relative and margin by under 9e-16, and the RMS error of all
+# L-values mod 10007 against a 30-digit reference fell at sigma = 1 and 0.75.
 GOLDEN_CSV_SHA256 = {
     (101, "certify"): "0df8675ccf402b6ae1d78758f855a7df3a896da328f7d93c41a247aa70d2e48e",
     (1009, "certify"): "523184c0783522fb37aab3b018c533771255c6c9d1799fecba1e88121bfa4def",
-    (1009, "scan-t1"): "a8671235a9f10bc7eaa36199c9842853fcb84da7445a87b0d1c52f05af2a1569",
-    (1009, "census"): "d7dc3a35117a5c7e7aca595825073304154ed4dbff54170dec46122b6c8bcc7d",
+    (1009, "scan-t1"): "faa301620758c7634699c4854cae36d52a72a419273b10379d89a8fa550d34de",
+    (1009, "census"): "303fefac7c31731e2dcdbee6724d0d05aaa21ffcef8f6ec183d656636cfd6404",
     (1009, "scan-t3"): "29f12253467684c9adf517c3a09a0076f5ae8c8b2f01e00e84a06d40a1539018",
-    (10007, "scan-t1"): "69b272f82c83c0de262120b7550283c6329b11726488c9a5d16428f76bfe4a5f",
-    (10007, "census"): "c2f779555d60a11ded63434f73e629856fd053228c1057fbfcc482c8540ea668",
-    (10007, "scan-t3"): "e6a0074f4d9f9ce65a1616a5f6887715e9e83f8985317a712dd9f8e50acd02d5",
+    (10007, "scan-t1"): "b18218503c1fe0623e9164b70abafa58e756807c35a54039be70494a38d4a625",
+    (10007, "census"): "ef64eaec20c504bcb0329846d0d83a9dd00c0d681b2bd55be0b5e02e7a6c0b8d",
+    (10007, "scan-t3"): "01dc18f072d7dee0c27a20e9c2e491fb887fd0db34d14d21d4575fc46410e2dd",
     (1009, "scan-t3 --sigma 0.55"): "3e3ad132f75aafecdd66ecb059305e273e3c5907e407d7f5b6f3cd00effc6cb0",
     (10007, "scan-t3 --sigma 0.55"): "5eed909110e16b15fe4ca33203b2db3bfc5411c1f1ee04b9c423820fbc64d0ff",
 }
@@ -368,18 +370,18 @@ def test_golden_csv(tmp_path, q, command):
 # re-recorded when psi(a/q) for a <= (q-1)/2 began to come from the
 # reflection formula: their L(1) cells moved by under 4e-16 relative, and
 # the L-values moved closer to a 30-digit reference in RMS.  The q = 101
-# scan-t3 and the q = 1009 scan-t1, census and scan-t3 digests were
-# re-recorded with the single kernel K: every moved cell moved by under
-# 3e-15 relative (margin) and under 5e-16 (every |L|).
+# scan-t3 and the q = 1009 scan-t1 digests were re-recorded with the single
+# centred kernel: every moved cell moved by under 3e-15 relative (margin) and
+# under 3e-16 (every |L|), and every moved |L| toward that reference.
 GOLDEN_JSON_SHA256 = {
     (101, "certify"): "6ef3cc22d5032464fb30d6fdebb12b753d51818ea3ee5ef3b140f57b538ca555",
     (101, "scan-t1"): "94c1125eaeb75f6d321515a7abfe5f7f7bc9bc7d7aebc06b9864f21425cce662",
     (101, "census"): "66663aee5b55c22f3e9d5803ab17e71e04230929f9f30729d88cb9d20e553ef4",
     (101, "scan-t3"): "afbebe87d8bfe923bff0ce19657b26728d5ba0434afd342344a0b836c045b249",
     (1009, "certify"): "07bbd5a0d7ea58c80cb864a87002f99c98df44c89031738d3593b5a46029d9dd",
-    (1009, "scan-t1"): "a2426ea68743cfff8364ab948328b8a6165c115f215612c07618b3a6f1b43218",
-    (1009, "census"): "66d1271e3a617cb10039ecf42b38fcf4d728393796f3bf8b1852e9e82080a77d",
-    (1009, "scan-t3"): "0f9f6cb172f88704ac1960d5107a84c6d0c740590d0373593311e39058619ae1",
+    (1009, "scan-t1"): "be44ae37d56a991171b0b17a496245bf5df0bd998e5f8a0bac1d324dd40f373a",
+    (1009, "census"): "2f238fb549b5b2abe8001eb6aa58561b25a60e58273bdda7115de75e7b7de950",
+    (1009, "scan-t3"): "23805d4ffca72c30469dbd2fab8621e0891587a1f1728c4237acfece561aedf7",
 }
 
 
@@ -506,11 +508,11 @@ class TestOracleCheck:
     def test_golden_stdout(self, capsys):
         # sha256 of the whole report at q = 101 and 1009: every residual it
         # prints comes from the table, DFT and single-character L-value paths.
-        # Re-recorded with the single kernel K: only the four "batch vs
-        # single" residuals moved, each still below 2.1e-15
+        # Re-recorded with the single centred kernel: only the four "batch
+        # vs single" residuals moved, each still below 8e-16
         assert oracle_check([101, 1009]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "2848dd46dc8efd77eff97f8b08018ed3851aeb00e80817d32cb8340eaec904f1"
+        assert digest == "0f866fe8ee2a078238bd1c4e39b3755a252b77049e8eeb22099700c4bd19e059"
 
 
 def test_cli_import_loads_no_scipy():

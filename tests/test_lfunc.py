@@ -217,19 +217,21 @@ class TestLValue:
     @pytest.mark.parametrize("sigma", [0.55, 0.75, 0.99, 1 - 1e-9])
     def test_principal_against_mpmath(self, group_of, q, sigma):
         # L(sigma, chi_0) = (1 - q**-sigma) zeta(sigma): the one L-value that
-        # needs the q - 1 constants 1/(sigma - 1) that K leaves out added back.
-        # Each K(sigma, a/q) errs by at most (M + 8) eps times its term
-        # magnitudes and the sum is exact; the constant, its addition, q**sigma
-        # and the scaling round once each.
+        # needs the q - 1 constants q**(sigma-1)/(sigma - 1) that the centred
+        # residue kernel K - c leaves out added back.  Each K(sigma, a/q) errs
+        # by at most (M + 8) eps times its term magnitudes, subtracting c
+        # rounds once more, and the sum is exact; the constant, its addition,
+        # q**sigma and the scaling round once each.
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             s = mpmath.mpf(sigma)
             exact = float((1 - mpmath.mpf(q) ** -s) * mpmath.zeta(s))
         value = l_value(group_of(q).character(0), sigma).value
         eps = np.finfo(float).eps
-        terms = kernel_scale(sigma, np.arange(1, q) / q).sum()
-        constant = (q - 1) / (1 - sigma)
-        budget = eps * ((lfunc._EM_HEAD + 8) * terms * q**-sigma + constant * q**-sigma + 3 * abs(exact))
+        centre = (1 - q ** (sigma - 1)) / (1 - sigma)
+        terms = (kernel_scale(sigma, np.arange(1, q) / q) + centre).sum()
+        constant = (q - 1) * q ** (sigma - 1) / (1 - sigma)
+        budget = eps * ((lfunc._EM_HEAD + 9) * terms * q**-sigma + constant * q**-sigma + 3 * abs(exact))
         assert value.imag == 0
         assert abs(value.real - exact) <= budget
 
@@ -290,21 +292,25 @@ class TestResidueKernel:
 
     @pytest.mark.parametrize("q", [101, 10007, 300809])
     def test_reflected_half_against_mpmath(self, q):
-        # a <= h comes from K(1 - a/q) + pi cot(pi a/q), K = -psi; the upper
-        # half is the kernel itself.  Near x = 1 the head (about 3.1) and
-        # ln 13 = 2.6 cancel to -psi(1) = 0.58, so there the kernel errs by up
-        # to 3.5 eps (q = 101) and 5.2 eps (q = 300809), hence the wider
-        # budget at a = q - 2 and q - 1; the reflected points and the kernel
-        # points next to x = 1/2 stay within 4 eps.
+        # The values are K - log q = -psi - log q.  a <= h comes from
+        # K(1 - a/q) + pi cot(pi a/q), K = -psi; the upper half is the kernel
+        # less log q.  Near x = 1 the head (about 3.1) and ln 13 = 2.6 cancel
+        # to -psi(1) = 0.58, so there the kernel itself errs by up to 3.5 eps
+        # (q = 101) and 5.2 eps (q = 300809), hence its wider budget; every
+        # centred value, and the kernel next to x = 1/2, stays within 4 eps.
         mpmath = pytest.importorskip("mpmath")
         h = (q - 1) // 2
         values = lfunc._residue_values(q, 1.0)
-        assert np.array_equal(values[h:], lfunc._zeta_kernel(1.0, np.arange(h + 1, q) / q))
+        kernel = lfunc._zeta_kernel(1.0, np.arange(h + 1, q) / q)
+        assert np.array_equal(values[h:], kernel - math.log(q))
         eps = np.finfo(float).eps
         with mpmath.workdps(30):
-            for a, budget in ((1, 4), (2, 4), (h, 4), (h + 1, 4), (q - 2, 10), (q - 1, 10)):
+            for a in (1, 2, h, h + 1, q - 2, q - 1):
+                exact = -mpmath.psi(0, mpmath.mpf(a) / q) - mpmath.log(q)
+                assert abs(float((mpmath.mpf(float(values[a - 1])) - exact) / exact)) <= 4 * eps, a
+            for a, budget in ((h + 1, 4), (q - 2, 10), (q - 1, 10)):
                 exact = -mpmath.psi(0, mpmath.mpf(a) / q)
-                assert abs(float((mpmath.mpf(float(values[a - 1])) - exact) / exact)) <= budget * eps, a
+                assert abs(float((mpmath.mpf(float(kernel[a - h - 1])) - exact) / exact)) <= budget * eps, a
 
     def test_reflection_the_other_way_cancels(self):
         # K(1 - x) = K(x) - pi cot(pi x) at x = 1/q adds about -q to q + gamma:
@@ -395,19 +401,20 @@ class TestBatchEvaluation:
         # int_1^oo |d(ln t / t**s)| = 2/(e s).  So |L(sigma) - L(1)| is at most
         # (1 - sigma)(q - 1)/(e sigma) plus the rounding of the two batches.
         # Each batch's is the DFT bound of the budget test below plus the
-        # kernel's own rounding, (M + 8) eps times its term magnitudes, both
-        # scaled by q**-s.  The DFT bound takes the norm of those magnitudes,
-        # which bound |K|, and not of the computed vector: a kernel that kept
-        # the constant 1/(sigma - 1) would raise its own floor with it.
+        # kernel's own rounding, (M + 9) eps times its term magnitudes and the
+        # centring constant c <= log q, both scaled by q**-s.  The DFT bound
+        # takes the norm of those magnitudes, which bound |K - c|, and not of
+        # the computed vector: a kernel that kept the constant 1/(sigma - 1)
+        # would raise its own floor with it.
         group = group_of(q)
         n = q - 1
         eps = np.finfo(float).eps
         x = np.arange(1, q) / q
 
         def rounding(s):
-            scale = kernel_scale(s, x)
+            scale = kernel_scale(s, x) + math.log(q)
             dft = math.log2(n) * math.sqrt(n) * np.linalg.norm(scale)
-            return eps * q**-s * (dft + (lfunc._EM_HEAD + 8) * scale.sum())
+            return eps * q**-s * (dft + (lfunc._EM_HEAD + 9) * scale.sum())
 
         at_one = l_value_batch(group, 1.0).values
         for k in range(3, 16):
