@@ -175,21 +175,20 @@ def _real_group_dft(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
     """The half-length kernel of `dft_over_group` for a real vector f."""
     n = group.q - 1
     h = n // 2
-    pairs = (group.power_residues - 1).reshape(h, 2)  # row m: positions packed into z[m]
+    positions = group.power_residues - 1  # entries 2m and 2m+1 are packed into z[m]
     split = _good_thomas_split(h)
     if split:
         p, r = split
         # Ruritanian map (r*a + p*b) mod h; every entry is below 2h
         ruritanian = r * np.arange(p)[:, None] + p * np.arange(r)
         np.subtract(ruritanian, h, out=ruritanian, where=ruritanian >= h)
-        # each row moved as one int64: numpy gathers 8-byte items about 5x
+        # each pair moved as one int64: numpy gathers 8-byte items about 5x
         # faster than (h, 2) rows (4 against 23 ms at q = 985709)
-        pairs = pairs.view(np.int64)[ruritanian].view(np.int32)
+        positions = positions.view(np.int64)[ruritanian].view(np.int32)
         del ruritanian
-    z = np.empty(pairs.shape[:-1], dtype=complex)
-    z.real = f[pairs[..., 0]]
-    z.imag = f[pairs[..., 1]]
-    del pairs
+    # x[2m] + i*x[2m+1] is complex128's memory layout: one gather packs z
+    z = np.asarray(f[positions], dtype=float).view(complex)
+    del positions
     if split:
         # unscaled 2-D transform in place; entry (k mod p, k mod r) is Z[k]
         np.fft.ifft(z, axis=-1, norm="forward", out=z)

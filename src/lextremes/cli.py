@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -348,14 +347,6 @@ def run(config: RunConfig) -> int:
     """Execute the configured command; returns the process exit code."""
     if config.command == "oracle-check":
         return oracle_check(config.q_list)
-    outdir = Path(config.output_dir)
-    # the directories this run creates, deepest first, so a rejected run can take them back
-    created = list(itertools.takewhile(lambda d: not d.exists(), (outdir, *outdir.parents)))
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return 3
     try:
         if config.jobs > 1 and len(config.q_list) > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -364,13 +355,16 @@ def run(config: RunConfig) -> int:
         else:
             results = {q: _compute_one(config.command, q, config) for q in config.q_list}
     except ValueError as exc:
-        # an operation-level precondition (e.g. a cutoff reaching the modulus);
-        # like a _validate rejection, it leaves no directory behind
-        for directory in created:
-            with contextlib.suppress(OSError):
-                directory.rmdir()
+        # an operation-level precondition (e.g. a cutoff reaching the modulus)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # made only once every modulus is computed: a failed computation leaves no directory
+    outdir = Path(config.output_dir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return 3
     all_passed = True
     try:
         for q in sorted(results):

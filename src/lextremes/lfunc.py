@@ -27,8 +27,6 @@ import numpy as np
 from . import numth
 from .chargroup import CharacterGroup, dft_over_group
 
-_L_METHODS = ("digamma", "hurwitz")
-
 # absolute error bound of K(1, a/q) = -psi(a/q), the sigma = 1 counterpart of
 # hurwitz_zeta_error: Euler-Maclaurin truncation (below 1.2e-19) plus the
 # rounding of terms of order one
@@ -45,21 +43,16 @@ def as_sigma(sigma) -> float:
 
 @dataclass(frozen=True)
 class LValue:
-    """A computed L(sigma, chi) with method tag and error estimate."""
+    """A computed L(sigma, chi) with its error estimate."""
 
     chi_index: int
     sigma: float
     value: complex
-    method: str
     err_estimate: float
 
     def __post_init__(self):
-        if self.method not in _L_METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
         if self.err_estimate < 0:
             raise ValueError("err_estimate must be >= 0")
-        if self.method == "digamma" and self.sigma != 1.0:
-            raise ValueError("digamma backend is specific to sigma = 1")
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,6 @@ class LValueBatch:
 
     sigma: float
     values: np.ndarray
-    method: str
     err_estimate: float
 
     def abs_values(self) -> np.ndarray:
@@ -243,12 +235,12 @@ def _residue_kernel(q: int, s: float) -> np.ndarray:
     return kernel
 
 
-def _method_and_error(q: int, s: float) -> tuple[str, float]:
-    """The method tag and the error bound of an L-value mod q at sigma = s:
-    q - 1 kernel evaluations, scaled by q**(-s)."""
+def _error_bound(q: int, s: float) -> float:
+    """The error bound of an L-value mod q at sigma = s: q - 1 kernel
+    evaluations, scaled by q**(-s)."""
     if s == 1.0:
-        return "digamma", (q - 1) / q * DIGAMMA_ERR
-    return "hurwitz", (q - 1) * q ** (-s) * hurwitz_zeta_error(s)
+        return (q - 1) / q * DIGAMMA_ERR
+    return (q - 1) * q ** (-s) * hurwitz_zeta_error(s)
 
 
 def l_value(chi: tuple[CharacterGroup, int], sigma) -> LValue:
@@ -268,7 +260,7 @@ def l_value(chi: tuple[CharacterGroup, int], sigma) -> LValue:
     total = _fsum_complex(group.character_values(j, np.arange(1, q)) * _residue_kernel(q, s))
     if j == 0:
         total += (q - 1) * q ** (s - 1) / (s - 1)
-    return LValue(j, s, total / q**s, *_method_and_error(q, s))
+    return LValue(j, s, total / q**s, _error_bound(q, s))
 
 
 def l_value_batch(group: CharacterGroup, sigma) -> LValueBatch:
@@ -287,7 +279,7 @@ def l_value_batch(group: CharacterGroup, sigma) -> LValueBatch:
     parts /= q**s
     values = values[1 : q - 1]
     values.setflags(write=False)
-    return LValueBatch(s, values, *_method_and_error(q, s))
+    return LValueBatch(s, values, _error_bound(q, s))
 
 
 def euler_product_truncated(chi: tuple[CharacterGroup, int], sigma, x: float) -> complex:

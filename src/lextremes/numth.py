@@ -156,8 +156,8 @@ def _prime_powers(ns: np.ndarray, ws: np.ndarray, p: int, w: float, cap: int) ->
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def smooth_numbers(bound: int, limit: int) -> list[int]:
-    """All n <= limit whose prime factors are all <= bound, ascending.
+def smooth_numbers(bound: int, limit: int) -> np.ndarray:
+    """All n <= limit whose prime factors are all <= bound, as an ascending int64 array.
 
     Built by `_smooth_closure`, so a large limit with a small bound stays
     cheap (the output size governs the cost and the memory).
@@ -165,7 +165,7 @@ def smooth_numbers(bound: int, limit: int) -> list[int]:
     if bound < 1 or limit < 1:
         raise ValueError("smooth_numbers requires bound >= 1 and limit >= 1")
     primes = sieve_primes(min(bound, limit))
-    return _smooth_closure(primes, np.ones(primes.size), limit)[0].tolist()
+    return _smooth_closure(primes, np.ones(primes.size), limit)[0]
 
 
 def primitive_root(q: int) -> int:

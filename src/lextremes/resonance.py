@@ -104,9 +104,8 @@ class ResonanceReport:
 
 
 def _series_support(sigma: float, y: float, k_limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """y-smooth k <= k_limit with b_k = k**(-sigma)."""
-    primes = numth.sieve_primes(min(int(y), k_limit))
-    ks = numth._smooth_closure(primes, np.ones(primes.size), k_limit)[0]
+    """y-smooth k <= k_limit with b_k = k**(-sigma); ks = [1] for y < 2."""
+    ks = numth.smooth_numbers(max(int(y), 1), k_limit)
     return ks, ks.astype(float) ** (-sigma)
 
 

@@ -286,7 +286,9 @@ class TestGroupDft:
         group = build_group(q)
         rng = np.random.default_rng(seed)
         real = rng.standard_normal(q - 1)
-        for f in (real, real + 1j * rng.standard_normal(q - 1)):
+        # integer input must be cast to float before z is packed as a complex view
+        integer = rng.integers(-5, 6, q - 1)
+        for f in (real, real + 1j * rng.standard_normal(q - 1), integer):
             got, want = dft_over_group(group, f), full_length_dft(group, f)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(f).sum())

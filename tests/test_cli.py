@@ -1,9 +1,11 @@
 import argparse
+import ast
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -270,8 +272,9 @@ class TestRun:
         assert code == 3
 
     def test_operation_error_leaves_no_created_directory(self, tmp_path, capsys):
-        # the cutoff check runs inside the scan, after run() made the output
-        # directory; the rejection takes back what the run created, and only that
+        # the cutoff check runs inside the scan, and run() makes the output
+        # directory only after every modulus is computed, so a rejected run
+        # creates no directory and leaves existing ones alone
         argv = ["scan-t3", "--q", "101", "--sigma", "0.75", "--y-min", "1e6", "--output-dir"]
         assert main([*argv, str(tmp_path / "new" / "deep")]) == 2
         assert "half-weight cutoff" in capsys.readouterr().err
@@ -279,6 +282,24 @@ class TestRun:
         (tmp_path / "kept").mkdir()
         assert main([*argv, str(tmp_path / "kept" / "deep")]) == 2
         assert [p.name for p in tmp_path.rglob("*")] == ["kept"]
+
+    def test_operation_error_wins_over_unwritable_output_dir(self, tmp_path, capsys):
+        # the computation fails before the output directory is tried
+        blocker = tmp_path / "blocked"
+        blocker.write_text("a file, not a directory")
+        argv = ["scan-t3", "--q", "101", "--sigma", "0.75", "--y-min", "1e6"]
+        assert main([*argv, "--output-dir", str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "half-weight cutoff" in err[0]
+
+    def test_compute_failure_of_any_kind_leaves_no_directory(self, tmp_path, monkeypatch):
+        def crash(*args):
+            raise RuntimeError("compute failed")
+
+        monkeypatch.setattr(cli, "_compute_one", crash)
+        with pytest.raises(RuntimeError, match="compute failed"):
+            main(["census", "--q", "17", "--output-dir", str(tmp_path / "new" / "deep")])
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_partial_files_on_failure(self, tmp_path, monkeypatch):
         # force the writing step to fail after computation and check that no
@@ -521,3 +542,23 @@ def test_cli_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_unused_module_imports():
+    # stdlib stand-in for a linter: every module-level import of a package
+    # module (the __init__ re-exports aside) is used somewhere in that module
+    package = pathlib.Path(lextremes.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -191,7 +191,6 @@ class TestLValue:
 
     def test_mod3_closed_form(self, group_of):
         result = l_value(group_of(3).character(1), 1.0)
-        assert result.method == "digamma"
         assert result.chi_index == 1
         assert abs(result.value - math.pi / (3 * math.sqrt(3))) < 1e-10
 
@@ -245,14 +244,11 @@ class TestLValue:
 
     def test_err_estimate_fields(self, group_of):
         result = l_value(group_of(7).character(1), 0.75)
-        assert result.method == "hurwitz"
         assert 0 <= result.err_estimate < 1e-9
 
     def test_lvalue_validation(self):
         with pytest.raises(ValueError):
-            LValue(1, 0.75, 1 + 0j, "digamma", 0.0)  # digamma only at sigma=1
-        with pytest.raises(ValueError):
-            LValue(1, 1.0, 1 + 0j, "digamma", -1.0)
+            LValue(1, 1.0, 1 + 0j, -1.0)
 
 
 _KERNEL_CASES = [(q, sigma, j) for j in (1, 2, 50) for q in (101, 1009) for sigma in (1.0, 0.75)]

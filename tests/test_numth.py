@@ -93,20 +93,20 @@ class TestMangoldt:
 
 class TestSmoothNumbers:
     def test_example_3_20(self):
-        assert smooth_numbers(3, 20) == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18]
+        assert smooth_numbers(3, 20).tolist() == [1, 2, 3, 4, 6, 8, 9, 12, 16, 18]
 
     def test_no_primes_allowed(self):
-        assert smooth_numbers(1, 10) == [1]
+        assert smooth_numbers(1, 10).tolist() == [1]
 
     def test_powers_of_two(self):
-        assert smooth_numbers(2, 9) == [1, 2, 4, 8]
+        assert smooth_numbers(2, 9).tolist() == [1, 2, 4, 8]
 
     def test_against_gpf_filter(self):
         limit = 10**4
         gpf = gpf_table(limit)
         for bound in range(1, 51):
             expected = [n for n in range(1, limit + 1) if gpf[n] <= bound]
-            assert smooth_numbers(bound, limit) == expected
+            assert smooth_numbers(bound, limit).tolist() == expected
 
     def test_large_limit_small_bound_stays_cheap(self):
         values = smooth_numbers(5, 10**9)

@@ -350,6 +350,11 @@ class TestExcludePrincipal:
         assert star.s2 == report.s2 - report.principal_terms[0]
         assert star.s1 == report.s1 - report.l_principal * report.principal_terms[0]
 
+    def test_series_support_below_two_is_one(self):
+        # no prime is <= y < 2, so the series is the single term k = 1
+        ks, bs = resonance._series_support(1.0, 0.6, 10)
+        assert ks.tolist() == [1] and bs.tolist() == [1.0]
+
     def test_trivial_resonator_subtracts_one(self):
         report = ratio_certificate(7, 1.4)  # x < 2, so R = 1 identically
         star = exclude_principal(report)
