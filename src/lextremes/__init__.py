@@ -31,7 +31,6 @@ from .lfunc import (
     prime_sum,
 )
 from .numth import (
-    euler_phi,
     factorize,
     is_prime,
     mangoldt,

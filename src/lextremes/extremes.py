@@ -19,8 +19,8 @@ import numpy as np
 
 from . import numth
 from .chargroup import CharacterGroup, build_group
-from .lfunc import _census_from_abs, l_value_batch
-from .resonance import EULER_GAMMA, ResonanceReport, _half_weight_cutoff, _prime_cutoff, half_weight_certificate
+from .lfunc import approx_error_census, l_value_batch
+from .resonance import EULER_GAMMA, ResonanceReport, _half_weight_cutoff, half_weight_certificate
 from .resonator import WeightScheme, _scheme_primes, linear_scheme
 
 
@@ -222,8 +222,10 @@ def scan_sigma_strip(
     sum, and report the ratio c_hat against the reference shape
     (log q)**(1-sigma) * (loglog q)**(-sigma).
 
-    A companion half-weight quotient certificate is attached; n_limit,
-    k_limit and tau_budget are passed on to `half_weight_certificate`.
+    The half-weight quotient certificate is computed first and attached;
+    n_limit, k_limit and tau_budget are passed on to
+    `half_weight_certificate`.  The census sums primes up to the
+    certificate's cutoff x = quotient.x, so both use one x.
     """
     if not 0.5 < sigma < 1.0:
         raise ValueError(f"sigma must lie strictly inside (1/2, 1), got {sigma}")
@@ -231,19 +233,6 @@ def scan_sigma_strip(
     _half_weight_cutoff(q, sigma, a_sigma, y_min)  # reject a bad cutoff before the group is built
     start = time.perf_counter()
     group = build_group(q)
-    x = _prime_cutoff(log_q, sigma, x_cap)
-    labs = l_value_batch(group, sigma).abs_values()
-    census = _census_from_abs(group, sigma, x, census_tol, labs)
-    keep = np.ones(q - 1, dtype=bool)
-    keep[[0, *census.indices]] = False
-    eligible = np.flatnonzero(keep)
-    if eligible.size == 0:
-        raise ValueError(f"census at tol={census_tol} excluded every character of q={q}")
-    log_abs = np.log(labs[eligible - 1])
-    pick = int(np.argmax(log_abs))
-    argmax = int(eligible[pick])
-    max_log = float(log_abs[pick])
-    target_shape = log_q ** (1 - sigma) * log2_q ** (-sigma)
     quotient = half_weight_certificate(
         group,
         sigma,
@@ -254,6 +243,18 @@ def scan_sigma_strip(
         k_limit=k_limit,
         tau_budget=tau_budget,
     )
+    labs = l_value_batch(group, sigma).abs_values()
+    census = approx_error_census(group, sigma, quotient.x, census_tol, labs)
+    keep = np.ones(q - 1, dtype=bool)
+    keep[[0, *census.indices]] = False
+    eligible = np.flatnonzero(keep)
+    if eligible.size == 0:
+        raise ValueError(f"census at tol={census_tol} excluded every character of q={q}")
+    log_abs = np.log(labs[eligible - 1])
+    pick = int(np.argmax(log_abs))
+    argmax = int(eligible[pick])
+    max_log = float(log_abs[pick])
+    target_shape = log_q ** (1 - sigma) * log2_q ** (-sigma)
     r_sq = _resonator_abs_sq_all(group, quotient.scheme)
     resonant = int(eligible[np.argmax(r_sq[eligible])])
     return ScanReport(
@@ -283,8 +284,6 @@ def sigma1_upper_check(q: int, slack: float = 0.5) -> UpperCheck:
     """Check the classical upper bound max |L(1, chi)| <= (log q)/3 with a
     desk-scale slack factor (1 + slack); the o(1) there is unquantified, so
     violations are flagged rather than impossible."""
-    _iterated_logs(q)
-    group = build_group(q)
-    max_abs = float(l_value_batch(group, 1.0).abs_values().max())
+    max_abs = scan_sigma1(q).max_abs_l
     bound = math.log(q) / 3 * (1 + slack)
     return UpperCheck(max_abs, bound, max_abs <= bound)

@@ -338,23 +338,22 @@ class ApproxErrorCensus:
     mean_deviation: float
 
 
-def approx_error_census(group: CharacterGroup, sigma, x: float, tol: float) -> ApproxErrorCensus:
-    """Empirical census of | log|L(sigma, chi)| - Re sum_{p<=x} chi(p) p^-sigma | > tol.
+def approx_error_census(group: CharacterGroup, sigma, x: float, tol: float, labs: np.ndarray) -> ApproxErrorCensus:
+    """Empirical census of | log|L(sigma, chi)| - Re sum_{p<=x} chi(p) p^-sigma | > tol,
+    given labs[j - 1] = |L(sigma, chi_j)| for j = 1..q-2, as from
+    `LValueBatch.abs_values()`.
 
     The principal character is always excluded.  Deviation statistics cover
     all non-principal characters, not only the offenders.
     """
     s = as_sigma(sigma)
-    return _census_from_abs(group, s, x, tol, l_value_batch(group, s).abs_values())
-
-
-def _census_from_abs(group: CharacterGroup, s: float, x: float, tol: float, labs: np.ndarray) -> ApproxErrorCensus:
-    """The census of `approx_error_census`, given |L(s, chi_j)| for j = 1..q-2."""
     if tol < 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
     if x < 2:
         raise ValueError(f"census requires x >= 2, got {x}")
     q = group.q
+    if labs.shape != (q - 2,):
+        raise ValueError(f"census requires labs of shape ({q - 2},), got {labs.shape}")
     primes = numth.sieve_primes(int(x))
     weights = primes.astype(float) ** (-s)
     prime_sums = dft_over_group(group, numth._residue_sums(q, primes, weights)[1:])

@@ -1,6 +1,6 @@
 """Multiplicative number theory primitives.
 
-Primes, factorization, Euler's phi, the von Mangoldt function, and
+Primes, factorization, the von Mangoldt function, and
 smooth-number enumeration by a vectorised closure over the primes, whose
 cost and memory follow the output size rather than the limit.
 `check_modulus` is the package's one definition of a valid modulus: an
@@ -31,33 +31,22 @@ def sieve_primes(limit: int) -> np.ndarray:
     return primes
 
 
-def _trial_divisors():
-    """2, 3, then every 6k - 1 and 6k + 1: a superset of the primes."""
-    yield 2
-    yield 3
-    d = 5
-    while True:
-        yield d
-        yield d + 2
-        d += 6
-
-
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """n = prod p**e as ((p, e), ...) with p strictly increasing and e >= 1,
-    by trial division; n = 1 gives ()."""
+    by trial division by 2 and the odd numbers; n = 1 gives ()."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     m = n
     factors = []
-    for p in _trial_divisors():
-        if p * p > m:
-            break
+    p = 2
+    while p * p <= m:
         e = 0
         while m % p == 0:
             m //= p
             e += 1
         if e:
             factors.append((p, e))
+        p += 1 if p == 2 else 2
     if m > 1:
         factors.append((m, 1))
     return tuple(factors)
@@ -75,15 +64,6 @@ def check_modulus(q: int, least: int = 3) -> None:
         raise ValueError(f"modulus q = {q} must lie in [{least}, 2**31)")
     if q % 2 == 0 or not is_prime(q):
         raise ValueError(f"modulus q = {q} is not an odd prime")
-
-
-def euler_phi(q: int) -> int:
-    if q < 1:
-        raise ValueError(f"euler_phi requires q >= 1, got {q}")
-    phi = q
-    for p, _ in factorize(q):
-        phi -= phi // p
-    return phi
 
 
 def mangoldt(n: int) -> float:

@@ -116,10 +116,6 @@ class ResonatorCoeffs:
         self.weights.setflags(write=False)
 
     @property
-    def entries(self) -> list[tuple[int, float]]:
-        return [(int(n), float(w)) for n, w in zip(self.ns, self.weights)]
-
-    @property
     def partial_sum(self) -> float:
         return self.total - self.tail
 

@@ -98,12 +98,3 @@ def gpf_table(limit: int) -> np.ndarray:
         if gpf[p] == 0:
             gpf[p::p] = p
     return gpf
-
-
-def phi_table(limit: int) -> np.ndarray:
-    """Euler phi for all n <= limit by the classic sieve."""
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] -= phi[p::p] // p
-    return phi

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lextremes import (
     CensusReport,
+    approx_error_census,
     l_value_batch,
     reference_constants,
     scan_sigma1,
@@ -223,6 +224,27 @@ class TestScanSigmaStrip:
         assert report.excluded_indices == ()
         assert report.max_abs_l == pytest.approx(math.exp(report.max_log_abs_l), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "q,sigma,tol,x,excluded",
+        [
+            (101, 0.95, 0.1, math.log(101) ** (3 / 0.45), 45),  # x from the formula, about 2.68e4
+            (1009, 0.75, 0.3, 1e5, 41),  # x at the cap
+            (211, 0.99, 0.15, math.log(211) ** (3 / 0.49), 33),  # the cap 1e5 would exclude 37
+        ],
+        ids=["q101-formula", "q1009-cap", "q211-formula"],
+    )
+    def test_census_uses_the_certificate_cutoff(self, group_of, q, sigma, tol, x, excluded):
+        report = scan_sigma_strip(q, sigma, census_tol=tol)
+        assert report.quotient.x == pytest.approx(x, rel=1e-12)
+        group = group_of(q)
+        census = approx_error_census(group, sigma, report.quotient.x, tol, l_value_batch(group, sigma).abs_values())
+        assert report.excluded_indices == census.indices
+        assert len(census.indices) == excluded
+
+    def test_census_excluding_every_character_is_refused(self):
+        with pytest.raises(ValueError, match="excluded every character"):
+            scan_sigma_strip(101, 0.75, census_tol=0.0)
+
 
 class TestUpperCheck:
     def test_bound_arithmetic_q1009(self):
@@ -241,6 +263,12 @@ class TestUpperCheck:
 
     def test_infinite_slack_always_ok(self):
         assert sigma1_upper_check(17, slack=math.inf).ok
+
+    @pytest.mark.parametrize("q", [17, 101, 1009])
+    def test_reads_the_sigma1_scan(self, group_of, q):
+        max_abs = sigma1_upper_check(q).max_abs_l
+        assert max_abs == scan_sigma1(q).max_abs_l
+        assert max_abs == l_value_batch(group_of(q), 1.0).abs_values().max()
 
 
 class TestReportSerialization:

@@ -101,9 +101,10 @@ class TestDigamma:
     @given(x=st.floats(1e-4, 1e4))
     @example(x=1e-8)  # one ulp of psi(1e-8) ~ -1e8 is 1.5e-8: the contract is relative there
     def test_against_scipy(self, x):
-        from scipy.special import digamma as scipy_digamma
-
-        assert digamma(x) == pytest.approx(float(scipy_digamma(x)), abs=1e-12, rel=1e-12)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            exact = float(mpmath.psi(0, mpmath.mpf(x)))
+        assert digamma(x) == pytest.approx(exact, abs=1e-12, rel=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -544,23 +545,33 @@ class TestDirichletPolyAndPrimeSum:
             assert abs(diff) <= bound + 1e-12
 
 
+def census_of(group, x, tol):
+    return approx_error_census(group, 0.75, x, tol, l_value_batch(group, 0.75).abs_values())
+
+
 class TestApproxErrorCensus:
     def test_infinite_tolerance_empty(self, group_of):
-        census = approx_error_census(group_of(101), 0.75, 100, math.inf)
+        census = census_of(group_of(101), 100, math.inf)
         assert census.indices == ()
 
     def test_zero_tolerance_everything(self, group_of):
-        census = approx_error_census(group_of(101), 0.75, 100, 0.0)
+        census = census_of(group_of(101), 100, 0.0)
         assert census.indices == tuple(range(1, 100))
 
     def test_indices_sorted_and_nonprincipal(self, group_of):
-        census = approx_error_census(group_of(101), 0.75, 100, 0.2)
+        census = census_of(group_of(101), 100, 0.2)
         assert list(census.indices) == sorted(census.indices)
         assert 0 not in census.indices
 
     def test_regression_q1009(self, group_of):
         # frozen from the first verified run (full pipeline fixture)
-        census = approx_error_census(group_of(1009), 0.75, 1e4, 1.0)
+        census = census_of(group_of(1009), 1e4, 1.0)
         assert census.indices == ()
         assert census.max_deviation == pytest.approx(0.6276041154140851, abs=1e-9)
         assert census.mean_deviation == pytest.approx(0.13411755954076826, abs=1e-9)
+
+    @pytest.mark.parametrize("shape", [(1,), (98,), (100,), (99, 1)])
+    def test_rejects_labs_of_the_wrong_shape(self, group_of, shape):
+        # a length-1 array would broadcast against the 99 prime sums of q = 101
+        with pytest.raises(ValueError, match="labs of shape"):
+            approx_error_census(group_of(101), 0.75, 100, 1.0, np.ones(shape))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from lextremes import (
-    euler_phi,
     factorize,
     is_prime,
     mangoldt,
@@ -15,7 +14,7 @@ from lextremes import (
     smooth_numbers,
 )
 
-from conftest import gpf_table, phi_table
+from conftest import gpf_table
 
 
 def trial_division_prime(n: int) -> bool:
@@ -48,23 +47,6 @@ class TestSievePrimes:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sieve_primes(-1)
-
-
-class TestEulerPhi:
-    def test_prime_case(self):
-        assert euler_phi(7) == 6
-
-    def test_one(self):
-        assert euler_phi(1) == 1
-
-    def test_360_by_gcd_count(self):
-        assert sum(1 for a in range(1, 360) if math.gcd(a, 360) == 1) == 96
-        assert euler_phi(360) == 96
-
-    def test_against_sieve_table_up_to_1e4(self):
-        table = phi_table(10**4)
-        for q in range(1, 10**4 + 1):
-            assert euler_phi(q) == table[q]
 
 
 class TestMangoldt:
@@ -164,6 +146,18 @@ class TestFactorize:
                 product *= p**e
             assert product == n
             assert list(fac) == sorted(fac)
+
+    @pytest.mark.parametrize(
+        "n,expected",
+        [
+            (2**31 - 1, ((2**31 - 1, 1),)),
+            (2**31 - 2, ((2, 1), (3, 2), (7, 1), (11, 1), (31, 1), (151, 1), (331, 1))),
+            (46337**2, ((46337, 2),)),  # the last divisor meets p * p == m exactly
+            (46327 * 46337, ((46327, 1), (46337, 1))),  # two primes next to sqrt(2**31)
+        ],
+    )
+    def test_near_the_modulus_limit(self, n, expected):
+        assert factorize(n) == expected
 
 
 class TestPrimitiveRoot:
