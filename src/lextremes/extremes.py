@@ -53,6 +53,13 @@ def _iterated_logs(q: int) -> tuple[float, float, float]:
     return log_q, log2_q, math.log(log2_q)
 
 
+def _sigma1_abs(q: int) -> tuple[tuple[float, float, float], CharacterGroup, np.ndarray]:
+    """The iterated logs of q, its character group and |L(1, chi_j)| for j = 1..q-2."""
+    logs = _iterated_logs(q)  # rejects q < 17 before the group is built
+    group = build_group(q)
+    return logs, group, l_value_batch(group, 1.0).abs_values()
+
+
 def _resonator_abs_sq_all(group: CharacterGroup, scheme: WeightScheme) -> np.ndarray:
     """|R(chi_j)|**2 for every character index j = 0..q-2, in real arithmetic.
 
@@ -147,10 +154,8 @@ def scan_sigma1(q: int, epsilon: float = 0.0) -> ScanReport:
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    log_q, log2_q, log3_q = _iterated_logs(q)
     start = time.perf_counter()
-    group = build_group(q)
-    labs = l_value_batch(group, 1.0).abs_values()
+    (log_q, log2_q, log3_q), group, labs = _sigma1_abs(q)
     const = reference_constants()
     bound = const.e_gamma * (log2_q + log3_q - const.c - epsilon)
     argmax = 1 + int(np.argmax(labs))
@@ -174,13 +179,11 @@ def scan_sigma1(q: int, epsilon: float = 0.0) -> ScanReport:
 def threshold_census(q: int, deltas) -> CensusReport:
     """Count characters with |L(1, chi)| above the delta-lowered threshold,
     for every delta in the grid."""
-    log_q, log2_q, log3_q = _iterated_logs(q)
     deltas = tuple(float(d) for d in deltas)
     if not deltas or any(d <= 0 for d in deltas):
         raise ValueError("census requires a nonempty grid of deltas > 0")
     start = time.perf_counter()
-    group = build_group(q)
-    labs = l_value_batch(group, 1.0).abs_values()
+    (log_q, log2_q, log3_q), _, labs = _sigma1_abs(q)
     const = reference_constants()
     thresholds, counts, emp, ref, b_values = [], [], [], [], []
     for d in deltas:
@@ -284,6 +287,6 @@ def sigma1_upper_check(q: int, slack: float = 0.5) -> UpperCheck:
     """Check the classical upper bound max |L(1, chi)| <= (log q)/3 with a
     desk-scale slack factor (1 + slack); the o(1) there is unquantified, so
     violations are flagged rather than impossible."""
-    max_abs = scan_sigma1(q).max_abs_l
+    max_abs = float(_sigma1_abs(q)[2].max())
     bound = math.log(q) / 3 * (1 + slack)
     return UpperCheck(max_abs, bound, max_abs <= bound)

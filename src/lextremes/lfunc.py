@@ -356,7 +356,7 @@ def approx_error_census(group: CharacterGroup, sigma, x: float, tol: float, labs
         raise ValueError(f"census requires labs of shape ({q - 2},), got {labs.shape}")
     primes = numth.sieve_primes(int(x))
     weights = primes.astype(float) ** (-s)
-    prime_sums = dft_over_group(group, numth._residue_sums(q, primes, weights)[1:])
+    prime_sums = dft_over_group(group, numth._residue_sums(q, primes, weights, q)[1:])
     deviations = np.abs(np.log(labs) - prime_sums[1 : q - 1].real)
     bad = tuple((np.flatnonzero(deviations > tol) + 1).tolist())
     return ApproxErrorCensus(

@@ -76,14 +76,17 @@ def mangoldt(n: int) -> float:
     return 0.0
 
 
-def _residue_sums(q: int, ns: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _residue_sums(q: int, ns: np.ndarray, values: np.ndarray, size: int = 0) -> np.ndarray:
     """t[r] = sum of values[i] over the indices with ns[i] = r (mod q).
 
     Residue class 0 is dropped: every character mod q vanishes on multiples
-    of q, so those terms enter no character sum.
+    of q, so those terms enter no character sum.  The table ends one zero
+    entry past the largest residue in use, capped at q entries, so its size
+    follows ns, not q, unless `size` asks for more (q for a group DFT).
     """
-    t = np.zeros(q)
-    np.add.at(t, ns % q, values)
+    r = ns % q
+    t = np.zeros(max(size, min(int(r.max(initial=0)) + 2, q)))
+    np.add.at(t, r, values)
     t[0] = 0.0
     return t
 

@@ -126,28 +126,31 @@ def _tables(q: int, scheme: WeightScheme, n_limit: int, series=None) -> tuple[np
 def _character_sums(group: CharacterGroup, v: np.ndarray, w: np.ndarray | None) -> tuple[complex | None, float]:
     """(S1, S2) = (sum_chi L(chi) |R(chi)|**2, sum_chi |R(chi)|**2) by one
     group DFT per residue table; S1 is None when there is no series table w."""
-    r_sq = np.abs(dft_over_group(group, v[1:])) ** 2
-    s1 = None if w is None else complex(np.sum(dft_over_group(group, w[1:]) * r_sq))
+    q = group.q  # each compact table is spread over all q residues; its zero tail stays unwritten
+    v, w = (None if t is None else numth._residue_sums(q, np.arange(t.size), t, q)[1:] for t in (v, w))
+    r_sq = np.abs(dft_over_group(group, v)) ** 2
+    s1 = None if w is None else complex(np.sum(dft_over_group(group, w) * r_sq))
     return s1, float(np.sum(r_sq))
 
 
-def _square_sum(v: np.ndarray) -> float:
-    """S2 from the resonator residue sums: phi(q) * sum_a V[a]**2, q = v.size."""
-    return (v.size - 1) * float(np.sum(v * v))
+def _square_sum(q: int, v: np.ndarray) -> float:
+    """S2 from the resonator residue sums: phi(q) * sum_a V[a]**2."""
+    return (q - 1) * float(np.sum(v * v))
 
 
-# index entries per gather block; bounds the kernel's scratch memory
+# index entries per block of inner sums, and per cache-sized gather inside one
 _BLOCK = 1 << 18
+_GATHER = 1 << 15
 
 
-def _weighted_sum(v: np.ndarray, w: np.ndarray) -> float:
-    """S1 from the residue tables v (resonator) and w (series), q = v.size.
+def _weighted_sum(q: int, v: np.ndarray, w: np.ndarray) -> float:
+    """S1 from the compact residue tables v (resonator) and w (series).
 
     The outer sum runs over supp V.  The inner gather runs over the smaller
     of supp V (table W at c * a**(-1)) and supp W (table V at r * a); both
-    give the same lattice sum.  Blocks hold at most _BLOCK index entries.
+    give the same lattice sum.  Blocks hold at most _BLOCK index entries,
+    gathered _GATHER at a time; an index past the table reads its zero last entry.
     """
-    q = v.size
     outer = np.flatnonzero(v)
     cols = np.flatnonzero(w)
     if outer.size <= cols.size:
@@ -161,10 +164,15 @@ def _weighted_sum(v: np.ndarray, w: np.ndarray) -> float:
         block_cols = cols[c0 : c0 + _BLOCK]
         block_weights = col_weights[c0 : c0 + _BLOCK]
         rows = _BLOCK // block_cols.size
+        step = max(1, _GATHER // block_cols.size)
         for r0 in range(0, mult.size, rows):
-            idx = np.multiply.outer(mult[r0 : r0 + rows], block_cols)
-            idx %= q
-            total += float(outer_weights[r0 : r0 + rows] @ (table[idx] @ block_weights))
+            block_mult = mult[r0 : r0 + rows]
+            gathered = np.empty((block_mult.size, block_cols.size))
+            for s0 in range(0, block_mult.size, step):
+                idx = np.multiply.outer(block_mult[s0 : s0 + step], block_cols)
+                idx -= idx // q * q  # floor_divide by a scalar is cheaper than %
+                np.take(table, idx, mode="clip", out=gathered[s0 : s0 + step])
+            total += float(outer_weights[r0 : r0 + rows] @ (gathered @ block_weights))
     return (q - 1) * total
 
 
@@ -175,7 +183,7 @@ def square_sum_characters(group: CharacterGroup, scheme: WeightScheme, n_limit: 
 
 def square_sum_congruence(q: int, scheme: WeightScheme, n_limit: int) -> float:
     """S2 via orthogonality: phi(q) * sum over pairs m = n (mod q)."""
-    return _square_sum(_tables(q, scheme, n_limit)[0])
+    return _square_sum(q, _tables(q, scheme, n_limit)[0])
 
 
 def weighted_sum_characters(
@@ -195,21 +203,21 @@ def weighted_sum_congruence(
     blocks of at most 2**18 entries; terms with q | k or q | n vanish
     because residue 0 is dropped from both tables.
     """
-    return _weighted_sum(*_tables(q, scheme, n_limit, (sigma, y, k_limit)))
+    return _weighted_sum(q, *_tables(q, scheme, n_limit, (sigma, y, k_limit)))
 
 
-def _provable_bound(coeffs: ResonatorCoeffs, v: np.ndarray, ks: np.ndarray, cs: np.ndarray) -> float:
+def _provable_bound(q: int, coeffs: ResonatorCoeffs, v: np.ndarray, ks: np.ndarray, cs: np.ndarray) -> float:
     """Exact finite-chain lower bound sum c_k * Q(N, N//k) / Q(N, N).
 
     Q(N, M) = sum_{m <= N, n <= M, m = n (mod q)} w_m w_n; restricting the
     series index to multiples k*r and using complete multiplicativity gives
     S1/S2 >= sum_k c_k Q(N, N//k)/Q(N, N) with only positivity used, so the
     computed ratio must always exceed this number (up to rounding).  `v`
-    holds the residue sums of `coeffs` mod q, so q = v.size.  The terms
+    holds the residue sums of `coeffs` mod q.  The terms
     (ks, cs) with k <= N are added in their given order (a sequential
     cumsum, unlike the pairwise np.sum).
     """
-    prefix = np.cumsum(coeffs.weights * v[coeffs.ns % v.size])
+    prefix = np.cumsum(coeffs.weights * v[coeffs.ns % q])
     keep = ks <= coeffs.limit
     # coeffs.ns starts at 1 <= N // k, so every index below is >= 0
     q_at = prefix[np.searchsorted(coeffs.ns, coeffs.limit // ks[keep], side="right") - 1]
@@ -230,22 +238,22 @@ def _congruence_sums(q: int, coeffs: ResonatorCoeffs, ks: np.ndarray, bs: np.nda
     with k prime to q.  Returns (V, W, S1, S2, L_K(sigma, chi_0))."""
     v = numth._residue_sums(q, coeffs.ns, coeffs.weights)
     w = numth._residue_sums(q, ks, bs)
-    return v, w, _weighted_sum(v, w), _square_sum(v), math.fsum(bs[ks % q != 0].tolist())
+    return v, w, _weighted_sum(q, v, w), _square_sum(q, v), math.fsum(bs[ks % q != 0].tolist())
 
 
 def _certificate_report(
-    sigma: float, x: float, y: float, k_limit: int, coeffs: ResonatorCoeffs, v: np.ndarray,
+    q: int, sigma: float, x: float, y: float, k_limit: int, coeffs: ResonatorCoeffs, v: np.ndarray,
     s1: float, s2: float, l_principal: float, target: float, chain: tuple, tau_budget: float,
     extras: dict,
 ) -> ResonanceReport:
     """Second step of a certificate: the provable bound over the terms chain =
     (ks, cs) into extras, the principal terms from L_K(sigma, chi_0) =
-    l_principal, and the report of S1/S2 judged against `target`; q = v.size."""
-    extras["provable_bound"] = _provable_bound(coeffs, v, *chain)
+    l_principal, and the report of S1/S2 judged against `target`."""
+    extras["provable_bound"] = _provable_bound(q, coeffs, v, *chain)
     r0 = coeffs.partial_sum
     ratio = s1 / s2
     return ResonanceReport(
-        q=v.size,
+        q=q,
         sigma=sigma,
         scheme=coeffs.scheme,
         x=float(x),
@@ -318,7 +326,7 @@ def ratio_certificate(
         "b": b,
     }
     return _certificate_report(
-        sigma=1.0, x=x, y=y, k_limit=k_limit, coeffs=coeffs, v=v, s1=s1, s2=s2, l_principal=b_partial,
+        q=q, sigma=1.0, x=x, y=y, k_limit=k_limit, coeffs=coeffs, v=v, s1=s1, s2=s2, l_principal=b_partial,
         target=target, chain=(target_coeffs.ns, a_cs), tau_budget=tau_budget, extras=extras,
     )
 
@@ -421,7 +429,7 @@ def half_weight_certificate(
     y_cs = [0.5 * p ** (-sigma) for p in y_primes.tolist()]
     held = np.isin(y_primes, ks)  # the chain may only use terms that S1 sums
     return _certificate_report(
-        sigma=sigma, x=x, y=y, k_limit=k_limit, coeffs=coeffs, v=v, s1=s1, s2=s2,
+        q=q, sigma=sigma, x=x, y=y, k_limit=k_limit, coeffs=coeffs, v=v, s1=s1, s2=s2,
         l_principal=l_principal, target=math.fsum(y_cs), chain=(y_primes[held], np.array(y_cs)[held]),
         tau_budget=tau_budget, extras=extras,
     )

@@ -7,13 +7,14 @@ import math
 import os
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 
 import pytest
 
 import lextremes
-from lextremes import cli, numth
+from lextremes import cli, enumerate_coeffs, linear_scheme, numth
 from lextremes.cli import COMMANDS, ConfigError, main, oracle_check, parse_config, run
 
 
@@ -542,6 +543,30 @@ def test_cli_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_certify_at_the_largest_modulus_under_a_memory_cap(tmp_path):
+    # 2**31 - 1 is the largest modulus certify accepts.  Its residue tables
+    # follow N and K, not q, so the run fits a 3 GiB address space (q-long
+    # float64 tables would need 16 GiB each); the cap binds the child only.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    q = 2**31 - 1
+    src = os.path.dirname(os.path.dirname(lextremes.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "lextremes.cli", "certify", "--q", str(q), "--output-dir", str(tmp_path)]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120)
+    assert out.returncode in (0, 1), out.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"certify_q{q}.csv", f"certify_q{q}.json"]
+    header, row = (line.split(",") for line in (tmp_path / f"certify_q{q}.csv").read_text().splitlines())
+    cells = dict(zip(header, row))
+    # N = K = 10**4 and every km <= 10**8 < q, so km = n (mod q) only when
+    # km = n: S1 is phi(q) * sum_m w_m sum_k w_km / k over every k <= 10**4
+    coeffs = enumerate_coeffs(linear_scheme(float(cells["x"])), 10**4)
+    w = dict(zip(coeffs.ns.tolist(), coeffs.weights.tolist()))
+    direct = math.fsum(w[m] * w.get(k * m, 0.0) / k for m in w for k in range(1, 10**4 // m + 1))
+    assert float(cells["s1_real"]) == pytest.approx((q - 1) * direct, rel=1e-12)
 
 
 def test_no_unused_module_imports():

@@ -270,6 +270,13 @@ class TestUpperCheck:
         assert max_abs == scan_sigma1(q).max_abs_l
         assert max_abs == l_value_batch(group_of(q), 1.0).abs_values().max()
 
+    def test_runs_no_resonator_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("the upper check ran the resonator scan")
+
+        monkeypatch.setattr(extremes, "_resonator_abs_sq_all", no_scan)
+        assert sigma1_upper_check(101).max_abs_l == pytest.approx(2.4934830959899292, abs=1e-12)
+
 
 class TestReportSerialization:
     def test_scan_report_round_trip(self):

@@ -157,9 +157,64 @@ class TestCongruenceKernel:
     def test_block_size_changes_rounding_only(self, monkeypatch, n_limit, k_limit):
         scheme = linear_scheme(12)
         whole = weighted_sum_congruence(1009, scheme, 1.0, 100.0, n_limit, k_limit)
+        for gather in (1, 7, 1 << 10):  # one row, or a few rows, per gather block
+            monkeypatch.setattr(resonance, "_GATHER", gather)
+            # the inner sums still run over the whole block: not even the rounding moves
+            assert weighted_sum_congruence(1009, scheme, 1.0, 100.0, n_limit, k_limit) == whole
         monkeypatch.setattr(resonance, "_BLOCK", 7)  # many row and column blocks
         blocked = weighted_sum_congruence(1009, scheme, 1.0, 100.0, n_limit, k_limit)
         assert blocked == pytest.approx(whole, rel=1e-13)
+
+
+# S1 of `ratio_certificate` by float.hex, as recorded while the residue
+# tables were still q entries long: certify's defaults at three moduli and
+# the benchmark's two certify moduli at N = K = 10**5
+S1_PINS = [
+    (101, 10**4, "0x1.ad842d5085b2fp+8"),
+    (1009, 10**4, "0x1.5c5989f1d7022p+14"),
+    (10007, 10**4, "0x1.368d88681c7bfp+19"),
+    (101837, 10**5, "0x1.51a1723bdc237p+24"),
+    (1091527, 10**5, "0x1.f38bdb9be8a2ap+28"),
+]
+
+
+@pytest.mark.parametrize("q,limit,pin", S1_PINS)
+def test_s1_is_pinned_bit_for_bit(q, limit, pin):
+    assert ratio_certificate(q, 1.4, n_limit=limit, k_limit=limit).s1.real.hex() == pin
+
+
+@st.composite
+def compact_table_configs(draw):
+    q = draw(st.sampled_from(ODD_PRIMES))
+    x = draw(st.floats(min_value=1.5, max_value=min(50.0, q - 0.5)))
+    y = x + draw(st.floats(min_value=0.0, max_value=2000.0))
+    sigma = draw(st.floats(min_value=0.55, max_value=1.0))
+    n_limit = draw(st.integers(min_value=1, max_value=3 * q))
+    k_limit = draw(st.integers(min_value=1, max_value=3 * q))
+    return q, x, y, sigma, n_limit, k_limit
+
+
+@settings(max_examples=30, deadline=None)
+@given(compact_table_configs())
+@example((10007, 30.0, 1000.0, 1.0, 20000, 500))  # N > q > K
+@example((10007, 30.0, 1000.0, 0.75, 500, 20000))  # K > q > N
+@example((19997, 45.0, 2000.0, 1.0, 3000, 4000))  # N, K < q: both tables compact
+def test_compact_tables_match_full_tables_exactly(config):
+    q, x, y, sigma, n_limit, k_limit = config
+    coeffs = enumerate_coeffs(linear_scheme(x), n_limit)
+    ks, bs = resonance._series_support(sigma, y, k_limit)
+    compact = [numth._residue_sums(q, ns, vs) for ns, vs in ((coeffs.ns, coeffs.weights), (ks, bs))]
+    full = [numth._residue_sums(q, ns, vs, q) for ns, vs in ((coeffs.ns, coeffs.weights), (ks, bs))]
+    for small, whole, ns in zip(compact, full, (coeffs.ns, ks)):
+        assert whole.size == q
+        assert small.size == min(int((ns % q).max()) + 2, q)
+        assert np.array_equal(small, whole[: small.size]) and not whole[small.size :].any()
+        assert small.size == q or small[-1] == 0.0
+    assert resonance._weighted_sum(q, *compact) == resonance._weighted_sum(q, *full)
+    cs = ks.astype(float) ** -0.75
+    assert resonance._provable_bound(q, coeffs, compact[0], ks, cs) == resonance._provable_bound(
+        q, coeffs, full[0], ks, cs
+    )
 
 
 class TestFiniteRelationExact:
@@ -192,9 +247,9 @@ class TestFiniteRelationExact:
             assert lhs >= rhs
 
 
-def loop_provable_bound(coeffs, v, terms):
+def loop_provable_bound(q, coeffs, v, terms):
     """The finite-chain bound one (k, c_k) term at a time, in the given order."""
-    prefix = np.cumsum(coeffs.weights * v[coeffs.ns % v.size])
+    prefix = np.cumsum(coeffs.weights * v[coeffs.ns % q])
     bound = 0.0
     for k, c in terms:
         if k <= coeffs.limit:
@@ -212,8 +267,8 @@ class TestProvableBound:
         target = enumerate_coeffs(linear_scheme(x), 10**5)  # terms with k > N are skipped
         primes = sieve_primes(40)
         for ks, cs in [(target.ns, target.weights / target.ns), (primes, 0.5 * primes ** -0.75)]:
-            loop = loop_provable_bound(coeffs, v, zip(ks.tolist(), cs.tolist()))
-            assert resonance._provable_bound(coeffs, v, ks, cs) == loop
+            loop = loop_provable_bound(q, coeffs, v, zip(ks.tolist(), cs.tolist()))
+            assert resonance._provable_bound(q, coeffs, v, ks, cs) == loop
 
 
 class TestRatioCertificate:
