@@ -16,13 +16,18 @@ take its chirp/Bluestein path) and h != p, that FFT is split by the
 Good-Thomas prime-factor map into batched FFTs of the coprime lengths p
 and h/p, which needs no twiddles; otherwise it is one numpy call.
 
-The group keeps 24 bytes per residue: int32 `dlog` and `power_residues`
-(q < 2**31, as `numth.check_modulus` requires) and a complex root table
-whose upper half is the exact conjugate mirror of its lower half.
+A group is built with 12 bytes per residue: int32 `power_residues`
+(q < 2**31, as `numth.check_modulus` requires) and the lower half of the
+complex root table, which is all that the whole-group paths read.  The
+int32 `dlog` and the full root table, whose upper half is the exact
+conjugate mirror of its lower half, are built on the first single-character
+evaluation; the full table then replaces the half one, so a group never
+holds more than 24 bytes per residue.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -39,7 +44,7 @@ def _powers(g: int, q: int, count: int) -> np.ndarray:
     while m < count:
         block = powers[m : 2 * m]
         np.multiply(powers[: block.size], pow(g, m, q), out=block)
-        block %= q
+        block -= block // q * q  # floor_divide by a scalar is cheaper than %
         m *= 2
     return powers
 
@@ -51,38 +56,53 @@ class CharacterGroup:
         q: the prime modulus
         g: the smallest primitive root mod q
         phi: group order q - 1
-        dlog: int32 array of length q; dlog[a] = k with g**k = a (mod q),
-              dlog[0] = -1 (sentinel for q | n)
         power_residues: int32 array of length q-1; entry k is g**k mod q
+        dlog: int32 array of length q, built on first access;
+              dlog[a] = k with g**k = a (mod q), dlog[0] = -1 (sentinel for q | n)
 
     Both tables fit int32 because q < 2**31; every product of a character
     index with a table entry is formed in int64.  The private root table
-    `_roots[k] = exp(2 pi i k/(q-1))` is evaluated for k < (q-1)/2, holds
-    exactly -1 at k = (q-1)/2, and its upper half is the exact mirror
-    `_roots[q-1-k] = conj(_roots[k])`.  It stays full length: reading a
-    half table through folded indices made `character_values` twice as
-    slow at q = 98017.
+    `_roots[k] = exp(2 pi i k/(q-1))` is evaluated for k < h = (q-1)/2 and
+    holds exactly -1 at k = h.  A new group keeps only these h + 1 entries:
+    the group DFT reads its twiddles from the first h and the resonator scan
+    its cosines from the first h + 1.  `character_values` and `values_at`
+    replace it by the full-length table, whose upper half is the exact mirror
+    `_roots[q-1-k] = conj(_roots[k])`; reading the half table through folded
+    indices made `character_values` twice as slow at q = 98017.
     """
 
     def __init__(self, q: int, g: int):
         self.q = q
         self.g = g
         self.phi = q - 1
-        power_residues = _powers(g, q, q - 1).astype(np.int32)
-        dlog = np.full(q, -1, dtype=np.int32)
-        dlog[power_residues] = np.arange(q - 1, dtype=np.int32)
-        self.dlog = dlog
-        self.power_residues = power_residues
+        self.power_residues = _powers(g, q, q - 1).astype(np.int32)
+        self.power_residues.setflags(write=False)
         # one shared root-of-unity table fixes the rounding profile everywhere
         h = (q - 1) // 2
-        roots = np.empty(q - 1, dtype=complex)
+        roots = np.empty(h + 1, dtype=complex)
         roots[:h] = np.exp(2j * math.pi * np.arange(h) / (q - 1))
         roots[h] = -1.0
-        np.conjugate(roots[h - 1 : 0 : -1], out=roots[h + 1 :])
+        roots.setflags(write=False)
         self._roots = roots
-        self.dlog.setflags(write=False)
-        self.power_residues.setflags(write=False)
-        self._roots.setflags(write=False)
+
+    @functools.cached_property
+    def dlog(self) -> np.ndarray:
+        dlog = np.full(self.q, -1, dtype=np.int32)
+        dlog[self.power_residues] = np.arange(self.q - 1, dtype=np.int32)
+        dlog.setflags(write=False)
+        return dlog
+
+    def _full_roots(self) -> np.ndarray:
+        """The root table over every k < q-1, mirrored from the lower half on
+        first use; it replaces the half table, so the group holds one of them."""
+        if self._roots.size < self.q - 1:
+            h = (self.q - 1) // 2
+            roots = np.empty(self.q - 1, dtype=complex)
+            roots[: h + 1] = self._roots
+            np.conjugate(roots[h - 1 : 0 : -1], out=roots[h + 1 :])
+            roots.setflags(write=False)
+            self._roots = roots
+        return self._roots
 
     def character(self, index: int) -> tuple[CharacterGroup, int]:
         """chi_index as the pair (group, index) that single-character functions take."""
@@ -92,10 +112,11 @@ class CharacterGroup:
 
     def character_values(self, index: int, ns: np.ndarray) -> np.ndarray:
         """chi_index(n) for every n of the int array `ns` (zeros where q | n)."""
-        logs = self.dlog[np.asarray(ns) % self.q]  # the sentinel -1 where q | n
+        ns = np.asarray(ns)
+        logs = self.dlog[ns - ns // self.q * self.q]  # the sentinel -1 where q | n
         exponents = np.multiply(logs, index, dtype=np.int64)
-        exponents %= self.q - 1  # in place: this halved the call at q = 100003
-        values = self._roots[exponents]
+        exponents -= exponents // (self.q - 1) * (self.q - 1)  # floor_divide by a scalar is cheaper than %
+        values = self._full_roots()[exponents]
         values[logs < 0] = 0
         return values
 
@@ -104,7 +125,9 @@ class CharacterGroup:
         r = n % self.q
         if r == 0:
             return np.zeros(self.q - 1, dtype=complex)
-        return self._roots[np.arange(self.q - 1, dtype=np.int64) * int(self.dlog[r]) % (self.q - 1)]
+        exponents = np.arange(self.q - 1, dtype=np.int64) * int(self.dlog[r])
+        exponents -= exponents // (self.q - 1) * (self.q - 1)
+        return self._full_roots()[exponents]
 
     def __repr__(self) -> str:
         return f"CharacterGroup(q={self.q}, g={self.g})"
@@ -112,11 +135,13 @@ class CharacterGroup:
 
 def build_group(q: int) -> CharacterGroup:
     """Construct the character group mod q (`numth.check_modulus`),
-    verifying the dlog bijection."""
+    verifying that k -> g**k mod q is a bijection onto 1..q-1."""
     numth.check_modulus(q)
     group = CharacterGroup(q, numth.primitive_root(q))
-    if np.any(group.dlog[1:] < 0):
-        raise AssertionError(f"discrete-log table for q={q} is not a bijection")
+    seen = np.zeros(q, dtype=bool)  # 1 byte per residue, freed on return
+    seen[group.power_residues] = True
+    if not seen[1:].all():
+        raise AssertionError(f"the powers of g={group.g} mod q={q} are not a bijection")
     return group
 
 

@@ -16,7 +16,10 @@ renamed, so failed runs leave no partial files.  Reruns with identical
 configuration produce byte-identical CSV.
 
 Exit codes: 0 success, 1 certificate failure, 2 configuration error,
-3 I/O failure.
+3 I/O failure, 4 internal error (any other exception while computing a
+modulus, oracle-check's included, such as a MemoryError or a broken worker
+pool under --jobs; one stderr line names the command, q and exception
+type, and no output directory is created).
 """
 
 from __future__ import annotations
@@ -343,21 +346,34 @@ def _certificate(command: str, result):
     return None
 
 
+def _internal_error(command: str, q, exc: Exception) -> int:
+    """Exit 4 with one stderr line for an exception while computing q; exit 1
+    stays reserved for a failed certificate or check."""
+    detail = "the input did not fit in memory" if isinstance(exc, MemoryError) else " ".join(str(exc).split())
+    print(f"{command}: internal error at q={q}: {type(exc).__name__}: {detail}", file=sys.stderr)
+    return 4
+
+
 def run(config: RunConfig) -> int:
     """Execute the configured command; returns the process exit code."""
     if config.command == "oracle-check":
         return oracle_check(config.q_list)
+    results, q = {}, None  # q stays None only if the pool fails before any modulus starts
     try:
         if config.jobs > 1 and len(config.q_list) > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
                 futures = {q: pool.submit(_compute_one, config.command, q, config) for q in config.q_list}
-                results = {q: future.result() for q, future in futures.items()}
+                for q, future in futures.items():
+                    results[q] = future.result()
         else:
-            results = {q: _compute_one(config.command, q, config) for q in config.q_list}
+            for q in config.q_list:
+                results[q] = _compute_one(config.command, q, config)
     except ValueError as exc:
         # an operation-level precondition (e.g. a cutoff reaching the modulus)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        return _internal_error(config.command, q, exc)
     # made only once every modulus is computed: a failed computation leaves no directory
     outdir = Path(config.output_dir)
     try:
@@ -447,10 +463,15 @@ def _dual_oracle_row(group) -> tuple[str, bool, str]:
 
 
 def oracle_check(q_list) -> int:
-    """Run the self-check suite and print one PASS/FAIL line per check."""
+    """Run the self-check suite and print one PASS/FAIL line per check;
+    returns 0, 1 when a check fails, or 4 when a check raises."""
     all_ok = True
     for q in q_list:
-        for name, ok, detail in _check_rows_for(q):
+        try:
+            rows = _check_rows_for(q)
+        except Exception as exc:
+            return _internal_error("oracle-check", q, exc)
+        for name, ok, detail in rows:
             all_ok &= ok
             print(f"q={q:<8} {name:<28} {'PASS' if ok else 'FAIL'}  {detail}")
     print("oracle-check:", "all checks passed" if all_ok else "FAILURES detected")

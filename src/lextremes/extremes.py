@@ -60,39 +60,60 @@ def _sigma1_abs(q: int) -> tuple[tuple[float, float, float], CharacterGroup, np.
     return logs, group, l_value_batch(group, 1.0).abs_values()
 
 
+def _discrete_logs(group: CharacterGroup, residues: list[int]) -> list[int]:
+    """ind(r) with g**ind(r) = r (mod q) for residues 1 <= r < q, from one
+    pass over `power_residues`: it is a permutation of 1..q-1, so each
+    r <= max(residues) appears there exactly once."""
+    if not residues:
+        return []
+    top = max(residues)
+    ks = np.flatnonzero(group.power_residues <= top)
+    ind = np.empty(top + 1, dtype=np.int64)
+    ind[group.power_residues[ks]] = ks
+    return ind[residues].tolist()
+
+
 def _resonator_abs_sq_all(group: CharacterGroup, scheme: WeightScheme) -> np.ndarray:
     """|R(chi_j)|**2 for every character index j = 0..q-2, in real arithmetic.
 
     Each prime contributes |1 - w chi_j(p)|**(-2), and
     |1 - w e(t)|**2 = 1 + w**2 - 2w cos(2 pi t) = (1 - w)**2 + 2w (1 - cos(2 pi t))
     with t = j ind(p) / (q-1); the second form has no cancellation near
-    t = 0.  Only j = 0..(q-1)/2 is evaluated; the rest is mirrored,
-    |R(chi_{q-1-j})|**2 = |R(chi_j)|**2, so conjugate characters get
-    bit-identical values.  The exponent j ind(p) mod (q-1) is formed in
-    int64 (below 2**62 for q < 2**31) in one reused buffer and folded to
-    k <= (q-1)/2, where 1 - cos is read from the first half of the group's
-    root table.  Primes and weights come from `resonator._scheme_primes`;
-    the prime q itself, where every character vanishes, contributes 1.
+    t = 0.  Only j = 0..h, h = (q-1)/2, is evaluated, straight into the lower
+    half of the output; the rest is mirrored, |R(chi_{q-1-j})|**2 = |R(chi_j)|**2,
+    so conjugate characters get bit-identical values.  The indices ind(p)
+    of all the scheme's primes come from one pass over `power_residues`.
+    The exponent j ind(p) mod (q-1) is formed in int64 (below 2**62 for
+    q < 2**31) and folded in place to k = h - |k - h| <= h, where cos is
+    read from the first h + 1 entries of the group's root table into one
+    reused buffer; no j array is kept, so at most 12 bytes per residue
+    are alive besides the output.  Primes and weights come from
+    `resonator._scheme_primes`; the prime q itself, where every character
+    vanishes, contributes 1.
     """
-    n = group.q - 1
+    q, n = group.q, group.q - 1
     h = n // 2
-    one_minus_cos = 1.0 - group._roots.real[: h + 1]
-    js = np.arange(h + 1, dtype=np.int64)
-    k = np.empty(h + 1, dtype=np.int64)
+    pairs = [(p, w) for p, w in zip(*_scheme_primes(scheme)) if w > 0 and p != q]
+    logs = _discrete_logs(group, [p % q for p, _ in pairs])
+    values = np.empty(n)
+    half = values[: h + 1]
+    half.fill(1.0)
+    cos = group._roots.real
     factor = np.empty(h + 1)
-    half = np.ones(h + 1)
-    for p, w in zip(*_scheme_primes(scheme)):
-        if w <= 0 or p == group.q:
-            continue
-        np.multiply(js, group.dlog[p % group.q], out=k)
-        np.remainder(k, n, out=k)
-        np.minimum(k, n - k, out=k)
-        np.take(one_minus_cos, k, out=factor)
+    for ind, (_, w) in zip(logs, pairs):
+        k = np.arange(h + 1, dtype=np.int64)  # j, regenerated per prime: no j array outlives it
+        k *= ind
+        k -= k // n * n  # floor_divide by a scalar is cheaper than %
+        k -= h
+        np.abs(k, out=k)
+        np.subtract(h, k, out=k)
+        # every k lies in [0, h]; "clip" spares take's defensive copy of `out`
+        np.take(cos, k, out=factor, mode="clip")
+        del k
+        np.subtract(1.0, factor, out=factor)
         factor *= 2 * w
         factor += (1 - w) ** 2
         half /= factor
-    values = np.empty(n)
-    values[: h + 1] = half
     values[h + 1 :] = half[h - 1 : 0 : -1]
     return values
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lextremes import build_group, dft_over_group, orthogonality_sum
+from lextremes import build_group, chargroup, dft_over_group, orthogonality_sum
 from lextremes.chargroup import _good_thomas_split, _powers
 from lextremes.lfunc import _residue_values
 
@@ -85,7 +85,9 @@ class TestBuildGroup:
 
     @pytest.mark.parametrize("q", [1009, 98017])
     def test_root_table_upper_half_is_exact_mirror(self, group_of, q):
-        roots = group_of(q)._roots
+        group = group_of(q)
+        group.values_at(1)  # a single-character path builds the full table
+        roots = group._roots
         n, h = q - 1, (q - 1) // 2
         assert np.array_equal(roots[:0:-1], np.conj(roots[1:]))
         assert roots[h] == -1  # the order-2 character is exactly real
@@ -98,8 +100,34 @@ class TestBuildGroup:
     @pytest.mark.parametrize("q", [1009, 98017])
     def test_retained_tables_at_most_24_bytes_per_residue(self, group_of, q):
         group = group_of(q)
+        group.values_at(1)  # dlog and the full root table, as a single-character path leaves them
         held = sum(v.nbytes for v in vars(group).values() if isinstance(v, np.ndarray))
         assert held <= 24 * q
+
+    @pytest.mark.parametrize("q", [1009, 98017])
+    def test_new_group_holds_12_bytes_per_residue(self, q):
+        # power_residues and the root table's lower h + 1 entries; a single
+        # character path then builds dlog, and the full table replaces the half
+        group = build_group(q)
+        held = sum(v.nbytes for v in vars(group).values() if isinstance(v, np.ndarray))
+        assert "dlog" not in vars(group)
+        assert held <= 12 * q + 16
+        group.values_at(2)
+        assert "dlog" in vars(group)
+        assert group._roots.size == q - 1
+        assert sum(v.dtype == complex for v in vars(group).values() if isinstance(v, np.ndarray)) == 1
+
+    def test_bijection_check_fires(self, monkeypatch):
+        real_powers = chargroup._powers
+
+        def repeated(g, q, count):
+            powers = real_powers(g, q, count)
+            powers[-1] = powers[0]  # residue 1 twice, g**(q-2) never
+            return powers
+
+        monkeypatch.setattr(chargroup, "_powers", repeated)
+        with pytest.raises(AssertionError, match="not a bijection"):
+            build_group(1009)
 
 
 class TestTableEvaluation:

@@ -108,6 +108,23 @@ class TestParseConfig:
                 parse_config([command, *base, "--config", str(cfg)])
 
 
+# module-level, so that a worker process under --jobs can unpickle them
+def _raise_memory_error(command, q, config):
+    raise MemoryError
+
+
+def _raise_runtime_error(command, q, config):
+    raise RuntimeError("kernel\nfailed")  # a multi-line message still prints one line
+
+
+def _check_rows_raise_memory_error(q):
+    raise MemoryError
+
+
+def _kill_worker(command, q, config):
+    os._exit(1)
+
+
 class TestRun:
     def test_certify_toy_smoke(self, tmp_path):
         code = main(["certify", "--q", "7", "--output-dir", str(tmp_path)])
@@ -298,8 +315,40 @@ class TestRun:
             raise RuntimeError("compute failed")
 
         monkeypatch.setattr(cli, "_compute_one", crash)
-        with pytest.raises(RuntimeError, match="compute failed"):
-            main(["census", "--q", "17", "--output-dir", str(tmp_path / "new" / "deep")])
+        assert main(["census", "--q", "17", "--output-dir", str(tmp_path / "new" / "deep")]) == 4
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "crash,line",
+        [
+            (_raise_memory_error, "MemoryError: the input did not fit in memory"),
+            (_raise_runtime_error, "RuntimeError: kernel failed"),
+        ],
+    )
+    def test_compute_exception_exits_4_with_one_line(self, tmp_path, capsys, monkeypatch, jobs, crash, line):
+        # exit 1 stays reserved for a failed certificate
+        monkeypatch.setattr(cli, "_compute_one", crash)
+        argv = ["census", "--q", "17,19", "--jobs", jobs, "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 4
+        assert capsys.readouterr().err.splitlines() == [f"census: internal error at q=17: {line}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_oracle_check_exception_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_check_rows_for", _check_rows_raise_memory_error)
+        assert main(["oracle-check", "--q", "101"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "oracle-check: internal error at q=101: MemoryError: the input did not fit in memory"
+        ]
+
+    def test_broken_worker_pool_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_compute_one", _kill_worker)
+        argv = ["census", "--q", "17,19", "--jobs", "2", "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("census: internal error at q=17: BrokenProcessPool: ")
         assert list(tmp_path.iterdir()) == []
 
     def test_no_partial_files_on_failure(self, tmp_path, monkeypatch):

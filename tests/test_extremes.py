@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from lextremes import (
     threshold_census,
 )
 from lextremes import extremes
-from lextremes.chargroup import CharacterGroup
+from lextremes.chargroup import CharacterGroup, build_group
 from lextremes.cli import _json_bytes
 from lextremes.extremes import _resonator_abs_sq_all
 from lextremes.resonator import half_scheme, linear_scheme
@@ -74,6 +75,45 @@ class TestResonatorScan:
         # |R|**2 ties exactly on a conjugate pair and argmax keeps the first
         for report in (scan_sigma1(q), scan_sigma_strip(q, 0.75)):
             assert 1 <= report.resonant_index <= (q - 1) // 2
+
+
+class TestLeanGroup:
+    """The whole-group drivers read only `power_residues` and the lower half
+    of the root table, so they never build dlog or the full root table."""
+
+    def test_whole_group_paths_build_no_single_character_tables(self, monkeypatch):
+        groups = []
+
+        def capture(q):
+            groups.append(build_group(q))
+            return groups[-1]
+
+        monkeypatch.setattr(extremes, "build_group", capture)
+        scan_sigma1(1009)
+        threshold_census(1009, [0.5, 1.0])
+        scan_sigma_strip(1009, 0.75)
+        assert len(groups) == 3
+        for group in groups:
+            assert "dlog" not in vars(group)
+            assert group._roots.size == (group.q - 1) // 2 + 1
+
+    # at q = 98017, h = 2**4 * 3 * 1021 takes the Good-Thomas split;
+    # at q = 97021, h = 2 * 3**2 * 5 * 7**2 * 11 is one plain FFT
+    @pytest.mark.parametrize("q", [98017, 97021])
+    def test_sigma1_peak_at_most_44_bytes_per_residue(self, q):
+        # the group (12 B) and the L-value batch (32 B) at the peak; the
+        # resonator scan stays below it (40 B).  The fixed allowance covers
+        # the prime lists and small arrays (measured 1.5 KiB).
+        allowance = 64 * 1024
+        scan_sigma1(q)  # numpy's FFT plan cache is traced too; fill it first
+        for run in (lambda: scan_sigma1(q), lambda: threshold_census(q, [0.5, 1.0])):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 44 * q + allowance
 
 
 class TestConstants:
