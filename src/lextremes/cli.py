@@ -215,19 +215,54 @@ def _validate(config: RunConfig) -> None:
 # result computation and persistence
 
 
-def _compute_one(command: str, q: int, config: RunConfig):
+class _Layout(NamedTuple):
+    """One modulus's result as written: the CSV header and rows, the JSON
+    payload, and the certificate that decides the exit code (None without one)."""
+
+    header: list[str]
+    rows: list[list]
+    payload: dict
+    certificate: object = None
+
+
+# the scans and the census share one CSV layout; certify's one row ends with the principal-excluded sums
+_SCAN_HEADER = [
+    "q", "sigma", "delta", "threshold", "count",
+    "max_abs_l", "bound", "margin", "exponent_emp", "exponent_ref",
+]
+_CERTIFY_HEADER = [
+    "q", "sigma", "scheme_kind", "cutoff", "x", "y", "n", "k",
+    "s1_real", "s1_imag", "s2", "ratio", "lower_bound",
+    "tail_fraction", "r0_sq", "l_r0_sq", "certificate_passed",
+    "certificate_margin", "tau_cert", "tau_budget",
+    "s1_star_real", "s1_star_imag", "s2_star", "ratio_star", "certificate_star_passed",
+]
+
+
+def _compute_one(command: str, q: int, config: RunConfig) -> _Layout:
     if command == "certify":
         report = ratio_certificate(
             q, config.b, n_limit=config.n, k_limit=config.k, y=config.y, tau_budget=config.tau_budget
         )
         starred = exclude_principal(report)
-        return report, starred
-    if command == "scan-t1":
-        return scan_sigma1(q, epsilon=config.epsilon)
+        cert = report.certificate
+        row = [
+            report.q, report.sigma, report.scheme.kind, report.scheme.cutoff, report.x, report.y, report.n, report.k,
+            report.s1.real, report.s1.imag, report.s2, report.ratio, report.lower_bound, report.tail_fraction,
+            *report.principal_terms, cert.passed, cert.margin, cert.tau_cert, cert.tau_budget,
+            starred.s1.real, starred.s1.imag, starred.s2, starred.ratio, starred.certificate.passed,
+        ]
+        payload = {"report": asdict(report), "principal_excluded": asdict(starred)}
+        return _Layout(_CERTIFY_HEADER, [row], payload, cert)
     if command == "census":
-        return threshold_census(q, config.delta_list)
-    if command == "scan-t3":
-        return scan_sigma_strip(
+        r = threshold_census(q, config.delta_list)
+        cells = zip(r.deltas, r.thresholds, r.counts, r.exponents_emp, r.exponents_ref)
+        rows = [[r.q, r.sigma, d, t, c, r.max_abs_l, "", "", emp, ref] for d, t, c, emp, ref in cells]
+        return _Layout(_SCAN_HEADER, rows, asdict(r))
+    if command == "scan-t1":
+        r = scan_sigma1(q, epsilon=config.epsilon)
+    elif command == "scan-t3":
+        r = scan_sigma_strip(
             q,
             config.sigma,
             x_cap=config.x_cap,
@@ -238,7 +273,10 @@ def _compute_one(command: str, q: int, config: RunConfig):
             k_limit=config.k,
             tau_budget=config.tau_budget,
         )
-    raise AssertionError(command)
+    else:
+        raise AssertionError(command)
+    row = [r.q, r.sigma, "", "", "", r.max_abs_l, r.bound_value, r.margin, "", ""]
+    return _Layout(_SCAN_HEADER, [row], asdict(r), r.quotient.certificate if command == "scan-t3" else None)
 
 
 def _format_cell(value) -> str:
@@ -252,37 +290,6 @@ def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
     for row in rows:
         lines.append(",".join(_format_cell(cell) for cell in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _csv_table(command: str, result) -> tuple[list[str], list[list]]:
-    """The CSV header and rows of a result.  certify's one row ends with the
-    principal-excluded sums; the scans and the census share one layout."""
-    if command == "certify":
-        report, starred = result
-        header = [
-            "q", "sigma", "scheme_kind", "cutoff", "x", "y", "n", "k",
-            "s1_real", "s1_imag", "s2", "ratio", "lower_bound",
-            "tail_fraction", "r0_sq", "l_r0_sq", "certificate_passed",
-            "certificate_margin", "tau_cert", "tau_budget",
-            "s1_star_real", "s1_star_imag", "s2_star", "ratio_star", "certificate_star_passed",
-        ]
-        cert = report.certificate
-        row = [
-            report.q, report.sigma, report.scheme.kind, report.scheme.cutoff, report.x, report.y, report.n, report.k,
-            report.s1.real, report.s1.imag, report.s2, report.ratio, report.lower_bound, report.tail_fraction,
-            *report.principal_terms, cert.passed, cert.margin, cert.tau_cert, cert.tau_budget,
-            starred.s1.real, starred.s1.imag, starred.s2, starred.ratio, starred.certificate.passed,
-        ]
-        return header, [row]
-    header = [
-        "q", "sigma", "delta", "threshold", "count",
-        "max_abs_l", "bound", "margin", "exponent_emp", "exponent_ref",
-    ]
-    r = result
-    if command == "census":
-        cells = zip(r.deltas, r.thresholds, r.counts, r.exponents_emp, r.exponents_ref)
-        return header, [[r.q, r.sigma, d, t, c, r.max_abs_l, "", "", emp, ref] for d, t, c, emp, ref in cells]
-    return header, [[r.q, r.sigma, "", "", "", r.max_abs_l, r.bound_value, r.margin, "", ""]]
 
 
 def _json_sanitize(obj):
@@ -322,28 +329,14 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def _result_files(command: str, q: int, result, config: RunConfig) -> dict[str, bytes]:
+def _result_files(command: str, q: int, result: _Layout, config: RunConfig) -> dict[str, bytes]:
     """The files of one modulus, in the formats that config.format asks for."""
     files = {}
     if config.format in ("csv", "both"):
-        files[f"{command}_q{q}.csv"] = _csv_bytes(*_csv_table(command, result))
+        files[f"{command}_q{q}.csv"] = _csv_bytes(result.header, result.rows)
     if config.format in ("json", "both"):
-        if command == "certify":
-            payload = {"report": asdict(result[0]), "principal_excluded": asdict(result[1])}
-        else:
-            payload = asdict(result)
-        files[f"{command}_q{q}.json"] = _json_bytes(payload)
+        files[f"{command}_q{q}.json"] = _json_bytes(result.payload)
     return files
-
-
-def _certificate(command: str, result):
-    """The certificate that decides the exit code, or None for commands without one."""
-    if command == "certify":
-        report, _ = result
-        return report.certificate
-    if command == "scan-t3":
-        return result.quotient.certificate
-    return None
 
 
 def _internal_error(command: str, q, exc: Exception) -> int:
@@ -362,7 +355,16 @@ def run(config: RunConfig) -> int:
     try:
         if config.jobs > 1 and len(config.q_list) > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                futures = {q: pool.submit(_compute_one, config.command, q, config) for q in config.q_list}
+                # at most `jobs` moduli in flight and none submitted after a failure: the pool
+                # hands submitted calls to its workers' queue early, out of reach of cancelling
+                futures = {}
+                for q in config.q_list:
+                    busy = [future for future in futures.values() if not future.done()]
+                    if len(busy) == config.jobs:
+                        concurrent.futures.wait(busy, return_when=concurrent.futures.FIRST_COMPLETED)
+                    if any(future.done() and future.exception() is not None for future in futures.values()):
+                        break
+                    futures[q] = pool.submit(_compute_one, config.command, q, config)
                 for q, future in futures.items():
                     results[q] = future.result()
         else:
@@ -384,8 +386,7 @@ def run(config: RunConfig) -> int:
     all_passed = True
     try:
         for q in sorted(results):
-            result = results[q]
-            certificate = _certificate(config.command, result)
+            certificate = results[q].certificate
             if certificate is not None and not certificate.passed:
                 all_passed = False
                 print(
@@ -393,7 +394,7 @@ def run(config: RunConfig) -> int:
                     f" > tau_budget={certificate.tau_budget:.6g}, margin={certificate.margin:.6g}",
                     file=sys.stderr,
                 )
-            for name, data in _result_files(config.command, q, result, config).items():
+            for name, data in _result_files(config.command, q, results[q], config).items():
                 _atomic_write(outdir / name, data)
     except OSError as exc:
         print(f"error: writing results failed: {exc}", file=sys.stderr)

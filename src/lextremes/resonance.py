@@ -22,10 +22,11 @@ when k = n * m**(-1) (mod q),
 
 and the kernel gathers over the smaller support, so S1 costs
 |supp V| * min(|supp V|, |supp W|) products of residues (< q**2 < 2**62).
-The character route takes the same tables V and W through one group DFT
-each (`_character_sums`, the module's only use of `chargroup`); the
-congruence kernels use nothing from `chargroup`, so the routes stay
-independent.
+V and W are compact and belong to the congruence route alone.  The
+character route shares only their inputs, the terms (n, w_n) and
+(k, b_k): it sums each over all q residues and takes one group DFT per
+sum (`_character_sums`, the module's only use of `chargroup`), so a fault
+in either route's tables shows as a route residual.
 
 All terms are nonnegative, so truncation tails are exact and the quotient
 |S1|/S2 certifies a computable lower bound for extreme values.  Certificates
@@ -109,9 +110,9 @@ def _series_support(sigma: float, y: float, k_limit: int) -> tuple[np.ndarray, n
     return ks, ks.astype(float) ** (-sigma)
 
 
-def _tables(q: int, scheme: WeightScheme, n_limit: int, series=None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Residue tables of the resonator (V) and, given series = (sigma, y,
-    k_limit), of the y-smooth series coefficients (W); None without one."""
+def _tables(q: int, scheme: WeightScheme, n_limit: int, series=None) -> tuple:
+    """The terms both routes read: the resonator coefficients and, given series
+    = (sigma, y, k_limit), the y-smooth series terms ks, bs (else None, None)."""
     numth.check_modulus(q)
     if series is not None:
         sigma, y, k_limit = series
@@ -119,18 +120,17 @@ def _tables(q: int, scheme: WeightScheme, n_limit: int, series=None) -> tuple[np
         if y < scheme.cutoff:
             raise ValueError(f"series cutoff y = {y} must be >= scheme cutoff {scheme.cutoff}")
     coeffs = enumerate_coeffs(scheme, n_limit)
-    v = numth._residue_sums(q, coeffs.ns, coeffs.weights)
-    return v, None if series is None else numth._residue_sums(q, *_series_support(s, y, k_limit))
+    return coeffs, *((None, None) if series is None else _series_support(s, y, k_limit))
 
 
-def _character_sums(group: CharacterGroup, v: np.ndarray, w: np.ndarray | None) -> tuple[complex | None, float]:
+def _character_sums(group: CharacterGroup, coeffs: ResonatorCoeffs, ks=None, bs=None) -> tuple:
     """(S1, S2) = (sum_chi L(chi) |R(chi)|**2, sum_chi |R(chi)|**2) by one
-    group DFT per residue table; S1 is None when there is no series table w."""
-    q = group.q  # each compact table is spread over all q residues; its zero tail stays unwritten
-    v, w = (None if t is None else numth._residue_sums(q, np.arange(t.size), t, q)[1:] for t in (v, w))
-    r_sq = np.abs(dft_over_group(group, v)) ** 2
-    s1 = None if w is None else complex(np.sum(dft_over_group(group, w) * r_sq))
-    return s1, float(np.sum(r_sq))
+    group DFT of the resonator terms and one of the series terms (ks, bs),
+    each summed over all q residues here; S1 is None without series terms."""
+    q = group.q
+    r_sq = np.abs(dft_over_group(group, numth._residue_sums(q, coeffs.ns, coeffs.weights, q)[1:])) ** 2
+    l_k = None if ks is None else dft_over_group(group, numth._residue_sums(q, ks, bs, q)[1:])
+    return None if l_k is None else complex(np.sum(l_k * r_sq)), float(np.sum(r_sq))
 
 
 def _square_sum(q: int, v: np.ndarray) -> float:
@@ -183,7 +183,8 @@ def square_sum_characters(group: CharacterGroup, scheme: WeightScheme, n_limit: 
 
 def square_sum_congruence(q: int, scheme: WeightScheme, n_limit: int) -> float:
     """S2 via orthogonality: phi(q) * sum over pairs m = n (mod q)."""
-    return _square_sum(q, _tables(q, scheme, n_limit)[0])
+    coeffs = _tables(q, scheme, n_limit)[0]
+    return _square_sum(q, numth._residue_sums(q, coeffs.ns, coeffs.weights))
 
 
 def weighted_sum_characters(
@@ -203,7 +204,7 @@ def weighted_sum_congruence(
     blocks of at most 2**18 entries; terms with q | k or q | n vanish
     because residue 0 is dropped from both tables.
     """
-    return _weighted_sum(q, *_tables(q, scheme, n_limit, (sigma, y, k_limit)))
+    return _congruence_sums(q, *_tables(q, scheme, n_limit, (sigma, y, k_limit)))[1]
 
 
 def _provable_bound(q: int, coeffs: ResonatorCoeffs, v: np.ndarray, ks: np.ndarray, cs: np.ndarray) -> float:
@@ -232,13 +233,13 @@ def _certify(ratio: float, target: float, tau_budget: float) -> CertificateResul
 
 
 def _congruence_sums(q: int, coeffs: ResonatorCoeffs, ks: np.ndarray, bs: np.ndarray) -> tuple:
-    """First step of a certificate: the residue tables V of the resonator
-    `coeffs` and W of the series terms b_k (ks, bs) mod q, S1 and S2 from
-    them by the congruence route, and L_K(sigma, chi_0), the sum of the b_k
-    with k prime to q.  Returns (V, W, S1, S2, L_K(sigma, chi_0))."""
+    """First step of a certificate: the compact residue tables V of the
+    resonator `coeffs` and W of the series terms b_k (ks, bs) mod q, S1 and
+    S2 from them by the congruence route, and L_K(sigma, chi_0), the sum of
+    the b_k with k prime to q.  Returns (V, S1, S2, L_K(sigma, chi_0))."""
     v = numth._residue_sums(q, coeffs.ns, coeffs.weights)
-    w = numth._residue_sums(q, ks, bs)
-    return v, w, _weighted_sum(q, v, w), _square_sum(q, v), math.fsum(bs[ks % q != 0].tolist())
+    s1 = _weighted_sum(q, v, numth._residue_sums(q, ks, bs))
+    return v, s1, _square_sum(q, v), math.fsum(bs[ks % q != 0].tolist())
 
 
 def _certificate_report(
@@ -309,7 +310,7 @@ def ratio_certificate(
     scheme = linear_scheme(x)
     coeffs = enumerate_coeffs(scheme, n_limit)
     ks, bs = _series_support(1.0, y, k_limit)
-    v, _, s1, s2, b_partial = _congruence_sums(q, coeffs, ks, bs)
+    v, s1, s2, b_partial = _congruence_sums(q, coeffs, ks, bs)
     target = lower_bound_product(scheme).value
 
     # exact positive tails; the provable bound runs over c_k = w_k / k
@@ -418,8 +419,8 @@ def half_weight_certificate(
     coeffs = enumerate_coeffs(half_scheme(y), n_limit)
     ks = numth.sieve_primes(int(x))[:k_limit]
     bs = ks.astype(float) ** (-sigma)
-    v, w, s1, s2, l_principal = _congruence_sums(q, coeffs, ks, bs)
-    s1_char, s2_char = _character_sums(group, v, w)
+    v, s1, s2, l_principal = _congruence_sums(q, coeffs, ks, bs)
+    s1_char, s2_char = _character_sums(group, coeffs, ks, bs)
     extras = {
         "a_sigma": a_sigma,
         "s1_route_rel_diff": abs(s1 - s1_char.real) / abs(s1) if s1 else 0.0,

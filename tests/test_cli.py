@@ -10,6 +10,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -123,6 +124,14 @@ def _check_rows_raise_memory_error(q):
 
 def _kill_worker(command, q, config):
     os._exit(1)
+
+
+def _raise_at_17_else_mark(command, q, config):
+    # every other modulus leaves a marker next to the output directory, then runs a while
+    if q == 17:
+        raise RuntimeError("kernel failed")
+    (pathlib.Path(config.output_dir).parent / f"started_{q}").touch()
+    time.sleep(0.5)
 
 
 class TestRun:
@@ -351,6 +360,15 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("census: internal error at q=17: BrokenProcessPool: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_failure_under_jobs_starts_no_further_modulus(self, tmp_path, capsys, monkeypatch):
+        # the exit waits only for the moduli already running, not for the rest of the list
+        monkeypatch.setattr(cli, "_compute_one", _raise_at_17_else_mark)
+        argv = ["census", "--q", "17,19,23,29,31", "--jobs", "2", "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 4
+        assert capsys.readouterr().err.splitlines() == ["census: internal error at q=17: RuntimeError: kernel failed"]
+        assert not (tmp_path / "started_31").exists()
+        assert not (tmp_path / "out").exists()
+
     def test_no_partial_files_on_failure(self, tmp_path, monkeypatch):
         # force the writing step to fail after computation and check that no
         # output file (partial or complete) is left behind
@@ -365,7 +383,7 @@ class TestRun:
         produced = list((tmp_path / "out").glob("census*"))
         assert produced == []
 
-    @pytest.mark.parametrize("fmt,unused", [("csv", "_json_bytes"), ("json", "_csv_table")])
+    @pytest.mark.parametrize("fmt,unused", [("csv", "_json_bytes"), ("json", "_csv_bytes")])
     def test_only_the_asked_format_is_built(self, tmp_path, monkeypatch, fmt, unused):
         def fail(*args):
             raise AssertionError(f"{unused} called for --format {fmt}")
@@ -636,3 +654,39 @@ def test_no_unused_module_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_no_dead_private_names():
+    # every module-level private function, class and constant of the package
+    # is read somewhere in the package outside its own definition
+    package = pathlib.Path(lextremes.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    reads = []  # (module, line, name) of every name load, attribute and imported name
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((module, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                reads.append((module, node.lineno, node.attr))
+            elif isinstance(node, ast.alias):
+                reads.append((module, node.lineno, node.name))
+    checked, dead = 0, []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                checked += 1
+                if not any(
+                    read == name and not (m == module and node.lineno <= line <= node.end_lineno)
+                    for m, line, read in reads
+                ):
+                    dead.append(f"{module}:{node.lineno}: {name}")
+    assert checked > 50 and dead == []

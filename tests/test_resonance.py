@@ -101,6 +101,25 @@ class TestWeightedSum:
         assert abs(s2_char - s2_cong) <= 1e-11 * s2_cong
         assert abs(s1_char - s1_cong) <= 1e-11 * abs(s1_cong)
 
+    def test_a_fault_in_the_compact_tables_shows_as_a_route_residual(self, group_of, monkeypatch):
+        # the compact tables (size 0) are the congruence route's alone; the
+        # character route sums the same terms over all q residues itself
+        residue_sums = numth._residue_sums
+
+        def faulty(q, ns, values, size=0):
+            t = residue_sums(q, ns, values, size)
+            if size == 0:
+                t[np.flatnonzero(t)[-1]] = 0.0  # the largest residue in use
+            return t
+
+        monkeypatch.setattr(numth, "_residue_sums", faulty)
+        scheme = linear_scheme(7)
+        s1_char = weighted_sum_characters(group_of(1009), scheme, 1.0, 100.0, 512, 512)
+        s1_cong = weighted_sum_congruence(1009, scheme, 1.0, 100.0, 512, 512)
+        assert abs(s1_char - s1_cong) > 1e-9 * abs(s1_cong)
+        extras = half_weight_certificate(group_of(1009), 0.75).extras
+        assert max(extras["s1_route_rel_diff"], extras["s2_route_rel_diff"]) > 1e-9
+
 
 def per_n_sweep(q, scheme, sigma, y, n_limit, k_limit):
     """Brute-force S1: for every resonator entry n, gather V over k * n for
@@ -168,7 +187,12 @@ class TestCongruenceKernel:
 
 # S1 of `ratio_certificate` by float.hex, as recorded while the residue
 # tables were still q entries long: certify's defaults at three moduli and
-# the benchmark's two certify moduli at N = K = 10**5
+# the benchmark's two certify moduli at N = K = 10**5.  Like the certify
+# CSV goldens, these pins encode the installed OpenBLAS and its thread
+# split: each block of inner sums is one gemv, whose rows OpenBLAS rounds
+# by their place in the split, so another BLAS build or core count may move
+# the last bits.  All five also held with OPENBLAS_NUM_THREADS=1
+# (scipy-openblas 0.3.31 on 2 CPUs).
 S1_PINS = [
     (101, 10**4, "0x1.ad842d5085b2fp+8"),
     (1009, 10**4, "0x1.5c5989f1d7022p+14"),
