@@ -138,8 +138,7 @@ def _square_sum(q: int, v: np.ndarray) -> float:
     return (q - 1) * float(np.sum(v * v))
 
 
-# index entries per block of inner sums, and per cache-sized gather inside one
-_BLOCK = 1 << 18
+# index entries per cache-sized gather of whole rows
 _GATHER = 1 << 15
 
 
@@ -148,8 +147,10 @@ def _weighted_sum(q: int, v: np.ndarray, w: np.ndarray) -> float:
 
     The outer sum runs over supp V.  The inner gather runs over the smaller
     of supp V (table W at c * a**(-1)) and supp W (table V at r * a); both
-    give the same lattice sum.  Blocks hold at most _BLOCK index entries,
-    gathered _GATHER at a time; an index past the table reads its zero last entry.
+    give the same lattice sum.  Whole rows are gathered about _GATHER
+    entries at a time (an index past the table reads its zero last entry)
+    and each row is summed on its own by numpy's pairwise sum, so no bit
+    depends on _GATHER; the outer sum is one exactly rounded `math.fsum`.
     """
     outer = np.flatnonzero(v)
     cols = np.flatnonzero(w)
@@ -158,22 +159,15 @@ def _weighted_sum(q: int, v: np.ndarray, w: np.ndarray) -> float:
         cols, col_weights, table = outer, v[outer], w
     else:
         mult, col_weights, table = outer, w[cols], v
-    outer_weights = v[outer]
-    total = 0.0
-    for c0 in range(0, cols.size, _BLOCK):
-        block_cols = cols[c0 : c0 + _BLOCK]
-        block_weights = col_weights[c0 : c0 + _BLOCK]
-        rows = _BLOCK // block_cols.size
-        step = max(1, _GATHER // block_cols.size)
-        for r0 in range(0, mult.size, rows):
-            block_mult = mult[r0 : r0 + rows]
-            gathered = np.empty((block_mult.size, block_cols.size))
-            for s0 in range(0, block_mult.size, step):
-                idx = np.multiply.outer(block_mult[s0 : s0 + step], block_cols)
-                idx -= idx // q * q  # floor_divide by a scalar is cheaper than %
-                np.take(table, idx, mode="clip", out=gathered[s0 : s0 + step])
-            total += float(outer_weights[r0 : r0 + rows] @ (gathered @ block_weights))
-    return (q - 1) * total
+    inner = np.empty(mult.size)
+    step = max(1, _GATHER // max(1, cols.size))
+    for s0 in range(0, mult.size, step):
+        idx = np.multiply.outer(mult[s0 : s0 + step], cols)
+        idx -= idx // q * q  # floor_divide by a scalar is cheaper than %
+        gathered = np.take(table, idx, mode="clip")
+        gathered *= col_weights
+        gathered.sum(axis=1, out=inner[s0 : s0 + step])
+    return (q - 1) * math.fsum((v[outer] * inner).tolist())
 
 
 def square_sum_characters(group: CharacterGroup, scheme: WeightScheme, n_limit: int) -> float:
@@ -200,9 +194,9 @@ def weighted_sum_congruence(
     """S1 via orthogonality: sum_k b_k phi(q) sum_{km = n (mod q)} w_m w_n.
 
     Pairs are regrouped by residue class (see the module docstring), so the
-    work is |supp V| * min(|supp V|, |supp W|) residue products, gathered in
-    blocks of at most 2**18 entries; terms with q | k or q | n vanish
-    because residue 0 is dropped from both tables.
+    work is |supp V| * min(|supp V|, |supp W|) residue products, summed
+    by pairwise row sums and an exactly rounded finish; terms with q | k or
+    q | n vanish because residue 0 is dropped from both tables.
     """
     return _congruence_sums(q, *_tables(q, scheme, n_limit, (sigma, y, k_limit)))[1]
 

@@ -420,13 +420,16 @@ class TestRun:
 # digest at q = 1009 was re-recorded when the head shrank from M = 200 terms:
 # max_abs_l and margin moved by under 3e-15 relative, toward the mpmath value.
 # The certify digests pin the whole row, principal-excluded columns included.
+# The q = 101 certify digests (CSV and JSON) were re-recorded when S1 came
+# to be summed by pairwise row sums and one `math.fsum` in place of OpenBLAS
+# gemvs: S1 moved by 2.7e-16 relative and every moved cell by under 7.2e-15.
 # The q = 10007 scan-t1, census and scan-t3 digests were re-recorded when
 # one kernel K = zeta - 1/(sigma - 1) (K = -psi at sigma = 1), centred on
 # the residue grid, replaced the digamma and Hurwitz kernels: max_abs_l moved
 # by under 3e-16 relative and margin by under 9e-16, and the RMS error of all
 # L-values mod 10007 against a 30-digit reference fell at sigma = 1 and 0.75.
 GOLDEN_CSV_SHA256 = {
-    (101, "certify"): "0df8675ccf402b6ae1d78758f855a7df3a896da328f7d93c41a247aa70d2e48e",
+    (101, "certify"): "4cf576bc8f744f2ea86e25f522a6515e76f6f550e2b20d2b297a835eabceb7c8",
     (1009, "certify"): "523184c0783522fb37aab3b018c533771255c6c9d1799fecba1e88121bfa4def",
     (1009, "scan-t1"): "faa301620758c7634699c4854cae36d52a72a419273b10379d89a8fa550d34de",
     (1009, "census"): "303fefac7c31731e2dcdbee6724d0d05aaa21ffcef8f6ec183d656636cfd6404",
@@ -463,7 +466,7 @@ def test_golden_csv(tmp_path, q, command):
 # centred kernel: every moved cell moved by under 3e-15 relative (margin) and
 # under 3e-16 (every |L|), and every moved |L| toward that reference.
 GOLDEN_JSON_SHA256 = {
-    (101, "certify"): "6ef3cc22d5032464fb30d6fdebb12b753d51818ea3ee5ef3b140f57b538ca555",
+    (101, "certify"): "2104257f7f8b3672c3f789df6eae969aeca5a305cc1743bb6cc1bbd965b031f2",
     (101, "scan-t1"): "94c1125eaeb75f6d321515a7abfe5f7f7bc9bc7d7aebc06b9864f21425cce662",
     (101, "census"): "66663aee5b55c22f3e9d5803ab17e71e04230929f9f30729d88cb9d20e553ef4",
     (101, "scan-t3"): "afbebe87d8bfe923bff0ce19657b26728d5ba0434afd342344a0b836c045b249",
@@ -598,10 +601,12 @@ class TestOracleCheck:
         # sha256 of the whole report at q = 101 and 1009: every residual it
         # prints comes from the table, DFT and single-character L-value paths.
         # Re-recorded with the single centred kernel: only the four "batch
-        # vs single" residuals moved, each still below 8e-16
+        # vs single" residuals moved, each still below 8e-16.  Re-recorded
+        # when S1 lost its BLAS call: the dual-oracle s1 residual at q = 101
+        # fell from 3.51e-16 to 1.18e-16, and nothing else moved
         assert oracle_check([101, 1009]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "0f866fe8ee2a078238bd1c4e39b3755a252b77049e8eeb22099700c4bd19e059"
+        assert digest == "37b5fffc409df7e3a12858985726a8550a9f785fda9ee6878374be930ec5e9f6"
 
 
 def test_cli_import_loads_no_scipy():

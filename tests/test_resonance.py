@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -26,10 +29,12 @@ from lextremes import (
     weighted_sum_characters,
     weighted_sum_congruence,
 )
+import lextremes
 from lextremes import numth, resonance
 from lextremes.cli import _json_bytes
 
 from conftest import ODD_PRIMES
+from reference import exact_s1
 
 TOY_S2 = 5244 / 729  # hand enumeration: pairs of powers of two <= 8 mod 7
 TOY_S1 = 31 / 3  # hand enumeration over 3-smooth k <= 8
@@ -173,38 +178,79 @@ class TestCongruenceKernel:
         assert abs(cong - sweep) <= 1e-12 * abs(sweep)
 
     @pytest.mark.parametrize("n_limit,k_limit", [(1000, 50), (50, 1000)])
-    def test_block_size_changes_rounding_only(self, monkeypatch, n_limit, k_limit):
-        scheme = linear_scheme(12)
-        whole = weighted_sum_congruence(1009, scheme, 1.0, 100.0, n_limit, k_limit)
-        for gather in (1, 7, 1 << 10):  # one row, or a few rows, per gather block
+    def test_gather_size_changes_no_bit(self, monkeypatch, n_limit, k_limit):
+        q = 1009
+        coeffs = enumerate_coeffs(linear_scheme(12), n_limit)
+        ks, bs = resonance._series_support(1.0, 100.0, k_limit)
+        v, w = numth._residue_sums(q, coeffs.ns, coeffs.weights, q), numth._residue_sums(q, ks, bs, q)
+        # the order S1 is summed in, one row at a time: V[a] times the pairwise
+        # sum of row a over the smaller support, then one exactly rounded fsum
+        outer, cols = np.flatnonzero(v), np.flatnonzero(w)
+        if outer.size <= cols.size:
+            rows = [v[outer] * w[outer * pow(int(a), -1, q) % q] for a in outer]
+        else:
+            rows = [w[cols] * v[cols * a % q] for a in outer]
+        want = (q - 1) * math.fsum(float(v[a] * np.sum(row)) for a, row in zip(outer, rows))
+        for gather in (1, 7, 1 << 10, resonance._GATHER):  # one row, a few rows, default
             monkeypatch.setattr(resonance, "_GATHER", gather)
-            # the inner sums still run over the whole block: not even the rounding moves
-            assert weighted_sum_congruence(1009, scheme, 1.0, 100.0, n_limit, k_limit) == whole
-        monkeypatch.setattr(resonance, "_BLOCK", 7)  # many row and column blocks
-        blocked = weighted_sum_congruence(1009, scheme, 1.0, 100.0, n_limit, k_limit)
-        assert blocked == pytest.approx(whole, rel=1e-13)
+            assert resonance._weighted_sum(q, v, w) == want
+        assert weighted_sum_congruence(q, linear_scheme(12), 1.0, 100.0, n_limit, k_limit) == want
 
 
-# S1 of `ratio_certificate` by float.hex, as recorded while the residue
-# tables were still q entries long: certify's defaults at three moduli and
-# the benchmark's two certify moduli at N = K = 10**5.  Like the certify
-# CSV goldens, these pins encode the installed OpenBLAS and its thread
-# split: each block of inner sums is one gemv, whose rows OpenBLAS rounds
-# by their place in the split, so another BLAS build or core count may move
-# the last bits.  All five also held with OPENBLAS_NUM_THREADS=1
-# (scipy-openblas 0.3.31 on 2 CPUs).
+# S1 of `ratio_certificate` by float.hex: certify's defaults at three moduli
+# and the benchmark's two certify moduli at N = K = 10**5.  S1 makes no BLAS
+# call: each gathered row is summed by numpy's pairwise sum (the same
+# order in its X86_V2 and X86_V3 loops) and the outer sum by `math.fsum`,
+# so no BLAS kernel, thread count or `_GATHER` moves a bit.  The q = 101
+# and 1091527 pins were re-recorded when that order replaced one OpenBLAS
+# gemv per row block; over 26 draws S1 moved closer to `exact_s1` in mean.
 S1_PINS = [
-    (101, 10**4, "0x1.ad842d5085b2fp+8"),
+    (101, 10**4, "0x1.ad842d5085b2dp+8"),
     (1009, 10**4, "0x1.5c5989f1d7022p+14"),
     (10007, 10**4, "0x1.368d88681c7bfp+19"),
     (101837, 10**5, "0x1.51a1723bdc237p+24"),
-    (1091527, 10**5, "0x1.f38bdb9be8a2ap+28"),
+    (1091527, 10**5, "0x1.f38bdb9be8a32p+28"),
 ]
 
 
 @pytest.mark.parametrize("q,limit,pin", S1_PINS)
 def test_s1_is_pinned_bit_for_bit(q, limit, pin):
     assert ratio_certificate(q, 1.4, n_limit=limit, k_limit=limit).s1.real.hex() == pin
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("coretype", [None, "Sandybridge", "Haswell"])
+def test_s1_pins_hold_under_every_blas_kernel_and_thread_count(coretype, threads):
+    # each setting runs in a child of its own: OpenBLAS reads them at load
+    probe = "from lextremes import ratio_certificate; print(*(ratio_certificate(q, 1.4).s1.real.hex() for q in (101, 1009, 10007)))"
+    src = os.path.dirname(os.path.dirname(lextremes.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env["OPENBLAS_NUM_THREADS"] = threads
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True, timeout=60)
+    assert out.stdout.split() == [pin for q, limit, pin in S1_PINS if limit == 10**4]
+
+
+@pytest.mark.parametrize(
+    "q,x,sigma,n_limit,k_limit",
+    [(101, 7.0, 1.0, 500, 500), (211, 12.0, 0.75, 500, 40), (293, 9.0, 1.0, 30, 500), (7, 5.0, 0.6, 100, 100)],
+)
+def test_s1_is_within_its_rounding_bound_of_the_exact_lattice_sum(q, x, sigma, n_limit, k_limit):
+    coeffs = enumerate_coeffs(linear_scheme(x), n_limit)
+    ks, bs = resonance._series_support(sigma, max(x, 100.0), k_limit)
+    v, w = numth._residue_sums(q, coeffs.ns, coeffs.weights), numth._residue_sums(q, ks, bs)
+    exact = exact_s1(q, v.tolist(), w.tolist())
+    # Every term is nonnegative, so the relative error of S1 is at most
+    # gamma_{n+3}, gamma_m = m u / (1 - m u), u = 2**-53, n the row length:
+    # one rounding per gathered product, n - 1 in any order of a row sum of n
+    # nonnegative terms, one for the outer product, one for the exactly
+    # rounded fsum and one for the factor phi(q) (Higham, ch. 3-4).
+    n = min(np.count_nonzero(v), np.count_nonzero(w))
+    u = 2.0**-53
+    bound = (n + 3) * u / (1 - (n + 3) * u)
+    assert abs(Fraction(resonance._weighted_sum(q, v, w)) - exact) <= Fraction(bound) * exact
 
 
 @st.composite
