@@ -63,12 +63,11 @@ class CharacterGroup:
     Both tables fit int32 because q < 2**31; every product of a character
     index with a table entry is formed in int64.  The private root table
     `_roots[k] = exp(2 pi i k/(q-1))` is evaluated for k < h = (q-1)/2 and
-    holds exactly -1 at k = h.  A new group keeps only these h + 1 entries:
-    the group DFT reads its twiddles from the first h and the resonator scan
-    its cosines from the first h + 1.  `character_values` and `values_at`
-    replace it by the full-length table, whose upper half is the exact mirror
-    `_roots[q-1-k] = conj(_roots[k])`; reading the half table through folded
-    indices made `character_values` twice as slow at q = 98017.
+    holds exactly -1 at k = h.  A new group keeps only these h + 1 entries,
+    and the group DFT reads its twiddles from the first h.  `character_values`
+    and `values_at` replace it by the full-length table, whose upper half is
+    the exact mirror `_roots[q-1-k] = conj(_roots[k])`; reading the half table
+    through folded indices made `character_values` twice as slow at q = 98017.
     """
 
     def __init__(self, q: int, g: int):

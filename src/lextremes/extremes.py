@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numth
-from .chargroup import CharacterGroup, build_group
+from .chargroup import CharacterGroup, build_group, dft_over_group
 from .lfunc import approx_error_census, l_value_batch
 from .resonance import EULER_GAMMA, ResonanceReport, _half_weight_cutoff, half_weight_certificate
 from .resonator import WeightScheme, _scheme_primes, linear_scheme
@@ -53,69 +53,44 @@ def _iterated_logs(q: int) -> tuple[float, float, float]:
     return log_q, log2_q, math.log(log2_q)
 
 
-def _sigma1_abs(q: int) -> tuple[tuple[float, float, float], CharacterGroup, np.ndarray]:
-    """The iterated logs of q, its character group and |L(1, chi_j)| for j = 1..q-2."""
+def _sigma1_abs(q: int) -> tuple[tuple[float, float, float], np.ndarray]:
+    """The iterated logs of q and |L(1, chi_j)| for j = 1..q-2."""
     logs = _iterated_logs(q)  # rejects q < 17 before the group is built
-    group = build_group(q)
-    return logs, group, l_value_batch(group, 1.0).abs_values()
-
-
-def _discrete_logs(group: CharacterGroup, residues: list[int]) -> list[int]:
-    """ind(r) with g**ind(r) = r (mod q) for residues 1 <= r < q, from one
-    pass over `power_residues`: it is a permutation of 1..q-1, so each
-    r <= max(residues) appears there exactly once."""
-    if not residues:
-        return []
-    top = max(residues)
-    ks = np.flatnonzero(group.power_residues <= top)
-    ind = np.empty(top + 1, dtype=np.int64)
-    ind[group.power_residues[ks]] = ks
-    return ind[residues].tolist()
+    return logs, l_value_batch(build_group(q), 1.0).abs_values()
 
 
 def _resonator_abs_sq_all(group: CharacterGroup, scheme: WeightScheme) -> np.ndarray:
-    """|R(chi_j)|**2 for every character index j = 0..q-2, in real arithmetic.
+    """|R(chi_j)|**2 for every character index j = 0..q-2, as one group DFT.
 
-    Each prime contributes |1 - w chi_j(p)|**(-2), and
-    |1 - w e(t)|**2 = 1 + w**2 - 2w cos(2 pi t) = (1 - w)**2 + 2w (1 - cos(2 pi t))
-    with t = j ind(p) / (q-1); the second form has no cancellation near
-    t = 0.  Only j = 0..h, h = (q-1)/2, is evaluated, straight into the lower
-    half of the output; the rest is mirrored, |R(chi_{q-1-j})|**2 = |R(chi_j)|**2,
-    so conjugate characters get bit-identical values.  The indices ind(p)
-    of all the scheme's primes come from one pass over `power_residues`.
-    The exponent j ind(p) mod (q-1) is formed in int64 (below 2**62 for
-    q < 2**31) and folded in place to k = h - |k - h| <= h, where cos is
-    read from the first h + 1 entries of the group's root table into one
-    reused buffer; no j array is kept, so at most 12 bytes per residue
-    are alive besides the output.  Primes and weights come from
-    `resonator._scheme_primes`; the prime q itself, where every character
-    vanishes, contributes 1.
+    log R(chi) = sum_p sum_{m>=1} w_p**m chi(p**m) / m is a character sum of
+    the fixed terms (p**m mod q, w_p**m / m), so |R(chi_j)|**2 = exp(2 Re)
+    of the transform of their residue sums.  Each prime's series stops at
+    the first m whose tail bound w_p**m / (m (1 - w_p)) is below 2**-64.
+    `numth._residue_sums` drops residue 0, so the prime q itself, where
+    every character vanishes, contributes 1.  The transform fills its upper
+    half by conjugation, so conjugate characters get bit-identical values.
+    Primes and weights come from `resonator._scheme_primes`.
     """
-    q, n = group.q, group.q - 1
-    h = n // 2
-    pairs = [(p, w) for p, w in zip(*_scheme_primes(scheme)) if w > 0 and p != q]
-    logs = _discrete_logs(group, [p % q for p, _ in pairs])
-    values = np.empty(n)
-    half = values[: h + 1]
-    half.fill(1.0)
-    cos = group._roots.real
-    factor = np.empty(h + 1)
-    for ind, (_, w) in zip(logs, pairs):
-        k = np.arange(h + 1, dtype=np.int64)  # j, regenerated per prime: no j array outlives it
-        k *= ind
-        k -= k // n * n  # floor_divide by a scalar is cheaper than %
-        k -= h
-        np.abs(k, out=k)
-        np.subtract(h, k, out=k)
-        # every k lies in [0, h]; "clip" spares take's defensive copy of `out`
-        np.take(cos, k, out=factor, mode="clip")
-        del k
-        np.subtract(1.0, factor, out=factor)
-        factor *= 2 * w
-        factor += (1 - w) ** 2
-        half /= factor
-    values[h + 1 :] = half[h - 1 : 0 : -1]
-    return values
+    q = group.q
+    ns, terms = [], []
+    for p, w in zip(*_scheme_primes(scheme)):
+        m, w_m, p_m = 1, w, p % q  # w**m and p**m mod q
+        while w_m / (m * (1 - w)) >= 2.0**-64:
+            ns.append(p_m)
+            terms.append(w_m / m)
+            m, w_m, p_m = m + 1, w_m * w, p_m * p % q
+    sums = numth._residue_sums(q, np.array(ns, dtype=np.int64), np.array(terms), q)
+    del ns, terms  # about 60 bytes per term as Python lists
+    log_r = dft_over_group(group, sums[1:]).real
+    log_r *= 2
+    return np.exp(log_r, out=log_r)
+
+
+def _resonant_index(group: CharacterGroup, scheme: WeightScheme, excluded: tuple[int, ...] = ()) -> int:
+    """The first non-principal j outside `excluded` that maximises |R(chi_j)|**2."""
+    r_sq = _resonator_abs_sq_all(group, scheme)
+    r_sq[[0, *excluded]] = -np.inf
+    return int(np.argmax(r_sq))
 
 
 @dataclass(frozen=True)
@@ -176,13 +151,15 @@ def scan_sigma1(q: int, epsilon: float = 0.0) -> ScanReport:
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     start = time.perf_counter()
-    (log_q, log2_q, log3_q), group, labs = _sigma1_abs(q)
+    log_q, log2_q, log3_q = _iterated_logs(q)
+    group = build_group(q)  # after _iterated_logs, which rejects q < 17
+    # the resonator's transform is freed before the L-value batch is allocated
+    resonant = _resonant_index(group, linear_scheme(log_q * log2_q / 1.4))
+    labs = l_value_batch(group, 1.0).abs_values()
     const = reference_constants()
     bound = const.e_gamma * (log2_q + log3_q - const.c - epsilon)
     argmax = 1 + int(np.argmax(labs))
     max_abs = float(labs[argmax - 1])
-    r_sq = _resonator_abs_sq_all(group, linear_scheme(log_q * log2_q / 1.4))
-    resonant = 1 + int(np.argmax(r_sq[1:]))
     return ScanReport(
         q=q,
         sigma=1.0,
@@ -204,7 +181,7 @@ def threshold_census(q: int, deltas) -> CensusReport:
     if not deltas or any(d <= 0 for d in deltas):
         raise ValueError("census requires a nonempty grid of deltas > 0")
     start = time.perf_counter()
-    (log_q, log2_q, log3_q), _, labs = _sigma1_abs(q)
+    (log_q, log2_q, log3_q), labs = _sigma1_abs(q)
     const = reference_constants()
     thresholds, counts, emp, ref, b_values = [], [], [], [], []
     for d in deltas:
@@ -278,9 +255,9 @@ def scan_sigma_strip(
     pick = int(np.argmax(log_abs))
     argmax = int(eligible[pick])
     max_log = float(log_abs[pick])
+    del keep, eligible, log_abs  # so the resonator's transform does not stack on them
     target_shape = log_q ** (1 - sigma) * log2_q ** (-sigma)
-    r_sq = _resonator_abs_sq_all(group, quotient.scheme)
-    resonant = int(eligible[np.argmax(r_sq[eligible])])
+    resonant = _resonant_index(group, quotient.scheme, census.indices)
     return ScanReport(
         q=q,
         sigma=sigma,
@@ -308,6 +285,6 @@ def sigma1_upper_check(q: int, slack: float = 0.5) -> UpperCheck:
     """Check the classical upper bound max |L(1, chi)| <= (log q)/3 with a
     desk-scale slack factor (1 + slack); the o(1) there is unquantified, so
     violations are flagged rather than impossible."""
-    max_abs = float(_sigma1_abs(q)[2].max())
+    max_abs = float(_sigma1_abs(q)[1].max())
     bound = math.log(q) / 3 * (1 + slack)
     return UpperCheck(max_abs, bound, max_abs <= bound)

@@ -15,6 +15,7 @@ import pytest
 from lextremes import build_group, sieve_primes
 
 ODD_PRIMES = sieve_primes(2 * 10**4)[1:].tolist()  # every odd prime below 2 * 10**4
+SPLIT_Q = 1031  # (q-1)/2 = 5*103 and 103**2 > 515: the Good-Thomas split
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,7 @@ from lextremes import build_group, chargroup, dft_over_group, orthogonality_sum
 from lextremes.chargroup import _good_thomas_split, _powers
 from lextremes.lfunc import _residue_values
 
-from conftest import ODD_PRIMES, longdouble_dft
-
-SPLIT_Q = 1031  # (q-1)/2 = 5*103 and 103**2 > 515: the Good-Thomas split
+from conftest import ODD_PRIMES, SPLIT_Q, longdouble_dft
 
 
 def full_length_dft(group, f) -> np.ndarray:

@@ -695,3 +695,25 @@ def test_no_dead_private_names():
                 ):
                     dead.append(f"{module}:{node.lineno}: {name}")
     assert checked > 50 and dead == []
+
+
+def test_group_tables_are_read_only_by_chargroup():
+    # the layout of a group's tables is chargroup's decision: no other module
+    # of the package reads a private attribute of a CharacterGroup
+    package = pathlib.Path(lextremes.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    group_class = next(
+        node for node in trees["chargroup.py"].body if isinstance(node, ast.ClassDef) and node.name == "CharacterGroup"
+    )
+    names = {node.attr for node in ast.walk(group_class) if isinstance(node, ast.Attribute)}
+    names |= {node.name for node in group_class.body if isinstance(node, ast.FunctionDef)}
+    private = {name for name in names if name.startswith("_") and not name.startswith("__")}
+    assert {"_roots", "_full_roots"} <= private
+    reads = [
+        f"{module}:{node.lineno}: .{node.attr}"
+        for module, tree in trees.items()
+        if module != "chargroup.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert reads == []

@@ -25,7 +25,7 @@ from lextremes.cli import _json_bytes
 from lextremes.extremes import _resonator_abs_sq_all
 from lextremes.resonator import half_scheme, linear_scheme
 
-from conftest import ODD_PRIMES
+from conftest import ODD_PRIMES, SPLIT_Q
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -33,7 +33,7 @@ EULER_GAMMA = 0.5772156649015329
 def complex_resonator_abs_sq(group, scheme) -> np.ndarray:
     """|R(chi_j)|**2 as the complex product over primes, divided out over
     all q-1 characters with `values_at` and its own weight formula: the
-    oracle for the real half-group kernel."""
+    oracle for the log-series group DFT kernel."""
     values = np.ones(group.q - 1, dtype=complex)
     for p in sieve_primes(int(scheme.cutoff)).tolist():
         if p > scheme.cutoff:
@@ -53,6 +53,8 @@ class TestResonatorScan:
     )
     @example(q=3, kind="linear", cutoff=7.5)  # cutoff past q: the prime 3 drops out
     @example(q=10007, kind="linear", cutoff=math.log(10007) * math.log(math.log(10007)) / 1.4)
+    @example(q=SPLIT_Q, kind="half", cutoff=40.0)  # the Good-Thomas split of the group DFT
+    @example(q=10007, kind="linear", cutoff=100.0)  # w_2 = 0.98: the longest series drawn
     def test_matches_complex_product(self, group_of, q, kind, cutoff):
         scheme = linear_scheme(cutoff) if kind == "linear" else half_scheme(cutoff)
         group = group_of(q)
@@ -102,8 +104,9 @@ class TestLeanGroup:
     @pytest.mark.parametrize("q", [98017, 97021])
     def test_sigma1_peak_at_most_44_bytes_per_residue(self, q):
         # the group (12 B) and the L-value batch (32 B) at the peak; the
-        # resonator scan stays below it (40 B).  The fixed allowance covers
-        # the prime lists and small arrays (measured 1.5 KiB).
+        # resonator scan runs before the batch and frees its transform and
+        # its input (32 B) first.  The fixed allowance covers the prime
+        # lists and small arrays (measured 1.5 KiB).
         allowance = 64 * 1024
         scan_sigma1(q)  # numpy's FFT plan cache is traced too; fill it first
         for run in (lambda: scan_sigma1(q), lambda: threshold_census(q, [0.5, 1.0])):
@@ -114,6 +117,22 @@ class TestLeanGroup:
             finally:
                 tracemalloc.stop()
             assert peak <= 44 * q + allowance
+
+    @pytest.mark.parametrize("q", [98017, 97021])
+    def test_strip_peak_at_most_56_bytes_per_residue(self, q):
+        # the certificate's character route sets the peak (measured 56.05 B
+        # at q = 98017); the census (53.7 B) and the resonator's transform
+        # beside the group and |L| (52.2 B) stay below it, because the scan
+        # frees its own index arrays first.  Same allowance as above.
+        allowance = 64 * 1024
+        scan_sigma_strip(q, 0.75)  # fill numpy's FFT plan cache first
+        tracemalloc.start()
+        try:
+            scan_sigma_strip(q, 0.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 56 * q + allowance
 
 
 class TestConstants:
