@@ -148,14 +148,14 @@ def orthogonality_sum(group: CharacterGroup, m: int, n: int) -> float:
     """Sum of chi(m) * conj(chi(n)) over all chi, by direct summation.
 
     Equals phi(q) when m = n (mod q) and 0 otherwise.  The q - 1 products
-    come from the evaluation tables and are added with math.fsum, so the
-    sum is exactly rounded and independent of `dft_over_group`: it stays
+    come from the evaluation tables and are added by `numth._exact_sum`, so
+    the sum is exactly rounded and independent of `dft_over_group`: it stays
     the obviously-correct oracle for the DFT-based paths.
     """
     q = group.q
     if math.gcd(m * n, q) != 1:
         raise ValueError(f"orthogonality_sum requires gcd(mn, q) = 1, got m={m}, n={n}, q={q}")
-    return math.fsum((group.values_at(m) * np.conj(group.values_at(n))).real)
+    return numth._exact_sum((group.values_at(m) * np.conj(group.values_at(n))).real)
 
 
 def dft_over_group(group: CharacterGroup, f: np.ndarray) -> np.ndarray:

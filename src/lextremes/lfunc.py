@@ -184,15 +184,6 @@ def hurwitz_zeta_error(sigma: float) -> float:
 # L-values
 
 
-def _fsum_complex(values: np.ndarray) -> complex:
-    """Exactly rounded sum of a 1-d complex array.
-
-    A memoryview hands fsum plain Python floats, which it adds faster than
-    numpy scalars, without the list of floats that `.tolist()` would hold.
-    """
-    return complex(math.fsum(memoryview(values.real)), math.fsum(memoryview(values.imag)))
-
-
 def _residue_values(q: int, s: float) -> np.ndarray:
     """zeta(s, a/q) - q**(s-1)/(s-1) for a = 1..q-1; -psi(a/q) - log q at s = 1.
 
@@ -247,17 +238,17 @@ def l_value(chi: tuple[CharacterGroup, int], sigma) -> LValue:
     """L(sigma, chi_j) = q**(-sigma) * sum_a chi_j(a) * K(sigma, a/q).
 
     `chi` is the pair (group, j) that `CharacterGroup.character(j)` returns.
-    The q - 1 products chi_j(a) * K(sigma, a/q) are added by exact (fsum)
-    summation.  For the principal character (sigma < 1 only) the q - 1
-    constants q**(sigma-1)/(sigma-1) that the residue kernel leaves out are
-    added back.  Calls at the same (q, sigma) share one cached residue kernel.
+    The q - 1 products chi_j(a) * K(sigma, a/q) are added exactly rounded by
+    `numth._exact_sum`.  For the principal character (sigma < 1 only) the
+    q - 1 constants q**(sigma-1)/(sigma-1) that the residue kernel leaves out
+    are added back.  Calls at the same (q, sigma) share one cached residue kernel.
     """
     s = as_sigma(sigma)
     group, j = chi
     q = group.q
     if s == 1.0 and j == 0:
         raise ValueError("L(1, chi) has a pole at the principal character")
-    total = _fsum_complex(group.character_values(j, np.arange(1, q)) * _residue_kernel(q, s))
+    total = numth._exact_sum(group.character_values(j, np.arange(1, q)) * _residue_kernel(q, s))
     if j == 0:
         total += (q - 1) * q ** (s - 1) / (s - 1)
     return LValue(j, s, total / q**s, _error_bound(q, s))
@@ -312,7 +303,7 @@ def dirichlet_poly(chi: tuple[CharacterGroup, int], sigma, x: float) -> complex:
             pk *= p
             k += 1
     values = group.character_values(j, np.array([pk for pk, _ in powers])).tolist()
-    return _fsum_complex(np.array([v / (k * pk**s) for v, (pk, k) in zip(values, powers)]))
+    return numth._exact_sum(np.array([v / (k * pk**s) for v, (pk, k) in zip(values, powers)]))
 
 
 def prime_sum(chi: tuple[CharacterGroup, int], sigma, x: float) -> complex:
@@ -323,7 +314,7 @@ def prime_sum(chi: tuple[CharacterGroup, int], sigma, x: float) -> complex:
     group, j = chi
     primes = numth.sieve_primes(int(x))
     terms = [v * p ** (-s) for p, v in zip(primes.tolist(), group.character_values(j, primes).tolist())]
-    return _fsum_complex(np.array(terms)) if terms else 0j
+    return numth._exact_sum(np.array(terms, dtype=complex))
 
 
 @dataclass(frozen=True)

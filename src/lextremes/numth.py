@@ -14,6 +14,8 @@ import math
 import numpy as np
 
 MODULUS_LIMIT = 2**31
+_SUM_BLOCK = 1 << 13  # entries per np.frexp block of `_exact_sum`
+_SUM_FLUSH = 1 << 25  # entries binned at most before a fold keeps each bucket below 2**53
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -89,6 +91,33 @@ def _residue_sums(q: int, ns: np.ndarray, values: np.ndarray, size: int = 0) -> 
     np.add.at(t, r, values)
     t[0] = 0.0
     return t
+
+
+def _exact_sum(x: np.ndarray) -> float | complex:
+    """The correctly rounded sum of a float64 array (of each part, if complex).
+
+    Equals math.fsum bit for bit, and is exact where fsum overflows midway
+    ([1e308, 1e308, -1e308] gives 1e308): np.bincount adds the 27- and 26-bit
+    integer parts of each entry (np.frexp) by exponent in float64 buckets that
+    stay below 2**53, and int true division rounds their Python int total once.
+    Raises OverflowError past the float range and ValueError on inf or nan.
+    """
+    if np.iscomplexobj(x):
+        return complex(_exact_sum(x.real), _exact_sum(x.imag))
+    total, step = 0, _SUM_FLUSH // _SUM_BLOCK * _SUM_BLOCK
+    for head in range(0, len(x), step):
+        buckets = np.zeros(2124)  # k counts 2**(k - 1126): lo of e >= -1073 at e + 1073, hi 26 up
+        for start in range(head, min(head + step, len(x)), _SUM_BLOCK):
+            m, e = np.frexp(x[start : start + _SUM_BLOCK])
+            e += 1073
+            m *= 2.0**27
+            hi = np.floor(m)
+            buckets[:-26] += np.bincount(e, (m - hi) * 2.0**26, 2098)  # lo
+            buckets[26:] += np.bincount(e, hi, 2098)
+        if not np.isfinite(buckets).all():  # an inf or nan entry leaves lo = nan
+            raise ValueError("exact sum of a non-finite entry")
+        total += sum(int(buckets[k]) << int(k) for k in np.flatnonzero(buckets))
+    return total / (1 << 1126)
 
 
 def _smooth_closure(primes: np.ndarray, weights: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:

@@ -150,7 +150,7 @@ def _weighted_sum(q: int, v: np.ndarray, w: np.ndarray) -> float:
     give the same lattice sum.  Whole rows are gathered about _GATHER
     entries at a time (an index past the table reads its zero last entry)
     and each row is summed on its own by numpy's pairwise sum, so no bit
-    depends on _GATHER; the outer sum is one exactly rounded `math.fsum`.
+    depends on _GATHER; the outer sum is exactly rounded (`numth._exact_sum`).
     """
     outer = np.flatnonzero(v)
     cols = np.flatnonzero(w)
@@ -167,7 +167,7 @@ def _weighted_sum(q: int, v: np.ndarray, w: np.ndarray) -> float:
         gathered = np.take(table, idx, mode="clip")
         gathered *= col_weights
         gathered.sum(axis=1, out=inner[s0 : s0 + step])
-    return (q - 1) * math.fsum((v[outer] * inner).tolist())
+    return (q - 1) * numth._exact_sum(v[outer] * inner)
 
 
 def square_sum_characters(group: CharacterGroup, scheme: WeightScheme, n_limit: int) -> float:
@@ -233,7 +233,7 @@ def _congruence_sums(q: int, coeffs: ResonatorCoeffs, ks: np.ndarray, bs: np.nda
     the b_k with k prime to q.  Returns (V, S1, S2, L_K(sigma, chi_0))."""
     v = numth._residue_sums(q, coeffs.ns, coeffs.weights)
     s1 = _weighted_sum(q, v, numth._residue_sums(q, ks, bs))
-    return v, s1, _square_sum(q, v), math.fsum(bs[ks % q != 0].tolist())
+    return v, s1, _square_sum(q, v), numth._exact_sum(bs[ks % q != 0])
 
 
 def _certificate_report(
@@ -310,7 +310,7 @@ def ratio_certificate(
     # exact positive tails; the provable bound runs over c_k = w_k / k
     target_coeffs = coeffs if k_limit == n_limit else enumerate_coeffs(scheme, k_limit)
     a_cs = target_coeffs.weights / target_coeffs.ns
-    a_partial = math.fsum(memoryview(a_cs))
+    a_partial = numth._exact_sum(a_cs)
     b_total = mertens_product(y) if y >= 2 else 1.0
     extras = {
         "a_tail_fraction": max(0.0, 1.0 - a_partial / target),

@@ -134,7 +134,7 @@ def enumerate_coeffs(scheme: WeightScheme, limit: int) -> ResonatorCoeffs:
     total = 1.0
     for w in weights[live].tolist():
         total /= 1 - w
-    tail = max(total - math.fsum(ws.tolist()), 0.0)
+    tail = max(total - numth._exact_sum(ws), 0.0)
     return ResonatorCoeffs(scheme, limit, ns, ws, total, tail)
 
 

@@ -421,8 +421,8 @@ class TestRun:
 # max_abs_l and margin moved by under 3e-15 relative, toward the mpmath value.
 # The certify digests pin the whole row, principal-excluded columns included.
 # The q = 101 certify digests (CSV and JSON) were re-recorded when S1 came
-# to be summed by pairwise row sums and one `math.fsum` in place of OpenBLAS
-# gemvs: S1 moved by 2.7e-16 relative and every moved cell by under 7.2e-15.
+# to be summed by pairwise row sums and one exactly rounded finish in place
+# of OpenBLAS gemvs: S1 moved by 2.7e-16 relative and every moved cell by under 7.2e-15.
 # The q = 10007 scan-t1, census and scan-t3 digests were re-recorded when
 # one kernel K = zeta - 1/(sigma - 1) (K = -psi at sigma = 1), centred on
 # the residue grid, replaced the digamma and Hurwitz kernels: max_abs_l moved
@@ -695,6 +695,24 @@ def test_no_dead_private_names():
                 ):
                     dead.append(f"{module}:{node.lineno}: {name}")
     assert checked > 50 and dead == []
+
+
+def test_arrays_are_summed_exactly_by_one_kernel():
+    # exact sums of arrays go through `numth._exact_sum`: no math.fsum over a
+    # memoryview or a .tolist(), and none at all in lfunc or chargroup
+    package = pathlib.Path(lextremes.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.fsum", "fsum"):
+                calls.append((path.name, node.lineno, ast.unparse(node.args[0])))
+    assert calls, "the scan found no math.fsum call at all"
+    banned = [
+        f"{module}:{line}: math.fsum({arg})"
+        for module, line, arg in calls
+        if module in ("lfunc.py", "chargroup.py") or arg.startswith("memoryview(") or arg.endswith(".tolist()")
+    ]
+    assert banned == []
 
 
 def test_group_tables_are_read_only_by_chargroup():

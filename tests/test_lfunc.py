@@ -27,7 +27,7 @@ from lextremes import (
     sieve_primes,
 )
 import lextremes
-from lextremes import lfunc
+from lextremes import lfunc, numth
 from lextremes.lfunc import hurwitz_zeta_error
 
 from conftest import ODD_PRIMES, longdouble_dft, series_l1_oracle, zeta_via_eta
@@ -186,9 +186,10 @@ class TestLValue:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False), min_size=1, max_size=300))
     def test_exact_sum_same_over_python_floats(self, zs):
-        # math.fsum rounds exactly, so summing .tolist() floats cannot move a bit
+        # the kernel rounds exactly, as math.fsum does over the Python floats
+        # of each part, so the two cannot differ in a bit
         values = np.array(zs, dtype=complex)
-        assert lfunc._fsum_complex(values) == complex(math.fsum(values.real), math.fsum(values.imag))
+        assert numth._exact_sum(values) == complex(math.fsum(values.real), math.fsum(values.imag))
 
     def test_mod3_closed_form(self, group_of):
         result = l_value(group_of(3).character(1), 1.0)

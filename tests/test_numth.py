@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lextremes import (
     factorize,
@@ -15,6 +17,7 @@ from lextremes import (
 )
 
 from conftest import gpf_table
+from reference import exact_float_sum
 
 
 def trial_division_prime(n: int) -> bool:
@@ -125,6 +128,73 @@ class TestSmoothNumbers:
             smooth_numbers(3, 0)
         with pytest.raises(ValueError):
             smooth_numbers(3, 2**63)  # past int64
+
+
+BLOCK = numth._SUM_BLOCK
+
+
+@st.composite
+def float_arrays(draw):
+    """Finite float64 arrays over every exponent, subnormals and both zeros
+    included, of length 0, 1, a few, or next to the block boundary; some
+    cancel heavily: x, then -x, then one tiny term."""
+    pool = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12)))
+    n = draw(st.sampled_from([0, 1, 2, 5, 31, BLOCK - 1, BLOCK, BLOCK + 1]))
+    x = pool[np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(pool.size, size=n)]
+    if draw(st.booleans()):
+        x = np.concatenate([x, -x, [draw(st.floats(-1e-300, 1e-300))]])
+    return x
+
+
+class TestExactSum:
+    @settings(max_examples=40, deadline=None)
+    @given(float_arrays())
+    @example(np.array([0.1] * (BLOCK - 1) + [-0.1] * (BLOCK - 1) + [5e-324]))
+    @example(np.array([-0.0]))
+    @example(np.array([1.0, 2.0**-53, 2.0**-106]))  # a tie that only the last term breaks, upward
+    def test_matches_fsum_and_the_exact_sum_bit_for_bit(self, x):
+        try:
+            want = exact_float_sum(x)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                numth._exact_sum(x)
+            return
+        got = numth._exact_sum(x)
+        assert got.hex() == want.hex()
+        try:
+            fsum = math.fsum(x)
+        except OverflowError:  # fsum can overflow midway where the sum itself fits
+            return
+        assert got.hex() == fsum.hex()
+
+    def test_exact_where_fsum_overflows_midway(self):
+        x = np.array([1e308, 1e308, -1e308])
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            math.fsum(x)
+        assert numth._exact_sum(x) == 1e308
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf on the way
+    def test_rejects_a_sum_past_the_float_range_and_non_finite_entries(self):
+        with pytest.raises(OverflowError):
+            numth._exact_sum(np.array([1e308, 1e308]))
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                numth._exact_sum(np.array([bad]))
+            with pytest.raises(ValueError):
+                numth._exact_sum(np.array([1.0, bad, -1.0]))
+
+    def test_block_and_fold_sizes_move_no_bit(self, monkeypatch):
+        # 7-entry blocks folded every 14 entries: the fold runs dozens of
+        # times without an array of 2**25 entries
+        rng = np.random.default_rng(2)
+        x = np.ldexp(rng.standard_normal(300), rng.integers(-1100, 1000, 300))
+        x = np.concatenate([x, -x[::-1], [2.0**-1074, 0.1]])
+        want = numth._exact_sum(x)
+        assert want.hex() == exact_float_sum(x).hex()
+        monkeypatch.setattr(numth, "_SUM_BLOCK", 7)
+        monkeypatch.setattr(numth, "_SUM_FLUSH", 16)
+        assert numth._exact_sum(x).hex() == want.hex()
+        assert numth._exact_sum(x[:-1]).hex() == exact_float_sum(x[:-1]).hex() == "0x0.0000000000001p-1022"
 
 
 class TestFactorize:

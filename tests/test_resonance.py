@@ -184,7 +184,7 @@ class TestCongruenceKernel:
         ks, bs = resonance._series_support(1.0, 100.0, k_limit)
         v, w = numth._residue_sums(q, coeffs.ns, coeffs.weights, q), numth._residue_sums(q, ks, bs, q)
         # the order S1 is summed in, one row at a time: V[a] times the pairwise
-        # sum of row a over the smaller support, then one exactly rounded fsum
+        # sum of row a over the smaller support, then one exactly rounded sum
         outer, cols = np.flatnonzero(v), np.flatnonzero(w)
         if outer.size <= cols.size:
             rows = [v[outer] * w[outer * pow(int(a), -1, q) % q] for a in outer]
@@ -200,8 +200,8 @@ class TestCongruenceKernel:
 # S1 of `ratio_certificate` by float.hex: certify's defaults at three moduli
 # and the benchmark's two certify moduli at N = K = 10**5.  S1 makes no BLAS
 # call: each gathered row is summed by numpy's pairwise sum (the same
-# order in its X86_V2 and X86_V3 loops) and the outer sum by `math.fsum`,
-# so no BLAS kernel, thread count or `_GATHER` moves a bit.  The q = 101
+# order in its X86_V2 and X86_V3 loops) and the outer sum is exactly rounded
+# (`numth._exact_sum`), so no BLAS kernel, thread count or `_GATHER` moves a bit.  The q = 101
 # and 1091527 pins were re-recorded when that order replaced one OpenBLAS
 # gemv per row block; over 26 draws S1 moved closer to `exact_s1` in mean.
 S1_PINS = [
@@ -246,7 +246,7 @@ def test_s1_is_within_its_rounding_bound_of_the_exact_lattice_sum(q, x, sigma, n
     # gamma_{n+3}, gamma_m = m u / (1 - m u), u = 2**-53, n the row length:
     # one rounding per gathered product, n - 1 in any order of a row sum of n
     # nonnegative terms, one for the outer product, one for the exactly
-    # rounded fsum and one for the factor phi(q) (Higham, ch. 3-4).
+    # rounded finish and one for the factor phi(q) (Higham, ch. 3-4).
     n = min(np.count_nonzero(v), np.count_nonzero(w))
     u = 2.0**-53
     bound = (n + 3) * u / (1 - (n + 3) * u)
