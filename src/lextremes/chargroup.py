@@ -7,11 +7,13 @@ Characters are indexed by an exponent j against a fixed primitive root g:
 A single character is the plain pair (group, j).  A discrete-log table
 gives O(1) evaluation (one gather for a whole array of arguments), and a
 sum of the whole group against any residue-indexed vector is one
-length-(q-1) DFT.  Every vector the package transforms is real and q-1
-is even, so `dft_over_group` runs it as one half-length complex FFT of
-length h = (q-1)/2 and fills the conjugate half by symmetry; a complex
-vector takes two such transforms, one of its real part and one of its
-imaginary part.  When the largest prime p of h has p**2 > h (numpy would
+length-(q-1) DFT.  `_term_sums` is the package's one character sum of
+terms (n, a_n): it adds them into their residues and takes that DFT.
+Every vector the package transforms is real and q-1 is even, so
+`dft_over_group` runs it as one half-length complex FFT of length
+h = (q-1)/2 and fills the conjugate half by symmetry; a complex vector
+takes two such transforms, one of its real part and one of its imaginary
+part.  When the largest prime p of h has p**2 > h (numpy would
 take its chirp/Bluestein path) and h != p, that FFT is split by the
 Good-Thomas prime-factor map into batched FFTs of the coprime lengths p
 and h/p, which needs no twiddles; otherwise it is one numpy call.
@@ -193,6 +195,12 @@ def dft_over_group(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(f):
         return _real_group_dft(group, f.real) + 1j * _real_group_dft(group, f.imag)
     return _real_group_dft(group, f)
+
+
+def _term_sums(group: CharacterGroup, ns: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """out[j] = sum_i values[i] * chi_j(ns[i]) for every character index j, as
+    one `dft_over_group` of the terms' residue sums (residue 0 dropped)."""
+    return dft_over_group(group, numth._residue_sums(group.q, ns, values, group.q)[1:])
 
 
 def _real_group_dft(group: CharacterGroup, f: np.ndarray) -> np.ndarray:

@@ -42,14 +42,7 @@ from . import numth
 from .chargroup import build_group, dft_over_group, orthogonality_sum
 from .extremes import scan_sigma1, scan_sigma_strip, threshold_census
 from .lfunc import l_value, l_value_batch
-from .resonance import (
-    exclude_principal,
-    ratio_certificate,
-    square_sum_characters,
-    square_sum_congruence,
-    weighted_sum_characters,
-    weighted_sum_congruence,
-)
+from .resonance import _character_sums, _congruence_sums, _tables, exclude_principal, ratio_certificate
 from .resonator import linear_scheme
 
 _COMMAND_HELP = {
@@ -451,13 +444,10 @@ def _batch_vs_single_row(group, sigma: float, label: str) -> tuple[str, bool, st
 def _dual_oracle_row(group) -> tuple[str, bool, str]:
     q = group.q
     x = min(7.0, q - 1.5)
-    scheme = linear_scheme(x)
-    y = max(x, 100.0)
-    n_limit = k_limit = 512
-    s2_char = square_sum_characters(group, scheme, n_limit)
-    s2_cong = square_sum_congruence(q, scheme, n_limit)
-    s1_char = weighted_sum_characters(group, scheme, 1.0, y, n_limit, k_limit)
-    s1_cong = weighted_sum_congruence(q, scheme, 1.0, y, n_limit, k_limit)
+    # both routes read one set of terms (N = K = 512), each route once
+    tables = _tables(q, linear_scheme(x), 512, (1.0, max(x, 100.0), 512))
+    s1_char, s2_char = _character_sums(group, *tables)
+    s1_cong, s2_cong = _congruence_sums(q, *tables)[1:3]
     d2 = abs(s2_char - s2_cong) / s2_cong
     d1 = abs(s1_char - s1_cong) / abs(s1_cong)
     return ("dual-oracle quotient sums", d1 <= 1e-9 and d2 <= 1e-9, f"s1 {d1:.2e} s2 {d2:.2e}")

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numth
-from .chargroup import CharacterGroup, build_group, dft_over_group
+from .chargroup import CharacterGroup, _term_sums, build_group
 from .lfunc import approx_error_census, l_value_batch
 from .resonance import EULER_GAMMA, ResonanceReport, _half_weight_cutoff, half_weight_certificate
 from .resonator import WeightScheme, _scheme_primes, linear_scheme
@@ -66,7 +66,7 @@ def _resonator_abs_sq_all(group: CharacterGroup, scheme: WeightScheme) -> np.nda
     the fixed terms (p**m mod q, w_p**m / m), so |R(chi_j)|**2 = exp(2 Re)
     of the transform of their residue sums.  Each prime's series stops at
     the first m whose tail bound w_p**m / (m (1 - w_p)) is below 2**-64.
-    `numth._residue_sums` drops residue 0, so the prime q itself, where
+    `chargroup._term_sums` drops residue 0, so the prime q itself, where
     every character vanishes, contributes 1.  The transform fills its upper
     half by conjugation, so conjugate characters get bit-identical values.
     Primes and weights come from `resonator._scheme_primes`.
@@ -79,9 +79,8 @@ def _resonator_abs_sq_all(group: CharacterGroup, scheme: WeightScheme) -> np.nda
             ns.append(p_m)
             terms.append(w_m / m)
             m, w_m, p_m = m + 1, w_m * w, p_m * p % q
-    sums = numth._residue_sums(q, np.array(ns, dtype=np.int64), np.array(terms), q)
-    del ns, terms  # about 60 bytes per term as Python lists
-    log_r = dft_over_group(group, sums[1:]).real
+    ns, terms = np.array(ns, dtype=np.int64), np.array(terms)  # frees the lists, about 60 bytes per term
+    log_r = _term_sums(group, ns, terms).real
     log_r *= 2
     return np.exp(log_r, out=log_r)
 
@@ -176,10 +175,11 @@ def scan_sigma1(q: int, epsilon: float = 0.0) -> ScanReport:
 
 def threshold_census(q: int, deltas) -> CensusReport:
     """Count characters with |L(1, chi)| above the delta-lowered threshold,
-    for every delta in the grid."""
+    for every delta in the grid; e**delta must be a float, so delta <= 709.78
+    (log of the largest float: 709.7827)."""
     deltas = tuple(float(d) for d in deltas)
-    if not deltas or any(d <= 0 for d in deltas):
-        raise ValueError("census requires a nonempty grid of deltas > 0")
+    if not deltas or any(not 0 < d <= 709.78 for d in deltas):
+        raise ValueError("census requires a nonempty grid of deltas in (0, 709.78], so e**delta is a float")
     start = time.perf_counter()
     (log_q, log2_q, log3_q), labs = _sigma1_abs(q)
     const = reference_constants()

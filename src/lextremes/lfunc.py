@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numth
-from .chargroup import CharacterGroup, dft_over_group
+from .chargroup import CharacterGroup, _term_sums, dft_over_group
 
 # absolute error bound of K(1, a/q) = -psi(a/q), the sigma = 1 counterpart of
 # hurwitz_zeta_error: Euler-Maclaurin truncation (below 1.2e-19) plus the
@@ -347,7 +347,7 @@ def approx_error_census(group: CharacterGroup, sigma, x: float, tol: float, labs
         raise ValueError(f"census requires labs of shape ({q - 2},), got {labs.shape}")
     primes = numth.sieve_primes(int(x))
     weights = primes.astype(float) ** (-s)
-    prime_sums = dft_over_group(group, numth._residue_sums(q, primes, weights, q)[1:])
+    prime_sums = _term_sums(group, primes, weights)
     deviations = np.abs(np.log(labs) - prime_sums[1 : q - 1].real)
     bad = tuple((np.flatnonzero(deviations > tol) + 1).tolist())
     return ApproxErrorCensus(

@@ -84,7 +84,7 @@ def _residue_sums(q: int, ns: np.ndarray, values: np.ndarray, size: int = 0) -> 
     Residue class 0 is dropped: every character mod q vanishes on multiples
     of q, so those terms enter no character sum.  The table ends one zero
     entry past the largest residue in use, capped at q entries, so its size
-    follows ns, not q, unless `size` asks for more (q for a group DFT).
+    follows ns, not q, unless `size` asks for more (q in `chargroup._term_sums`).
     """
     r = ns % q
     t = np.zeros(max(size, min(int(r.max(initial=0)) + 2, q)))

@@ -24,9 +24,9 @@ and the kernel gathers over the smaller support, so S1 costs
 |supp V| * min(|supp V|, |supp W|) products of residues (< q**2 < 2**62).
 V and W are compact and belong to the congruence route alone.  The
 character route shares only their inputs, the terms (n, w_n) and
-(k, b_k): it sums each over all q residues and takes one group DFT per
-sum (`_character_sums`, the module's only use of `chargroup`), so a fault
-in either route's tables shows as a route residual.
+(k, b_k): `_character_sums` hands each to `chargroup._term_sums`, which
+sums it over all q residues and takes one group DFT, so a fault in either
+route's tables shows as a route residual.
 
 All terms are nonnegative, so truncation tails are exact and the quotient
 |S1|/S2 certifies a computable lower bound for extreme values.  Certificates
@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numth
-from .chargroup import CharacterGroup, dft_over_group
+from .chargroup import CharacterGroup, _term_sums
 from .lfunc import as_sigma
 from .resonator import (
     ResonatorCoeffs,
@@ -126,10 +126,9 @@ def _tables(q: int, scheme: WeightScheme, n_limit: int, series=None) -> tuple:
 def _character_sums(group: CharacterGroup, coeffs: ResonatorCoeffs, ks=None, bs=None) -> tuple:
     """(S1, S2) = (sum_chi L(chi) |R(chi)|**2, sum_chi |R(chi)|**2) by one
     group DFT of the resonator terms and one of the series terms (ks, bs),
-    each summed over all q residues here; S1 is None without series terms."""
-    q = group.q
-    r_sq = np.abs(dft_over_group(group, numth._residue_sums(q, coeffs.ns, coeffs.weights, q)[1:])) ** 2
-    l_k = None if ks is None else dft_over_group(group, numth._residue_sums(q, ks, bs, q)[1:])
+    each by `chargroup._term_sums`; S1 is None without series terms."""
+    r_sq = np.abs(_term_sums(group, coeffs.ns, coeffs.weights)) ** 2
+    l_k = None if ks is None else _term_sums(group, ks, bs)
     return None if l_k is None else complex(np.sum(l_k * r_sq)), float(np.sum(r_sq))
 
 

@@ -15,7 +15,7 @@ import time
 import pytest
 
 import lextremes
-from lextremes import cli, enumerate_coeffs, linear_scheme, numth
+from lextremes import chargroup, cli, enumerate_coeffs, linear_scheme, numth, resonance
 from lextremes.cli import COMMANDS, ConfigError, main, oracle_check, parse_config, run
 
 
@@ -239,6 +239,13 @@ class TestRun:
         assert main(["certify", "--q", "7", "--B", "1.0"]) == 2
         assert main(["census", "--q", "4"]) == 2
         assert main(["census"]) == 2
+
+    def test_census_delta_past_the_float_range_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["census", "--q", "17", "--delta", "1e308", "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: census requires") and "e**delta" in err[0]
+        assert not out.exists()
 
     def test_n_and_k_past_int64_rejected_before_any_work(self, capsys):
         for flag in ("--N", "--K"):
@@ -608,6 +615,26 @@ class TestOracleCheck:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "37b5fffc409df7e3a12858985726a8550a9f785fda9ee6878374be930ec5e9f6"
 
+    @pytest.mark.parametrize("q", [101, 1031])
+    def test_dual_oracle_row_transforms_and_enumerates_once(self, group_of, monkeypatch, q):
+        # both routes read one set of terms: one real group DFT each of the
+        # resonator and the series residue sums, one enumeration of each
+        calls = {"dft": 0, "coeffs": 0, "series": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(chargroup, "_real_group_dft", counted("dft", chargroup._real_group_dft))
+        monkeypatch.setattr(resonance, "enumerate_coeffs", counted("coeffs", resonance.enumerate_coeffs))
+        monkeypatch.setattr(resonance, "_series_support", counted("series", resonance._series_support))
+        name, ok, _ = cli._dual_oracle_row(group_of(q))
+        assert name == "dual-oracle quotient sums" and ok
+        assert calls == {"dft": 2, "coeffs": 1, "series": 1}
+
 
 def test_cli_import_loads_no_scipy():
     probe = "import sys, lextremes.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
@@ -713,6 +740,25 @@ def test_arrays_are_summed_exactly_by_one_kernel():
         if module in ("lfunc.py", "chargroup.py") or arg.startswith("memoryview(") or arg.endswith(".tolist()")
     ]
     assert banned == []
+
+
+def test_full_residue_tables_are_made_only_by_chargroup():
+    # a character sum of terms goes through `chargroup._term_sums`: no other
+    # module asks `numth._residue_sums` for a table of a given size
+    package = pathlib.Path(lextremes.__file__).parent
+    calls = [
+        (path.name, node)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_residue_sums")
+    ]
+    sized = [
+        f"{module}:{node.lineno}: {ast.unparse(node)}"
+        for module, node in calls
+        if module != "chargroup.py" and (len(node.args) > 3 or any(kw.arg == "size" for kw in node.keywords))
+    ]
+    assert sized == []
+    assert {module for module, _ in calls} >= {"chargroup.py", "resonance.py"}, "the scan missed a known call"
 
 
 def test_group_tables_are_read_only_by_chargroup():

@@ -238,6 +238,20 @@ class TestThresholdCensus:
         with pytest.raises(ValueError):
             threshold_census(15, [0.5])
 
+    def test_delta_past_the_float_range_rejected_before_the_group(self, monkeypatch):
+        # e**delta must be a float: the grid's bound 709.78 is accepted, and
+        # anything above it is rejected before any group is built
+        largest = 709.78
+        assert math.isfinite(threshold_census(17, [largest]).b_values[0])
+
+        def no_group(q):
+            raise AssertionError("a group was built")
+
+        monkeypatch.setattr(extremes, "build_group", no_group)
+        for delta in (np.nextafter(largest, math.inf), 1e308, math.inf, math.nan):
+            with pytest.raises(ValueError, match="e\\*\\*delta"):
+                threshold_census(17, [0.5, delta])
+
 
 class TestScanSigmaStrip:
     def test_sigma_one_rejected(self):
