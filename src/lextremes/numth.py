@@ -120,6 +120,26 @@ def _exact_sum(x: np.ndarray) -> float | complex:
     return total / (1 << 1126)
 
 
+def _exact_prefix_sums(x: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The correctly rounded sums of x[:k] for each k in `ends` (finite float64 x):
+    exact Python int prefix sums of m * 2**53 (np.frexp), each divided once."""
+    m, e = np.frexp(x)
+    low = int(e.min(initial=0))
+    prefix = np.cumsum((m * 2.0**53).astype(np.int64).astype(object) << (e - low).astype(object))
+    return (np.concatenate(([0], prefix))[ends] / (1 << (53 - low))).astype(float)
+
+
+def _inverses(a: np.ndarray, q: int) -> np.ndarray:
+    """a**(-1) mod q for int64 residues a prime to the modulus q: a**(q - 2) (Fermat)
+    by one square-and-multiply ladder over whole arrays; products stay below q**2 < 2**62."""
+    result, power = np.ones_like(a), a % q
+    for bit in bin(q - 2)[:1:-1]:  # least significant first
+        if bit == "1":
+            result = result * power % q
+        power = power * power % q
+    return result
+
+
 def _smooth_closure(primes: np.ndarray, weights: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """All n <= limit built from `primes` (ascending), with the completely
     multiplicative weights w_n = prod w_p**e, as ascending int64 ns and ws.

@@ -610,10 +610,13 @@ class TestOracleCheck:
         # Re-recorded with the single centred kernel: only the four "batch
         # vs single" residuals moved, each still below 8e-16.  Re-recorded
         # when S1 lost its BLAS call: the dual-oracle s1 residual at q = 101
-        # fell from 3.51e-16 to 1.18e-16, and nothing else moved
+        # fell from 3.51e-16 to 1.18e-16, and nothing else moved.  Re-recorded
+        # for the coprime-pair S1 kernel: the dual-oracle s1 residual at
+        # q = 1009 fell from 1.36e-16 to 8.51e-18 (S1 moved 1.35 -> 0.35 ulp
+        # from the exact prime-weight sum), and nothing else moved
         assert oracle_check([101, 1009]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "37b5fffc409df7e3a12858985726a8550a9f785fda9ee6878374be930ec5e9f6"
+        assert digest == "1764f8c4fd483871fd4c156beebc42b4b58ac192dd54de86a11380576caf95b3"
 
     @pytest.mark.parametrize("q", [101, 1031])
     def test_dual_oracle_row_transforms_and_enumerates_once(self, group_of, monkeypatch, q):

@@ -197,6 +197,34 @@ class TestExactSum:
         assert numth._exact_sum(x[:-1]).hex() == exact_float_sum(x[:-1]).hex() == "0x0.0000000000001p-1022"
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+@example([1.0, 2.0**-53, 2.0**-106])  # a tie that only the last term breaks
+@example([5e-324, 1e-320, 0.5, -0.0])
+def test_exact_prefix_sums_round_every_prefix_once(xs):
+    x = np.array(xs, dtype=float)
+    for k in range(x.size + 1):
+        try:
+            want = exact_float_sum(x[:k])
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                numth._exact_prefix_sums(x, np.array([k]))
+            continue
+        assert numth._exact_prefix_sums(x, np.array([k]))[0].hex() == want.hex()
+
+
+# the largest primes below 2**31, where a product of two residues is nearly 2**62
+PRIMES_NEAR_2_31 = [q for q in range(2**31 - 1, 2**31 - 200, -2) if is_prime(q)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(PRIMES_NEAR_2_31 + [3, 5, 7, 101]), st.lists(st.integers(1, 2**31 - 2), min_size=1, max_size=50))
+@example(2**31 - 1, [1, 2, 2**31 - 2, 2**30])
+def test_inverses_match_pow(q, values):
+    a = np.array([x % (q - 1) + 1 for x in values], dtype=np.int64)  # residues 1 .. q - 1
+    assert numth._inverses(a, q).tolist() == [pow(int(x), -1, q) for x in a]
+
+
 class TestFactorize:
     def test_example(self):
         assert factorize(12) == ((2, 2), (3, 1))

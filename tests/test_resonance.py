@@ -31,10 +31,11 @@ from lextremes import (
 )
 import lextremes
 from lextremes import numth, resonance
+from lextremes.resonator import _scheme_primes
 from lextremes.cli import _json_bytes
 
 from conftest import ODD_PRIMES
-from reference import exact_s1
+from reference import exact_s1, exact_s1_from_weights
 
 TOY_S2 = 5244 / 729  # hand enumeration: pairs of powers of two <= 8 mod 7
 TOY_S1 = 31 / 3  # hand enumeration over 3-smooth k <= 8
@@ -142,6 +143,21 @@ def per_n_sweep(q, scheme, sigma, y, n_limit, k_limit):
     return (q - 1) * total
 
 
+def coprime_order_s1(q, coeffs, w):
+    """S1 in the coprime-pair kernel's order, pair by pair from math.gcd over
+    a full residue table w: G(T) by math.fsum of the w_g**2, the terms with
+    m = 1 or n = 1 one by one, each other row m as np.sum over its coprime
+    n > 1 in ascending order times w_m, and one exactly rounded sum."""
+    ns = [n for n in coeffs.ns.tolist() if n % q]
+    ws = dict(zip(coeffs.ns.tolist(), coeffs.weights.tolist()))
+    g = {n: math.fsum(ws[t] * ws[t] for t in ns if t <= coeffs.limit // n) for n in ns}
+    terms = [ws[n] * g[n] * w[n % q] for n in ns] + [ws[m] * g[m] * w[pow(m, -1, q)] for m in ns[1:]]
+    for m in ns[1:]:
+        row = [w[n * pow(m, -1, q) % q] * (min(g[m], g[n]) * ws[n]) for n in ns[1:] if math.gcd(m, n) == 1]
+        terms.append(ws[m] * float(np.sum(np.array(row, dtype=float))))
+    return (q - 1) * math.fsum(terms)
+
+
 @st.composite
 def congruence_configs(draw):
     q = draw(st.sampled_from(ODD_PRIMES))
@@ -157,7 +173,7 @@ class TestCongruenceKernel:
     @settings(max_examples=40, deadline=None)
     @given(congruence_configs())
     @example((10007, 15.0, 100.0, 1.0, 2000, 3))  # N >> K: gather over supp W
-    @example((10007, 15.0, 2000.0, 1.0, 3, 2000))  # K >> N: gather over supp V
+    @example((10007, 15.0, 2000.0, 1.0, 3, 2000))  # K >> N: the coprime pairs
     @example((19997, 19000.0, 19500.0, 0.6, 2000, 40))
     def test_matches_character_route_and_per_n_sweep(self, config):
         q, x, y, sigma, n_limit, k_limit = config
@@ -177,33 +193,53 @@ class TestCongruenceKernel:
         assert abs(cong - char) <= 1e-11 * abs(cong)
         assert abs(cong - sweep) <= 1e-12 * abs(sweep)
 
-    @pytest.mark.parametrize("n_limit,k_limit", [(1000, 50), (50, 1000)])
+    @pytest.mark.parametrize("n_limit,k_limit", [(1000, 50), (50, 1000), (1000, 5)])
     def test_gather_size_changes_no_bit(self, monkeypatch, n_limit, k_limit):
         q = 1009
         coeffs = enumerate_coeffs(linear_scheme(12), n_limit)
         ks, bs = resonance._series_support(1.0, 100.0, k_limit)
         v, w = numth._residue_sums(q, coeffs.ns, coeffs.weights, q), numth._residue_sums(q, ks, bs, q)
-        # the order S1 is summed in, one row at a time: V[a] times the pairwise
-        # sum of row a over the smaller support, then one exactly rounded sum
         outer, cols = np.flatnonzero(v), np.flatnonzero(w)
-        if outer.size <= cols.size:
-            rows = [v[outer] * w[outer * pow(int(a), -1, q) % q] for a in outer]
-        else:
+        ns = coeffs.ns.tolist()
+        if sum(math.gcd(m, n) == 1 for m in ns for n in ns) <= outer.size * cols.size:
+            want = coprime_order_s1(q, coeffs, w)
+        else:  # V[a] times the pairwise sum of row a over supp W, then one exactly rounded sum
             rows = [w[cols] * v[cols * a % q] for a in outer]
-        want = (q - 1) * math.fsum(float(v[a] * np.sum(row)) for a, row in zip(outer, rows))
+            want = (q - 1) * math.fsum(float(v[a] * np.sum(row)) for a, row in zip(outer, rows))
         for gather in (1, 7, 1 << 10, resonance._GATHER):  # one row, a few rows, default
             monkeypatch.setattr(resonance, "_GATHER", gather)
-            assert resonance._weighted_sum(q, v, w) == want
+            assert resonance._weighted_sum(q, coeffs, v, w) == want
         assert weighted_sum_congruence(q, linear_scheme(12), 1.0, 100.0, n_limit, k_limit) == want
+
+    def test_gathers_one_w_entry_per_coprime_pair(self, monkeypatch):
+        # certify's defaults at q = 10007: 733 resonator terms, so all pairs
+        # would read 537,289 entries of W; the coprime ones are fewer
+        q = 10007
+        x = math.log(q) * math.log(math.log(q)) / 1.4
+        coeffs = enumerate_coeffs(linear_scheme(x), 10**4)
+        ks, bs = resonance._series_support(1.0, 1e4, 10**4)
+        v, w = numth._residue_sums(q, coeffs.ns, coeffs.weights), numth._residue_sums(q, ks, bs)
+        take, read = np.take, []
+
+        def counted(a, indices, *args, **kwargs):
+            if a is w:
+                read.append(np.size(indices))
+            return take(a, indices, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counted)
+        resonance._weighted_sum(q, coeffs, v, w)
+        ns = coeffs.ns.tolist()
+        assert sum(read) == sum(math.gcd(m, n) == 1 for m in ns for n in ns) == 62437
 
 
 # S1 of `ratio_certificate` by float.hex: certify's defaults at three moduli
 # and the benchmark's two certify moduli at N = K = 10**5.  S1 makes no BLAS
-# call: each gathered row is summed by numpy's pairwise sum (the same
-# order in its X86_V2 and X86_V3 loops) and the outer sum is exactly rounded
-# (`numth._exact_sum`), so no BLAS kernel, thread count or `_GATHER` moves a bit.  The q = 101
-# and 1091527 pins were re-recorded when that order replaced one OpenBLAS
-# gemv per row block; over 26 draws S1 moved closer to `exact_s1` in mean.
+# call: the rows are summed by numpy's pairwise sum (the same order in each
+# of its SIMD loops) and the outer sum is exactly rounded (`numth._exact_sum`),
+# so no BLAS kernel, thread count, SIMD level or `_GATHER` moves a bit.  The
+# q = 101 and 1091527 pins were re-recorded when that order replaced one
+# OpenBLAS gemv per row block; over 26 draws S1 moved closer to `exact_s1` in
+# mean.  The coprime-pair kernel left all five pins unchanged.
 S1_PINS = [
     (101, 10**4, "0x1.ad842d5085b2dp+8"),
     (1009, 10**4, "0x1.5c5989f1d7022p+14"),
@@ -233,6 +269,25 @@ def test_s1_pins_hold_under_every_blas_kernel_and_thread_count(coretype, threads
     assert out.stdout.split() == [pin for q, limit, pin in S1_PINS if limit == 10**4]
 
 
+def test_s1_pins_hold_with_every_simd_target_above_numpy_baseline_disabled():
+    # one child process runs numpy's baseline loops, as on the oldest CPU it supports
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    probe = (
+        "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__;"
+        "from lextremes import ratio_certificate;"
+        "print(*(f for f in __cpu_dispatch__ if __cpu_features__.get(f)));"
+        "print(*(ratio_certificate(q, 1.4).s1.real.hex() for q in (101, 1009, 10007)))"
+    )
+    src = os.path.dirname(os.path.dirname(lextremes.__file__))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True, timeout=60)
+    enabled, pins = out.stdout.split("\n")[:2]
+    assert enabled == ""  # no dispatch target above the baseline is left on
+    assert pins.split() == [pin for q, limit, pin in S1_PINS if limit == 10**4]
+
+
 @pytest.mark.parametrize(
     "q,x,sigma,n_limit,k_limit",
     [(101, 7.0, 1.0, 500, 500), (211, 12.0, 0.75, 500, 40), (293, 9.0, 1.0, 30, 500), (7, 5.0, 0.6, 100, 100)],
@@ -250,7 +305,47 @@ def test_s1_is_within_its_rounding_bound_of_the_exact_lattice_sum(q, x, sigma, n
     n = min(np.count_nonzero(v), np.count_nonzero(w))
     u = 2.0**-53
     bound = (n + 3) * u / (1 - (n + 3) * u)
-    assert abs(Fraction(resonance._weighted_sum(q, v, w)) - exact) <= Fraction(bound) * exact
+    assert abs(Fraction(resonance._weighted_sum(q, coeffs, v, w)) - exact) <= Fraction(bound) * exact
+
+
+@st.composite
+def prime_weight_configs(draw):
+    q = draw(st.sampled_from([p for p in ODD_PRIMES if p < 2000]))
+    scheme = draw(st.sampled_from([linear_scheme, half_scheme]))(draw(st.floats(1.0, min(40.0, q - 0.5))))
+    y = scheme.cutoff + draw(st.floats(min_value=0.0, max_value=2000.0))
+    sigma = draw(st.floats(min_value=0.55, max_value=1.0))
+    return q, scheme, y, sigma, draw(st.integers(1, 3 * q)), draw(st.integers(1, 3 * q))
+
+
+# The bound against S1* = phi(q) sum_{m, n} w*_m w*_n W[n m**(-1)], where w*_n
+# is the exact product of the float prime weights (`exact_s1_from_weights`).
+# Every term is nonnegative, so relative errors add along each term's path
+# (Higham, ch. 3-4; u = 2**-53, gamma_k = k u / (1 - k u), L = floor(log2 N) >= Omega(n)).
+# - w_n is a float product of Omega(n) prime weights: L - 1 roundings.
+# - Coprime pairs: G(T) is the correctly rounded sum of the floats w_g * w_g
+#   (2L - 1 each), so 2L.  A term W (min(G_m, G_n) w_n) adds L - 1 + 2 to it,
+#   its row of at most |S| terms |S| - 1, the row factor w_m L - 1 + 1,
+#   the exact finish 1 and phi(q) 1: 4L + |S| + 2 in all.  The terms with
+#   m = 1 or n = 1 take fewer.
+# - Gather over supp W: V[a] adds c = ceil(N/q) weights (L + c - 2), a term
+#   W V adds 1, its row |supp W| - 1, the factor V[a] L + c - 1, the finish
+#   and phi(q) 2: 2L + 2c + |supp W| - 1 in all.
+# Both stay within gamma_{4L + 2c + n} with n = max(|S|, |supp W|).
+@settings(max_examples=20, deadline=None)
+@given(prime_weight_configs())
+@example((1997, linear_scheme(40.0), 500.0, 1.0, 5000, 5000))  # N > q and K > q
+@example((1997, linear_scheme(40.0), 500.0, 0.75, 3000, 40))  # K < N: the gather over supp W
+@example((1009, linear_scheme(20.0), 100.0, 1.0, 1, 2000))  # N = 1: S = {1}
+@example((1999, half_scheme(400.0), 400.0, 0.6, 600, 2000))  # 78 primes: masks beyond 64 bits
+def test_s1_is_within_its_rounding_bound_of_the_prime_weight_sum(config):
+    q, scheme, y, sigma, n_limit, k_limit = config
+    coeffs = enumerate_coeffs(scheme, n_limit)
+    ks, bs = resonance._series_support(sigma, y, k_limit)
+    w = numth._residue_sums(q, ks, bs)
+    exact = exact_s1_from_weights(q, *_scheme_primes(scheme), n_limit, w.tolist())
+    m = 4 * (n_limit.bit_length() - 1) + 2 * -(-n_limit // q) + max(coeffs.ns.size, int(np.count_nonzero(w)))
+    bound = Fraction(m, 2**53 - m)
+    assert abs(Fraction(resonance._congruence_sums(q, coeffs, ks, bs)[1]) - exact) <= bound * exact
 
 
 @st.composite
@@ -280,7 +375,7 @@ def test_compact_tables_match_full_tables_exactly(config):
         assert small.size == min(int((ns % q).max()) + 2, q)
         assert np.array_equal(small, whole[: small.size]) and not whole[small.size :].any()
         assert small.size == q or small[-1] == 0.0
-    assert resonance._weighted_sum(q, *compact) == resonance._weighted_sum(q, *full)
+    assert resonance._weighted_sum(q, coeffs, *compact) == resonance._weighted_sum(q, coeffs, *full)
     cs = ks.astype(float) ** -0.75
     assert resonance._provable_bound(q, coeffs, compact[0], ks, cs) == resonance._provable_bound(
         q, coeffs, full[0], ks, cs
