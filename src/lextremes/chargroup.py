@@ -4,27 +4,16 @@ Characters are indexed by an exponent j against a fixed primitive root g:
 
     chi_j(g**k) = exp(2*pi*i * j*k / (q-1)),   chi_j(n) = 0 when q | n.
 
-A single character is the plain pair (group, j).  A discrete-log table
-gives O(1) evaluation (one gather for a whole array of arguments), and a
-sum of the whole group against any residue-indexed vector is one
-length-(q-1) DFT.  `_term_sums` is the package's one character sum of
-terms (n, a_n): it adds them into their residues and takes that DFT.
-Every vector the package transforms is real and q-1 is even, so
-`dft_over_group` runs it as one half-length complex FFT of length
-h = (q-1)/2 and fills the conjugate half by symmetry; a complex vector
-takes two such transforms, one of its real part and one of its imaginary
-part.  When the largest prime p of h has p**2 > h (numpy would
-take its chirp/Bluestein path) and h != p, that FFT is split by the
-Good-Thomas prime-factor map into batched FFTs of the coprime lengths p
-and h/p, which needs no twiddles; otherwise it is one numpy call.
-
-A group is built with 12 bytes per residue: int32 `power_residues`
-(q < 2**31, as `numth.check_modulus` requires) and the lower half of the
-complex root table, which is all that the whole-group paths read.  The
-int32 `dlog` and the full root table, whose upper half is the exact
-conjugate mirror of its lower half, are built on the first single-character
-evaluation; the full table then replaces the half one, so a group never
-holds more than 24 bytes per residue.
+A single character is the plain pair (group, j), evaluated at any
+arguments through a discrete-log table, or along the powers of g with
+none (`power_values`).  A sum of the whole group against any vector is one
+length-(q-1) DFT along those powers; `_term_sums` is the package's one
+character sum of terms (n, a_n).  Every vector the package transforms is
+real, so out[q-1-j] = conj out[j]: `_half_spectrum` forms j <= (q-1)/2
+from one complex FFT of length h = (q-1)/2, and the whole-group paths
+read that half only.  When the largest prime p of h has p**2 > h (numpy
+would take its Bluestein path) and h != p, that FFT is split by the
+Good-Thomas map into batched FFTs of the coprime lengths p and h/p.
 """
 
 from __future__ import annotations
@@ -62,14 +51,14 @@ class CharacterGroup:
         dlog: int32 array of length q, built on first access;
               dlog[a] = k with g**k = a (mod q), dlog[0] = -1 (sentinel for q | n)
 
-    Both tables fit int32 because q < 2**31; every product of a character
-    index with a table entry is formed in int64.  The private root table
-    `_roots[k] = exp(2 pi i k/(q-1))` is evaluated for k < h = (q-1)/2 and
-    holds exactly -1 at k = h.  A new group keeps only these h + 1 entries,
-    and the group DFT reads its twiddles from the first h.  `character_values`
-    and `values_at` replace it by the full-length table, whose upper half is
-    the exact mirror `_roots[q-1-k] = conj(_roots[k])`; reading the half table
-    through folded indices made `character_values` twice as slow at q = 98017.
+    Both tables fit int32 because q < 2**31 (`numth.check_modulus`); every
+    product of a character index with a table entry is formed in int64.  The
+    private root table `_roots[k] = exp(2 pi i k/(q-1))` holds k <= h = (q-1)/2
+    in a new group (exactly -1 at k = h), all that the whole-group paths read:
+    12 bytes per residue.  The first single-character evaluation replaces it
+    by the full table, its exact mirror `_roots[q-1-k] = conj(_roots[k])`, so
+    a group holds at most 24: reading the half through folded indices made
+    `character_values` twice as slow at q = 98017.
     """
 
     def __init__(self, q: int, g: int):
@@ -121,14 +110,18 @@ class CharacterGroup:
         values[logs < 0] = 0
         return values
 
+    def power_values(self, index: int) -> np.ndarray:
+        """chi_index(g**k) = root[index*k mod (q-1)] for k = 0..q-2, with no dlog."""
+        exponents = np.arange(self.q - 1, dtype=np.int64) * index
+        exponents -= exponents // (self.q - 1) * (self.q - 1)
+        return self._full_roots()[exponents]
+
     def values_at(self, n: int) -> np.ndarray:
-        """chi_j(n) for every character index j at once (zeros when q | n)."""
+        """chi_j(n) for every j (zeros when q | n): chi_j(g**m) = chi_m(g**j)."""
         r = n % self.q
         if r == 0:
             return np.zeros(self.q - 1, dtype=complex)
-        exponents = np.arange(self.q - 1, dtype=np.int64) * int(self.dlog[r])
-        exponents -= exponents // (self.q - 1) * (self.q - 1)
-        return self._full_roots()[exponents]
+        return self.power_values(int(self.dlog[r]))
 
     def __repr__(self) -> str:
         return f"CharacterGroup(q={self.q}, g={self.g})"
@@ -163,88 +156,89 @@ def orthogonality_sum(group: CharacterGroup, m: int, n: int) -> float:
 def dft_over_group(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
     """out[j] = sum_{a=1}^{q-1} f(a) * chi_j(a) for every character index j.
 
-    `f` is one vector of the values at residues 1..q-1 (entry i is the
-    value at a=i+1).  Reindexing along powers of g turns the character sum
-    into a length-n DFT with positive sign convention, n = q-1.
-
-    Real input is packed as z[m] = x[2m] + i*x[2m+1] for the reordered
-    vector x and transformed by one unscaled length-n/2 FFT Z.  The even
-    and odd half-spectra E[j] = (Z[j] + conj Z[-j])/2 and
-    O[j] = -i(Z[j] - conj Z[-j])/2 give out[j] = E[j] + w**j O[j] for
-    j < n/2 (w = exp(2 pi i/n), read from the group's root table) and
-    out[n/2] = E[0] - O[0]; the upper half is out[n-j] = conj(out[j]), so
-    L(sigma, conj chi) = conj L(sigma, chi) holds exactly.  conj Z[-j] is
-    read from the reversed view of Z into the still unused upper half of
-    out, E is formed in out[:n/2] and O in Z's own buffer, so the output and
-    Z are the only arrays alive at the peak (48 bytes per n/2).  Complex
-    input is transformed as out = dft(f.real) + i*dft(f.imag).
-
-    Z is one numpy FFT unless h = n/2 has a prime factor p with p**2 > h
-    and h != p, where numpy would run Bluestein.  Then, with r = h/p
-    (coprime to p), z is gathered through the Ruritanian map
-    z2[a, b] = z[(r*a + p*b) mod h] into a (p, r) array, both axes are
-    transformed in place by batched numpy FFTs, and Z[k] is read back
-    through the CRT map k -> (k mod p, k mod r).  No twiddles are needed.
-    At q = 985709 (h = 2*83*2969) one call takes about 0.10 s against
-    0.20 s through numpy's length-h Bluestein (medians of 45 calls each on
-    2 shared vCPUs, numpy 2.4), and Bluestein's buffers are never built.
+    `f` holds the values at residues 1..q-1 (entry i at a = i+1).  A real f
+    is read in power order, transformed by `_half_spectrum` and mirrored;
+    the output and the half spectrum are alive at the peak, 48 bytes per
+    (q-1)/2.  A complex f is transformed as dft(f.real) + i*dft(f.imag).
     """
     f = np.asarray(f)
     if f.shape != (group.q - 1,):
         raise ValueError(f"expected {group.q - 1} residue values, got shape {f.shape}")
     if np.iscomplexobj(f):
-        return _real_group_dft(group, f.real) + 1j * _real_group_dft(group, f.imag)
-    return _real_group_dft(group, f)
+        return dft_over_group(group, f.real) + 1j * dft_over_group(group, f.imag)
+    return _mirrored(_half_spectrum(group, f[group.power_residues - 1]), 0)
+
+
+def _mirrored(half: np.ndarray, first: int) -> np.ndarray:
+    """The entries j = first..q-2 of a spectrum from half[i] at j = first + i
+    <= (q-1)/2, by out[q-1-j] = conj(out[j]); `first` is 0 or 1."""
+    out = np.empty(2 * half.size - 2 + first, dtype=half.dtype)
+    out[: half.size] = half
+    np.conjugate(half[1 - first : -1][::-1], out=out[half.size :])
+    return out
 
 
 def _term_sums(group: CharacterGroup, ns: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """out[j] = sum_i values[i] * chi_j(ns[i]) for every character index j, as
-    one `dft_over_group` of the terms' residue sums (residue 0 dropped)."""
-    return dft_over_group(group, numth._residue_sums(group.q, ns, values, group.q)[1:])
+    """out[j] = sum_i values[i] * chi_j(ns[i]) for j = 0..(q-1)/2, the
+    `_half_spectrum` of the terms' residue sums 1..q-1 in power order."""
+    return _half_spectrum(group, numth._residue_sums(group.q, ns, values, group.q)[group.power_residues])
 
 
-def _real_group_dft(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
-    """The half-length kernel of `dft_over_group` for a real vector f."""
-    n = group.q - 1
-    h = n // 2
-    positions = group.power_residues - 1  # entries 2m and 2m+1 are packed into z[m]
+def _half_spectrum(group: CharacterGroup, x: np.ndarray) -> np.ndarray:
+    """out[j] = sum_k x[k] * chi_j(g**k) for j = 0..h, h = (q-1)/2, for a real
+    vector x in power order; out[q-1-j] = conj(out[j]) is the rest.
+
+    x viewed as complex, z[m] = x[2m] + i*x[2m+1], has one unscaled length-h
+    FFT Z, written into out[:h]; x is let go there, so an input handed over
+    as a temporary is freed.  With E[j] = (Z[j] + conj Z[h-j])/2 and
+    O[j] = -i(Z[j] - conj Z[h-j])/2 (indices mod h), out[j] = E[j] + w**j O[j]
+    (w = exp(2 pi i/(q-1)), from the root table) and out[h] = E[0] - O[0]
+    (Sorensen, Jones, Heideman and Burrus, IEEE TASSP 1987).  E and O are
+    formed for j <= h/2 and give E[h-j] = conj E[j], O[h-j] = conj O[j], so
+    out and two arrays of h/2 + 1 are alive at the peak: 32 bytes per h.
+
+    Where h has a prime factor p with p**2 > h and h != p (numpy's Bluestein
+    case), z is gathered into a (p, r) array, r = h/p, by the Ruritanian map
+    (r*a + p*b) mod h, both axes take batched in-place FFTs and Z[k] is read
+    at (k mod p, k mod r): 0.10 s against Bluestein's 0.20 s at q = 985709.
+    """
+    h = (group.q - 1) // 2
+    z = np.ascontiguousarray(x, dtype=float).view(complex)
+    del x
     split = _good_thomas_split(h)
     if split:
         p, r = split
         # Ruritanian map (r*a + p*b) mod h; every entry is below 2h
         ruritanian = r * np.arange(p)[:, None] + p * np.arange(r)
         np.subtract(ruritanian, h, out=ruritanian, where=ruritanian >= h)
-        # each pair moved as one int64: numpy gathers 8-byte items about 5x
-        # faster than (h, 2) rows (4 against 23 ms at q = 985709)
-        positions = positions.view(np.int64)[ruritanian].view(np.int32)
+        z = z[ruritanian]
         del ruritanian
-    # x[2m] + i*x[2m+1] is complex128's memory layout: one gather packs z
-    z = np.asarray(f[positions], dtype=float).view(complex)
-    del positions
-    if split:
         # unscaled 2-D transform in place; entry (k mod p, k mod r) is Z[k]
         np.fft.ifft(z, axis=-1, norm="forward", out=z)
         np.fft.ifft(z, axis=-2, norm="forward", out=z)
         crt = np.tile(np.arange(p) * r, r)
         crt += np.tile(np.arange(r), p)  # (k mod p) * r + k mod r
-        spec = z.ravel()[crt]
-        del crt
+        out = np.empty(h + 1, dtype=complex)
+        np.take(z.ravel(), crt, out=out[:h], mode="clip")  # mode="raise" would buffer out
     else:
-        spec = np.fft.ifft(z, norm="forward")  # unscaled: sum_m z[m] exp(2 pi i jm/h)
+        out = np.empty(h + 1, dtype=complex)
+        np.fft.ifft(z, norm="forward", out=out[:h])  # unscaled: sum_m z[m] exp(2 pi i jm/h)
     del z
-    # conj Z[-j mod h] goes into the upper half of out, which is free until the mirror
-    out = np.empty(n, dtype=complex)
-    mirror = out[h:]
-    mirror[0] = spec[0].conjugate()
-    np.conjugate(spec[:0:-1], out=mirror[1:])
-    even = np.add(spec, mirror, out=out[:h])
+    m = h // 2 + 1  # j = 0..h/2; their partners h-j > h/2 fill out[m:h]
+    even = out[-np.arange(m) % h]  # Z[h-j], made conj Z[h-j]
+    np.conjugate(even, out=even)
+    odd = np.subtract(out[:m], even)
+    np.add(out[:m], even, out=even)
     even *= 0.5
-    odd = np.subtract(spec, mirror, out=spec)
     odd *= -0.5j
     out[h] = even[0] - odd[0]
-    odd *= group._roots[:h]
-    even += odd
-    np.conjugate(out[h - 1 : 0 : -1], out=out[h + 1 :])
+    # twiddle products go to contiguous arrays apart from their inputs: into
+    # a one-entry reversed view numpy multiplies by another loop, an ulp off
+    np.multiply(odd, group._roots[:m], out=out[:m])
+    out[:m] += even
+    # out[m:h] holds the partners h-j of j = h-m down to 1
+    np.multiply(np.conjugate(odd, out=odd)[h - m : 0 : -1], group._roots[m:h], out=out[m:h])
+    out[m:h] += np.conjugate(even, out=even)[h - m : 0 : -1]
     return out
 
 

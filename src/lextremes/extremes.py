@@ -54,22 +54,21 @@ def _iterated_logs(q: int) -> tuple[float, float, float]:
 
 
 def _sigma1_abs(q: int) -> tuple[tuple[float, float, float], np.ndarray]:
-    """The iterated logs of q and |L(1, chi_j)| for j = 1..q-2."""
+    """The iterated logs of q and |L(1, chi_j)| for j = 1..(q-1)/2 (conjugates tie)."""
     logs = _iterated_logs(q)  # rejects q < 17 before the group is built
-    return logs, l_value_batch(build_group(q), 1.0).abs_values()
+    return logs, l_value_batch(build_group(q), 1.0).half_abs()
 
 
 def _resonator_abs_sq_all(group: CharacterGroup, scheme: WeightScheme) -> np.ndarray:
-    """|R(chi_j)|**2 for every character index j = 0..q-2, as one group DFT.
+    """|R(chi_j)|**2 for j = 0..(q-1)/2, as one half-spectrum group DFT.
 
     log R(chi) = sum_p sum_{m>=1} w_p**m chi(p**m) / m is a character sum of
     the fixed terms (p**m mod q, w_p**m / m), so |R(chi_j)|**2 = exp(2 Re)
     of the transform of their residue sums.  Each prime's series stops at
     the first m whose tail bound w_p**m / (m (1 - w_p)) is below 2**-64.
     `chargroup._term_sums` drops residue 0, so the prime q itself, where
-    every character vanishes, contributes 1.  The transform fills its upper
-    half by conjugation, so conjugate characters get bit-identical values.
-    Primes and weights come from `resonator._scheme_primes`.
+    every character vanishes, contributes 1.  Conjugate characters tie bit
+    for bit.  Primes and weights come from `resonator._scheme_primes`.
     """
     q = group.q
     ns, terms = [], []
@@ -86,9 +85,10 @@ def _resonator_abs_sq_all(group: CharacterGroup, scheme: WeightScheme) -> np.nda
 
 
 def _resonant_index(group: CharacterGroup, scheme: WeightScheme, excluded: tuple[int, ...] = ()) -> int:
-    """The first non-principal j outside `excluded` that maximises |R(chi_j)|**2."""
+    """The first non-principal j outside `excluded` (closed under j <-> q-1-j)
+    that maximises |R(chi_j)|**2: conjugates tie, so it lies in j <= (q-1)/2."""
     r_sq = _resonator_abs_sq_all(group, scheme)
-    r_sq[[0, *excluded]] = -np.inf
+    r_sq[[0, *(j for j in excluded if j < r_sq.size)]] = -np.inf
     return int(np.argmax(r_sq))
 
 
@@ -154,7 +154,7 @@ def scan_sigma1(q: int, epsilon: float = 0.0) -> ScanReport:
     group = build_group(q)  # after _iterated_logs, which rejects q < 17
     # the resonator's transform is freed before the L-value batch is allocated
     resonant = _resonant_index(group, linear_scheme(log_q * log2_q / 1.4))
-    labs = l_value_batch(group, 1.0).abs_values()
+    labs = l_value_batch(group, 1.0).half_abs()  # j <= h; argmax keeps the first of a conjugate tie
     const = reference_constants()
     bound = const.e_gamma * (log2_q + log3_q - const.c - epsilon)
     argmax = 1 + int(np.argmax(labs))
@@ -186,7 +186,7 @@ def threshold_census(q: int, deltas) -> CensusReport:
     thresholds, counts, emp, ref, b_values = [], [], [], [], []
     for d in deltas:
         threshold = const.e_gamma * (log2_q + log3_q - const.c - d)
-        count = int(np.sum(labs > threshold))
+        count = 2 * int(np.sum(labs > threshold)) - int(labs[-1] > threshold)  # pairs j < h, and j = h
         thresholds.append(threshold)
         counts.append(count)
         emp.append(math.log(count) / log_q if count >= 1 else math.nan)

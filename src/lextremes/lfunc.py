@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numth
-from .chargroup import CharacterGroup, _term_sums, dft_over_group
+from .chargroup import CharacterGroup, _half_spectrum, _mirrored, _term_sums
 
 # absolute error bound of K(1, a/q) = -psi(a/q), the sigma = 1 counterpart of
 # hurwitz_zeta_error: Euler-Maclaurin truncation (below 1.2e-19) plus the
@@ -59,29 +59,27 @@ class LValue:
 class LValueBatch:
     """L(sigma, chi_j) for every non-principal chi_j of one group.
 
-    values[j - 1] is L(sigma, chi_j) for j = 1..q-2 (a read-only complex
-    array); `err_estimate` bounds the error of every entry.
+    half[j - 1] is L(sigma, chi_j) for j = 1..h = (q-1)/2 (read-only); since
+    L(sigma, chi_{q-1-j}) = conj L(sigma, chi_j) exactly, `values` and
+    `abs_values` mirror it.  `err_estimate` bounds the error of every entry.
     """
 
     sigma: float
-    values: np.ndarray
+    half: np.ndarray
     err_estimate: float
 
-    def abs_values(self) -> np.ndarray:
-        """|L(sigma, chi_j)| for j = 1..q-2.
+    @property
+    def values(self) -> np.ndarray:
+        """L(sigma, chi_j) for j = 1..q-2, as a new array."""
+        return _mirrored(self.half, 1)
 
-        np.hypot on the parts equals Python's abs(complex) bit for bit;
-        np.abs on complex input can differ from it in the last ulp.  The
-        batch holds L(sigma, conj chi) = conj L(sigma, chi) exactly, up to
-        the signs of zero parts, so hypot runs on j = 1..(q-1)/2 and the
-        rest is its mirror.
-        """
-        h = (self.values.size + 1) // 2
-        lower = self.values[:h]
-        out = np.empty(self.values.size)
-        np.hypot(lower.real, lower.imag, out=out[:h])
-        out[h:] = out[: h - 1][::-1]
-        return out
+    def half_abs(self) -> np.ndarray:
+        """|L(sigma, chi_j)| for j = 1..h by np.hypot: abs(complex) bit for bit."""
+        return np.hypot(self.half.real, self.half.imag)
+
+    def abs_values(self) -> np.ndarray:
+        """|L(sigma, chi_j)| for j = 1..q-2."""
+        return _mirrored(self.half_abs(), 1)
 
 
 # ----------------------------------------------------------------------
@@ -184,44 +182,51 @@ def hurwitz_zeta_error(sigma: float) -> float:
 # L-values
 
 
-def _residue_values(q: int, s: float) -> np.ndarray:
-    """zeta(s, a/q) - q**(s-1)/(s-1) for a = 1..q-1; -psi(a/q) - log q at s = 1.
+def _residue_values(group: CharacterGroup, s: float) -> np.ndarray:
+    """zeta(s, a/q) - q**(s-1)/(s-1) at a = g**k for k = 0..q-2 (the power
+    order of `power_residues`); -psi(a/q) - log q at s = 1.
 
     That is K(s, a/q) - c, c = (1 - q**(s-1))/(1 - s) or log q: K has a mean
     near c (2.2 at s = 0.55, 9.8 at s = 1 for q = 10007), which drops out of
     non-principal L-values but which a group DFT would round into each.
 
-    At s = 1 the kernel runs only on the upper half a = h+1..q-1
-    (h = (q-1)/2, a/q in (1/2, 1)); the lower half comes from the
-    reflection K(1, x) = K(1, 1 - x) + pi cot(pi x) (DLMF 5.5.4, K = -psi)
-    as the value at (q-a)/q plus pi / tan(a * (pi/q)), which errs by about
-    eps (log q + 1/x).  The other direction would subtract pi cot(pi x)
-    from K(1, x), both near 1/x, and lose about q * eps.  The output is
-    allocated after the kernel returns, so the peak is about 20 bytes per
-    residue instead of the 32 of a full-length kernel.
+    At s = 1 entries k and k + h (h = (q-1)/2) hold a pair a, q - a, since
+    g**h = -1.  The kernel runs only on the upper member u = max(a, q - a),
+    u/q in (1/2, 1); the lower one comes from K(1, x) = K(1, 1 - x) +
+    pi cot(pi x) (DLMF 5.5.4, K = -psi) as the value at u/q plus
+    pi / tan((q - u) * (pi/q)), which errs by about eps (log q + 1/x).  The
+    other direction would subtract pi cot(pi x) from K(1, x), both near 1/x,
+    and lose about q * eps.  Peak: about 20 bytes per residue (32 unhalved).
     """
+    q = group.q
     if s != 1.0:
-        values = _zeta_kernel(s, np.arange(1, q) / q)
+        values = _zeta_kernel(s, group.power_residues / q)
         values += math.expm1((s - 1) * math.log(q)) / (1 - s)  # minus c
         return values
     h = (q - 1) // 2
-    upper = _zeta_kernel(1.0, np.arange(h + 1, q) / q)
+    a = group.power_residues[:h]
+    upper = np.maximum(a, q - a)
+    at_upper = _zeta_kernel(1.0, upper / q)
+    at_upper -= math.log(q)
+    at_lower = np.tan((q - upper) * (math.pi / q))
+    del upper
+    np.divide(math.pi, at_lower, out=at_lower)
+    at_lower += at_upper
+    first = a > h  # g**k is the upper member of its pair
     out = np.empty(q - 1)
-    np.subtract(upper, math.log(q), out=out[h:])
-    pi_cot = np.tan(np.arange(1, h + 1) * (math.pi / q))
-    np.divide(math.pi, pi_cot, out=pi_cot)
-    np.add(out[h:][::-1], pi_cot, out=out[:h])
+    out[:h] = at_lower
+    np.copyto(out[:h], at_upper, where=first)
+    out[h:] = at_upper
+    np.copyto(out[h:], at_lower, where=first)
     return out
 
 
 @functools.lru_cache(maxsize=1)
-def _residue_kernel(q: int, s: float) -> np.ndarray:
-    """`_residue_values(q, s)`, read-only and kept for the last (q, s) only.
-
-    Single-character calls at one (q, s) share it; one cached entry keeps
-    the held memory at a single length-(q-1) array.
-    """
-    kernel = _residue_values(q, s)
+def _residue_kernel(group: CharacterGroup, s: float) -> np.ndarray:
+    """`_residue_values(group, s)`, read-only and kept for the last (group, s)
+    only: single-character calls there share it, and the cache holds one
+    length-(q-1) array and its group."""
+    kernel = _residue_values(group, s)
     kernel.setflags(write=False)
     return kernel
 
@@ -238,39 +243,40 @@ def l_value(chi: tuple[CharacterGroup, int], sigma) -> LValue:
     """L(sigma, chi_j) = q**(-sigma) * sum_a chi_j(a) * K(sigma, a/q).
 
     `chi` is the pair (group, j) that `CharacterGroup.character(j)` returns.
-    The q - 1 products chi_j(a) * K(sigma, a/q) are added exactly rounded by
-    `numth._exact_sum`.  For the principal character (sigma < 1 only) the
-    q - 1 constants q**(sigma-1)/(sigma-1) that the residue kernel leaves out
-    are added back.  Calls at the same (q, sigma) share one cached residue kernel.
+    The q - 1 products chi_j(g**k) * K(sigma, g**k/q) are formed along the
+    cached power-order kernel (`power_values`, no dlog) and added exactly
+    rounded by `numth._exact_sum`, so their order does not matter.  For the
+    principal character (sigma < 1 only) the q - 1 constants
+    q**(sigma-1)/(sigma-1) that the residue kernel leaves out are added back.
     """
     s = as_sigma(sigma)
     group, j = chi
     q = group.q
     if s == 1.0 and j == 0:
         raise ValueError("L(1, chi) has a pole at the principal character")
-    total = numth._exact_sum(group.character_values(j, np.arange(1, q)) * _residue_kernel(q, s))
+    total = numth._exact_sum(group.power_values(j) * _residue_kernel(group, s))
     if j == 0:
         total += (q - 1) * q ** (s - 1) / (s - 1)
     return LValue(j, s, total / q**s, _error_bound(q, s))
 
 
 def l_value_batch(group: CharacterGroup, sigma) -> LValueBatch:
-    """L(sigma, chi) for every non-principal chi, via one group DFT.
+    """L(sigma, chi) for every non-principal chi, via one half-spectrum group
+    DFT of the residue kernel in power order.
 
     Agrees with per-character `l_value` to well below 1e-9; the DFT kernel
-    and the fixed residue ordering make the reduction deterministic, and
+    and the fixed power ordering make the reduction deterministic, and
     conjugate characters get exactly conjugate values.
     """
     s = as_sigma(sigma)
     q = group.q
-    # uncached: a scan holds no q-length kernel after its batch returns
-    values = dft_over_group(group, _residue_values(q, s))
+    # uncached, and handed over so that the transform frees it after its FFT
+    spectrum = _half_spectrum(group, _residue_values(group, s))
     # divided as floats, like l_value's sum: complex / real would multiply by 1 / q**s
-    parts = values.view(float)
-    parts /= q**s
-    values = values[1 : q - 1]
-    values.setflags(write=False)
-    return LValueBatch(s, values, _error_bound(q, s))
+    np.divide(spectrum.view(float), q**s, out=spectrum.view(float))
+    half = spectrum[1:]
+    half.setflags(write=False)
+    return LValueBatch(s, half, _error_bound(q, s))
 
 
 def euler_product_truncated(chi: tuple[CharacterGroup, int], sigma, x: float) -> complex:
@@ -347,8 +353,8 @@ def approx_error_census(group: CharacterGroup, sigma, x: float, tol: float, labs
         raise ValueError(f"census requires labs of shape ({q - 2},), got {labs.shape}")
     primes = numth.sieve_primes(int(x))
     weights = primes.astype(float) ** (-s)
-    prime_sums = _term_sums(group, primes, weights)
-    deviations = np.abs(np.log(labs) - prime_sums[1 : q - 1].real)
+    prime_sums = _mirrored(_term_sums(group, primes, weights)[1:].real, 1)
+    deviations = np.abs(np.log(labs) - prime_sums)
     bad = tuple((np.flatnonzero(deviations > tol) + 1).tolist())
     return ApproxErrorCensus(
         sigma=s,

@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numth
-from .chargroup import CharacterGroup, _term_sums
+from .chargroup import CharacterGroup, _mirrored, _term_sums
 from .lfunc import as_sigma
 from .resonator import (
     ResonatorCoeffs,
@@ -133,9 +133,9 @@ def _tables(q: int, scheme: WeightScheme, n_limit: int, series=None) -> tuple:
 def _character_sums(group: CharacterGroup, coeffs: ResonatorCoeffs, ks=None, bs=None) -> tuple:
     """(S1, S2) = (sum_chi L(chi) |R(chi)|**2, sum_chi |R(chi)|**2) by one
     group DFT of the resonator terms and one of the series terms (ks, bs),
-    each by `chargroup._term_sums`; S1 is None without series terms."""
-    r_sq = np.abs(_term_sums(group, coeffs.ns, coeffs.weights)) ** 2
-    l_k = None if ks is None else _term_sums(group, ks, bs)
+    each by `chargroup._term_sums` and mirrored; S1 is None without series terms."""
+    r_sq = _mirrored(np.abs(_term_sums(group, coeffs.ns, coeffs.weights)) ** 2, 0)
+    l_k = None if ks is None else _mirrored(_term_sums(group, ks, bs), 0)
     return None if l_k is None else complex(np.sum(l_k * r_sq)), float(np.sum(r_sq))
 
 

@@ -79,6 +79,14 @@ def series_l1_oracle(group, j: int, h_by_residue: np.ndarray, m_aligned: int) ->
     return partial + mu / m_aligned
 
 
+def in_residue_order(group, x) -> np.ndarray:
+    """A vector given in power order, x[k] at a = g**k, as the vector over
+    the residues a = 1..q-1 that `dft_over_group` takes."""
+    out = np.empty(group.q - 1)
+    out[group.power_residues - 1] = x
+    return out
+
+
 def longdouble_dft(group, f) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of sum_a f(a) chi_j(a) for real f, summed
     naively in np.longdouble with twiddles exp(2 pi i m/(q-1)) evaluated in

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lextremes import build_group, chargroup, dft_over_group, orthogonality_sum
-from lextremes.chargroup import _good_thomas_split, _powers
-from lextremes.lfunc import _residue_values
+from lextremes.chargroup import _good_thomas_split, _half_spectrum, _powers
+from lextremes.lfunc import _residue_values, _zeta_kernel
 
-from conftest import ODD_PRIMES, SPLIT_Q, longdouble_dft
+from conftest import ODD_PRIMES, SPLIT_Q, in_residue_order, longdouble_dft
 
 
 def full_length_dft(group, f) -> np.ndarray:
@@ -400,9 +401,126 @@ class TestGroupDft:
         for q in (1009, SPLIT_Q):  # one plain and one split transform
             group = group_of(q)
             n = group.q - 1
-            f = _residue_values(group.q, sigma)
+            f = in_residue_order(group, _residue_values(group, sigma))
             out = dft_over_group(group, f)
             ref_re, ref_im = longdouble_dft(group, f)
             sq_err = (out.real.astype(np.longdouble) - ref_re) ** 2 + (out.imag.astype(np.longdouble) - ref_im) ** 2
             rms = float(np.sqrt(sq_err.mean()))
             assert rms <= np.finfo(float).eps * np.log2(n) * np.linalg.norm(f)
+
+
+def packed_full_length_dft(group, f) -> np.ndarray:
+    """The packed real transform as it was before the half spectrum: gather f
+    into power order through the Ruritanian map where h splits, one
+    half-length FFT, then E + w**j O for every j < h from a full-length
+    mirror of conj Z[-j], and the upper half mirrored.  Its rounding is what
+    every golden and pin was recorded with."""
+    n = group.q - 1
+    h = n // 2
+    positions = group.power_residues - 1
+    split = _good_thomas_split(h)
+    if split:
+        p, r = split
+        ruritanian = r * np.arange(p)[:, None] + p * np.arange(r)
+        np.subtract(ruritanian, h, out=ruritanian, where=ruritanian >= h)
+        positions = positions.view(np.int64)[ruritanian].view(np.int32)
+    z = np.asarray(f[positions], dtype=float).view(complex)
+    if split:
+        np.fft.ifft(z, axis=-1, norm="forward", out=z)
+        np.fft.ifft(z, axis=-2, norm="forward", out=z)
+        spec = z.ravel()[np.tile(np.arange(p) * r, r) + np.tile(np.arange(r), p)]
+    else:
+        spec = np.fft.ifft(z, norm="forward")
+    out = np.empty(n, dtype=complex)
+    mirror = out[h:]
+    mirror[0] = spec[0].conjugate()
+    np.conjugate(spec[:0:-1], out=mirror[1:])
+    even = np.add(spec, mirror, out=out[:h])
+    even *= 0.5
+    odd = np.subtract(spec, mirror, out=spec)
+    odd *= -0.5j
+    out[h] = even[0] - odd[0]
+    odd *= group._roots[:h]
+    even += odd
+    np.conjugate(out[h - 1 : 0 : -1], out=out[h + 1 :])
+    return out
+
+
+def residue_order_kernel(q: int, s: float) -> np.ndarray:
+    """The centred residue kernel at a = 1..q-1 in residue order, as it was
+    evaluated before the power-order kernel (reflected at s = 1)."""
+    if s != 1.0:
+        return _zeta_kernel(s, np.arange(1, q) / q) + math.expm1((s - 1) * math.log(q)) / (1 - s)
+    h = (q - 1) // 2
+    out = np.empty(q - 1)
+    np.subtract(_zeta_kernel(1.0, np.arange(h + 1, q) / q), math.log(q), out=out[h:])
+    pi_cot = np.tan(np.arange(1, h + 1) * (math.pi / q))
+    np.divide(math.pi, pi_cot, out=pi_cot)
+    np.add(out[h:][::-1], pi_cot, out=out[:h])
+    return out
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit for bit, signs of zero included."""
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
+
+
+class TestHalfSpectrum:
+    # q = 5, 7, 11 and 13 have one or two pairs (j, h - j), where numpy picks
+    # its complex-multiply loop by layout; 13 (h = 3*2), 1031 and 98017 split
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 101, 1009, 10007, 97021, 98017])
+    @pytest.mark.parametrize("sigma", [1.0, 0.75, 0.55])
+    def test_l_value_kernel_and_transform_keep_every_bit(self, group_of, q, sigma):
+        group = group_of(q)
+        h = (q - 1) // 2
+        kernel = residue_order_kernel(q, sigma)
+        assert same_bits(_residue_values(group, sigma), kernel[group.power_residues - 1])
+        half = _half_spectrum(group, _residue_values(group, sigma))
+        assert same_bits(half, packed_full_length_dft(group, kernel)[: h + 1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.sampled_from(ODD_PRIMES), seed=st.integers(0, 2**32 - 1))
+    @example(q=3, seed=0)
+    @example(q=5, seed=1)
+    @example(q=7, seed=2)
+    @example(q=13, seed=3)
+    @example(q=SPLIT_Q, seed=4)
+    @example(q=19037, seed=5)  # (q-1)/2 = 2*4759: a split with r = 2
+    def test_random_vectors_keep_every_bit(self, q, seed):
+        group = build_group(q)
+        f = np.random.default_rng(seed).standard_normal(q - 1)
+        want = packed_full_length_dft(group, f)
+        assert same_bits(_half_spectrum(group, f[group.power_residues - 1]), want[: (q + 1) // 2])
+        assert same_bits(dft_over_group(group, f), want)
+
+    # out (h + 1 complex) and E, O (h/2 + 1 each): 32 B per h; a split adds
+    # its (p, r) array and the CRT index, 24 B per h, after the FFT input is
+    # gone.  The caller holds the input here, so it is not counted.
+    @pytest.mark.parametrize("q,per_h", [(10007, 32), (97021, 32), (98017, 40), (300809, 40)])
+    def test_peak_memory_per_h(self, group_of, q, per_h):
+        group = group_of(q)
+        h = (q - 1) // 2
+        x = np.random.default_rng(q).standard_normal(q - 1)
+        _half_spectrum(group, x)  # numpy's FFT plan cache is traced too; fill it first
+        tracemalloc.start()
+        try:
+            _half_spectrum(group, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_h * h + 64 * 1024
+
+    def test_frees_an_input_it_is_handed(self, group_of):
+        # l_value_batch and _term_sums pass the kernel as a temporary: it is
+        # gone before the epilogue, so the peak is the FFT's input and output
+        q = 97021
+        group = group_of(q)
+        h = (q - 1) // 2
+        _half_spectrum(group, np.ones(q - 1))
+        tracemalloc.start()
+        try:
+            _half_spectrum(group, np.ones(q - 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * h + 64 * 1024

@@ -631,7 +631,7 @@ class TestOracleCheck:
 
             return wrapper
 
-        monkeypatch.setattr(chargroup, "_real_group_dft", counted("dft", chargroup._real_group_dft))
+        monkeypatch.setattr(chargroup, "_half_spectrum", counted("dft", chargroup._half_spectrum))
         monkeypatch.setattr(resonance, "enumerate_coeffs", counted("coeffs", resonance.enumerate_coeffs))
         monkeypatch.setattr(resonance, "_series_support", counted("series", resonance._series_support))
         name, ok, _ = cli._dual_oracle_row(group_of(q))

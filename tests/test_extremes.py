@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lextremes import (
     CensusReport,
     approx_error_census,
+    l_value,
     l_value_batch,
     reference_constants,
     scan_sigma1,
@@ -19,7 +20,8 @@ from lextremes import (
     sigma1_upper_check,
     threshold_census,
 )
-from lextremes import extremes
+import lextremes
+from lextremes import chargroup, cli, extremes, lfunc, resonance
 from lextremes.chargroup import CharacterGroup, build_group
 from lextremes.cli import _json_bytes
 from lextremes.extremes import _resonator_abs_sq_all
@@ -58,11 +60,11 @@ class TestResonatorScan:
     def test_matches_complex_product(self, group_of, q, kind, cutoff):
         scheme = linear_scheme(cutoff) if kind == "linear" else half_scheme(cutoff)
         group = group_of(q)
-        got = _resonator_abs_sq_all(group, scheme)
+        got = _resonator_abs_sq_all(group, scheme)  # j = 0..h: the conjugates tie
         want = complex_resonator_abs_sq(group, scheme)
-        assert got.shape == (q - 1,)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        assert np.array_equal(got[1:], got[:0:-1])
+        assert got.shape == ((q - 1) // 2 + 1,)
+        np.testing.assert_allclose(got, want[: got.size], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got[1:], want[::-1][: got.size - 1], rtol=1e-12, atol=0)
 
     def test_uses_no_character_table(self, monkeypatch):
         def refuse(self, n):
@@ -71,6 +73,17 @@ class TestResonatorScan:
         monkeypatch.setattr(CharacterGroup, "values_at", refuse)
         scan_sigma1(1009)
         scan_sigma_strip(1009, 0.75)
+
+    @pytest.mark.parametrize("q", [1009, SPLIT_Q])
+    def test_resonant_index_skips_an_excluded_pair(self, group_of, q):
+        # the search runs over j <= h, so an excluded pair must drop out there
+        group, scheme = group_of(q), linear_scheme(20.0)
+        first = extremes._resonant_index(group, scheme)
+        second = extremes._resonant_index(group, scheme, (first, q - 1 - first))
+        want = complex_resonator_abs_sq(group, scheme)
+        want[[0, first, q - 1 - first]] = 0.0
+        assert 1 <= second <= (q - 1) // 2 and second != first
+        assert want[second] == pytest.approx(want.max(), rel=1e-12)
 
     @pytest.mark.parametrize("q", [1009, 10007])
     def test_resonant_index_is_lower_of_its_pair(self, q):
@@ -81,7 +94,8 @@ class TestResonatorScan:
 
 class TestLeanGroup:
     """The whole-group drivers read only `power_residues` and the lower half
-    of the root table, so they never build dlog or the full root table."""
+    of the root table, so they never build dlog or the full root table, and
+    they read half spectra, never the full-length `dft_over_group`."""
 
     def test_whole_group_paths_build_no_single_character_tables(self, monkeypatch):
         groups = []
@@ -90,7 +104,13 @@ class TestLeanGroup:
             groups.append(build_group(q))
             return groups[-1]
 
+        def refuse(group, f):
+            raise AssertionError("a whole-group driver called the full-length dft_over_group")
+
         monkeypatch.setattr(extremes, "build_group", capture)
+        for module in (lextremes, chargroup, lfunc, extremes, resonance, cli):
+            if hasattr(module, "dft_over_group"):
+                monkeypatch.setattr(module, "dft_over_group", refuse)
         scan_sigma1(1009)
         threshold_census(1009, [0.5, 1.0])
         scan_sigma_strip(1009, 0.75)
@@ -99,14 +119,29 @@ class TestLeanGroup:
             assert "dlog" not in vars(group)
             assert group._roots.size == (group.q - 1) // 2 + 1
 
+    def test_single_values_build_no_dlog(self):
+        # l_value reads chi_j(g**k) = root[jk mod (q-1)] along the cached
+        # power-order kernel
+        group = build_group(1009)
+        for sigma in (1.0, 0.75):
+            for j in (0, 1, 504, 1007):
+                if (sigma, j) != (1.0, 0):
+                    l_value(group.character(j), sigma)
+        assert "dlog" not in vars(group)
+
     # at q = 98017, h = 2**4 * 3 * 1021 takes the Good-Thomas split;
     # at q = 97021, h = 2 * 3**2 * 5 * 7**2 * 11 is one plain FFT
     @pytest.mark.parametrize("q", [98017, 97021])
-    def test_sigma1_peak_at_most_44_bytes_per_residue(self, q):
-        # the group (12 B) and the L-value batch (32 B) at the peak; the
-        # resonator scan runs before the batch and frees its transform and
-        # its input (32 B) first.  The fixed allowance covers the prime
-        # lists and small arrays (measured 1.5 KiB).
+    def test_sigma1_peak_at_most_36_bytes_per_residue(self, q):
+        # measured 32.2 B (98017) and 30.0 B (97021).  On the split path the
+        # peak is the group (12 B) beside the transform's (p, r) array (8 B),
+        # its half spectrum (8 B) and its CRT index (4 B), after the kernel
+        # it was handed is freed; on the plain path it is the group beside
+        # the sigma = 1 kernel's evaluation on h points (18 B).  The half
+        # spectrum with its two h/2 temporaries (16 B) and the resonator
+        # scan, which frees its residue table after the power-order gather,
+        # stay below that.  The fixed allowance covers the prime lists and
+        # small arrays (measured 1.5 KiB).
         allowance = 64 * 1024
         scan_sigma1(q)  # numpy's FFT plan cache is traced too; fill it first
         for run in (lambda: scan_sigma1(q), lambda: threshold_census(q, [0.5, 1.0])):
@@ -116,13 +151,14 @@ class TestLeanGroup:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 44 * q + allowance
+            assert peak <= 36 * q + allowance
 
     @pytest.mark.parametrize("q", [98017, 97021])
     def test_strip_peak_at_most_56_bytes_per_residue(self, q):
-        # the certificate's character route sets the peak (measured 56.05 B
-        # at q = 98017); the census (53.7 B) and the resonator's transform
-        # beside the group and |L| (52.2 B) stay below it, because the scan
+        # the certificate's character route sets the peak (measured 56.02 B
+        # at q = 98017 and 56.00 B at 97021): the mirrored series transform
+        # and |R|**2 and their product.  The census and the resonator's half
+        # transform beside the group and |L| stay below it, because the scan
         # frees its own index arrays first.  Same allowance as above.
         allowance = 64 * 1024
         scan_sigma_strip(q, 0.75)  # fill numpy's FFT plan cache first
@@ -212,6 +248,32 @@ class TestThresholdCensus:
         report = threshold_census(1009, [0.5, 1.0, 2.0, 3.0])
         assert report.counts == (267, 955, 1007, 1007)
         assert report.counts[-1] >= 1  # at least one extreme character at delta=3
+
+    @pytest.mark.parametrize("q", [1009, 10007])
+    def test_counts_on_a_tie_match_the_full_spectrum(self, monkeypatch, q):
+        # thresholds exactly at |L(1, chi_h)| (the real character, counted
+        # once) and at a conjugate pair's value, and one ulp below each: the
+        # half count 2 #{j < h above} + [j = h above] equals the count over
+        # all q - 2 characters.  With c = loglog q + logloglog q - 1.5 (exact
+        # in floats here) the threshold at delta = 0.5 is e_gamma itself.
+        h = (q - 1) // 2
+        full = l_value_batch(build_group(q), 1.0).abs_values()
+        _, log2_q, log3_q = extremes._iterated_logs(q)
+        for j, members in ((h, 1), (h // 2, 2)):
+            counts = []
+            for threshold in (full[j - 1], np.nextafter(full[j - 1], 0)):
+                constants = extremes.Constants(e_gamma=float(threshold), c=log2_q + log3_q - 1.5, c0=0.0, conjectural_offset=0.0)
+                monkeypatch.setattr(extremes, "reference_constants", lambda: constants)
+                report = threshold_census(q, [0.5])
+                assert report.thresholds == (threshold,)
+                assert report.counts == (int(np.sum(full > threshold)),)
+                counts.append(report.counts[0])
+            assert counts[1] - counts[0] == members
+        # the census that scan-t3 excludes is closed under j <-> q-1-j, so
+        # its resonator search over j <= h sees every excluded pair
+        monkeypatch.undo()
+        excluded = set(scan_sigma_strip(1009, 0.75, census_tol=0.3).excluded_indices)
+        assert excluded and excluded == {1008 - j for j in excluded}
 
     def test_monotone_and_capped(self):
         report = threshold_census(1009, [0.5, 1.0, 2.0, 3.0])
