@@ -14,16 +14,77 @@ from one complex FFT of length h = (q-1)/2, and the whole-group paths
 read that half only.  When the largest prime p of h has p**2 > h (numpy
 would take its Bluestein path) and h != p, that FFT is split by the
 Good-Thomas map into batched FFTs of the coprime lengths p and h/p.
+
+The whole-group stages run by `_blocks` on W threads, W the CPUs this
+process may use over the worker processes sharing them.  Each entry is
+computed alike in any block, and sums, argmax and scatters stay serial,
+so no output bit depends on W or on the block size.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import math
+import os
+import threading
 
 import numpy as np
 
 from . import numth
+
+# entries per block of a whole-group stage: a few such arrays per thread stay
+# in a core's cache; at 2**13 the lock hand-off at each numpy call made two
+# threads slower than one, and above 2**14 the scratch breaks the memory pins
+_BLOCK = 1 << 14
+
+# processes that share this process's CPUs: a `--jobs` pool sets it in each worker
+_processes = 1
+
+
+def _share_cpus(processes: int) -> None:
+    """Divide this process's CPUs among `processes` worker processes."""
+    global _processes
+    _processes = processes
+
+
+def _thread_count() -> int:
+    """W: the CPUs this process may use over the processes sharing them, at least 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, cpus // _processes)
+
+
+def _blocks(fn, n: int, width: int = 1) -> None:
+    """Call fn(a, b) over consecutive blocks [a, b) of range(n) of _BLOCK //
+    width units (at least one), taken in turn by the caller and up to W - 1
+    helper threads of a pool made for this call, as many as give each thread
+    two blocks or more; a range of three blocks or fewer runs inline.  Each
+    fn writes the entries of its own block only.
+
+    A thread's start and a lock hand-off for each numpy call cost more than
+    a share of under two blocks saves, and at q ~ 10**5 the blocks' scratch
+    of W threads would rival the data (the tracemalloc pins hold at any W).
+    """
+    size = max(1, _BLOCK // width)
+    starts = iter(range(0, n, size))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                a = next(starts, n)
+            if a == n:
+                return
+            fn(a, min(a + size, n))
+
+    helpers = min(_thread_count(), -(-n // size) // 2) - 1
+    if helpers < 1:
+        return work()
+    with concurrent.futures.ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+    for future in futures:
+        future.result()
 
 
 def _powers(g: int, q: int, count: int) -> np.ndarray:
@@ -70,7 +131,7 @@ class CharacterGroup:
         # one shared root-of-unity table fixes the rounding profile everywhere
         h = (q - 1) // 2
         roots = np.empty(h + 1, dtype=complex)
-        roots[:h] = np.exp(2j * math.pi * np.arange(h) / (q - 1))
+        _blocks(lambda a, b: np.exp(2j * math.pi * np.arange(a, b) / (q - 1), out=roots[a:b]), h)
         roots[h] = -1.0
         roots.setflags(write=False)
         self._roots = roots
@@ -194,13 +255,15 @@ def _half_spectrum(group: CharacterGroup, x: np.ndarray) -> np.ndarray:
     O[j] = -i(Z[j] - conj Z[h-j])/2 (indices mod h), out[j] = E[j] + w**j O[j]
     (w = exp(2 pi i/(q-1)), from the root table) and out[h] = E[0] - O[0]
     (Sorensen, Jones, Heideman and Burrus, IEEE TASSP 1987).  E and O are
-    formed for j <= h/2 and give E[h-j] = conj E[j], O[h-j] = conj O[j], so
-    out and two arrays of h/2 + 1 are alive at the peak: 32 bytes per h.
+    formed by blocks of j <= h/2 with their partners h - j, as E[h-j] =
+    conj E[j] and O[h-j] = conj O[j]: out and each thread's block are alive.
 
     Where h has a prime factor p with p**2 > h and h != p (numpy's Bluestein
     case), z is gathered into a (p, r) array, r = h/p, by the Ruritanian map
     (r*a + p*b) mod h, both axes take batched in-place FFTs and Z[k] is read
-    at (k mod p, k mod r): 0.10 s against Bluestein's 0.20 s at q = 985709.
+    at (k mod p, k mod r), each step by blocks: the (p, r) array and out are
+    alive at the peak.  At q = 985709 on a 2-vCPU Xeon this took 38-61 ms on
+    two threads, and numpy's Bluestein FFT of length h alone 170 ms.
     """
     h = (group.q - 1) // 2
     z = np.ascontiguousarray(x, dtype=float).view(complex)
@@ -208,38 +271,67 @@ def _half_spectrum(group: CharacterGroup, x: np.ndarray) -> np.ndarray:
     split = _good_thomas_split(h)
     if split:
         p, r = split
-        # Ruritanian map (r*a + p*b) mod h; every entry is below 2h
-        ruritanian = r * np.arange(p)[:, None] + p * np.arange(r)
-        np.subtract(ruritanian, h, out=ruritanian, where=ruritanian >= h)
-        z = z[ruritanian]
-        del ruritanian
-        # unscaled 2-D transform in place; entry (k mod p, k mod r) is Z[k]
-        np.fft.ifft(z, axis=-1, norm="forward", out=z)
-        np.fft.ifft(z, axis=-2, norm="forward", out=z)
-        crt = np.tile(np.arange(p) * r, r)
-        crt += np.tile(np.arange(r), p)  # (k mod p) * r + k mod r
+        grid = np.empty((p, r), dtype=complex)
+
+        def rows(a, b):
+            # Ruritanian map (r*a + p*b) mod h; every index is below 2h, so "wrap" subtracts h once
+            np.take(z, _progressions(r * np.arange(a, b), p, r), out=grid[a:b], mode="wrap")
+            np.fft.ifft(grid[a:b], axis=-1, norm="forward", out=grid[a:b])
+
+        _blocks(rows, p, r)
+        del z
+        _blocks(lambda a, b: np.fft.ifft(grid[:, a:b], axis=-2, norm="forward", out=grid[:, a:b]), r, p)
         out = np.empty(h + 1, dtype=complex)
-        np.take(z.ravel(), crt, out=out[:h], mode="clip")  # mode="raise" would buffer out
+
+        def read(a, b):
+            # Z[k] sits at flat index (k mod p)*r + k mod r = (k*r + k mod r) mod h, that
+            # is (r*r*u mod h + (r+1)*v) mod h for k = r*u + v: below 2h before the mod
+            index = _progressions(r * r * np.arange(a, b) % h, r + 1, r)
+            np.take(grid.ravel(), index, out=out[a * r : b * r].reshape(-1, r), mode="wrap")
+
+        _blocks(read, p, r)
+        del grid
     else:
         out = np.empty(h + 1, dtype=complex)
         np.fft.ifft(z, norm="forward", out=out[:h])  # unscaled: sum_m z[m] exp(2 pi i jm/h)
-    del z
+        del z
     m = h // 2 + 1  # j = 0..h/2; their partners h-j > h/2 fill out[m:h]
-    even = out[-np.arange(m) % h]  # Z[h-j], made conj Z[h-j]
-    np.conjugate(even, out=even)
-    odd = np.subtract(out[:m], even)
-    np.add(out[:m], even, out=even)
-    even *= 0.5
-    odd *= -0.5j
-    out[h] = even[0] - odd[0]
-    # twiddle products go to contiguous arrays apart from their inputs: into
-    # a one-entry reversed view numpy multiplies by another loop, an ulp off
-    np.multiply(odd, group._roots[:m], out=out[:m])
-    out[:m] += even
-    # out[m:h] holds the partners h-j of j = h-m down to 1
-    np.multiply(np.conjugate(odd, out=odd)[h - m : 0 : -1], group._roots[m:h], out=out[m:h])
-    out[m:h] += np.conjugate(even, out=even)[h - m : 0 : -1]
+    roots = group._roots
+
+    def pairs(j0, j1):
+        # reads and writes out[j] and out[h-j] for j in [j0, j1) only
+        lo = max(j0, 1)  # the partner of j = 0 is out[0]
+        even = np.empty(j1 - j0, dtype=complex)
+        even[0] = out[0]
+        even[lo - j0 :] = out[h - j1 + 1 : h - lo + 1][::-1]  # Z[h-j], made conj Z[h-j]
+        np.conjugate(even, out=even)
+        odd = np.subtract(out[j0:j1], even)
+        np.add(out[j0:j1], even, out=even)
+        even *= 0.5
+        odd *= -0.5j
+        if j0 == 0:
+            out[h] = even[0] - odd[0]
+        # twiddle products go to contiguous arrays apart from their inputs: into
+        # a one-entry reversed view numpy multiplies by another loop, an ulp off
+        np.multiply(odd, roots[j0:j1], out=out[j0:j1])
+        out[j0:j1] += even
+        hi = min(j1, h - m + 1)  # j = h/2 is its own partner
+        if hi > lo:  # the partners k = h-j of j = hi-1 down to lo
+            k = slice(h - hi + 1, h - lo + 1)
+            np.multiply(np.conjugate(odd, out=odd)[lo - j0 : hi - j0][::-1], roots[k], out=out[k])
+            out[k] += np.conjugate(even, out=even)[lo - j0 : hi - j0][::-1]
+
+    _blocks(pairs, m)
     return out
+
+
+def _progressions(starts: np.ndarray, step: int, width: int) -> np.ndarray:
+    """starts[:, None] + step * arange(width) as one int64 array, summed along
+    its rows in place: a broadcasting sum would allocate iterator buffers."""
+    out = np.empty((starts.size, width), dtype=np.int64)
+    out[:, 0] = starts
+    out[:, 1:] = step
+    return np.cumsum(out, axis=1, out=out)
 
 
 def _good_thomas_split(h: int) -> tuple[int, int] | None:

@@ -39,10 +39,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import numth
-from .chargroup import build_group, dft_over_group, orthogonality_sum
+from .chargroup import _share_cpus, build_group, dft_over_group, orthogonality_sum
 from .extremes import scan_sigma1, scan_sigma_strip, threshold_census
 from .lfunc import l_value, l_value_batch
-from .resonance import _character_sums, _congruence_sums, _tables, exclude_principal, ratio_certificate
+from .resonance import (
+    _character_sums, _congruence_sums, _half_weight_cutoff, _tables, exclude_principal, ratio_certificate
+)
 from .resonator import linear_scheme
 
 _COMMAND_HELP = {
@@ -202,6 +204,11 @@ def _validate(config: RunConfig) -> None:
             raise ConfigError("scan-t3 requires --sigma")
         if not 0.5 < config.sigma < 1.0:
             raise ConfigError(f"sigma = {config.sigma} violates sigma in (1/2, 1)")
+        for q in config.q_list:  # every cutoff, before any modulus builds its group
+            try:
+                _half_weight_cutoff(q, config.sigma, config.a_sigma, config.y_min)
+            except ValueError as exc:
+                raise ConfigError(f"scan-t3 at q={q}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -346,14 +353,17 @@ def run(config: RunConfig) -> int:
         return oracle_check(config.q_list)
     results, q = {}, None  # q stays None only if the pool fails before any modulus starts
     try:
-        if config.jobs > 1 and len(config.q_list) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                # at most `jobs` moduli in flight and none submitted after a failure: the pool
+        # the pool starts all its workers at the first submit, so it gets no more than there are
+        # moduli; each worker takes its share of the CPUs for its threaded stages
+        workers = min(config.jobs, len(config.q_list))
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(workers, initializer=_share_cpus, initargs=(workers,)) as pool:
+                # at most `workers` moduli in flight and none submitted after a failure: the pool
                 # hands submitted calls to its workers' queue early, out of reach of cancelling
                 futures = {}
                 for q in config.q_list:
                     busy = [future for future in futures.values() if not future.done()]
-                    if len(busy) == config.jobs:
+                    if len(busy) == workers:
                         concurrent.futures.wait(busy, return_when=concurrent.futures.FIRST_COMPLETED)
                     if any(future.done() and future.exception() is not None for future in futures.values()):
                         break

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numth
-from .chargroup import CharacterGroup, _half_spectrum, _mirrored, _term_sums
+from .chargroup import CharacterGroup, _blocks, _half_spectrum, _mirrored, _term_sums
 
 # absolute error bound of K(1, a/q) = -psi(a/q), the sigma = 1 counterpart of
 # hurwitz_zeta_error: Euler-Maclaurin truncation (below 1.2e-19) plus the
@@ -75,7 +75,9 @@ class LValueBatch:
 
     def half_abs(self) -> np.ndarray:
         """|L(sigma, chi_j)| for j = 1..h by np.hypot: abs(complex) bit for bit."""
-        return np.hypot(self.half.real, self.half.imag)
+        out = np.empty(self.half.size)
+        _blocks(lambda a, b: np.hypot(self.half.real[a:b], self.half.imag[a:b], out=out[a:b]), out.size)
+        return out
 
     def abs_values(self) -> np.ndarray:
         """|L(sigma, chi_j)| for j = 1..q-2."""
@@ -196,28 +198,34 @@ def _residue_values(group: CharacterGroup, s: float) -> np.ndarray:
     pi cot(pi x) (DLMF 5.5.4, K = -psi) as the value at u/q plus
     pi / tan((q - u) * (pi/q)), which errs by about eps (log q + 1/x).  The
     other direction would subtract pi cot(pi x) from K(1, x), both near 1/x,
-    and lose about q * eps.  Peak: about 20 bytes per residue (32 unhalved).
+    and lose about q * eps.  The kernel runs by blocks of entries (of pairs at
+    s = 1) into the output, so the peak is the output's 8 bytes per residue
+    beside each thread's block work arrays.
     """
     q = group.q
-    if s != 1.0:
-        values = _zeta_kernel(s, group.power_residues / q)
-        values += math.expm1((s - 1) * math.log(q)) / (1 - s)  # minus c
-        return values
-    h = (q - 1) // 2
-    a = group.power_residues[:h]
-    upper = np.maximum(a, q - a)
-    at_upper = _zeta_kernel(1.0, upper / q)
-    at_upper -= math.log(q)
-    at_lower = np.tan((q - upper) * (math.pi / q))
-    del upper
-    np.divide(math.pi, at_lower, out=at_lower)
-    at_lower += at_upper
-    first = a > h  # g**k is the upper member of its pair
     out = np.empty(q - 1)
-    out[:h] = at_lower
-    np.copyto(out[:h], at_upper, where=first)
-    out[h:] = at_upper
-    np.copyto(out[h:], at_lower, where=first)
+    if s != 1.0:
+        shift = math.expm1((s - 1) * math.log(q)) / (1 - s)  # minus c
+        _blocks(lambda a, b: np.add(_zeta_kernel(s, group.power_residues[a:b] / q), shift, out=out[a:b]), q - 1)
+        return out
+    h = (q - 1) // 2
+
+    def pairs(i, j):  # entries k and k + h for k in [i, j)
+        a = group.power_residues[i:j]
+        upper = np.maximum(a, q - a)
+        at_upper = _zeta_kernel(1.0, upper / q)
+        at_upper -= math.log(q)
+        at_lower = np.tan((q - upper) * (math.pi / q))
+        del upper
+        np.divide(math.pi, at_lower, out=at_lower)
+        at_lower += at_upper
+        first = a > h  # g**k is the upper member of its pair
+        out[i:j] = at_lower
+        np.copyto(out[i:j], at_upper, where=first)
+        out[h + i : h + j] = at_upper
+        np.copyto(out[h + i : h + j], at_lower, where=first)
+
+    _blocks(pairs, h)
     return out
 
 

@@ -405,11 +405,11 @@ def _a_sigma(sigma: float, a_sigma: float | None) -> float:
 
 def _half_weight_cutoff(q: int, sigma: float, a_sigma: float | None, y_min: float) -> tuple[float, float]:
     """(a_sigma, y) of the half-weight certificate, with the resonator cutoff
-    y = max((a_sigma/2) log q loglog q, y_min) checked to stay below q."""
+    y = max((a_sigma/2) log q loglog q, y_min) checked to lie in (0, q)."""
     a_sigma = _a_sigma(sigma, a_sigma)
     y = max(a_sigma / 2 * math.log(q) * math.log(math.log(q)), y_min)
-    if y >= q:
-        raise ValueError(f"half-weight cutoff y = {y:.3f} must be < q = {q}")
+    if not 0 < y < q:
+        raise ValueError(f"half-weight cutoff y = {y:.3f} must lie in (0, q = {q})")
     return a_sigma, y
 
 

@@ -8,14 +8,75 @@ and sieve-based tables for phi / greatest prime factors.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from lextremes import build_group, sieve_primes
+import lextremes
+from lextremes import build_group, chargroup, lfunc, sieve_primes
 
 ODD_PRIMES = sieve_primes(2 * 10**4)[1:].tolist()  # every odd prime below 2 * 10**4
 SPLIT_Q = 1031  # (q-1)/2 = 5*103 and 103**2 > 515: the Good-Thomas split
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+def run_probe(probe: str, env: dict | None = None, timeout: float = 120) -> str:
+    """The stdout of `python -c probe` in a child process that imports the
+    package from its source tree; `env` replaces the child's environment
+    (default: this one's) before PYTHONPATH is set."""
+    src = os.path.dirname(os.path.dirname(lextremes.__file__))
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = [sys.executable, "-c", probe]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, check=True, timeout=timeout).stdout
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit for bit, signs of zero included."""
+    bits = (np.ascontiguousarray(x).view(np.uint64) for x in (a, b))
+    return a.shape == b.shape and np.array_equal(*bits)
+
+
+# the (W, block size) pairs and the moduli of the block-invariance checks;
+# blocks of 7 entries run up to SPLIT_Q and of 1024 up to 10007 only, where
+# they cost tier-1 a few hundred ms (blocks of 7 at q = 10007 take 2.7 s)
+BLOCK_SETTINGS = [(w, b) for w in (1, 2, 3) for b in (7, 1024, chargroup._BLOCK)]
+BLOCK_QS = (3, 5, 7, 11, 13, 101, 1009, SPLIT_Q, 10007, 97021, 98017)
+_LARGEST_Q_AT = {7: SPLIT_Q, 1024: 10007}
+
+
+def blocked_stages(q: int, threads: int, block: int) -> list[np.ndarray]:
+    """The output of every blocked and threaded stage at q, for sigma = 1,
+    0.75 and 0.55, with W = threads and chargroup._BLOCK = block: the root
+    table, the residue kernel, the L-values and their moduli, and the half
+    spectrum of a random vector."""
+    saved = chargroup._thread_count, chargroup._BLOCK
+    chargroup._thread_count, chargroup._BLOCK = (lambda: threads), block
+    try:
+        group = build_group(q)
+        stages = [group._roots, chargroup._half_spectrum(group, np.random.default_rng(q).standard_normal(q - 1))]
+        for sigma in (1.0, 0.75, 0.55):
+            batch = lfunc.l_value_batch(group, sigma)
+            stages += [lfunc._residue_values(group, sigma), batch.half, batch.half_abs()]
+        return stages
+    finally:
+        chargroup._thread_count, chargroup._BLOCK = saved
+
+
+def blocks_that_change_bits(settings) -> list[tuple[int, int, int]]:
+    """(q, W, block) wherever a stage of `blocked_stages` at q in BLOCK_QS,
+    under one (W, block) of `settings`, differs from the W = 1, one-block
+    result in any bit."""
+    changed = []
+    for q in BLOCK_QS:
+        want = blocked_stages(q, 1, q)
+        for threads, block in settings:
+            if q <= _LARGEST_Q_AT.get(block, q) and not all(map(same_bits, blocked_stages(q, threads, block), want)):
+                changed.append((q, threads, block))
+    return changed
 
 
 @pytest.fixture(scope="session")

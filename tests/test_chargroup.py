@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,7 +13,17 @@ from lextremes import build_group, chargroup, dft_over_group, orthogonality_sum
 from lextremes.chargroup import _good_thomas_split, _half_spectrum, _powers
 from lextremes.lfunc import _residue_values, _zeta_kernel
 
-from conftest import ODD_PRIMES, SPLIT_Q, in_residue_order, longdouble_dft
+from conftest import (
+    BLOCK_SETTINGS,
+    ODD_PRIMES,
+    SPLIT_Q,
+    TESTS,
+    blocks_that_change_bits,
+    in_residue_order,
+    longdouble_dft,
+    run_probe,
+    same_bits,
+)
 
 
 def full_length_dft(group, f) -> np.ndarray:
@@ -460,9 +473,47 @@ def residue_order_kernel(q: int, s: float) -> np.ndarray:
     return out
 
 
-def same_bits(a, b) -> bool:
-    """Equal bit for bit, signs of zero included."""
-    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
+class TestBlocks:
+    def test_stages_keep_every_bit_at_any_thread_count_and_block_size(self):
+        # the root table, the residue kernel at sigma = 1, 0.75 and 0.55, the
+        # L-values and their moduli, and the half spectrum of a random vector
+        assert blocks_that_change_bits(BLOCK_SETTINGS) == []
+
+    def test_stages_keep_every_bit_with_every_simd_target_disabled(self):
+        # numpy's baseline loops take their own paths through block tails; one
+        # W per block size keeps the child short
+        umath = pytest.importorskip("numpy._core._multiarray_umath")  # the module path from numpy 2.0 on
+        settings = [(1, 7), (2, 1024), (3, chargroup._BLOCK)]
+        probe = f"import sys; sys.path.insert(0, {TESTS!r}); import conftest;"
+        probe += f"print(conftest.blocks_that_change_bits({settings}))"
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__))
+        assert run_probe(probe, env).strip() == "[]"
+
+    def test_caller_and_helpers_take_blocks_in_turn(self, monkeypatch):
+        # every block once, the caller among the threads; three blocks run inline
+        monkeypatch.setattr(chargroup, "_thread_count", lambda: 3)
+        monkeypatch.setattr(chargroup, "_BLOCK", 10)
+        seen = []
+
+        def note(a, b):
+            seen.append((a, b, threading.current_thread().name))
+            time.sleep(0.001)
+
+        chargroup._blocks(note, 95, 2)
+        assert sorted(block[:2] for block in seen) == [(a, min(a + 5, 95)) for a in range(0, 95, 5)]
+        assert threading.current_thread().name in {name for *_, name in seen}
+        assert 2 <= len({name for *_, name in seen}) <= 3
+        seen.clear()
+        chargroup._blocks(note, 30)
+        assert seen == [(a, a + 10, threading.current_thread().name) for a in (0, 10, 20)]
+
+    def test_worker_processes_share_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(chargroup, "_processes", 1)
+        cpus = chargroup._thread_count()
+        chargroup._share_cpus(2)
+        assert chargroup._thread_count() == max(1, cpus // 2)
+        chargroup._share_cpus(10**6)
+        assert chargroup._thread_count() == 1
 
 
 class TestHalfSpectrum:

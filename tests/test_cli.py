@@ -1,22 +1,29 @@
 import argparse
 import ast
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import re
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import lextremes
-from lextremes import chargroup, cli, enumerate_coeffs, linear_scheme, numth, resonance
+from lextremes import chargroup, cli, enumerate_coeffs, extremes, linear_scheme, numth, resonance
 from lextremes.cli import COMMANDS, ConfigError, main, oracle_check, parse_config, run
+
+from conftest import run_probe
 
 
 class TestParseConfig:
@@ -132,6 +139,15 @@ def _raise_at_17_else_mark(command, q, config):
         raise RuntimeError("kernel failed")
     (pathlib.Path(config.output_dir).parent / f"started_{q}").touch()
     time.sleep(0.5)
+
+
+_COMPUTE_ONE = cli._compute_one
+
+
+def _compute_and_note_threads(command, q, config):
+    # a worker notes its thread count W next to the output directory, then computes as usual
+    (pathlib.Path(config.output_dir).parent / f"threads_{q}").write_text(str(chargroup._thread_count()))
+    return _COMPUTE_ONE(command, q, config)
 
 
 class TestRun:
@@ -306,12 +322,12 @@ class TestRun:
         assert code == 3
 
     def test_operation_error_leaves_no_created_directory(self, tmp_path, capsys):
-        # the cutoff check runs inside the scan, and run() makes the output
-        # directory only after every modulus is computed, so a rejected run
-        # creates no directory and leaves existing ones alone
-        argv = ["scan-t3", "--q", "101", "--sigma", "0.75", "--y-min", "1e6", "--output-dir"]
+        # the series cutoff check runs inside the certificate, and run() makes
+        # the output directory only after every modulus is computed, so a
+        # rejected run creates no directory and leaves existing ones alone
+        argv = ["certify", "--q", "101", "--Y", "2", "--output-dir"]
         assert main([*argv, str(tmp_path / "new" / "deep")]) == 2
-        assert "half-weight cutoff" in capsys.readouterr().err
+        assert "series cutoff" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
         (tmp_path / "kept").mkdir()
         assert main([*argv, str(tmp_path / "kept" / "deep")]) == 2
@@ -321,10 +337,16 @@ class TestRun:
         # the computation fails before the output directory is tried
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
-        argv = ["scan-t3", "--q", "101", "--sigma", "0.75", "--y-min", "1e6"]
+        argv = ["certify", "--q", "101", "--Y", "2"]
         assert main([*argv, "--output-dir", str(blocker / "sub")]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "half-weight cutoff" in err[0]
+        assert len(err) == 1 and "series cutoff" in err[0]
+
+    def test_scan_t3_cutoffs_are_checked_before_any_group_is_built(self, tmp_path, capsys, monkeypatch):
+        # q = 17 rejects the default y_min = 20; q = 101 must not be computed first
+        monkeypatch.setattr(cli, "_compute_one", _raise_memory_error)
+        assert main(["scan-t3", "--q", "101,17", "--sigma", "0.75", "--output-dir", str(tmp_path / "out")]) == 2
+        assert "half-weight cutoff y = 20.000 must lie in (0, q = 17)" in capsys.readouterr().err
 
     def test_compute_failure_of_any_kind_leaves_no_directory(self, tmp_path, monkeypatch):
         def crash(*args):
@@ -406,6 +428,44 @@ class TestRun:
         assert main(args + ["--output-dir", str(par), "--jobs", "2"]) == 0
         for name in ("census_q17.csv", "census_q19.csv"):
             assert (seq / name).read_bytes() == (par / name).read_bytes()
+
+    def test_pool_has_no_more_workers_than_moduli(self, tmp_path, monkeypatch):
+        # the pool launches all its workers at the first submit, so --jobs 100000
+        # would fork 100,000 processes; this pool records its size and starts none
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append((max_workers, initializer, initargs))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        assert main(["census", "--q", "17,19", "--jobs", "100000", "--output-dir", str(tmp_path / "a")]) == 0
+        assert main(["census", "--q", "17,19,23", "--jobs", "2", "--output-dir", str(tmp_path / "b")]) == 0
+        assert main(["census", "--q", "17", "--jobs", "100000", "--output-dir", str(tmp_path / "c")]) == 0
+        assert pools == [(2, chargroup._share_cpus, (2,)), (2, chargroup._share_cpus, (2,))]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="checks forking after threaded stages")
+    def test_jobs_after_threaded_stages_match_serial_in_workers_with_their_share(self, tmp_path, monkeypatch):
+        extremes.scan_sigma1(300809)  # several blocks per thread in each stage, on every CPU this process may use
+        args = ["scan-t1", "--q", "1009,1031", "--format", "csv"]
+        assert main([*args, "--output-dir", str(tmp_path / "serial")]) == 0
+        monkeypatch.setattr(cli, "_compute_one", _compute_and_note_threads)
+        assert main([*args, "--output-dir", str(tmp_path / "pool"), "--jobs", "2"]) == 0
+        for q in (1009, 1031):
+            name = f"scan-t1_q{q}.csv"
+            assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+            assert int((tmp_path / f"threads_{q}").read_text()) == max(1, chargroup._thread_count() // 2)
 
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o002, 0o664)])
     def test_result_files_follow_umask(self, tmp_path, umask, mode):
@@ -641,10 +701,7 @@ class TestOracleCheck:
 
 def test_cli_import_loads_no_scipy():
     probe = "import sys, lextremes.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    src = os.path.dirname(os.path.dirname(lextremes.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert run_probe(probe).strip() == "[]"
 
 
 def test_certify_at_the_largest_modulus_under_a_memory_cap(tmp_path):
@@ -784,3 +841,97 @@ def test_group_tables_are_read_only_by_chargroup():
         if isinstance(node, ast.Attribute) and node.attr in private
     ]
     assert reads == []
+
+
+# Every key's (valid, invalid) values for the CLI-contract property test: its
+# domain and its edges.  q, N, K, --jobs and --x-cap stay small, so that no
+# drawn run needs much memory or time (scan-t3 sieves up to its x-cap).
+_CONTRACT_VALUES = {
+    "q": (["17", "19", "101"], ["0", "-7", "4", "15", "2147483659", "1.5", "abc"]),  # 5 and 7 by command
+    "sigma": (["0.51", "0.75", "0.99"], ["0.5", "1", "0", "-1", "1e308", "nan"]),
+    "delta": (["0.5,1", "3", "709.78"], ["710", "1e308", "0", "-1", "nan", ""]),
+    "b": (["1.4", "2", "1e308"], ["1.3", "0", "-1", "nan"]),
+    "epsilon": (["0", "0.5", "1e308"], ["-1", "nan"]),
+    "a_sigma": (["0.5", "0", "-1", "1e308"], ["nan"]),
+    "x_cap": (["2", "50", "1e5"], ["1.5", "0", "-1", "nan"]),
+    "y_min": (["20", "2", "0", "-1", "1e308"], ["nan"]),
+    "n": (["1", "50", "300"], ["0", "-5", "9223372036854775808", "1.5"]),
+    "k": (["1", "50", "300"], ["0", "-5", "9223372036854775808", "1.5"]),
+    "y": (["1e4", "2", "0", "-1", "1e308"], ["nan"]),
+    "tol": (["1", "0", "1e308"], ["-1", "nan"]),
+    "tau_budget": (["0.05", "0", "0.99"], ["1", "-0.1", "nan"]),
+    "format": (["csv", "json", "both"], ["xml"]),
+    "jobs": (["1", "2"], ["0", "-1"]),
+}
+
+
+@st.composite
+def _cli_runs(draw):
+    """A command, its q list and some of its keys (sigma always), each given as
+    a flag or in a config file, and whether any value lies outside its
+    domain; half the runs draw from the valid values only."""
+    command = draw(st.sampled_from(COMMANDS))
+    valid_only = draw(st.booleans())
+    invalid = []
+
+    def value(key):
+        valid, outside = _CONTRACT_VALUES[key]
+        if key == "q" and command in ("certify", "oracle-check"):  # they take q >= 5, the scans q >= 17
+            valid = valid + ["5", "7"]
+        elif key == "q":
+            outside = outside + ["5", "7"]
+        chosen = draw(st.sampled_from(valid if valid_only else valid + outside))
+        invalid.append(chosen in outside)
+        return chosen
+
+    values = {"q": ",".join(value("q") for _ in range(draw(st.integers(1, 2))))}
+    for key, row in cli._KEYS.items():
+        if key not in ("q", "output_dir") and command in row.commands and (key == "sigma" or draw(st.booleans())):
+            values[key] = value(key)
+    return command, values, draw(st.sets(st.sampled_from(sorted(values)))), any(invalid)
+
+
+def test_contract_values_cover_every_key():
+    assert set(_CONTRACT_VALUES) == set(cli._KEYS) - {"output_dir"}
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=_cli_runs())
+@example(run=("scan-t3", {"q": "101,17", "sigma": "0.51"}, set(), False))  # q = 17's cutoff failed after 101 ran
+@example(run=("scan-t3", {"q": "17", "sigma": "0.51", "a_sigma": "0", "y_min": "0"}, {"y_min"}, False))  # cutoff y = 0
+@example(run=("census", {"q": "17", "delta": "1e308"}, set(), True))  # e**delta overflowed
+@example(run=("certify", {"q": "101", "tau_budget": "1"}, {"tau_budget"}, True))  # once ignored, then unchecked
+@example(run=("scan-t3", {"q": "101", "sigma": "0.75", "tol": "-1"}, set(), True))  # once rejected after the batch
+@example(run=("scan-t3", {"q": "101", "sigma": "0.75", "x_cap": "1.5"}, set(), True))  # the same
+@example(run=("scan-t3", {"q": "42379", "sigma": "0.51"}, set(), False))  # (log q)**300 overflowed
+def test_cli_contract(tmp_path, monkeypatch, capsys, run):
+    # exit 0, 1 or 2 and no traceback, and 2 for any value outside its domain;
+    # exit 2 before any group is built; an output directory only at exit 0
+    # or 1; a rerun writes the same CSV bytes
+    command, values, in_file, invalid = run
+    work = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    builds = work / "builds"  # appended to by worker processes under --jobs too
+
+    def noted_build_group(q):
+        with open(builds, "a") as note:
+            note.write(f"{q}\n")
+        return chargroup.build_group(q)
+
+    for module in (cli, extremes):
+        monkeypatch.setattr(module, "build_group", noted_build_group)
+    (work / "run.cfg").write_text("".join(f"{key} = {values[key]}\n" for key in in_file))
+    flags = [f"{cli._KEYS[key].flag}={value}" for key, value in values.items() if key not in in_file]
+    argv = [command, *flags, "--config", str(work / "run.cfg")]
+    codes = [main([*argv, f"--output-dir={work / name}"]) for name in ("first", "second")]
+    out, err = capsys.readouterr()
+    assert codes[0] in ((2,) if invalid else (0, 1, 2)), err
+    assert codes[1] == codes[0]
+    assert "Traceback" not in out + err
+    if codes[0] == 2:  # the one exit 2 that needs the L-values: a census that excluded every character
+        assert not builds.exists() or "excluded every character" in err
+    if codes[0] not in (0, 1) or command == "oracle-check":
+        assert not (work / "first").exists()
+    else:
+        first = sorted(path.name for path in (work / "first").glob("*.csv"))
+        assert first == sorted(path.name for path in (work / "second").glob("*.csv"))
+        assert all((work / "first" / name).read_bytes() == (work / "second" / name).read_bytes() for name in first)

@@ -2,8 +2,6 @@ import dataclasses
 import json
 import math
 import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -29,12 +27,11 @@ from lextremes import (
     weighted_sum_characters,
     weighted_sum_congruence,
 )
-import lextremes
 from lextremes import numth, resonance
 from lextremes.resonator import _scheme_primes
 from lextremes.cli import _json_bytes
 
-from conftest import ODD_PRIMES
+from conftest import ODD_PRIMES, run_probe
 from reference import exact_s1, exact_s1_from_weights
 
 TOY_S2 = 5244 / 729  # hand enumeration: pairs of powers of two <= 8 mod 7
@@ -259,14 +256,11 @@ def test_s1_is_pinned_bit_for_bit(q, limit, pin):
 def test_s1_pins_hold_under_every_blas_kernel_and_thread_count(coretype, threads):
     # each setting runs in a child of its own: OpenBLAS reads them at load
     probe = "from lextremes import ratio_certificate; print(*(ratio_certificate(q, 1.4).s1.real.hex() for q in (101, 1009, 10007)))"
-    src = os.path.dirname(os.path.dirname(lextremes.__file__))
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env["OPENBLAS_NUM_THREADS"] = threads
     if coretype is not None:
         env["OPENBLAS_CORETYPE"] = coretype
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True, timeout=60)
-    assert out.stdout.split() == [pin for q, limit, pin in S1_PINS if limit == 10**4]
+    assert run_probe(probe, env).split() == [pin for q, limit, pin in S1_PINS if limit == 10**4]
 
 
 def test_s1_pins_hold_with_every_simd_target_above_numpy_baseline_disabled():
@@ -279,11 +273,8 @@ def test_s1_pins_hold_with_every_simd_target_above_numpy_baseline_disabled():
         "print(*(f for f in __cpu_dispatch__ if __cpu_features__.get(f)));"
         "print(*(ratio_certificate(q, 1.4).s1.real.hex() for q in (101, 1009, 10007)))"
     )
-    src = os.path.dirname(os.path.dirname(lextremes.__file__))
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True, timeout=60)
-    enabled, pins = out.stdout.split("\n")[:2]
+    enabled, pins = run_probe(probe, env).split("\n")[:2]
     assert enabled == ""  # no dispatch target above the baseline is left on
     assert pins.split() == [pin for q, limit, pin in S1_PINS if limit == 10**4]
 
