@@ -10,15 +10,18 @@ none (`power_values`).  A sum of the whole group against any vector is one
 length-(q-1) DFT along those powers; `_term_sums` is the package's one
 character sum of terms (n, a_n).  Every vector the package transforms is
 real, so out[q-1-j] = conj out[j]: `_half_spectrum` forms j <= (q-1)/2
-from one complex FFT of length h = (q-1)/2, and the whole-group paths
-read that half only.  When the largest prime p of h has p**2 > h (numpy
-would take its Bluestein path) and h != p, that FFT is split by the
-Good-Thomas map into batched FFTs of the coprime lengths p and h/p.
+from one complex FFT of length h = (q-1)/2, in the (h + 1)-complex buffer
+the caller wrote the vector into, and the whole-group paths read that half
+only.  When the largest prime p of h has p**2 > h (numpy would take its
+Bluestein path) and h != p, that FFT is split by the Good-Thomas map into
+batched FFTs of the coprime lengths p and h/p.
 
 The whole-group stages run by `_blocks` on W threads, W the CPUs this
 process may use over the worker processes sharing them.  Each entry is
 computed alike in any block, and sums, argmax and scatters stay serial,
-so no output bit depends on W or on the block size.
+so no output bit depends on W or on the block size.  They hold no array
+of size q but the vector they work on: the powers of g (`_power_block`)
+and the twiddles (`_twiddles`) come by blocks.
 """
 
 from __future__ import annotations
@@ -101,6 +104,25 @@ def _powers(g: int, q: int, count: int) -> np.ndarray:
     return powers
 
 
+def _power_block(group: CharacterGroup, a: int, b: int) -> np.ndarray:
+    """g**k mod q for k in [a, b) as int64, b - a <= _BLOCK (blocks of `_blocks`):
+    g**a times the head of the step table, mod q; products stay below q**2 < 2**62."""
+    q, out = group.q, np.empty(b - a, dtype=np.int64)  # a short step table fails to broadcast into it
+    np.multiply(group._steps[: b - a], pow(group.g, a, q), out=out, dtype=np.int64)
+    quotient = out // q  # floor_divide by a scalar is cheaper than %
+    out -= np.multiply(quotient, q, out=quotient)
+    return out
+
+
+def _twiddles(q: int, a: int, b: int, out: np.ndarray) -> np.ndarray:
+    """w**k = exp(2 pi i k/(q-1)) for k in [a, b), into out: the one expression
+    of every root of unity in the package, so blocks of any size agree bit for bit."""
+    out.real, out.imag = 0.0, np.arange(a, b)
+    out.imag *= 2 * math.pi  # 2j * pi * k, with no cast of k to complex
+    out /= q - 1
+    return np.exp(out, out=out)
+
+
 class CharacterGroup:
     """Full character group mod an odd prime q, with O(1) evaluation tables.
 
@@ -108,52 +130,49 @@ class CharacterGroup:
         q: the prime modulus
         g: the smallest primitive root mod q
         phi: group order q - 1
-        power_residues: int32 array of length q-1; entry k is g**k mod q
+        power_residues: int32 array of length q-1, built on first access: g**k mod q
         dlog: int32 array of length q, built on first access;
               dlog[a] = k with g**k = a (mod q), dlog[0] = -1 (sentinel for q | n)
 
     Both tables fit int32 because q < 2**31 (`numth.check_modulus`); every
-    product of a character index with a table entry is formed in int64.  The
-    private root table `_roots[k] = exp(2 pi i k/(q-1))` holds k <= h = (q-1)/2
-    in a new group (exactly -1 at k = h), all that the whole-group paths read:
-    12 bytes per residue.  The first single-character evaluation replaces it
-    by the full table, its exact mirror `_roots[q-1-k] = conj(_roots[k])`, so
-    a group holds at most 24: reading the half through folded indices made
-    `character_values` twice as slow at q = 98017.
+    product of a character index with a table entry is formed in int64.  A
+    new group holds only `_steps`, g**k for k < min(_BLOCK, q-1) in int32.
+    A single-character path builds dlog and the root table
+    `_roots[k] = exp(2 pi i k/(q-1))`, k < q-1, exactly -1 at (q-1)/2 and
+    mirrored exactly above it, at most 24 bytes per residue in all: folded
+    indices into a half table made `character_values` twice as slow at q = 98017.
     """
 
     def __init__(self, q: int, g: int):
         self.q = q
         self.g = g
         self.phi = q - 1
-        self.power_residues = _powers(g, q, q - 1).astype(np.int32)
-        self.power_residues.setflags(write=False)
-        # one shared root-of-unity table fixes the rounding profile everywhere
-        h = (q - 1) // 2
-        roots = np.empty(h + 1, dtype=complex)
-        _blocks(lambda a, b: np.exp(2j * math.pi * np.arange(a, b) / (q - 1), out=roots[a:b]), h)
-        roots[h] = -1.0
-        roots.setflags(write=False)
-        self._roots = roots
+        self._steps = _powers(g, q, min(_BLOCK, q - 1)).astype(np.int32)
+        self._steps.setflags(write=False)
+
+    @functools.cached_property
+    def power_residues(self) -> np.ndarray:
+        table = np.empty(self.q - 1, dtype=np.int32)
+        _blocks(lambda a, b: np.copyto(table[a:b], _power_block(self, a, b), casting="unsafe"), self.q - 1)
+        table.setflags(write=False)
+        return table
 
     @functools.cached_property
     def dlog(self) -> np.ndarray:
         dlog = np.full(self.q, -1, dtype=np.int32)
-        dlog[self.power_residues] = np.arange(self.q - 1, dtype=np.int32)
+        _blocks(lambda a, b: np.put(dlog, _power_block(self, a, b), np.arange(a, b)), self.q - 1)
         dlog.setflags(write=False)
         return dlog
 
-    def _full_roots(self) -> np.ndarray:
-        """The root table over every k < q-1, mirrored from the lower half on
-        first use; it replaces the half table, so the group holds one of them."""
-        if self._roots.size < self.q - 1:
-            h = (self.q - 1) // 2
-            roots = np.empty(self.q - 1, dtype=complex)
-            roots[: h + 1] = self._roots
-            np.conjugate(roots[h - 1 : 0 : -1], out=roots[h + 1 :])
-            roots.setflags(write=False)
-            self._roots = roots
-        return self._roots
+    @functools.cached_property
+    def _roots(self) -> np.ndarray:
+        h = (self.q - 1) // 2
+        roots = np.empty(self.q - 1, dtype=complex)
+        _blocks(lambda a, b: _twiddles(self.q, a, b, roots[a:b]), h)
+        roots[h] = -1.0  # the order-2 character is exactly real
+        np.conjugate(roots[h - 1 : 0 : -1], out=roots[h + 1 :])
+        roots.setflags(write=False)
+        return roots
 
     def character(self, index: int) -> tuple[CharacterGroup, int]:
         """chi_index as the pair (group, index) that single-character functions take."""
@@ -167,7 +186,7 @@ class CharacterGroup:
         logs = self.dlog[ns - ns // self.q * self.q]  # the sentinel -1 where q | n
         exponents = np.multiply(logs, index, dtype=np.int64)
         exponents -= exponents // (self.q - 1) * (self.q - 1)  # floor_divide by a scalar is cheaper than %
-        values = self._full_roots()[exponents]
+        values = self._roots[exponents]
         values[logs < 0] = 0
         return values
 
@@ -175,7 +194,7 @@ class CharacterGroup:
         """chi_index(g**k) = root[index*k mod (q-1)] for k = 0..q-2, with no dlog."""
         exponents = np.arange(self.q - 1, dtype=np.int64) * index
         exponents -= exponents // (self.q - 1) * (self.q - 1)
-        return self._full_roots()[exponents]
+        return self._roots[exponents]
 
     def values_at(self, n: int) -> np.ndarray:
         """chi_j(n) for every j (zeros when q | n): chi_j(g**m) = chi_m(g**j)."""
@@ -194,7 +213,7 @@ def build_group(q: int) -> CharacterGroup:
     numth.check_modulus(q)
     group = CharacterGroup(q, numth.primitive_root(q))
     seen = np.zeros(q, dtype=bool)  # 1 byte per residue, freed on return
-    seen[group.power_residues] = True
+    _blocks(lambda a, b: np.put(seen, _power_block(group, a, b), True), q - 1)
     if not seen[1:].all():
         raise AssertionError(f"the powers of g={group.g} mod q={q} are not a bijection")
     return group
@@ -220,14 +239,14 @@ def dft_over_group(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
     `f` holds the values at residues 1..q-1 (entry i at a = i+1).  A real f
     is read in power order, transformed by `_half_spectrum` and mirrored;
     the output and the half spectrum are alive at the peak, 48 bytes per
-    (q-1)/2.  A complex f is transformed as dft(f.real) + i*dft(f.imag).
+    h = (q-1)/2.  A complex f is transformed as dft(f.real) + i*dft(f.imag).
     """
     f = np.asarray(f)
     if f.shape != (group.q - 1,):
         raise ValueError(f"expected {group.q - 1} residue values, got shape {f.shape}")
     if np.iscomplexobj(f):
         return dft_over_group(group, f.real) + 1j * dft_over_group(group, f.imag)
-    return _mirrored(_half_spectrum(group, f[group.power_residues - 1]), 0)
+    return _mirrored(_half_spectrum(group, _in_power_order(group, f.astype(float, copy=False))), 0)
 
 
 def _mirrored(half: np.ndarray, first: int) -> np.ndarray:
@@ -242,32 +261,40 @@ def _mirrored(half: np.ndarray, first: int) -> np.ndarray:
 def _term_sums(group: CharacterGroup, ns: np.ndarray, values: np.ndarray) -> np.ndarray:
     """out[j] = sum_i values[i] * chi_j(ns[i]) for j = 0..(q-1)/2, the
     `_half_spectrum` of the terms' residue sums 1..q-1 in power order."""
-    return _half_spectrum(group, numth._residue_sums(group.q, ns, values, group.q)[group.power_residues])
+    return _half_spectrum(group, _in_power_order(group, numth._residue_sums(group.q, ns, values, group.q)[1:]))
 
 
-def _half_spectrum(group: CharacterGroup, x: np.ndarray) -> np.ndarray:
+def _in_power_order(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
+    """The (h + 1)-complex input buffer of `_half_spectrum` whose float view
+    holds f(g**k) for k = 0..q-2, from f(a) at f[a - 1], by blocks of powers."""
+    buffer = np.empty((group.q + 1) // 2, dtype=complex)
+    _blocks(lambda a, b: np.take(f, _power_block(group, a, b) - 1, out=buffer.view(float)[a:b]), group.q - 1)
+    return buffer
+
+
+def _half_spectrum(group: CharacterGroup, out: np.ndarray) -> np.ndarray:
     """out[j] = sum_k x[k] * chi_j(g**k) for j = 0..h, h = (q-1)/2, for a real
-    vector x in power order; out[q-1-j] = conj(out[j]) is the rest.
+    vector x in power order held by the float view of the buffer `out`, of
+    h + 1 complex, which it returns; out[q-1-j] = conj(out[j]) is the rest.
 
     x viewed as complex, z[m] = x[2m] + i*x[2m+1], has one unscaled length-h
-    FFT Z, written into out[:h]; x is let go there, so an input handed over
-    as a temporary is freed.  With E[j] = (Z[j] + conj Z[h-j])/2 and
+    FFT Z, in place.  With E[j] = (Z[j] + conj Z[h-j])/2 and
     O[j] = -i(Z[j] - conj Z[h-j])/2 (indices mod h), out[j] = E[j] + w**j O[j]
-    (w = exp(2 pi i/(q-1)), from the root table) and out[h] = E[0] - O[0]
-    (Sorensen, Jones, Heideman and Burrus, IEEE TASSP 1987).  E and O are
-    formed by blocks of j <= h/2 with their partners h - j, as E[h-j] =
-    conj E[j] and O[h-j] = conj O[j]: out and each thread's block are alive.
+    (w = exp(2 pi i/(q-1))) and out[h] = E[0] - O[0] (Sorensen, Jones,
+    Heideman and Burrus, IEEE TASSP 1987).  E and O are formed by blocks of
+    j <= h/2 with their partners h - j, as E[h-j] = conj E[j] and O[h-j] =
+    conj O[j], and the twiddles w**j and w**(h-j) of each block come from
+    `_twiddles`: the buffer and each thread's three block arrays are alive.
 
     Where h has a prime factor p with p**2 > h and h != p (numpy's Bluestein
     case), z is gathered into a (p, r) array, r = h/p, by the Ruritanian map
     (r*a + p*b) mod h, both axes take batched in-place FFTs and Z[k] is read
-    at (k mod p, k mod r), each step by blocks: the (p, r) array and out are
-    alive at the peak.  At q = 985709 on a 2-vCPU Xeon this took 38-61 ms on
-    two threads, and numpy's Bluestein FFT of length h alone 170 ms.
+    back into the buffer from (k mod p, k mod r), each step by blocks: the
+    (p, r) array and the buffer are alive at the peak.  At q = 985709 on a
+    2-vCPU Xeon this took 38-61 ms on two threads, and numpy's Bluestein FFT
+    of length h alone 170 ms.
     """
     h = (group.q - 1) // 2
-    z = np.ascontiguousarray(x, dtype=float).view(complex)
-    del x
     split = _good_thomas_split(h)
     if split:
         p, r = split
@@ -275,13 +302,11 @@ def _half_spectrum(group: CharacterGroup, x: np.ndarray) -> np.ndarray:
 
         def rows(a, b):
             # Ruritanian map (r*a + p*b) mod h; every index is below 2h, so "wrap" subtracts h once
-            np.take(z, _progressions(r * np.arange(a, b), p, r), out=grid[a:b], mode="wrap")
+            np.take(out[:h], _progressions(r * np.arange(a, b), p, r), out=grid[a:b], mode="wrap")
             np.fft.ifft(grid[a:b], axis=-1, norm="forward", out=grid[a:b])
 
         _blocks(rows, p, r)
-        del z
         _blocks(lambda a, b: np.fft.ifft(grid[:, a:b], axis=-2, norm="forward", out=grid[:, a:b]), r, p)
-        out = np.empty(h + 1, dtype=complex)
 
         def read(a, b):
             # Z[k] sits at flat index (k mod p)*r + k mod r = (k*r + k mod r) mod h, that
@@ -292,11 +317,8 @@ def _half_spectrum(group: CharacterGroup, x: np.ndarray) -> np.ndarray:
         _blocks(read, p, r)
         del grid
     else:
-        out = np.empty(h + 1, dtype=complex)
-        np.fft.ifft(z, norm="forward", out=out[:h])  # unscaled: sum_m z[m] exp(2 pi i jm/h)
-        del z
+        np.fft.ifft(out[:h], norm="forward", out=out[:h])  # unscaled: sum_m z[m] exp(2 pi i jm/h)
     m = h // 2 + 1  # j = 0..h/2; their partners h-j > h/2 fill out[m:h]
-    roots = group._roots
 
     def pairs(j0, j1):
         # reads and writes out[j] and out[h-j] for j in [j0, j1) only
@@ -311,17 +333,19 @@ def _half_spectrum(group: CharacterGroup, x: np.ndarray) -> np.ndarray:
         odd *= -0.5j
         if j0 == 0:
             out[h] = even[0] - odd[0]
-        # twiddle products go to contiguous arrays apart from their inputs: into
-        # a one-entry reversed view numpy multiplies by another loop, an ulp off
-        np.multiply(odd, roots[j0:j1], out=out[j0:j1])
+        # the twiddles get a block array of their own: a product written into a
+        # one-entry view of its own input takes another numpy loop, an ulp off
+        roots = _twiddles(group.q, j0, j1, np.empty(j1 - j0, dtype=complex))
+        np.multiply(odd, roots, out=out[j0:j1])
         out[j0:j1] += even
         hi = min(j1, h - m + 1)  # j = h/2 is its own partner
         if hi > lo:  # the partners k = h-j of j = hi-1 down to lo
             k = slice(h - hi + 1, h - lo + 1)
-            np.multiply(np.conjugate(odd, out=odd)[lo - j0 : hi - j0][::-1], roots[k], out=out[k])
+            roots = _twiddles(group.q, k.start, k.stop, roots[: hi - lo])
+            np.multiply(np.conjugate(odd, out=odd)[lo - j0 : hi - j0][::-1], roots, out=out[k])
             out[k] += np.conjugate(even, out=even)[lo - j0 : hi - j0][::-1]
 
-    _blocks(pairs, m)
+    _blocks(pairs, m, 2)  # E, O and the twiddles: three arrays of _BLOCK // 2 pairs
     return out
 
 

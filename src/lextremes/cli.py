@@ -190,6 +190,8 @@ def _validate(config: RunConfig) -> None:
     for key, low in (("jobs", 1), ("epsilon", 0), ("tol", 0), ("x_cap", 2)):
         if getattr(config, key) < low:
             raise ConfigError(f"{key} must be >= {low}")
+    if config.x_cap > 1e8:  # scan-t3 sieves up to x <= x_cap: a mask of at most 100 MB
+        raise ConfigError(f"x_cap must be <= 1e8, got {config.x_cap}")
     if not 0 <= config.tau_budget < 1:
         raise ConfigError(f"tau_budget must lie in [0, 1), got {config.tau_budget}")
     if not (1 <= config.n < 2**63 and 1 <= config.k < 2**63):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numth
-from .chargroup import CharacterGroup, _blocks, _half_spectrum, _mirrored, _term_sums
+from .chargroup import CharacterGroup, _blocks, _half_spectrum, _mirrored, _power_block, _term_sums
 
 # absolute error bound of K(1, a/q) = -psi(a/q), the sigma = 1 counterpart of
 # hurwitz_zeta_error: Euler-Maclaurin truncation (below 1.2e-19) plus the
@@ -184,9 +184,9 @@ def hurwitz_zeta_error(sigma: float) -> float:
 # L-values
 
 
-def _residue_values(group: CharacterGroup, s: float) -> np.ndarray:
-    """zeta(s, a/q) - q**(s-1)/(s-1) at a = g**k for k = 0..q-2 (the power
-    order of `power_residues`); -psi(a/q) - log q at s = 1.
+def _residue_values(group: CharacterGroup, s: float, out: np.ndarray | None = None) -> np.ndarray:
+    """zeta(s, a/q) - q**(s-1)/(s-1) at a = g**k for k = 0..q-2 (power
+    order), -psi(a/q) - log q at s = 1, into `out` (a new array if None).
 
     That is K(s, a/q) - c, c = (1 - q**(s-1))/(1 - s) or log q: K has a mean
     near c (2.2 at s = 0.55, 9.8 at s = 1 for q = 10007), which drops out of
@@ -203,15 +203,15 @@ def _residue_values(group: CharacterGroup, s: float) -> np.ndarray:
     beside each thread's block work arrays.
     """
     q = group.q
-    out = np.empty(q - 1)
+    out = np.empty(q - 1) if out is None else out
     if s != 1.0:
         shift = math.expm1((s - 1) * math.log(q)) / (1 - s)  # minus c
-        _blocks(lambda a, b: np.add(_zeta_kernel(s, group.power_residues[a:b] / q), shift, out=out[a:b]), q - 1)
+        _blocks(lambda a, b: np.add(_zeta_kernel(s, _power_block(group, a, b) / q), shift, out=out[a:b]), q - 1)
         return out
     h = (q - 1) // 2
 
     def pairs(i, j):  # entries k and k + h for k in [i, j)
-        a = group.power_residues[i:j]
+        a = _power_block(group, i, j)
         upper = np.maximum(a, q - a)
         at_upper = _zeta_kernel(1.0, upper / q)
         at_upper -= math.log(q)
@@ -278,8 +278,9 @@ def l_value_batch(group: CharacterGroup, sigma) -> LValueBatch:
     """
     s = as_sigma(sigma)
     q = group.q
-    # uncached, and handed over so that the transform frees it after its FFT
-    spectrum = _half_spectrum(group, _residue_values(group, s))
+    spectrum = np.empty((q + 1) // 2, dtype=complex)  # the transform's buffer; the kernel is not cached
+    _residue_values(group, s, spectrum.view(float)[: q - 1])
+    _half_spectrum(group, spectrum)
     # divided as floats, like l_value's sum: complex / real would multiply by 1 / q**s
     np.divide(spectrum.view(float), q**s, out=spectrum.view(float))
     half = spectrum[1:]

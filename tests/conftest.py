@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import lextremes
-from lextremes import build_group, chargroup, lfunc, sieve_primes
+from lextremes import build_group, chargroup, lfunc, numth, sieve_primes
 
 ODD_PRIMES = sieve_primes(2 * 10**4)[1:].tolist()  # every odd prime below 2 * 10**4
 SPLIT_Q = 1031  # (q-1)/2 = 5*103 and 103**2 > 515: the Good-Thomas split
@@ -40,6 +40,14 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(*bits)
 
 
+def half_spectrum(group, x) -> np.ndarray:
+    """`chargroup._half_spectrum` of the real vector x in power order, copied
+    into the (h + 1)-complex buffer that the transform runs in."""
+    buffer = np.empty((group.q + 1) // 2, dtype=complex)
+    buffer.view(float)[: group.q - 1] = x
+    return chargroup._half_spectrum(group, buffer)
+
+
 # the (W, block size) pairs and the moduli of the block-invariance checks;
 # blocks of 7 entries run up to SPLIT_Q and of 1024 up to 10007 only, where
 # they cost tier-1 a few hundred ms (blocks of 7 at q = 10007 take 2.7 s)
@@ -50,14 +58,19 @@ _LARGEST_Q_AT = {7: SPLIT_Q, 1024: 10007}
 
 def blocked_stages(q: int, threads: int, block: int) -> list[np.ndarray]:
     """The output of every blocked and threaded stage at q, for sigma = 1,
-    0.75 and 0.55, with W = threads and chargroup._BLOCK = block: the root
-    table, the residue kernel, the L-values and their moduli, and the half
-    spectrum of a random vector."""
+    0.75 and 0.55, with W = threads and chargroup._BLOCK = block: the
+    streamed powers g**k and twiddles w**k for k < q-1, the root table, the
+    residue kernel, the L-values and their moduli, and the half spectrum of
+    a random vector."""
     saved = chargroup._thread_count, chargroup._BLOCK
     chargroup._thread_count, chargroup._BLOCK = (lambda: threads), block
     try:
         group = build_group(q)
-        stages = [group._roots, chargroup._half_spectrum(group, np.random.default_rng(q).standard_normal(q - 1))]
+        powers, twiddles = np.empty(q - 1, dtype=np.int64), np.empty(q - 1, dtype=complex)
+        chargroup._blocks(lambda a, b: np.copyto(powers[a:b], chargroup._power_block(group, a, b)), q - 1)
+        chargroup._blocks(lambda a, b: chargroup._twiddles(q, a, b, out=twiddles[a:b]), q - 1)
+        stages = [powers, twiddles, group._roots]
+        stages.append(half_spectrum(group, np.random.default_rng(q).standard_normal(q - 1)))
         for sigma in (1.0, 0.75, 0.55):
             batch = lfunc.l_value_batch(group, sigma)
             stages += [lfunc._residue_values(group, sigma), batch.half, batch.half_abs()]
@@ -66,13 +79,22 @@ def blocked_stages(q: int, threads: int, block: int) -> list[np.ndarray]:
         chargroup._thread_count, chargroup._BLOCK = saved
 
 
+def whole_tables(q: int) -> list[np.ndarray]:
+    """The first two stages of `blocked_stages` from whole tables: g**k mod q
+    by `chargroup._powers` and w**k = exp(2 pi i k/(q-1)) by one np.exp."""
+    return [chargroup._powers(numth.primitive_root(q), q, q - 1), np.exp(2j * np.pi * np.arange(q - 1) / (q - 1))]
+
+
 def blocks_that_change_bits(settings) -> list[tuple[int, int, int]]:
     """(q, W, block) wherever a stage of `blocked_stages` at q in BLOCK_QS,
     under one (W, block) of `settings`, differs from the W = 1, one-block
-    result in any bit."""
+    result in any bit; (q, 1, q) where that result's powers or twiddles
+    differ from `whole_tables`."""
     changed = []
     for q in BLOCK_QS:
         want = blocked_stages(q, 1, q)
+        if not all(map(same_bits, want[:2], whole_tables(q))):
+            changed.append((q, 1, q))
         for threads, block in settings:
             if q <= _LARGEST_Q_AT.get(block, q) and not all(map(same_bits, blocked_stages(q, threads, block), want)):
                 changed.append((q, threads, block))

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lextremes import build_group, chargroup, dft_over_group, orthogonality_sum
-from lextremes.chargroup import _good_thomas_split, _half_spectrum, _powers
+from lextremes.chargroup import _good_thomas_split, _powers
 from lextremes.lfunc import _residue_values, _zeta_kernel
 
 from conftest import (
@@ -19,6 +19,7 @@ from conftest import (
     SPLIT_Q,
     TESTS,
     blocks_that_change_bits,
+    half_spectrum,
     in_residue_order,
     longdouble_dft,
     run_probe,
@@ -111,21 +112,22 @@ class TestBuildGroup:
 
     @pytest.mark.parametrize("q", [1009, 98017])
     def test_retained_tables_at_most_24_bytes_per_residue(self, group_of, q):
-        group = group_of(q)
+        # a new group, as no package path reads power_residues (tests do)
+        group = build_group(q)
         group.values_at(1)  # dlog and the full root table, as a single-character path leaves them
         held = sum(v.nbytes for v in vars(group).values() if isinstance(v, np.ndarray))
+        assert "power_residues" not in vars(group)
         assert held <= 24 * q
 
     @pytest.mark.parametrize("q", [1009, 98017])
-    def test_new_group_holds_12_bytes_per_residue(self, q):
-        # power_residues and the root table's lower h + 1 entries; a single
-        # character path then builds dlog, and the full table replaces the half
+    def test_new_group_holds_only_its_step_table(self, q):
+        # g**k for k < min(_BLOCK, q-1) as int32, 64 KB at most; a single
+        # character path then builds dlog and the full root table
         group = build_group(q)
-        held = sum(v.nbytes for v in vars(group).values() if isinstance(v, np.ndarray))
-        assert "dlog" not in vars(group)
-        assert held <= 12 * q + 16
+        arrays = [v for v in vars(group).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0].nbytes == 4 * min(chargroup._BLOCK, q - 1)
         group.values_at(2)
-        assert "dlog" in vars(group)
+        assert "dlog" in vars(group) and "power_residues" not in vars(group)
         assert group._roots.size == q - 1
         assert sum(v.dtype == complex for v in vars(group).values() if isinstance(v, np.ndarray)) == 1
 
@@ -378,14 +380,17 @@ class TestGroupDft:
         assert self.recorded_iffts(group_of(SPLIT_Q), monkeypatch) == [((103, 5), -1), ((103, 5), -2)]
 
     # tracemalloc peak of one real-vector call per h = (q-1)/2, in bytes, as
-    # measured for the epilogue with separate mirror, even and odd arrays
-    # (numpy elides some temporaries above 256 KiB, hence 80 against 64)
-    EPILOGUE_WITH_TEMPORARIES_PEAK = {10007: 80.2, 98017: 64.1, 300809: 64.1}
+    # measured (48.34, 48.02 and 48.01 B); it was 80.2, 64.1 and 64.1 B with
+    # separate mirror, even and odd arrays, and 48.10 B at q = 10007 with a
+    # length-h root table
+    PEAK_PER_H = {10007: 48.4, 98017: 48.1, 300809: 48.1}
 
-    @pytest.mark.parametrize("q", sorted(EPILOGUE_WITH_TEMPORARIES_PEAK))
+    @pytest.mark.parametrize("q", sorted(PEAK_PER_H))
     def test_peak_memory_per_h(self, group_of, q):
         # prime h, split and split: only the output (2h complex) and the
-        # spectrum (h complex) are alive at the peak, about 48 B per h
+        # spectrum (h complex) are alive at the peak, about 48 B per h; at
+        # q = 10007 the gather's block of powers, index and quotient (16 B per
+        # h each), beside the spectrum, is as large
         group = group_of(q)
         h = (q - 1) // 2
         f = np.random.default_rng(q).standard_normal(q - 1)
@@ -396,7 +401,7 @@ class TestGroupDft:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= self.EPILOGUE_WITH_TEMPORARIES_PEAK[q] * h
+        assert peak <= self.PEAK_PER_H[q] * h
         assert peak < 50 * h
 
     def test_split_rule(self):
@@ -526,7 +531,7 @@ class TestHalfSpectrum:
         h = (q - 1) // 2
         kernel = residue_order_kernel(q, sigma)
         assert same_bits(_residue_values(group, sigma), kernel[group.power_residues - 1])
-        half = _half_spectrum(group, _residue_values(group, sigma))
+        half = half_spectrum(group, _residue_values(group, sigma))
         assert same_bits(half, packed_full_length_dft(group, kernel)[: h + 1])
 
     @settings(max_examples=40, deadline=None)
@@ -541,37 +546,42 @@ class TestHalfSpectrum:
         group = build_group(q)
         f = np.random.default_rng(seed).standard_normal(q - 1)
         want = packed_full_length_dft(group, f)
-        assert same_bits(_half_spectrum(group, f[group.power_residues - 1]), want[: (q + 1) // 2])
+        assert same_bits(half_spectrum(group, f[group.power_residues - 1]), want[: (q + 1) // 2])
         assert same_bits(dft_over_group(group, f), want)
 
-    # out (h + 1 complex) and E, O (h/2 + 1 each): 32 B per h; a split adds
-    # its (p, r) array and the CRT index, 24 B per h, after the FFT input is
-    # gone.  The caller holds the input here, so it is not counted.
+    # The buffer the transform runs in (h + 1 complex, 16 B per h) is counted
+    # here, where before the caller held the input: the bounds kept their
+    # figures, so they are 16 B per h tighter.  Measured 44.38 (its one block
+    # of E, O and twiddles is 24 B per h at this h), 25.50, 34.78 and 33.83 B;
+    # a split adds its (p, r) array, 16 B per h.
     @pytest.mark.parametrize("q,per_h", [(10007, 32), (97021, 32), (98017, 40), (300809, 40)])
     def test_peak_memory_per_h(self, group_of, q, per_h):
         group = group_of(q)
         h = (q - 1) // 2
         x = np.random.default_rng(q).standard_normal(q - 1)
-        _half_spectrum(group, x)  # numpy's FFT plan cache is traced too; fill it first
+        half_spectrum(group, x)  # numpy's FFT plan cache is traced too; fill it first
         tracemalloc.start()
         try:
-            _half_spectrum(group, x)
+            half_spectrum(group, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= per_h * h + 64 * 1024
 
-    def test_frees_an_input_it_is_handed(self, group_of):
-        # l_value_batch and _term_sums pass the kernel as a temporary: it is
-        # gone before the epilogue, so the peak is the FFT's input and output
+    def test_runs_in_the_buffer_it_is_handed(self, group_of):
+        # l_value_batch and _term_sums write the vector into the buffer and hand
+        # it over: the spectrum comes back in it, and beside it the plain path
+        # holds one block's E, O and twiddles (_BLOCK // 2 pairs, 48 B each)
+        # and its index range, nothing whose size grows with h
         q = 97021
         group = group_of(q)
         h = (q - 1) // 2
-        _half_spectrum(group, np.ones(q - 1))
+        buffer = np.ones(h + 1, dtype=complex)
+        assert chargroup._half_spectrum(group, buffer) is buffer
         tracemalloc.start()
         try:
-            _half_spectrum(group, np.ones(q - 1))
+            chargroup._half_spectrum(group, buffer)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * h + 64 * 1024
+        assert peak <= 28 * chargroup._BLOCK + 64 * 1024

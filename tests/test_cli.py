@@ -280,6 +280,8 @@ class TestRun:
             ["scan-t3", "--q", "10007", "--sigma", "0.75", "--tau-budget=2"],
             ["scan-t3", "--q", "10007", "--sigma", "0.75", "--tol=-1"],
             ["scan-t3", "--q", "10007", "--sigma", "0.75", "--x-cap=1.5"],
+            ["scan-t3", "--q", "10007", "--sigma", "0.75", "--x-cap=1.0000001e8"],
+            ["scan-t3", "--q", "17", "--sigma", "0.6", "--x-cap=1e11"],  # once asked the sieve for 1e11 bytes
         ],
     )
     def test_budget_tol_and_cap_ranges_rejected_before_any_work(self, tmp_path, argv):
@@ -313,6 +315,7 @@ class TestRun:
         base = ["scan-t3", "--q", "10007", "--sigma", "0.75"]
         config = parse_config([*base, "--tau-budget=0", "--tol=0", "--x-cap=2"])
         assert (config.tau_budget, config.tol, config.x_cap) == (0.0, 0.0, 2.0)
+        assert parse_config([*base, "--x-cap=1e8"]).x_cap == 1e8
         assert parse_config([*base, "--tau-budget=0.999"]).tau_budget == 0.999
 
     def test_unwritable_output_dir(self, tmp_path):
@@ -832,7 +835,7 @@ def test_group_tables_are_read_only_by_chargroup():
     names = {node.attr for node in ast.walk(group_class) if isinstance(node, ast.Attribute)}
     names |= {node.name for node in group_class.body if isinstance(node, ast.FunctionDef)}
     private = {name for name in names if name.startswith("_") and not name.startswith("__")}
-    assert {"_roots", "_full_roots"} <= private
+    assert {"_roots", "_steps"} <= private
     reads = [
         f"{module}:{node.lineno}: .{node.attr}"
         for module, tree in trees.items()
@@ -846,6 +849,9 @@ def test_group_tables_are_read_only_by_chargroup():
 # Every key's (valid, invalid) values for the CLI-contract property test: its
 # domain and its edges.  q, N, K, --jobs and --x-cap stay small, so that no
 # drawn run needs much memory or time (scan-t3 sieves up to its x-cap).
+# --x-cap draws past its bound of 1e8; a run at the bound sieves up to 1e8
+# (4 s and 200 MB at q = 101, sigma = 0.75), so the range-end test above
+# accepts 1e8 without running it.
 _CONTRACT_VALUES = {
     "q": (["17", "19", "101"], ["0", "-7", "4", "15", "2147483659", "1.5", "abc"]),  # 5 and 7 by command
     "sigma": (["0.51", "0.75", "0.99"], ["0.5", "1", "0", "-1", "1e308", "nan"]),
@@ -853,7 +859,7 @@ _CONTRACT_VALUES = {
     "b": (["1.4", "2", "1e308"], ["1.3", "0", "-1", "nan"]),
     "epsilon": (["0", "0.5", "1e308"], ["-1", "nan"]),
     "a_sigma": (["0.5", "0", "-1", "1e308"], ["nan"]),
-    "x_cap": (["2", "50", "1e5"], ["1.5", "0", "-1", "nan"]),
+    "x_cap": (["2", "50", "1e5"], ["1.5", "0", "-1", "nan", "1.0000001e8", "1e11", "inf"]),
     "y_min": (["20", "2", "0", "-1", "1e308"], ["nan"]),
     "n": (["1", "50", "300"], ["0", "-5", "9223372036854775808", "1.5"]),
     "k": (["1", "50", "300"], ["0", "-5", "9223372036854775808", "1.5"]),

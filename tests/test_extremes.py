@@ -93,8 +93,8 @@ class TestResonatorScan:
 
 
 class TestLeanGroup:
-    """The whole-group drivers read only `power_residues` and the lower half
-    of the root table, so they never build dlog or the full root table, and
+    """The whole-group drivers stream the powers of g and the twiddles by
+    blocks, so they never build power_residues, dlog or the root table, and
     they read half spectra, never the full-length `dft_over_group`."""
 
     def test_whole_group_paths_build_no_single_character_tables(self, monkeypatch):
@@ -111,13 +111,14 @@ class TestLeanGroup:
         for module in (lextremes, chargroup, lfunc, extremes, resonance, cli):
             if hasattr(module, "dft_over_group"):
                 monkeypatch.setattr(module, "dft_over_group", refuse)
-        scan_sigma1(1009)
-        threshold_census(1009, [0.5, 1.0])
-        scan_sigma_strip(1009, 0.75)
+        q = 20011  # q - 1 > _BLOCK: the step table is shorter than the group
+        scan_sigma1(q)
+        threshold_census(q, [0.5, 1.0])
+        scan_sigma_strip(q, 0.75)
         assert len(groups) == 3
         for group in groups:
-            assert "dlog" not in vars(group)
-            assert group._roots.size == (group.q - 1) // 2 + 1
+            arrays = {name: v for name, v in vars(group).items() if isinstance(v, np.ndarray)}
+            assert list(arrays) == ["_steps"] and arrays["_steps"].size == chargroup._BLOCK < q - 1
 
     def test_single_values_build_no_dlog(self):
         # l_value reads chi_j(g**k) = root[jk mod (q-1)] along the cached
@@ -133,15 +134,16 @@ class TestLeanGroup:
     # at q = 97021, h = 2 * 3**2 * 5 * 7**2 * 11 is one plain FFT
     @pytest.mark.parametrize("q", [98017, 97021])
     def test_sigma1_peak_at_most_36_bytes_per_residue(self, q):
-        # measured 32.2 B (98017) and 30.0 B (97021).  On the split path the
-        # peak is the group (12 B) beside the transform's (p, r) array (8 B),
-        # its half spectrum (8 B) and its CRT index (4 B), after the kernel
-        # it was handed is freed; on the plain path it is the group beside
-        # the sigma = 1 kernel's evaluation on h points (18 B).  The half
-        # spectrum with its two h/2 temporaries (16 B) and the resonator
-        # scan, which frees its residue table after the power-order gather,
-        # stay below that.  The fixed allowance covers the prime lists and
-        # small arrays (measured 1.5 KiB).
+        # the name keeps the bound this pin began with; it asserts 26 B now.
+        # scan-t1 measured 19.6 B at W = 1, 22.4 B at
+        # W = 2 and 25.1 B at W >= 3 (98017 and 97021), the census 18.1 and
+        # 16.8 B at any W.  A group holds its 64 KB step table only.  The
+        # scan's peak is the resonator's residue table (8 B) beside the
+        # transform's buffer (8 B) it is gathered into, plus each thread's
+        # block of powers and quotients (256 KB, up to three threads at this
+        # q); the census's is the buffer beside the sigma = 1 kernel's block
+        # work arrays, or on the split path beside the (p, r) array (8 B).
+        # The fixed allowance covers the prime lists and small arrays.
         allowance = 64 * 1024
         scan_sigma1(q)  # numpy's FFT plan cache is traced too; fill it first
         for run in (lambda: scan_sigma1(q), lambda: threshold_census(q, [0.5, 1.0])):
@@ -151,15 +153,16 @@ class TestLeanGroup:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 36 * q + allowance
+            assert peak <= 26 * q + allowance
 
     @pytest.mark.parametrize("q", [98017, 97021])
     def test_strip_peak_at_most_56_bytes_per_residue(self, q):
-        # the certificate's character route sets the peak (measured 56.02 B
-        # at q = 98017 and 56.00 B at 97021): the mirrored series transform
-        # and |R|**2 and their product.  The census and the resonator's half
-        # transform beside the group and |L| stay below it, because the scan
-        # frees its own index arrays first.  Same allowance as above.
+        # the name keeps the bound this pin began with; it asserts 45 B now.
+        # The certificate's character route sets the peak (measured 44.65 B
+        # at q = 98017 and 44.68 B at 97021, at any W): the mirrored series
+        # transform and |R|**2 and their product.  The
+        # census and the resonator's half transform beside |L| stay below it.
+        # Same allowance as above.
         allowance = 64 * 1024
         scan_sigma_strip(q, 0.75)  # fill numpy's FFT plan cache first
         tracemalloc.start()
@@ -168,7 +171,7 @@ class TestLeanGroup:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 56 * q + allowance
+        assert peak <= 45 * q + allowance
 
 
 class TestConstants:
