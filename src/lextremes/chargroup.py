@@ -21,7 +21,7 @@ process may use over the worker processes sharing them.  Each entry is
 computed alike in any block, and sums, argmax and scatters stay serial,
 so no output bit depends on W or on the block size.  They hold no array
 of size q but the vector they work on: the powers of g (`_power_block`)
-and the twiddles (`_twiddles`) come by blocks.
+and the twiddles (`_twiddles`, from two tables of about sqrt(q)) come by blocks.
 """
 
 from __future__ import annotations
@@ -104,23 +104,25 @@ def _powers(g: int, q: int, count: int) -> np.ndarray:
     return powers
 
 
-def _power_block(group: CharacterGroup, a: int, b: int) -> np.ndarray:
+def _power_block(group: CharacterGroup, a: int, b: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """g**k mod q for k in [a, b) as int64, b - a <= _BLOCK (blocks of `_blocks`):
-    g**a times the head of the step table, mod q; products stay below q**2 < 2**62."""
+    g**a times the head of the step table, mod q (products below q**2 < 2**62); the quotient goes to `scratch`."""
     q, out = group.q, np.empty(b - a, dtype=np.int64)  # a short step table fails to broadcast into it
     np.multiply(group._steps[: b - a], pow(group.g, a, q), out=out, dtype=np.int64)
-    quotient = out // q  # floor_divide by a scalar is cheaper than %
+    quotient = np.floor_divide(out, q, out=scratch)  # floor_divide by a scalar is cheaper than %
     out -= np.multiply(quotient, q, out=quotient)
     return out
 
 
-def _twiddles(q: int, a: int, b: int, out: np.ndarray) -> np.ndarray:
-    """w**k = exp(2 pi i k/(q-1)) for k in [a, b), into out: the one expression
-    of every root of unity in the package, so blocks of any size agree bit for bit."""
-    out.real, out.imag = 0.0, np.arange(a, b)
-    out.imag *= 2 * math.pi  # 2j * pi * k, with no cast of k to complex
-    out /= q - 1
-    return np.exp(out, out=out)
+def _twiddles(group: CharacterGroup, a: int, b: int, out: np.ndarray) -> np.ndarray:
+    """w**e = T_lo[e mod L] * T_hi[e div L] for e in [a, b), into out: every root in the package.
+    Each run of one e div L is a slice of T_lo times an entry of T_hi, one numpy loop at any
+    length ("subvector scaling", Van Loan, Computational Frameworks for the FFT, 1992, 1.4)."""
+    lo, hi = group._roots_lo, group._roots_hi
+    for e in (a, *range(a - a % lo.size + lo.size, b, lo.size)):  # the runs' starts
+        end, (m, l) = min(e - e % lo.size + lo.size, b), divmod(e, lo.size)
+        np.multiply(lo[l : l + end - e], hi[m], out=out[e - a : end - a])
+    return out
 
 
 class CharacterGroup:
@@ -136,7 +138,10 @@ class CharacterGroup:
 
     Both tables fit int32 because q < 2**31 (`numth.check_modulus`); every
     product of a character index with a table entry is formed in int64.  A
-    new group holds only `_steps`, g**k for k < min(_BLOCK, q-1) in int32.
+    new group holds `_steps`, g**k for k < min(_BLOCK, q-1) in int32, and T_lo = w**l
+    for l < L, T_hi = w**(mL) for mL < q-1, L = 2**ceil(log2 sqrt(q-1)) (`_twiddles`):
+    each part of each root rounded once from long-double cos and sin (libm's, no SIMD
+    dispatch; a float angle and np.exp err twice as much), 2**16 or fewer apiece.
     A single-character path builds dlog and the root table
     `_roots[k] = exp(2 pi i k/(q-1))`, k < q-1, exactly -1 at (q-1)/2 and
     mirrored exactly above it, at most 24 bytes per residue in all: folded
@@ -149,6 +154,9 @@ class CharacterGroup:
         self.phi = q - 1
         self._steps = _powers(g, q, min(_BLOCK, q - 1)).astype(np.int32)
         self._steps.setflags(write=False)
+        span = 1 << ((q - 2).bit_length() + 1) // 2  # L, the least power of 2 with L**2 >= q - 1
+        angles = (k * (8 * np.arctan(np.longdouble(1))) / (q - 1) for k in (np.arange(span), np.arange(0, q - 1, span)))
+        self._roots_lo, self._roots_hi = ((np.cos(a) + 1j * np.sin(a)).astype(complex) for a in angles)
 
     @functools.cached_property
     def power_residues(self) -> np.ndarray:
@@ -168,7 +176,7 @@ class CharacterGroup:
     def _roots(self) -> np.ndarray:
         h = (self.q - 1) // 2
         roots = np.empty(self.q - 1, dtype=complex)
-        _blocks(lambda a, b: _twiddles(self.q, a, b, roots[a:b]), h)
+        _blocks(lambda a, b: _twiddles(self, a, b, roots[a:b]), h)
         roots[h] = -1.0  # the order-2 character is exactly real
         np.conjugate(roots[h - 1 : 0 : -1], out=roots[h + 1 :])
         roots.setflags(write=False)
@@ -268,7 +276,12 @@ def _in_power_order(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
     """The (h + 1)-complex input buffer of `_half_spectrum` whose float view
     holds f(g**k) for k = 0..q-2, from f(a) at f[a - 1], by blocks of powers."""
     buffer = np.empty((group.q + 1) // 2, dtype=complex)
-    _blocks(lambda a, b: np.take(f, _power_block(group, a, b) - 1, out=buffer.view(float)[a:b]), group.q - 1)
+
+    def gather(a, b):  # one int64 block: the quotient goes to the destination, which "clip" does not buffer
+        index = _power_block(group, a, b, buffer.view(float)[a:b].view(np.int64))
+        np.take(f, np.subtract(index, 1, out=index), out=buffer.view(float)[a:b], mode="clip")
+
+    _blocks(gather, group.q - 1)
     return buffer
 
 
@@ -283,8 +296,9 @@ def _half_spectrum(group: CharacterGroup, out: np.ndarray) -> np.ndarray:
     (w = exp(2 pi i/(q-1))) and out[h] = E[0] - O[0] (Sorensen, Jones,
     Heideman and Burrus, IEEE TASSP 1987).  E and O are formed by blocks of
     j <= h/2 with their partners h - j, as E[h-j] = conj E[j] and O[h-j] =
-    conj O[j], and the twiddles w**j and w**(h-j) of each block come from
-    `_twiddles`: the buffer and each thread's three block arrays are alive.
+    conj O[j], and the twiddles w**j and w**(h-j) of each block come from `_twiddles`
+    (products whose bits, as the epilogue's, follow numpy's dispatch level):
+    the buffer and each thread's three block arrays are alive.
 
     Where h has a prime factor p with p**2 > h and h != p (numpy's Bluestein
     case), z is gathered into a (p, r) array, r = h/p, by the Ruritanian map
@@ -335,13 +349,13 @@ def _half_spectrum(group: CharacterGroup, out: np.ndarray) -> np.ndarray:
             out[h] = even[0] - odd[0]
         # the twiddles get a block array of their own: a product written into a
         # one-entry view of its own input takes another numpy loop, an ulp off
-        roots = _twiddles(group.q, j0, j1, np.empty(j1 - j0, dtype=complex))
+        roots = _twiddles(group, j0, j1, np.empty(j1 - j0, dtype=complex))
         np.multiply(odd, roots, out=out[j0:j1])
         out[j0:j1] += even
         hi = min(j1, h - m + 1)  # j = h/2 is its own partner
         if hi > lo:  # the partners k = h-j of j = hi-1 down to lo
             k = slice(h - hi + 1, h - lo + 1)
-            roots = _twiddles(group.q, k.start, k.stop, roots[: hi - lo])
+            roots = _twiddles(group, k.start, k.stop, roots[: hi - lo])
             np.multiply(np.conjugate(odd, out=odd)[lo - j0 : hi - j0][::-1], roots, out=out[k])
             out[k] += np.conjugate(even, out=even)[lo - j0 : hi - j0][::-1]
 

@@ -458,7 +458,7 @@ def _dual_oracle_row(group) -> tuple[str, bool, str]:
     x = min(7.0, q - 1.5)
     # both routes read one set of terms (N = K = 512), each route once
     tables = _tables(q, linear_scheme(x), 512, (1.0, max(x, 100.0), 512))
-    s1_char, s2_char = _character_sums(group, *tables)
+    s1_char, s2_char, _ = _character_sums(group, *tables)
     s1_cong, s2_cong = _congruence_sums(q, *tables)[1:3]
     d2 = abs(s2_char - s2_cong) / s2_cong
     d1 = abs(s1_char - s1_cong) / abs(s1_cong)

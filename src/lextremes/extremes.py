@@ -20,7 +20,7 @@ import numpy as np
 from . import numth
 from .chargroup import CharacterGroup, _term_sums, build_group
 from .lfunc import approx_error_census, l_value_batch
-from .resonance import EULER_GAMMA, ResonanceReport, _half_weight_cutoff, half_weight_certificate
+from .resonance import EULER_GAMMA, ResonanceReport, _half_weight_certificate, _half_weight_cutoff
 from .resonator import WeightScheme, _scheme_primes, linear_scheme
 
 
@@ -226,7 +226,8 @@ def scan_sigma_strip(
     The half-weight quotient certificate is computed first and attached;
     n_limit, k_limit and tau_budget are passed on to
     `half_weight_certificate`.  The census sums primes up to the
-    certificate's cutoff x = quotient.x, so both use one x.
+    certificate's cutoff x = quotient.x and reads its series transform of the
+    first k_limit (four transforms when pi(x) <= k_limit), over j <= (q-1)/2.
     """
     if not 0.5 < sigma < 1.0:
         raise ValueError(f"sigma must lie strictly inside (1/2, 1), got {sigma}")
@@ -234,28 +235,16 @@ def scan_sigma_strip(
     _half_weight_cutoff(q, sigma, a_sigma, y_min)  # reject a bad cutoff before the group is built
     start = time.perf_counter()
     group = build_group(q)
-    quotient = half_weight_certificate(
-        group,
-        sigma,
-        a_sigma=a_sigma,
-        y_min=y_min,
-        x_cap=x_cap,
-        n_limit=n_limit,
-        k_limit=k_limit,
-        tau_budget=tau_budget,
-    )
-    labs = l_value_batch(group, sigma).abs_values()
-    census = approx_error_census(group, sigma, quotient.x, census_tol, labs)
-    keep = np.ones(q - 1, dtype=bool)
-    keep[[0, *census.indices]] = False
-    eligible = np.flatnonzero(keep)
-    if eligible.size == 0:
+    quotient, series = _half_weight_certificate(group, sigma, a_sigma, y_min, x_cap, n_limit, k_limit, tau_budget)
+    labs = l_value_batch(group, sigma).half_abs()
+    census = approx_error_census(group, sigma, quotient.x, census_tol, labs, head=(k_limit, series))
+    if len(census.indices) == q - 2:
         raise ValueError(f"census at tol={census_tol} excluded every character of q={q}")
-    log_abs = np.log(labs[eligible - 1])
-    pick = int(np.argmax(log_abs))
-    argmax = int(eligible[pick])
-    max_log = float(log_abs[pick])
-    del keep, eligible, log_abs  # so the resonator's transform does not stack on them
+    log_abs = np.log(labs)  # j = 1..h
+    log_abs[[j - 1 for j in census.indices if j <= labs.size]] = -np.inf
+    argmax = 1 + int(np.argmax(log_abs))
+    max_log = float(log_abs[argmax - 1])
+    del series, log_abs  # so the resonator's transform does not stack on them
     target_shape = log_q ** (1 - sigma) * log2_q ** (-sigma)
     resonant = _resonant_index(group, quotient.scheme, census.indices)
     return ScanReport(

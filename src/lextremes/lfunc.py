@@ -60,8 +60,8 @@ class LValueBatch:
     """L(sigma, chi_j) for every non-principal chi_j of one group.
 
     half[j - 1] is L(sigma, chi_j) for j = 1..h = (q-1)/2 (read-only); since
-    L(sigma, chi_{q-1-j}) = conj L(sigma, chi_j) exactly, `values` and
-    `abs_values` mirror it.  `err_estimate` bounds the error of every entry.
+    L(sigma, chi_{q-1-j}) = conj L(sigma, chi_j) exactly, the drivers read j <= h
+    and `values` mirrors it to full length.  `err_estimate` bounds every entry's error.
     """
 
     sigma: float
@@ -78,10 +78,6 @@ class LValueBatch:
         out = np.empty(self.half.size)
         _blocks(lambda a, b: np.hypot(self.half.real[a:b], self.half.imag[a:b], out=out[a:b]), out.size)
         return out
-
-    def abs_values(self) -> np.ndarray:
-        """|L(sigma, chi_j)| for j = 1..q-2."""
-        return _mirrored(self.half_abs(), 1)
 
 
 # ----------------------------------------------------------------------
@@ -344,13 +340,15 @@ class ApproxErrorCensus:
     mean_deviation: float
 
 
-def approx_error_census(group: CharacterGroup, sigma, x: float, tol: float, labs: np.ndarray) -> ApproxErrorCensus:
+def approx_error_census(
+    group: CharacterGroup, sigma, x: float, tol: float, labs: np.ndarray, head: tuple | None = None
+) -> ApproxErrorCensus:
     """Empirical census of | log|L(sigma, chi)| - Re sum_{p<=x} chi(p) p^-sigma | > tol,
-    given labs[j - 1] = |L(sigma, chi_j)| for j = 1..q-2, as from
-    `LValueBatch.abs_values()`.
-
-    The principal character is always excluded.  Deviation statistics cover
-    all non-principal characters, not only the offenders.
+    given labs[j - 1] = |L(sigma, chi_j)| for j = 1..h = (q-1)/2 (`LValueBatch.half_abs()`);
+    each j found stands for its conjugate pair {j, q-1-j} in `indices`.  head = (k, sums)
+    gives that Re sum over the first k primes <= x at j = 0..h (the half-weight certificate's
+    series), and only the rest are transformed and added.  The principal character is
+    always excluded; the deviation statistics cover every non-principal character.
     """
     s = as_sigma(sigma)
     if tol < 0:
@@ -358,18 +356,19 @@ def approx_error_census(group: CharacterGroup, sigma, x: float, tol: float, labs
     if x < 2:
         raise ValueError(f"census requires x >= 2, got {x}")
     q = group.q
-    if labs.shape != (q - 2,):
-        raise ValueError(f"census requires labs of shape ({q - 2},), got {labs.shape}")
+    if labs.shape != ((q - 1) // 2,):
+        raise ValueError(f"census requires labs of shape ({(q - 1) // 2},), got {labs.shape}")
     primes = numth.sieve_primes(int(x))
-    weights = primes.astype(float) ** (-s)
-    prime_sums = _mirrored(_term_sums(group, primes, weights)[1:].real, 1)
-    deviations = np.abs(np.log(labs) - prime_sums)
-    bad = tuple((np.flatnonzero(deviations > tol) + 1).tolist())
+    k, sums = head or (0, 0.0)
+    if primes.size > k:
+        sums = sums + _term_sums(group, primes[k:], primes[k:].astype(float) ** (-s)).real
+    deviations = np.abs(np.log(labs) - sums[1:])
+    bad = np.flatnonzero(deviations > tol) + 1
     return ApproxErrorCensus(
         sigma=s,
         x=float(x),
         tol=float(tol),
-        indices=bad,
+        indices=tuple(np.union1d(bad, q - 1 - bad).tolist()),
         max_deviation=float(deviations.max()),
-        mean_deviation=float(deviations.mean()),
+        mean_deviation=float((2 * deviations.sum() - deviations[-1]) / (q - 2)),  # j < h stand for pairs
     )

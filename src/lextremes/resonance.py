@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numth
-from .chargroup import CharacterGroup, _mirrored, _term_sums
+from .chargroup import CharacterGroup, _term_sums
 from .lfunc import as_sigma
 from .resonator import (
     ResonatorCoeffs,
@@ -131,12 +131,14 @@ def _tables(q: int, scheme: WeightScheme, n_limit: int, series=None) -> tuple:
 
 
 def _character_sums(group: CharacterGroup, coeffs: ResonatorCoeffs, ks=None, bs=None) -> tuple:
-    """(S1, S2) = (sum_chi L(chi) |R(chi)|**2, sum_chi |R(chi)|**2) by one
-    group DFT of the resonator terms and one of the series terms (ks, bs),
-    each by `chargroup._term_sums` and mirrored; S1 is None without series terms."""
-    r_sq = _mirrored(np.abs(_term_sums(group, coeffs.ns, coeffs.weights)) ** 2, 0)
-    l_k = None if ks is None else _mirrored(_term_sums(group, ks, bs), 0)
-    return None if l_k is None else complex(np.sum(l_k * r_sq)), float(np.sum(r_sq))
+    """(S1, S2, Re L(chi_j) for j <= h = (q-1)/2) = (sum_chi L(chi) |R(chi)|**2, sum_chi |R(chi)|**2, ...)
+    by one half-spectrum group DFT (`chargroup._term_sums`) of the resonator terms and one of the
+    series terms (ks, bs).  Conjugate characters give conjugate terms, so each sum is t_0 + t_h
+    + 2 sum_{0<j<h} Re t_j, exactly rounded (`numth._exact_sum`); S1 and Re L are None without series."""
+    r_sq = np.abs(_term_sums(group, coeffs.ns, coeffs.weights)) ** 2
+    r_sq[1:-1] *= 2  # the pairs j, q-1-j with 0 < j < h
+    l_re = None if ks is None else _term_sums(group, ks, bs).real.copy()
+    return None if ks is None else numth._exact_sum(l_re * r_sq), numth._exact_sum(r_sq), l_re
 
 
 def _square_sum(q: int, v: np.ndarray) -> float:
@@ -215,7 +217,7 @@ def weighted_sum_characters(
     group: CharacterGroup, scheme: WeightScheme, sigma, y: float, n_limit: int, k_limit: int
 ) -> complex:
     """S1 via two group DFTs (series coefficients and resonator)."""
-    return _character_sums(group, *_tables(group.q, scheme, n_limit, (sigma, y, k_limit)))[0]
+    return complex(_character_sums(group, *_tables(group.q, scheme, n_limit, (sigma, y, k_limit)))[0])
 
 
 def weighted_sum_congruence(
@@ -433,6 +435,12 @@ def half_weight_certificate(
     of the character route is recorded in extras.  The modulus is
     q = group.q; the group also serves the character route.
     """
+    return _half_weight_certificate(group, sigma, a_sigma, y_min, x_cap, n_limit, k_limit, tau_budget)[0]
+
+
+def _half_weight_certificate(group, sigma, a_sigma, y_min, x_cap, n_limit, k_limit, tau_budget) -> tuple:
+    """`half_weight_certificate` and Re L(chi_j), j <= (q-1)/2, of its series (the first
+    k_limit primes p <= x) from the character route, which scan-t3's census shares."""
     if not 0.5 < sigma < 1.0:
         raise ValueError(f"sigma must lie strictly inside (1/2, 1), got {sigma}")
     q = group.q
@@ -442,10 +450,10 @@ def half_weight_certificate(
     ks = numth.sieve_primes(int(x))[:k_limit]
     bs = ks.astype(float) ** (-sigma)
     v, s1, s2, l_principal = _congruence_sums(q, coeffs, ks, bs)
-    s1_char, s2_char = _character_sums(group, coeffs, ks, bs)
+    s1_char, s2_char, l_re = _character_sums(group, coeffs, ks, bs)
     extras = {
         "a_sigma": a_sigma,
-        "s1_route_rel_diff": abs(s1 - s1_char.real) / abs(s1) if s1 else 0.0,
+        "s1_route_rel_diff": abs(s1 - s1_char) / abs(s1) if s1 else 0.0,
         "s2_route_rel_diff": abs(s2 - s2_char) / s2,
     }
     y_primes = numth.sieve_primes(int(y))  # y < q, so q is not among them
@@ -455,7 +463,7 @@ def half_weight_certificate(
         q=q, sigma=sigma, x=x, y=y, k_limit=k_limit, coeffs=coeffs, v=v, s1=s1, s2=s2,
         l_principal=l_principal, target=math.fsum(y_cs), chain=(y_primes[held], np.array(y_cs)[held]),
         tau_budget=tau_budget, extras=extras,
-    )
+    ), l_re
 
 
 class SetBudget(NamedTuple):

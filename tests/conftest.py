@@ -59,17 +59,17 @@ _LARGEST_Q_AT = {7: SPLIT_Q, 1024: 10007}
 def blocked_stages(q: int, threads: int, block: int) -> list[np.ndarray]:
     """The output of every blocked and threaded stage at q, for sigma = 1,
     0.75 and 0.55, with W = threads and chargroup._BLOCK = block: the
-    streamed powers g**k and twiddles w**k for k < q-1, the root table, the
-    residue kernel, the L-values and their moduli, and the half spectrum of
-    a random vector."""
+    streamed powers g**k, the group's twiddle tables T_lo and T_hi, the
+    streamed twiddles w**k for k < q-1, the root table, the residue kernel,
+    the L-values and their moduli, and the half spectrum of a random vector."""
     saved = chargroup._thread_count, chargroup._BLOCK
     chargroup._thread_count, chargroup._BLOCK = (lambda: threads), block
     try:
         group = build_group(q)
         powers, twiddles = np.empty(q - 1, dtype=np.int64), np.empty(q - 1, dtype=complex)
         chargroup._blocks(lambda a, b: np.copyto(powers[a:b], chargroup._power_block(group, a, b)), q - 1)
-        chargroup._blocks(lambda a, b: chargroup._twiddles(q, a, b, out=twiddles[a:b]), q - 1)
-        stages = [powers, twiddles, group._roots]
+        chargroup._blocks(lambda a, b: chargroup._twiddles(group, a, b, out=twiddles[a:b]), q - 1)
+        stages = [powers, group._roots_lo, group._roots_hi, twiddles, group._roots]
         stages.append(half_spectrum(group, np.random.default_rng(q).standard_normal(q - 1)))
         for sigma in (1.0, 0.75, 0.55):
             batch = lfunc.l_value_batch(group, sigma)
@@ -80,20 +80,64 @@ def blocked_stages(q: int, threads: int, block: int) -> list[np.ndarray]:
 
 
 def whole_tables(q: int) -> list[np.ndarray]:
-    """The first two stages of `blocked_stages` from whole tables: g**k mod q
-    by `chargroup._powers` and w**k = exp(2 pi i k/(q-1)) by one np.exp."""
-    return [chargroup._powers(numth.primitive_root(q), q, q - 1), np.exp(2j * np.pi * np.arange(q - 1) / (q - 1))]
+    """The first four stages of `blocked_stages` from whole tables: g**k mod q
+    by `chargroup._powers`; T_lo = w**l for l < L and T_hi = w**(mL) for
+    mL < q-1, w = exp(2 pi i/(q-1)) and L the least power of 2 with
+    L**2 >= q-1, from cos and sin of np.longdouble angles as `longdouble_dft`
+    forms them; and w**k = T_lo[k mod L] * T_hi[k div L] for k < q-1 by one
+    gather of each table and one whole-array product."""
+    n, span = q - 1, 1
+    while span * span < n:
+        span *= 2
+    pi = 4 * np.arctan(np.longdouble(1))
+    angles = (2 * pi * k / n for k in (np.arange(span), np.arange(0, n, span)))
+    lo, hi = ((np.cos(a) + 1j * np.sin(a)).astype(complex) for a in angles)  # each part rounded once
+    k = np.arange(n)
+    return [chargroup._powers(numth.primitive_root(q), q, n), lo, hi, lo[k % span] * hi[k // span]]
+
+
+# the moduli of the twiddle pins: one to three runs of T_lo, and the split modulus
+TWIDDLE_QS = (5, 7, 11, 13, SPLIT_Q)
+
+
+def twiddles_off_their_pins() -> list[int]:
+    """The q of TWIDDLE_QS where a group's twiddle tables differ in any bit
+    from `whole_tables`, where an entry errs by more than half an ulp (plus
+    2**-60 for the long-double angle) from 40-digit mpmath, or where
+    `chargroup._twiddles` over [a, b) for every a, with b = a + 1, a + L + 1
+    and q - 1, differs from the whole-array product."""
+    import mpmath
+
+    off = []
+    for q in TWIDDLE_QS:
+        group, (_, lo, hi, want) = build_group(q), whole_tables(q)
+        span, n = lo.size, q - 1
+        tables = [group._roots_lo, group._roots_hi]
+        ok = all(map(same_bits, tables, (lo, hi)))
+        for table, step in zip(tables, (1, span)):
+            for k, root in enumerate(table.tolist()):
+                with mpmath.workdps(40):
+                    exact = mpmath.expjpi(mpmath.mpf(2 * k * step) / n)
+                    errors = (abs(root.real - exact.real), abs(root.imag - exact.imag))
+                for err, got in zip(errors, (root.real, root.imag)):
+                    ok &= float(err) <= np.spacing(abs(got)) / 2 + 2.0**-60
+        for a in range(n):
+            for b in {a + 1, min(a + span + 1, n), n}:
+                ok &= same_bits(chargroup._twiddles(group, a, b, np.empty(b - a, dtype=complex)), want[a:b])
+        if not ok:
+            off.append(q)
+    return off
 
 
 def blocks_that_change_bits(settings) -> list[tuple[int, int, int]]:
     """(q, W, block) wherever a stage of `blocked_stages` at q in BLOCK_QS,
     under one (W, block) of `settings`, differs from the W = 1, one-block
-    result in any bit; (q, 1, q) where that result's powers or twiddles
-    differ from `whole_tables`."""
+    result in any bit; (q, 1, q) where that result's powers, twiddle tables
+    or twiddles differ from `whole_tables`."""
     changed = []
     for q in BLOCK_QS:
         want = blocked_stages(q, 1, q)
-        if not all(map(same_bits, want[:2], whole_tables(q))):
+        if not all(map(same_bits, want[:4], whole_tables(q))):
             changed.append((q, 1, q))
         for threads, block in settings:
             if q <= _LARGEST_Q_AT.get(block, q) and not all(map(same_bits, blocked_stages(q, threads, block), want)):

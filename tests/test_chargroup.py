@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lextremes import build_group, chargroup, dft_over_group, orthogonality_sum
+from lextremes import build_group, chargroup, dft_over_group, numth, orthogonality_sum
 from lextremes.chargroup import _good_thomas_split, _powers
 from lextremes.lfunc import _residue_values, _zeta_kernel
 
@@ -24,6 +24,8 @@ from conftest import (
     longdouble_dft,
     run_probe,
     same_bits,
+    twiddles_off_their_pins,
+    whole_tables,
 )
 
 
@@ -104,32 +106,45 @@ class TestBuildGroup:
         n, h = q - 1, (q - 1) // 2
         assert np.array_equal(roots[:0:-1], np.conj(roots[1:]))
         assert roots[h] == -1  # the order-2 character is exactly real
-        # the DFT twiddles roots[:h] and the resonator's 1 - cos, read from
-        # roots[:h+1].real, are the direct evaluation
-        direct = np.exp(2j * np.pi * np.arange(n) / n)
-        assert np.array_equal(roots[:h], direct[:h])
-        assert np.array_equal(roots.real[: h + 1], direct.real[: h + 1])
+        # roots[:h] are the DFT's twiddles, products of the two tables
+        assert same_bits(roots[:h], whole_tables(q)[3][:h])
 
     @pytest.mark.parametrize("q", [1009, 98017])
     def test_retained_tables_at_most_24_bytes_per_residue(self, group_of, q):
-        # a new group, as no package path reads power_residues (tests do)
+        # a new group, as no package path reads power_residues (tests do); the
+        # two twiddle tables, about 2 sqrt(q) complex, are bounded on their own
         group = build_group(q)
         group.values_at(1)  # dlog and the full root table, as a single-character path leaves them
+        twiddles = group._roots_lo.nbytes + group._roots_hi.nbytes
         held = sum(v.nbytes for v in vars(group).values() if isinstance(v, np.ndarray))
         assert "power_residues" not in vars(group)
-        assert held <= 24 * q
+        assert held - twiddles <= 24 * q
+        assert twiddles <= 16 * 4 * math.isqrt(q)
 
     @pytest.mark.parametrize("q", [1009, 98017])
-    def test_new_group_holds_only_its_step_table(self, q):
-        # g**k for k < min(_BLOCK, q-1) as int32, 64 KB at most; a single
-        # character path then builds dlog and the full root table
+    def test_new_group_holds_only_its_step_and_twiddle_tables(self, q):
+        # g**k for k < min(_BLOCK, q-1) as int32, 64 KB at most, and the two
+        # twiddle tables; a single character path then builds dlog and the
+        # full root table
         group = build_group(q)
         arrays = [v for v in vars(group).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 1 and arrays[0].nbytes == 4 * min(chargroup._BLOCK, q - 1)
+        assert len(arrays) == 3 and group._steps.nbytes == 4 * min(chargroup._BLOCK, q - 1)
+        assert group._roots_lo.size + group._roots_hi.size <= 4 * math.isqrt(q)
         group.values_at(2)
         assert "dlog" in vars(group) and "power_residues" not in vars(group)
         assert group._roots.size == q - 1
-        assert sum(v.dtype == complex for v in vars(group).values() if isinstance(v, np.ndarray)) == 1
+        complex_tables = [v for v in vars(group).values() if isinstance(v, np.ndarray) and v.dtype == complex]
+        assert sum(v.size >= q - 1 for v in complex_tables) == 1
+
+    @pytest.mark.parametrize("q", [3, 5, 1009, 2**31 - 1])
+    def test_twiddle_tables_hold_at_most_2_16_roots_each(self, q):
+        # L is the least power of 2 with L**2 >= q - 1; built without the
+        # bijection check, which at q = 2**31 - 1 takes 2 GB
+        group = chargroup.CharacterGroup(q, numth.primitive_root(q))
+        span = group._roots_lo.size
+        assert span * span >= q - 1 > (span // 2) ** 2
+        assert group._roots_hi.size == -(-(q - 1) // span)
+        assert max(span, group._roots_hi.size) <= 2**16
 
     def test_bijection_check_fires(self, monkeypatch):
         real_powers = chargroup._powers
@@ -431,7 +446,9 @@ def packed_full_length_dft(group, f) -> np.ndarray:
     """The packed real transform as it was before the half spectrum: gather f
     into power order through the Ruritanian map where h splits, one
     half-length FFT, then E + w**j O for every j < h from a full-length
-    mirror of conj Z[-j], and the upper half mirrored.  Its rounding is what
+    mirror of conj Z[-j], and the upper half mirrored.  Its twiddles w**j are
+    the group's root table, the two-table products of `chargroup._twiddles`
+    (before those, one np.exp per entry); with them its rounding is what
     every golden and pin was recorded with."""
     n = group.q - 1
     h = n // 2
@@ -490,9 +507,17 @@ class TestBlocks:
         umath = pytest.importorskip("numpy._core._multiarray_umath")  # the module path from numpy 2.0 on
         settings = [(1, 7), (2, 1024), (3, chargroup._BLOCK)]
         probe = f"import sys; sys.path.insert(0, {TESTS!r}); import conftest;"
-        probe += f"print(conftest.blocks_that_change_bits({settings}))"
+        probe += f"print(conftest.blocks_that_change_bits({settings}), conftest.twiddles_off_their_pins())"
         env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__))
-        assert run_probe(probe, env).strip() == "[]"
+        assert run_probe(probe, env).strip() == "[] []"
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision longdouble")
+    def test_twiddle_tables_and_products_keep_their_pins(self):
+        # T_lo and T_hi at q = 5, 7, 11, 13 and SPLIT_Q bit for bit, each
+        # entry within half an ulp of mpmath, and the run-wise product of
+        # every range against the whole-array one
+        pytest.importorskip("mpmath")
+        assert twiddles_off_their_pins() == []
 
     def test_caller_and_helpers_take_blocks_in_turn(self, monkeypatch):
         # every block once, the caller among the threads; three blocks run inline

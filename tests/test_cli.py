@@ -498,6 +498,10 @@ class TestRun:
 # the residue grid, replaced the digamma and Hurwitz kernels: max_abs_l moved
 # by under 3e-16 relative and margin by under 9e-16, and the RMS error of all
 # L-values mod 10007 against a 30-digit reference fell at sigma = 1 and 0.75.
+# The q = 10007 scan-t3 digest was re-recorded when every twiddle became a
+# product of two tables rounded from long-double cos and sin: max_abs_l moved
+# 7.077763029239232 -> 7.077763029239234 (2.5e-16 relative, margin with it),
+# and its error against 30-digit mpmath fell from 1.6e-15 to 1.5e-16.
 GOLDEN_CSV_SHA256 = {
     (101, "certify"): "4cf576bc8f744f2ea86e25f522a6515e76f6f550e2b20d2b297a835eabceb7c8",
     (1009, "certify"): "523184c0783522fb37aab3b018c533771255c6c9d1799fecba1e88121bfa4def",
@@ -506,7 +510,7 @@ GOLDEN_CSV_SHA256 = {
     (1009, "scan-t3"): "29f12253467684c9adf517c3a09a0076f5ae8c8b2f01e00e84a06d40a1539018",
     (10007, "scan-t1"): "b18218503c1fe0623e9164b70abafa58e756807c35a54039be70494a38d4a625",
     (10007, "census"): "ef64eaec20c504bcb0329846d0d83a9dd00c0d681b2bd55be0b5e02e7a6c0b8d",
-    (10007, "scan-t3"): "01dc18f072d7dee0c27a20e9c2e491fb887fd0db34d14d21d4575fc46410e2dd",
+    (10007, "scan-t3"): "e6a0074f4d9f9ce65a1616a5f6887715e9e83f8985317a712dd9f8e50acd02d5",
     (1009, "scan-t3 --sigma 0.55"): "3e3ad132f75aafecdd66ecb059305e273e3c5907e407d7f5b6f3cd00effc6cb0",
     (10007, "scan-t3 --sigma 0.55"): "5eed909110e16b15fe4ca33203b2db3bfc5411c1f1ee04b9c423820fbc64d0ff",
 }
@@ -534,7 +538,9 @@ def test_golden_csv(tmp_path, q, command):
 # the L-values moved closer to a 30-digit reference in RMS.  The q = 101
 # scan-t3 and the q = 1009 scan-t1 digests were re-recorded with the single
 # centred kernel: every moved cell moved by under 3e-15 relative (margin) and
-# under 3e-16 (every |L|), and every moved |L| toward that reference.
+# under 3e-16 (every |L|), and every moved |L| toward that reference.  The
+# q = 1009 scan-t3 digest was re-recorded when the character route came to
+# sum the half spectrum exactly: only s1_route_rel_diff moved (1.97e-16 -> 0).
 GOLDEN_JSON_SHA256 = {
     (101, "certify"): "2104257f7f8b3672c3f789df6eae969aeca5a305cc1743bb6cc1bbd965b031f2",
     (101, "scan-t1"): "94c1125eaeb75f6d321515a7abfe5f7f7bc9bc7d7aebc06b9864f21425cce662",
@@ -543,7 +549,7 @@ GOLDEN_JSON_SHA256 = {
     (1009, "certify"): "07bbd5a0d7ea58c80cb864a87002f99c98df44c89031738d3593b5a46029d9dd",
     (1009, "scan-t1"): "be44ae37d56a991171b0b17a496245bf5df0bd998e5f8a0bac1d324dd40f373a",
     (1009, "census"): "2f238fb549b5b2abe8001eb6aa58561b25a60e58273bdda7115de75e7b7de950",
-    (1009, "scan-t3"): "23805d4ffca72c30469dbd2fab8621e0891587a1f1728c4237acfece561aedf7",
+    (1009, "scan-t3"): "b473fdca091bc892671a9338718b53973e7e9875e9cdbd04ff3254fd5286ccf7",
 }
 
 
@@ -676,10 +682,18 @@ class TestOracleCheck:
         # fell from 3.51e-16 to 1.18e-16, and nothing else moved.  Re-recorded
         # for the coprime-pair S1 kernel: the dual-oracle s1 residual at
         # q = 1009 fell from 1.36e-16 to 8.51e-18 (S1 moved 1.35 -> 0.35 ulp
-        # from the exact prime-weight sum), and nothing else moved
+        # from the exact prime-weight sum), and nothing else moved.
+        # Re-recorded for the two-table twiddles and the exact half-spectrum
+        # character route: the orthogonality residuals fell (1.54e-15 ->
+        # 1.54e-16, 9.51e-14 -> 4.36e-15), group-dft vs naive fell (1.30e-15
+        # -> 8.33e-16, 1.82e-15 -> 1.14e-15), three batch vs single residuals
+        # fell (4.65e-16 -> 4.52e-16, 5.18e-16 -> 4.97e-16, 7.73e-16 ->
+        # 6.28e-16) and the fourth kept its bits, and the dual-oracle s1
+        # residual went 1.18e-16 -> 1.17e-16 and 8.51e-18 -> 0, while s2 went
+        # 0 -> 1.38e-16 at q = 1009 (S2 is now summed exactly over j <= h)
         assert oracle_check([101, 1009]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "1764f8c4fd483871fd4c156beebc42b4b58ac192dd54de86a11380576caf95b3"
+        assert digest == "7276433e9315819f9208c647f299a9a9f45ddc642f08dab6b748bae3feb34842"
 
     @pytest.mark.parametrize("q", [101, 1031])
     def test_dual_oracle_row_transforms_and_enumerates_once(self, group_of, monkeypatch, q):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -21,7 +22,7 @@ from lextremes import (
     threshold_census,
 )
 import lextremes
-from lextremes import chargroup, cli, extremes, lfunc, resonance
+from lextremes import chargroup, cli, extremes, lfunc, numth, resonance
 from lextremes.chargroup import CharacterGroup, build_group
 from lextremes.cli import _json_bytes
 from lextremes.extremes import _resonator_abs_sq_all
@@ -118,7 +119,8 @@ class TestLeanGroup:
         assert len(groups) == 3
         for group in groups:
             arrays = {name: v for name, v in vars(group).items() if isinstance(v, np.ndarray)}
-            assert list(arrays) == ["_steps"] and arrays["_steps"].size == chargroup._BLOCK < q - 1
+            assert list(arrays) == ["_steps", "_roots_lo", "_roots_hi"]  # and the twiddle tables, 2**8 roots each
+            assert arrays["_steps"].size == chargroup._BLOCK < q - 1 and arrays["_roots_lo"].size <= 2**8
 
     def test_single_values_build_no_dlog(self):
         # l_value reads chi_j(g**k) = root[jk mod (q-1)] along the cached
@@ -134,15 +136,16 @@ class TestLeanGroup:
     # at q = 97021, h = 2 * 3**2 * 5 * 7**2 * 11 is one plain FFT
     @pytest.mark.parametrize("q", [98017, 97021])
     def test_sigma1_peak_at_most_36_bytes_per_residue(self, q):
-        # the name keeps the bound this pin began with; it asserts 26 B now.
-        # scan-t1 measured 19.6 B at W = 1, 22.4 B at
-        # W = 2 and 25.1 B at W >= 3 (98017 and 97021), the census 18.1 and
-        # 16.8 B at any W.  A group holds its 64 KB step table only.  The
-        # scan's peak is the resonator's residue table (8 B) beside the
-        # transform's buffer (8 B) it is gathered into, plus each thread's
-        # block of powers and quotients (256 KB, up to three threads at this
-        # q); the census's is the buffer beside the sigma = 1 kernel's block
-        # work arrays, or on the split path beside the (p, r) array (8 B).
+        # the name keeps the bound this pin began with; it asserts 24 B now.
+        # Past the allowance, scan-t1 measured 18.4 B at W = 1, 20.5 B at
+        # W = 2 and up to 22.6 B at W >= 3 (98017 and 97021), the census 17.5
+        # and 16.3 B at any W.  A group holds its 64 KB step table and two
+        # twiddle tables of 2**9 and 2**8 roots.  The scan's peak is the
+        # resonator's residue table (8 B) beside the transform's buffer (8 B)
+        # it is gathered into, plus each thread's block of powers (128 KB, up
+        # to three threads at this q), whose quotient is formed in the buffer;
+        # the census's is the buffer beside the sigma = 1 kernel's block work
+        # arrays, or on the split path beside the (p, r) array (8 B).
         # The fixed allowance covers the prime lists and small arrays.
         allowance = 64 * 1024
         scan_sigma1(q)  # numpy's FFT plan cache is traced too; fill it first
@@ -153,16 +156,18 @@ class TestLeanGroup:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 26 * q + allowance
+            assert peak <= 24 * q + allowance
 
     @pytest.mark.parametrize("q", [98017, 97021])
     def test_strip_peak_at_most_56_bytes_per_residue(self, q):
-        # the name keeps the bound this pin began with; it asserts 45 B now.
-        # The certificate's character route sets the peak (measured 44.65 B
-        # at q = 98017 and 44.68 B at 97021, at any W): the mirrored series
-        # transform and |R|**2 and their product.  The
-        # census and the resonator's half transform beside |L| stay below it.
-        # Same allowance as above.
+        # the name keeps the bound this pin began with; it asserts 29 B now.
+        # Past the allowance, measured 24.8 B at W = 1, 26.9 B at W = 2 and
+        # 28.4 and 28.5 B at W >= 3 (q = 98017 and 97021).  At W = 1 the
+        # certificate's series transform sets the peak (its residue table and
+        # buffer beside |R|**2 on j <= h); at W >= 3 the L-value batch does,
+        # its buffer beside the kernel's block work arrays on three threads.
+        # Every driver reads j <= h only, so no array of q entries is
+        # mirrored.  Same allowance as above.
         allowance = 64 * 1024
         scan_sigma_strip(q, 0.75)  # fill numpy's FFT plan cache first
         tracemalloc.start()
@@ -171,7 +176,7 @@ class TestLeanGroup:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 45 * q + allowance
+        assert peak <= 29 * q + allowance
 
 
 class TestConstants:
@@ -211,11 +216,12 @@ class TestScanSigma1:
     @pytest.mark.parametrize("sigma", [1.0, 0.75])
     def test_abs_l_bit_identical_to_python_abs(self, group_of, q, sigma):
         # scans and censuses compare |L| against thresholds and take argmax,
-        # so the array path must round exactly like abs(complex); it mirrors
-        # the lower half, which at q = 3 is the one real character alone
-        values = l_value_batch(group_of(q), sigma).values
-        expected = [abs(complex(v)) for v in values]
-        assert l_value_batch(group_of(q), sigma).abs_values().tolist() == expected
+        # so the array path must round exactly like abs(complex), over the
+        # lower half, which at q = 3 is the one real character alone
+        batch = l_value_batch(group_of(q), sigma)
+        expected = [abs(complex(v)) for v in batch.values]
+        assert batch.half_abs().tolist() == expected[: (q - 1) // 2]
+        assert expected == expected[: (q - 1) // 2] + expected[: (q - 3) // 2][::-1]  # conjugates tie
 
     @pytest.mark.parametrize(
         "q,margin,argmax,resonant",
@@ -260,7 +266,8 @@ class TestThresholdCensus:
         # all q - 2 characters.  With c = loglog q + logloglog q - 1.5 (exact
         # in floats here) the threshold at delta = 0.5 is e_gamma itself.
         h = (q - 1) // 2
-        full = l_value_batch(build_group(q), 1.0).abs_values()
+        half = l_value_batch(build_group(q), 1.0).half_abs()
+        full = np.concatenate((half, half[-2::-1]))  # j = 1..q-2: conjugates tie
         _, log2_q, log3_q = extremes._iterated_logs(q)
         for j, members in ((h, 1), (h // 2, 2)):
             counts = []
@@ -375,9 +382,58 @@ class TestScanSigmaStrip:
         report = scan_sigma_strip(q, sigma, census_tol=tol)
         assert report.quotient.x == pytest.approx(x, rel=1e-12)
         group = group_of(q)
-        census = approx_error_census(group, sigma, report.quotient.x, tol, l_value_batch(group, sigma).abs_values())
+        census = approx_error_census(group, sigma, report.quotient.x, tol, l_value_batch(group, sigma).half_abs())
         assert report.excluded_indices == census.indices
         assert len(census.indices) == excluded
+
+    @pytest.mark.parametrize("q", [10007, SPLIT_Q])
+    def test_four_transforms_per_modulus_at_the_defaults(self, monkeypatch, q):
+        # pi(x) <= K: the census reads the certificate's series transform, so
+        # the resonator terms, the series, the L-values and the resonator
+        # scan take one half-spectrum transform each, and nothing is mirrored
+        calls = []
+
+        def counted(group, buffer):
+            calls.append(group.q)
+            return half_spectrum(group, buffer)
+
+        def refuse(half, first):
+            raise AssertionError("scan-t3 mirrored a half spectrum to full length")
+
+        half_spectrum = chargroup._half_spectrum
+        for module in (chargroup, lfunc):
+            monkeypatch.setattr(module, "_half_spectrum", counted)
+            monkeypatch.setattr(module, "_mirrored", refuse)
+        report = scan_sigma_strip(q, 0.75)
+        assert len(numth.sieve_primes(int(report.quotient.x))) <= 10**4
+        assert calls == [q] * 4
+
+    # (q, sigma, tol) -> sha256 of the CSV, and the count, sum and sha256 (of
+    # the str of the list) of the JSON's excluded_indices, as recorded when
+    # the census transformed every prime itself: with K = 100 < pi(x) it now
+    # adds the transform of the primes past the 100th to the certificate's
+    K100_RECORD = {
+        (1009, "0.75", "0.3"): (
+            "19914fbb185caea0f809a8a99b881c5434914b4cb7e11c6dbb0b20bd0a474865", 41, 20664, "e556caa70933d41d"
+        ),
+        (10007, "0.55", "0.5"): (
+            "5eed909110e16b15fe4ca33203b2db3bfc5411c1f1ee04b9c423820fbc64d0ff", 883, 4417649, "c2a9d2bd1b07d13b"
+        ),
+    }
+
+    @pytest.mark.parametrize("q,sigma,tol", sorted(K100_RECORD))
+    def test_census_past_the_series_truncation_matches_the_record(self, tmp_path, monkeypatch, q, sigma, tol):
+        calls = []
+        census = lfunc.approx_error_census
+        monkeypatch.setattr(extremes, "approx_error_census", lambda *a, **k: calls.append(k) or census(*a, **k))
+        for fmt in ("csv", "json"):
+            argv = ["scan-t3", "--q", str(q), "--sigma", sigma, "--K", "100", "--tol", tol, "--format", fmt]
+            cli.main([*argv, "--output-dir", str(tmp_path)])
+        excluded = json.loads((tmp_path / f"scan-t3_q{q}.json").read_text())["excluded_indices"]
+        digest = hashlib.sha256((tmp_path / f"scan-t3_q{q}.csv").read_bytes()).hexdigest()
+        record = (digest, len(excluded), sum(excluded), hashlib.sha256(str(excluded).encode()).hexdigest()[:16])
+        assert record == self.K100_RECORD[q, sigma, tol]
+        assert [k["head"][0] for k in calls] == [100, 100]
 
     def test_census_excluding_every_character_is_refused(self):
         with pytest.raises(ValueError, match="excluded every character"):
@@ -406,7 +462,7 @@ class TestUpperCheck:
     def test_reads_the_sigma1_scan(self, group_of, q):
         max_abs = sigma1_upper_check(q).max_abs_l
         assert max_abs == scan_sigma1(q).max_abs_l
-        assert max_abs == l_value_batch(group_of(q), 1.0).abs_values().max()
+        assert max_abs == l_value_batch(group_of(q), 1.0).half_abs().max()
 
     def test_runs_no_resonator_scan(self, monkeypatch):
         def no_scan(*args):

@@ -27,10 +27,10 @@ from lextremes import (
     sieve_primes,
 )
 import lextremes
-from lextremes import lfunc, numth
+from lextremes import chargroup, lfunc, numth
 from lextremes.lfunc import hurwitz_zeta_error
 
-from conftest import ODD_PRIMES, in_residue_order, longdouble_dft, series_l1_oracle, zeta_via_eta
+from conftest import ODD_PRIMES, SPLIT_Q, in_residue_order, longdouble_dft, series_l1_oracle, zeta_via_eta
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -548,7 +548,7 @@ class TestDirichletPolyAndPrimeSum:
 
 
 def census_of(group, x, tol):
-    return approx_error_census(group, 0.75, x, tol, l_value_batch(group, 0.75).abs_values())
+    return approx_error_census(group, 0.75, x, tol, l_value_batch(group, 0.75).half_abs())
 
 
 class TestApproxErrorCensus:
@@ -572,8 +572,23 @@ class TestApproxErrorCensus:
         assert census.max_deviation == pytest.approx(0.6276041154140851, abs=1e-9)
         assert census.mean_deviation == pytest.approx(0.13411755954076826, abs=1e-9)
 
+    @pytest.mark.parametrize("q,k", [(1009, 100), (1009, 1229), (SPLIT_Q, 0)])
+    def test_a_head_of_k_primes_adds_up_to_every_prime(self, group_of, q, k):
+        # the census sums every prime <= x whether it transforms them all or
+        # adds the rest to the first k primes' sums (k >= pi(x): none left)
+        group, x = group_of(q), 1e4
+        labs = l_value_batch(group, 0.75).half_abs()
+        primes = sieve_primes(int(x))[:k]
+        sums = chargroup._term_sums(group, primes, primes.astype(float) ** -0.75).real.copy()
+        whole = approx_error_census(group, 0.75, x, 0.2, labs)
+        split = approx_error_census(group, 0.75, x, 0.2, labs, head=(k, sums))
+        assert split.indices == whole.indices and whole.indices
+        assert split.max_deviation == pytest.approx(whole.max_deviation, rel=1e-12)
+        assert split.mean_deviation == pytest.approx(whole.mean_deviation, rel=1e-12)
+
     @pytest.mark.parametrize("shape", [(1,), (98,), (100,), (99, 1)])
     def test_rejects_labs_of_the_wrong_shape(self, group_of, shape):
-        # a length-1 array would broadcast against the 99 prime sums of q = 101
+        # a length-1 array would broadcast against the 50 prime sums j = 1..h
+        # of q = 101, and 99 is the full-length count labs had before
         with pytest.raises(ValueError, match="labs of shape"):
             approx_error_census(group_of(101), 0.75, 100, 1.0, np.ones(shape))
