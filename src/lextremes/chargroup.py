@@ -115,13 +115,13 @@ def _power_block(group: CharacterGroup, a: int, b: int, scratch: np.ndarray | No
 
 
 def _twiddles(group: CharacterGroup, a: int, b: int, out: np.ndarray) -> np.ndarray:
-    """w**e = T_lo[e mod L] * T_hi[e div L] for e in [a, b), into out: every root in the package.
-    Each run of one e div L is a slice of T_lo times an entry of T_hi, one numpy loop at any
-    length ("subvector scaling", Van Loan, Computational Frameworks for the FFT, 1992, 1.4)."""
+    """w**e = T_lo[e mod L] * T_hi[e div L] for e in [a, b), into out: every root in the package, within about
+    half an ulp.  Each run of one e div L is a slice of T_lo times an entry of T_hi ("subvector scaling", Van Loan,
+    Computational Frameworks for the FFT, 1992, 1.4) in long double, which no SIMD level runs, rounded once."""
     lo, hi = group._roots_lo, group._roots_hi
     for e in (a, *range(a - a % lo.size + lo.size, b, lo.size)):  # the runs' starts
         end, (m, l) = min(e - e % lo.size + lo.size, b), divmod(e, lo.size)
-        np.multiply(lo[l : l + end - e], hi[m], out=out[e - a : end - a])
+        np.multiply(lo[l : l + end - e], hi[m], out=out[e - a : end - a], casting="unsafe")
     return out
 
 
@@ -138,10 +138,9 @@ class CharacterGroup:
 
     Both tables fit int32 because q < 2**31 (`numth.check_modulus`); every
     product of a character index with a table entry is formed in int64.  A
-    new group holds `_steps`, g**k for k < min(_BLOCK, q-1) in int32, and T_lo = w**l
-    for l < L, T_hi = w**(mL) for mL < q-1, L = 2**ceil(log2 sqrt(q-1)) (`_twiddles`):
-    each part of each root rounded once from long-double cos and sin (libm's, no SIMD
-    dispatch; a float angle and np.exp err twice as much), 2**16 or fewer apiece.
+    new group holds `_steps`, g**k for k < min(_BLOCK, q-1) in int32, and the long-double
+    T_lo = w**l for l < L, T_hi = w**(mL) for mL < q-1, L = 2**ceil(log2 sqrt(q-1)), 2**16 or
+    fewer apiece (`_twiddles`; libm's cos and sin of long-double angles, no SIMD dispatch).
     A single-character path builds dlog and the root table
     `_roots[k] = exp(2 pi i k/(q-1))`, k < q-1, exactly -1 at (q-1)/2 and
     mirrored exactly above it, at most 24 bytes per residue in all: folded
@@ -156,7 +155,7 @@ class CharacterGroup:
         self._steps.setflags(write=False)
         span = 1 << ((q - 2).bit_length() + 1) // 2  # L, the least power of 2 with L**2 >= q - 1
         angles = (k * (8 * np.arctan(np.longdouble(1))) / (q - 1) for k in (np.arange(span), np.arange(0, q - 1, span)))
-        self._roots_lo, self._roots_hi = ((np.cos(a) + 1j * np.sin(a)).astype(complex) for a in angles)
+        self._roots_lo, self._roots_hi = (np.cos(a) + 1j * np.sin(a) for a in angles)  # long double
 
     @functools.cached_property
     def power_residues(self) -> np.ndarray:
@@ -297,7 +296,7 @@ def _half_spectrum(group: CharacterGroup, out: np.ndarray) -> np.ndarray:
     Heideman and Burrus, IEEE TASSP 1987).  E and O are formed by blocks of
     j <= h/2 with their partners h - j, as E[h-j] = conj E[j] and O[h-j] =
     conj O[j], and the twiddles w**j and w**(h-j) of each block come from `_twiddles`
-    (products whose bits, as the epilogue's, follow numpy's dispatch level):
+    (the same bits at every dispatch level; the epilogue's complex products are not):
     the buffer and each thread's three block arrays are alive.
 
     Where h has a prime factor p with p**2 > h and h != p (numpy's Bluestein

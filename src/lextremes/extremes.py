@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numth
 from .chargroup import CharacterGroup, _term_sums, build_group
-from .lfunc import approx_error_census, l_value_batch
+from .lfunc import _approx_error_census, l_value_batch
 from .resonance import EULER_GAMMA, ResonanceReport, _half_weight_certificate, _half_weight_cutoff
 from .resonator import WeightScheme, _scheme_primes, linear_scheme
 
@@ -237,7 +237,7 @@ def scan_sigma_strip(
     group = build_group(q)
     quotient, series = _half_weight_certificate(group, sigma, a_sigma, y_min, x_cap, n_limit, k_limit, tau_budget)
     labs = l_value_batch(group, sigma).half_abs()
-    census = approx_error_census(group, sigma, quotient.x, census_tol, labs, head=(k_limit, series))
+    census = _approx_error_census(group, sigma, quotient.x, census_tol, labs, k_limit, series)
     if len(census.indices) == q - 2:
         raise ValueError(f"census at tol={census_tol} excluded every character of q={q}")
     log_abs = np.log(labs)  # j = 1..h

@@ -340,16 +340,18 @@ class ApproxErrorCensus:
     mean_deviation: float
 
 
-def approx_error_census(
-    group: CharacterGroup, sigma, x: float, tol: float, labs: np.ndarray, head: tuple | None = None
-) -> ApproxErrorCensus:
+def approx_error_census(group: CharacterGroup, sigma, x: float, tol: float, labs: np.ndarray) -> ApproxErrorCensus:
     """Empirical census of | log|L(sigma, chi)| - Re sum_{p<=x} chi(p) p^-sigma | > tol,
     given labs[j - 1] = |L(sigma, chi_j)| for j = 1..h = (q-1)/2 (`LValueBatch.half_abs()`);
-    each j found stands for its conjugate pair {j, q-1-j} in `indices`.  head = (k, sums)
-    gives that Re sum over the first k primes <= x at j = 0..h (the half-weight certificate's
-    series), and only the rest are transformed and added.  The principal character is
-    always excluded; the deviation statistics cover every non-principal character.
+    each j found stands for its conjugate pair {j, q-1-j} in `indices`.  The principal
+    character is always excluded; the deviation statistics cover every non-principal character.
     """
+    return _approx_error_census(group, sigma, x, tol, labs)
+
+
+def _approx_error_census(group, sigma, x, tol, labs, k: int = 0, sums=0.0) -> ApproxErrorCensus:
+    """`approx_error_census` given sums[j] = Re sum over the first k primes <= x for j = 0..h
+    (the half-weight certificate's series): only the primes past the k-th are transformed."""
     s = as_sigma(sigma)
     if tol < 0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
@@ -359,7 +361,6 @@ def approx_error_census(
     if labs.shape != ((q - 1) // 2,):
         raise ValueError(f"census requires labs of shape ({(q - 1) // 2},), got {labs.shape}")
     primes = numth.sieve_primes(int(x))
-    k, sums = head or (0, 0.0)
     if primes.size > k:
         sums = sums + _term_sums(group, primes[k:], primes[k:].astype(float) ** (-s)).real
     deviations = np.abs(np.log(labs) - sums[1:])

@@ -35,7 +35,12 @@ def run_probe(probe: str, env: dict | None = None, timeout: float = 120) -> str:
 
 
 def same_bits(a, b) -> bool:
-    """Equal bit for bit, signs of zero included."""
+    """Equal bit for bit, signs of zero included; a long double by value and
+    sign, as the padding of its storage holds no bits of it."""
+    if a.dtype in (np.longdouble, np.clongdouble):
+        pairs = [(part(a), part(b)) for part in (np.real, np.imag)]
+        same = (np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y)) for x, y in pairs)
+        return a.dtype == b.dtype and a.shape == b.shape and all(same)
     bits = (np.ascontiguousarray(x).view(np.uint64) for x in (a, b))
     return a.shape == b.shape and np.array_equal(*bits)
 
@@ -83,17 +88,18 @@ def whole_tables(q: int) -> list[np.ndarray]:
     """The first four stages of `blocked_stages` from whole tables: g**k mod q
     by `chargroup._powers`; T_lo = w**l for l < L and T_hi = w**(mL) for
     mL < q-1, w = exp(2 pi i/(q-1)) and L the least power of 2 with
-    L**2 >= q-1, from cos and sin of np.longdouble angles as `longdouble_dft`
-    forms them; and w**k = T_lo[k mod L] * T_hi[k div L] for k < q-1 by one
-    gather of each table and one whole-array product."""
+    L**2 >= q-1, long-double cos and sin of np.longdouble angles as
+    `longdouble_dft` forms them; and w**k = T_lo[k mod L] * T_hi[k div L] for
+    k < q-1 by one gather of each table and one whole-array long-double
+    product, rounded once to complex."""
     n, span = q - 1, 1
     while span * span < n:
         span *= 2
     pi = 4 * np.arctan(np.longdouble(1))
     angles = (2 * pi * k / n for k in (np.arange(span), np.arange(0, n, span)))
-    lo, hi = ((np.cos(a) + 1j * np.sin(a)).astype(complex) for a in angles)  # each part rounded once
+    lo, hi = (np.cos(a) + 1j * np.sin(a) for a in angles)
     k = np.arange(n)
-    return [chargroup._powers(numth.primitive_root(q), q, n), lo, hi, lo[k % span] * hi[k // span]]
+    return [chargroup._powers(numth.primitive_root(q), q, n), lo, hi, (lo[k % span] * hi[k // span]).astype(complex)]
 
 
 # the moduli of the twiddle pins: one to three runs of T_lo, and the split modulus
@@ -102,10 +108,10 @@ TWIDDLE_QS = (5, 7, 11, 13, SPLIT_Q)
 
 def twiddles_off_their_pins() -> list[int]:
     """The q of TWIDDLE_QS where a group's twiddle tables differ in any bit
-    from `whole_tables`, where an entry errs by more than half an ulp (plus
-    2**-60 for the long-double angle) from 40-digit mpmath, or where
-    `chargroup._twiddles` over [a, b) for every a, with b = a + 1, a + L + 1
-    and q - 1, differs from the whole-array product."""
+    from `whole_tables`, where a table entry errs by more than 2**-60 from
+    40-digit mpmath or a twiddle w**k (k < q-1) by more than half an ulp plus
+    2**-60, or where `chargroup._twiddles` over [a, b) for every a, with
+    b = a + 1, a + L + 1 and q - 1, differs from the whole-array product."""
     import mpmath
 
     off = []
@@ -114,13 +120,13 @@ def twiddles_off_their_pins() -> list[int]:
         span, n = lo.size, q - 1
         tables = [group._roots_lo, group._roots_hi]
         ok = all(map(same_bits, tables, (lo, hi)))
-        for table, step in zip(tables, (1, span)):
-            for k, root in enumerate(table.tolist()):
+        for roots, step, ulps in ((lo, 1, 0), (hi, span, 0), (want, 1, 1)):
+            for k, root in enumerate(roots):
                 with mpmath.workdps(40):
                     exact = mpmath.expjpi(mpmath.mpf(2 * k * step) / n)
-                    errors = (abs(root.real - exact.real), abs(root.imag - exact.imag))
-                for err, got in zip(errors, (root.real, root.imag)):
-                    ok &= float(err) <= np.spacing(abs(got)) / 2 + 2.0**-60
+                for got, part in ((root.real, exact.real), (root.imag, exact.imag)):
+                    err = abs(got - np.longdouble(mpmath.nstr(part, 30)))  # 30 digits, rounded once to long double
+                    ok &= err <= ulps * np.spacing(abs(float(got))) / 2 + 2.0**-60
         for a in range(n):
             for b in {a + 1, min(a + span + 1, n), n}:
                 ok &= same_bits(chargroup._twiddles(group, a, b, np.empty(b - a, dtype=complex)), want[a:b])

@@ -112,14 +112,14 @@ class TestBuildGroup:
     @pytest.mark.parametrize("q", [1009, 98017])
     def test_retained_tables_at_most_24_bytes_per_residue(self, group_of, q):
         # a new group, as no package path reads power_residues (tests do); the
-        # two twiddle tables, about 2 sqrt(q) complex, are bounded on their own
+        # two twiddle tables, about 2 sqrt(q) long-double complex, are bounded on their own
         group = build_group(q)
         group.values_at(1)  # dlog and the full root table, as a single-character path leaves them
         twiddles = group._roots_lo.nbytes + group._roots_hi.nbytes
         held = sum(v.nbytes for v in vars(group).values() if isinstance(v, np.ndarray))
         assert "power_residues" not in vars(group)
         assert held - twiddles <= 24 * q
-        assert twiddles <= 16 * 4 * math.isqrt(q)
+        assert twiddles <= 32 * 4 * math.isqrt(q)
 
     @pytest.mark.parametrize("q", [1009, 98017])
     def test_new_group_holds_only_its_step_and_twiddle_tables(self, q):

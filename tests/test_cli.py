@@ -498,10 +498,6 @@ class TestRun:
 # the residue grid, replaced the digamma and Hurwitz kernels: max_abs_l moved
 # by under 3e-16 relative and margin by under 9e-16, and the RMS error of all
 # L-values mod 10007 against a 30-digit reference fell at sigma = 1 and 0.75.
-# The q = 10007 scan-t3 digest was re-recorded when every twiddle became a
-# product of two tables rounded from long-double cos and sin: max_abs_l moved
-# 7.077763029239232 -> 7.077763029239234 (2.5e-16 relative, margin with it),
-# and its error against 30-digit mpmath fell from 1.6e-15 to 1.5e-16.
 GOLDEN_CSV_SHA256 = {
     (101, "certify"): "4cf576bc8f744f2ea86e25f522a6515e76f6f550e2b20d2b297a835eabceb7c8",
     (1009, "certify"): "523184c0783522fb37aab3b018c533771255c6c9d1799fecba1e88121bfa4def",
@@ -510,7 +506,7 @@ GOLDEN_CSV_SHA256 = {
     (1009, "scan-t3"): "29f12253467684c9adf517c3a09a0076f5ae8c8b2f01e00e84a06d40a1539018",
     (10007, "scan-t1"): "b18218503c1fe0623e9164b70abafa58e756807c35a54039be70494a38d4a625",
     (10007, "census"): "ef64eaec20c504bcb0329846d0d83a9dd00c0d681b2bd55be0b5e02e7a6c0b8d",
-    (10007, "scan-t3"): "e6a0074f4d9f9ce65a1616a5f6887715e9e83f8985317a712dd9f8e50acd02d5",
+    (10007, "scan-t3"): "01dc18f072d7dee0c27a20e9c2e491fb887fd0db34d14d21d4575fc46410e2dd",
     (1009, "scan-t3 --sigma 0.55"): "3e3ad132f75aafecdd66ecb059305e273e3c5907e407d7f5b6f3cd00effc6cb0",
     (10007, "scan-t3 --sigma 0.55"): "5eed909110e16b15fe4ca33203b2db3bfc5411c1f1ee04b9c423820fbc64d0ff",
 }
@@ -683,17 +679,20 @@ class TestOracleCheck:
         # for the coprime-pair S1 kernel: the dual-oracle s1 residual at
         # q = 1009 fell from 1.36e-16 to 8.51e-18 (S1 moved 1.35 -> 0.35 ulp
         # from the exact prime-weight sum), and nothing else moved.
-        # Re-recorded for the two-table twiddles and the exact half-spectrum
-        # character route: the orthogonality residuals fell (1.54e-15 ->
-        # 1.54e-16, 9.51e-14 -> 4.36e-15), group-dft vs naive fell (1.30e-15
-        # -> 8.33e-16, 1.82e-15 -> 1.14e-15), three batch vs single residuals
-        # fell (4.65e-16 -> 4.52e-16, 5.18e-16 -> 4.97e-16, 7.73e-16 ->
-        # 6.28e-16) and the fourth kept its bits, and the dual-oracle s1
-        # residual went 1.18e-16 -> 1.17e-16 and 8.51e-18 -> 0, while s2 went
-        # 0 -> 1.38e-16 at q = 1009 (S2 is now summed exactly over j <= h)
+        # Re-recorded for the two-table long-double twiddles and the exact
+        # half-spectrum character route: the orthogonality residuals fell
+        # (1.54e-15 -> 1.08e-19, 9.51e-14 -> 2.71e-19), the four batch vs
+        # single residuals fell (3.34e-16 -> 2.99e-16, 4.65e-16 -> 4.58e-16,
+        # 5.18e-16 -> 4.97e-16, 7.73e-16 -> 6.28e-16), group-dft vs naive went
+        # 1.30e-15 -> 8.33e-16 and 1.82e-15 -> 2.12e-15 (over every j at
+        # q = 1009 both routes moved toward a long-double DFT: the group DFT
+        # 6.97e-16 -> 5.91e-16 RMS relative, the naive sum 7.49e-16 ->
+        # 4.63e-16), and the dual-oracle s1 residual went 1.18e-16 -> 1.17e-16
+        # and 8.51e-18 -> 0, while s2 went 0 -> 1.38e-16 at q = 1009 (S2 is
+        # now summed exactly over j <= h)
         assert oracle_check([101, 1009]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "7276433e9315819f9208c647f299a9a9f45ddc642f08dab6b748bae3feb34842"
+        assert digest == "a9aaeeab87c21943cd85ff6be8154baca4395d8d861fe5fa9f6798d5fe772304"
 
     @pytest.mark.parametrize("q", [101, 1031])
     def test_dual_oracle_row_transforms_and_enumerates_once(self, group_of, monkeypatch, q):

@@ -581,7 +581,7 @@ class TestApproxErrorCensus:
         primes = sieve_primes(int(x))[:k]
         sums = chargroup._term_sums(group, primes, primes.astype(float) ** -0.75).real.copy()
         whole = approx_error_census(group, 0.75, x, 0.2, labs)
-        split = approx_error_census(group, 0.75, x, 0.2, labs, head=(k, sums))
+        split = lfunc._approx_error_census(group, 0.75, x, 0.2, labs, k, sums)
         assert split.indices == whole.indices and whole.indices
         assert split.max_deviation == pytest.approx(whole.max_deviation, rel=1e-12)
         assert split.mean_deviation == pytest.approx(whole.mean_deviation, rel=1e-12)
