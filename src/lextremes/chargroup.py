@@ -6,15 +6,15 @@ Characters are indexed by an exponent j against a fixed primitive root g:
 
 A single character is the plain pair (group, j), evaluated at any
 arguments through a discrete-log table, or along the powers of g with
-none (`power_values`).  A sum of the whole group against any vector is one
-length-(q-1) DFT along those powers; `_term_sums` is the package's one
-character sum of terms (n, a_n).  Every vector the package transforms is
-real, so out[q-1-j] = conj out[j]: `_half_spectrum` forms j <= (q-1)/2
+none (`power_values`).  A sum of the whole group against a real vector
+is one DFT along those powers (`dft_over_group`); `_term_sums` is the
+package's one character sum of terms (n, a_n).  A real vector's spectrum
+has out[q-1-j] = conj out[j], so `_half_spectrum` forms only j <= (q-1)/2,
 from one complex FFT of length h = (q-1)/2, in the (h + 1)-complex buffer
-the caller wrote the vector into, and the whole-group paths read that half
-only.  When the largest prime p of h has p**2 > h (numpy would take its
-Bluestein path) and h != p, that FFT is split by the Good-Thomas map into
-batched FFTs of the coprime lengths p and h/p.
+the vector was written into, and every path reads that half.  When the
+largest prime p of h has p**2 > h (numpy would take its Bluestein path)
+and h != p, that FFT is split by the Good-Thomas map into batched FFTs of
+the coprime lengths p and h/p.
 
 The whole-group stages run by `_blocks` on W threads, W the CPUs this
 process may use over the worker processes sharing them.  Each entry is
@@ -132,12 +132,11 @@ class CharacterGroup:
         q: the prime modulus
         g: the smallest primitive root mod q
         phi: group order q - 1
-        power_residues: int32 array of length q-1, built on first access: g**k mod q
         dlog: int32 array of length q, built on first access;
               dlog[a] = k with g**k = a (mod q), dlog[0] = -1 (sentinel for q | n)
 
-    Both tables fit int32 because q < 2**31 (`numth.check_modulus`); every
-    product of a character index with a table entry is formed in int64.  A
+    dlog fits int32 because q < 2**31 (`numth.check_modulus`); every
+    product of a character index with an entry is formed in int64.  A
     new group holds `_steps`, g**k for k < min(_BLOCK, q-1) in int32, and the long-double
     T_lo = w**l for l < L, T_hi = w**(mL) for mL < q-1, L = 2**ceil(log2 sqrt(q-1)), 2**16 or
     fewer apiece (`_twiddles`; libm's cos and sin of long-double angles, no SIMD dispatch).
@@ -156,13 +155,6 @@ class CharacterGroup:
         span = 1 << ((q - 2).bit_length() + 1) // 2  # L, the least power of 2 with L**2 >= q - 1
         angles = (k * (8 * np.arctan(np.longdouble(1))) / (q - 1) for k in (np.arange(span), np.arange(0, q - 1, span)))
         self._roots_lo, self._roots_hi = (np.cos(a) + 1j * np.sin(a) for a in angles)  # long double
-
-    @functools.cached_property
-    def power_residues(self) -> np.ndarray:
-        table = np.empty(self.q - 1, dtype=np.int32)
-        _blocks(lambda a, b: np.copyto(table[a:b], _power_block(self, a, b), casting="unsafe"), self.q - 1)
-        table.setflags(write=False)
-        return table
 
     @functools.cached_property
     def dlog(self) -> np.ndarray:
@@ -241,39 +233,21 @@ def orthogonality_sum(group: CharacterGroup, m: int, n: int) -> float:
 
 
 def dft_over_group(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
-    """out[j] = sum_{a=1}^{q-1} f(a) * chi_j(a) for every character index j.
+    """out[j] = sum_{a=1}^{q-1} f(a) * chi_j(a) for j = 0..h, h = (q-1)/2, for a
+    real f; out[q-1-j] = conj out[j] is the rest, as chi_{q-1-j} = conj chi_j.
 
-    `f` holds the values at residues 1..q-1 (entry i at a = i+1).  A real f
-    is read in power order, transformed by `_half_spectrum` and mirrored;
-    the output and the half spectrum are alive at the peak, 48 bytes per
-    h = (q-1)/2.  A complex f is transformed as dft(f.real) + i*dft(f.imag).
+    `f` holds the values at residues 1..q-1 (entry i at a = i+1).  It is read
+    in power order, by blocks of powers, into the (h + 1)-complex buffer that
+    `_half_spectrum` transforms in place and returns.  A complex f is
+    refused: its spectrum has no conjugate symmetry, so no half of it holds
+    the rest; transform its real and imaginary parts apart.
     """
     f = np.asarray(f)
     if f.shape != (group.q - 1,):
         raise ValueError(f"expected {group.q - 1} residue values, got shape {f.shape}")
     if np.iscomplexobj(f):
-        return dft_over_group(group, f.real) + 1j * dft_over_group(group, f.imag)
-    return _mirrored(_half_spectrum(group, _in_power_order(group, f.astype(float, copy=False))), 0)
-
-
-def _mirrored(half: np.ndarray, first: int) -> np.ndarray:
-    """The entries j = first..q-2 of a spectrum from half[i] at j = first + i
-    <= (q-1)/2, by out[q-1-j] = conj(out[j]); `first` is 0 or 1."""
-    out = np.empty(2 * half.size - 2 + first, dtype=half.dtype)
-    out[: half.size] = half
-    np.conjugate(half[1 - first : -1][::-1], out=out[half.size :])
-    return out
-
-
-def _term_sums(group: CharacterGroup, ns: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """out[j] = sum_i values[i] * chi_j(ns[i]) for j = 0..(q-1)/2, the
-    `_half_spectrum` of the terms' residue sums 1..q-1 in power order."""
-    return _half_spectrum(group, _in_power_order(group, numth._residue_sums(group.q, ns, values, group.q)[1:]))
-
-
-def _in_power_order(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
-    """The (h + 1)-complex input buffer of `_half_spectrum` whose float view
-    holds f(g**k) for k = 0..q-2, from f(a) at f[a - 1], by blocks of powers."""
+        raise ValueError("dft_over_group takes a real vector; transform the real and imaginary parts apart")
+    f = f.astype(float, copy=False)
     buffer = np.empty((group.q + 1) // 2, dtype=complex)
 
     def gather(a, b):  # one int64 block: the quotient goes to the destination, which "clip" does not buffer
@@ -281,7 +255,14 @@ def _in_power_order(group: CharacterGroup, f: np.ndarray) -> np.ndarray:
         np.take(f, np.subtract(index, 1, out=index), out=buffer.view(float)[a:b], mode="clip")
 
     _blocks(gather, group.q - 1)
-    return buffer
+    del f  # frees a temporary argument, as `_term_sums` passes, before the transform (CPython >= 3.11)
+    return _half_spectrum(group, buffer)
+
+
+def _term_sums(group: CharacterGroup, ns: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """out[j] = sum_i values[i] * chi_j(ns[i]) for j = 0..(q-1)/2: the group
+    DFT of the terms' residue sums 1..q-1."""
+    return dft_over_group(group, numth._residue_sums(group.q, ns, values, group.q)[1:])
 
 
 def _half_spectrum(group: CharacterGroup, out: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numth
-from .chargroup import CharacterGroup, _blocks, _half_spectrum, _mirrored, _power_block, _term_sums
+from .chargroup import CharacterGroup, _blocks, _half_spectrum, _power_block, _term_sums
 
 # absolute error bound of K(1, a/q) = -psi(a/q), the sigma = 1 counterpart of
 # hurwitz_zeta_error: Euler-Maclaurin truncation (below 1.2e-19) plus the
@@ -59,19 +59,14 @@ class LValue:
 class LValueBatch:
     """L(sigma, chi_j) for every non-principal chi_j of one group.
 
-    half[j - 1] is L(sigma, chi_j) for j = 1..h = (q-1)/2 (read-only); since
-    L(sigma, chi_{q-1-j}) = conj L(sigma, chi_j) exactly, the drivers read j <= h
-    and `values` mirrors it to full length.  `err_estimate` bounds every entry's error.
+    half[j - 1] is L(sigma, chi_j) for j = 1..h = (q-1)/2 (read-only); the rest
+    is L(sigma, chi_{q-1-j}) = conj L(sigma, chi_j).  `err_estimate` bounds every
+    entry's error.
     """
 
     sigma: float
     half: np.ndarray
     err_estimate: float
-
-    @property
-    def values(self) -> np.ndarray:
-        """L(sigma, chi_j) for j = 1..q-2, as a new array."""
-        return _mirrored(self.half, 1)
 
     def half_abs(self) -> np.ndarray:
         """|L(sigma, chi_j)| for j = 1..h by np.hypot: abs(complex) bit for bit."""
@@ -254,7 +249,7 @@ def l_value(chi: tuple[CharacterGroup, int], sigma) -> LValue:
     q**(sigma-1)/(sigma-1) that the residue kernel leaves out are added back.
     """
     s = as_sigma(sigma)
-    group, j = chi
+    group, j = chi[0].character(chi[1])  # an index past q-2 would be chi_0 without its constant
     q = group.q
     if s == 1.0 and j == 0:
         raise ValueError("L(1, chi) has a pole at the principal character")
@@ -269,8 +264,7 @@ def l_value_batch(group: CharacterGroup, sigma) -> LValueBatch:
     DFT of the residue kernel in power order.
 
     Agrees with per-character `l_value` to well below 1e-9; the DFT kernel
-    and the fixed power ordering make the reduction deterministic, and
-    conjugate characters get exactly conjugate values.
+    and the fixed power ordering make the reduction deterministic.
     """
     s = as_sigma(sigma)
     q = group.q

@@ -216,8 +216,24 @@ def in_residue_order(group, x) -> np.ndarray:
     """A vector given in power order, x[k] at a = g**k, as the vector over
     the residues a = 1..q-1 that `dft_over_group` takes."""
     out = np.empty(group.q - 1)
-    out[group.power_residues - 1] = x
+    out[chargroup._powers(group.g, group.q, group.q - 1) - 1] = x
     return out
+
+
+def full_spectrum(group, f) -> np.ndarray:
+    """sum_a f(a) chi_j(a) for every j = 0..q-2 from `dft_over_group`'s half
+    spectra: a complex f by its real and imaginary parts, and each j > h by
+    out[j] = conj out[q-1-j] of a real part."""
+    if np.iscomplexobj(f):
+        return full_spectrum(group, f.real) + 1j * full_spectrum(group, f.imag)
+    half = lextremes.dft_over_group(group, f)
+    return np.concatenate([half, np.conj(half[1:-1][::-1])])
+
+
+def all_l_values(batch) -> np.ndarray:
+    """L(sigma, chi_j) for every j = 1..q-2 from the batch's half j <= h, by
+    L(sigma, chi_{q-1-j}) = conj L(sigma, chi_j)."""
+    return np.concatenate([batch.half, np.conj(batch.half[:-1][::-1])])
 
 
 def longdouble_dft(group, f) -> tuple[np.ndarray, np.ndarray]:

