@@ -115,9 +115,10 @@ def _power_block(group: CharacterGroup, a: int, b: int, scratch: np.ndarray | No
 
 
 def _twiddles(group: CharacterGroup, a: int, b: int, out: np.ndarray) -> np.ndarray:
-    """w**e = T_lo[e mod L] * T_hi[e div L] for e in [a, b), into out: every root in the package, within about
-    half an ulp.  Each run of one e div L is a slice of T_lo times an entry of T_hi ("subvector scaling", Van Loan,
-    Computational Frameworks for the FFT, 1992, 1.4) in long double, which no SIMD level runs, rounded once."""
+    """w**e = T_lo[e mod L] * T_hi[e div L] for e in [a, b), into out: each root with e <= (q-1)/4, the others being
+    exact negations and conjugates of these, within about half an ulp.  Each run of one e div L is a slice of T_lo
+    times an entry of T_hi ("subvector scaling", Van Loan, Computational Frameworks for the FFT, 1992, 1.4) in long
+    double, which no SIMD level runs, rounded once."""
     lo, hi = group._roots_lo, group._roots_hi
     for e in (a, *range(a - a % lo.size + lo.size, b, lo.size)):  # the runs' starts
         end, (m, l) = min(e - e % lo.size + lo.size, b), divmod(e, lo.size)
@@ -140,9 +141,9 @@ class CharacterGroup:
     new group holds `_steps`, g**k for k < min(_BLOCK, q-1) in int32, and the long-double
     T_lo = w**l for l < L, T_hi = w**(mL) for mL < q-1, L = 2**ceil(log2 sqrt(q-1)), 2**16 or
     fewer apiece (`_twiddles`; libm's cos and sin of long-double angles, no SIMD dispatch).
-    A single-character path builds dlog and the root table
-    `_roots[k] = exp(2 pi i k/(q-1))`, k < q-1, exactly -1 at (q-1)/2 and
-    mirrored exactly above it, at most 24 bytes per residue in all: folded
+    A single-character path builds dlog and the root table `_roots[k] = exp(2 pi i k/(q-1))`,
+    k < q-1: `_twiddles` up to h/2, h = (q-1)/2, -conj of entry h-k up to h, exactly -1 at h and
+    the conjugate of entry q-1-k above it, at most 24 bytes per residue in all: folded
     indices into a half table made `character_values` twice as slow at q = 98017.
     """
 
@@ -167,7 +168,9 @@ class CharacterGroup:
     def _roots(self) -> np.ndarray:
         h = (self.q - 1) // 2
         roots = np.empty(self.q - 1, dtype=complex)
-        _blocks(lambda a, b: _twiddles(self, a, b, roots[a:b]), h)
+        _blocks(lambda a, b: _twiddles(self, a, b, roots[a:b]), h // 2 + 1)
+        upper = np.conjugate(roots[h - h // 2 - 1 : 0 : -1], out=roots[h // 2 + 1 : h])
+        np.negative(upper, out=upper)  # w**(h-e) = -conj w**e
         roots[h] = -1.0  # the order-2 character is exactly real
         np.conjugate(roots[h - 1 : 0 : -1], out=roots[h + 1 :])
         roots.setflags(write=False)
@@ -181,6 +184,7 @@ class CharacterGroup:
 
     def character_values(self, index: int, ns: np.ndarray) -> np.ndarray:
         """chi_index(n) for every n of the int array `ns` (zeros where q | n)."""
+        self.character(index)  # an index outside [0, q-2] would alias another character
         ns = np.asarray(ns)
         logs = self.dlog[ns - ns // self.q * self.q]  # the sentinel -1 where q | n
         exponents = np.multiply(logs, index, dtype=np.int64)
@@ -191,6 +195,7 @@ class CharacterGroup:
 
     def power_values(self, index: int) -> np.ndarray:
         """chi_index(g**k) = root[index*k mod (q-1)] for k = 0..q-2, with no dlog."""
+        self.character(index)
         exponents = np.arange(self.q - 1, dtype=np.int64) * index
         exponents -= exponents // (self.q - 1) * (self.q - 1)
         return self._roots[exponents]
@@ -274,11 +279,11 @@ def _half_spectrum(group: CharacterGroup, out: np.ndarray) -> np.ndarray:
     FFT Z, in place.  With E[j] = (Z[j] + conj Z[h-j])/2 and
     O[j] = -i(Z[j] - conj Z[h-j])/2 (indices mod h), out[j] = E[j] + w**j O[j]
     (w = exp(2 pi i/(q-1))) and out[h] = E[0] - O[0] (Sorensen, Jones,
-    Heideman and Burrus, IEEE TASSP 1987).  E and O are formed by blocks of
-    j <= h/2 with their partners h - j, as E[h-j] = conj E[j] and O[h-j] =
-    conj O[j], and the twiddles w**j and w**(h-j) of each block come from `_twiddles`
-    (the same bits at every dispatch level; the epilogue's complex products are not):
-    the buffer and each thread's three block arrays are alive.
+    Heideman and Burrus, IEEE TASSP 1987).  E and O are formed by blocks of j <= h/2 only, as
+    E[h-j] = conj E[j] and O[h-j] = conj O[j], and as w**(h-j) = -conj w**j (q - 1 = 2h), one twiddle from
+    `_twiddles` (the same bits at every dispatch level) and one product P = w**j O[j] (whose loop is
+    dispatched) give out[j] = E[j] + P and out[h-j] = conj(E[j] - P): the buffer and each thread's
+    three block arrays are alive.
 
     Where h has a prime factor p with p**2 > h and h != p (numpy's Bluestein
     case), z is gathered into a (p, r) array, r = h/p, by the Ruritanian map
@@ -329,15 +334,11 @@ def _half_spectrum(group: CharacterGroup, out: np.ndarray) -> np.ndarray:
             out[h] = even[0] - odd[0]
         # the twiddles get a block array of their own: a product written into a
         # one-entry view of its own input takes another numpy loop, an ulp off
-        roots = _twiddles(group, j0, j1, np.empty(j1 - j0, dtype=complex))
-        np.multiply(odd, roots, out=out[j0:j1])
-        out[j0:j1] += even
+        np.multiply(odd, _twiddles(group, j0, j1, np.empty(j1 - j0, dtype=complex)), out=out[j0:j1])  # P
         hi = min(j1, h - m + 1)  # j = h/2 is its own partner
-        if hi > lo:  # the partners k = h-j of j = hi-1 down to lo
-            k = slice(h - hi + 1, h - lo + 1)
-            roots = _twiddles(group, k.start, k.stop, roots[: hi - lo])
-            np.multiply(np.conjugate(odd, out=odd)[lo - j0 : hi - j0][::-1], roots, out=out[k])
-            out[k] += np.conjugate(even, out=even)[lo - j0 : hi - j0][::-1]
+        partners = np.subtract(even[lo - j0 : hi - j0], out[lo:hi], out=out[h - hi + 1 : h - lo + 1][::-1])
+        np.conjugate(partners, out=partners)  # out[h-j] = conj(E[j] - P) for j = lo..hi-1
+        out[j0:j1] += even
 
     _blocks(pairs, m, 2)  # E, O and the twiddles: three arrays of _BLOCK // 2 pairs
     return out

@@ -43,7 +43,13 @@ def as_sigma(sigma) -> float:
 
 @dataclass(frozen=True)
 class LValue:
-    """A computed L(sigma, chi) with its error estimate."""
+    """A computed L(sigma, chi) with an error estimate.
+
+    `err_estimate` is `_error_bound`'s: at sigma < 1 the Euler-Maclaurin
+    truncation only, at sigma = 1 a flat DIGAMMA_ERR, and in neither case
+    the rounding, which ROADMAP item 8 measured at up to 3.0e3 times the
+    estimate at sigma = 0.51 and 0.75.
+    """
 
     chi_index: int
     sigma: float
@@ -60,8 +66,12 @@ class LValueBatch:
     """L(sigma, chi_j) for every non-principal chi_j of one group.
 
     half[j - 1] is L(sigma, chi_j) for j = 1..h = (q-1)/2 (read-only); the rest
-    is L(sigma, chi_{q-1-j}) = conj L(sigma, chi_j).  `err_estimate` bounds every
-    entry's error.
+    is L(sigma, chi_{q-1-j}) = conj L(sigma, chi_j).  `err_estimate` is
+    `_error_bound`'s, the same for every entry: it counts the kernel's
+    truncation (at sigma = 1 a flat DIGAMMA_ERR) and not the rounding of
+    the kernel or the transform, so it does not bound the error below
+    sigma = 1 (observed 1.6e3-3.0e3 times it at sigma = 0.51 and 0.75,
+    q = 211 and 1009; ROADMAP item 8).
     """
 
     sigma: float
@@ -136,22 +146,33 @@ def _zeta_kernel(sigma: float, x: np.ndarray) -> np.ndarray:
     return total
 
 
+def _kernel_at(name: str, sigma: float, x: float) -> float:
+    """K(sigma, x) at one x, refused where its head term x**(-sigma) is not a finite float."""
+    with np.errstate(over="ignore"):
+        value = float(_zeta_kernel(sigma, np.array([x]))[0])
+    if not math.isfinite(value):
+        raise ValueError(f"{name} requires x**(-{sigma}) to be a finite float, got x = {x}")
+    return value
+
+
 def digamma(x: float) -> float:
-    """psi(x) = -K(1, x) for x > 0, to absolute error <= 1e-12 * max(1, |psi(x)|)."""
+    """psi(x) = -K(1, x) for x > 0 with 1/x a finite float (x >= 1/DBL_MAX, about
+    5.6e-309), to absolute error <= 1e-12 * max(1, |psi(x)|)."""
     if x <= 0:
         raise ValueError(f"digamma requires x > 0, got {x}")
-    return -float(_zeta_kernel(1.0, np.array([x]))[0])
+    return -_kernel_at("digamma", 1.0, x)
 
 
 def hurwitz_zeta(sigma: float, x: float) -> float:
-    """zeta(sigma, x) = K(sigma, x) + 1/(sigma - 1) for sigma > 1/2, sigma != 1, 0 < x <= 1."""
+    """zeta(sigma, x) = K(sigma, x) + 1/(sigma - 1) for sigma > 1/2, sigma != 1,
+    0 < x <= 1 with x**(-sigma) a finite float (x >= DBL_MAX**(-1/sigma))."""
     if sigma <= 0.5:
         raise ValueError(f"hurwitz_zeta requires sigma > 1/2, got {sigma}")
     if sigma == 1.0:
         raise ValueError("hurwitz_zeta has a pole at sigma = 1")
     if not 0 < x <= 1:
         raise ValueError(f"hurwitz_zeta requires 0 < x <= 1, got {x}")
-    return float(_zeta_kernel(sigma, np.array([x]))[0]) + 1 / (sigma - 1)
+    return _kernel_at("hurwitz_zeta", sigma, x) + 1 / (sigma - 1)
 
 
 def hurwitz_zeta_error(sigma: float) -> float:
@@ -231,8 +252,11 @@ def _residue_kernel(group: CharacterGroup, s: float) -> np.ndarray:
 
 
 def _error_bound(q: int, s: float) -> float:
-    """The error bound of an L-value mod q at sigma = s: q - 1 kernel
-    evaluations, scaled by q**(-s)."""
+    """The error estimate of an L-value mod q at sigma = s: q - 1 kernel
+    errors, scaled by q**(-s).  A kernel error is hurwitz_zeta_error(s), the
+    B_18 truncation term, at s < 1 and the flat DIGAMMA_ERR at s = 1; the
+    rounding of the kernel and of the sum or transform is not counted, and
+    below s = 1 it is the larger part (ROADMAP item 8)."""
     if s == 1.0:
         return (q - 1) / q * DIGAMMA_ERR
     return (q - 1) * q ** (-s) * hurwitz_zeta_error(s)
@@ -249,7 +273,7 @@ def l_value(chi: tuple[CharacterGroup, int], sigma) -> LValue:
     q**(sigma-1)/(sigma-1) that the residue kernel leaves out are added back.
     """
     s = as_sigma(sigma)
-    group, j = chi[0].character(chi[1])  # an index past q-2 would be chi_0 without its constant
+    group, j = chi
     q = group.q
     if s == 1.0 and j == 0:
         raise ValueError("L(1, chi) has a pole at the principal character")

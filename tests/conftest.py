@@ -23,6 +23,21 @@ SPLIT_Q = 1031  # (q-1)/2 = 5*103 and 103**2 > 515: the Good-Thomas split
 TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
+def pytest_terminal_summary(terminalreporter):
+    """numpy's SIMD dispatch level, printed under -q too: the byte goldens
+    record the loops of the CPU that ran them (ROADMAP item 23)."""
+    try:
+        from numpy._core import _multiarray_umath as umath  # numpy >= 2.0
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath
+    targets = umath.__cpu_dispatch__
+    found = [target for target in targets if umath.__cpu_features__.get(target)]
+    terminalreporter.write_line(
+        f"numpy {np.__version__}: baseline {' '.join(umath.__cpu_baseline__) or 'none'}, "
+        f"dispatch targets {' '.join(targets) or 'none'}, in use {' '.join(found) or 'none'}"
+    )
+
+
 def run_probe(probe: str, env: dict | None = None, timeout: float = 120) -> str:
     """The stdout of `python -c probe` in a child process that imports the
     package from its source tree; `env` replaces the child's environment

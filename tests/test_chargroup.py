@@ -97,16 +97,39 @@ class TestBuildGroup:
         group = group_of(1009)
         assert group.dlog.dtype == np.int32
 
-    @pytest.mark.parametrize("q", [1009, 98017])
-    def test_root_table_upper_half_is_exact_mirror(self, group_of, q):
+    # h = (q-1)/2 odd and even, on the plain path (1051, 1009) and the split path (SPLIT_Q, 98017)
+    @pytest.mark.parametrize("q", [3, 5, 7, 1009, 1051, SPLIT_Q, 98017])
+    def test_root_table_is_its_first_quarter_and_exact_symmetries(self, group_of, q):
         group = group_of(q)
         group.values_at(1)  # a single-character path builds the full table
         roots = group._roots
-        n, h = q - 1, (q - 1) // 2
-        assert np.array_equal(roots[:0:-1], np.conj(roots[1:]))
-        assert roots[h] == -1  # the order-2 character is exactly real
-        # roots[:h] are the DFT's twiddles, products of the two tables
-        assert same_bits(roots[:h], whole_tables(q)[3][:h])
+        h = (q - 1) // 2
+        # roots[: h//2 + 1] are the DFT's twiddles, products of the two tables
+        assert same_bits(roots[: h // 2 + 1], whole_tables(q)[3][: h // 2 + 1])
+        e = np.arange((h + 1) // 2)  # every e < h - e, so e = h/2 is left out
+        assert same_bits(roots[h - e], -np.conj(roots[e]))
+        assert same_bits(roots[h], np.complex128(-1))  # the order-2 character is exactly real
+        assert same_bits(roots[h + 1 :], np.conj(roots[h - 1 : 0 : -1]))
+
+    def test_root_table_and_half_spectrum_form_one_twiddle_per_pair(self, monkeypatch):
+        # w**(h-j) is -conj w**j, so only j <= h/2 is formed, by plain and split transforms alike
+        formed = []
+
+        def counted(group, a, b, out):
+            formed.append(b - a)
+            return real_twiddles(group, a, b, out)
+
+        real_twiddles = chargroup._twiddles
+        monkeypatch.setattr(chargroup, "_twiddles", counted)
+        for q in (7, 1009, 1051, SPLIT_Q, 98017):
+            h = (q - 1) // 2
+            group = build_group(q)
+            formed.clear()
+            half_spectrum(group, np.random.default_rng(q).standard_normal(q - 1))
+            assert sum(formed) == h // 2 + 1
+            formed.clear()
+            group.values_at(1)
+            assert sum(formed) == h // 2 + 1
 
     @pytest.mark.parametrize("q", [1009, 98017])
     def test_retained_tables_at_most_24_bytes_per_residue(self, group_of, q):
@@ -220,7 +243,7 @@ class TestCharValue:
     def test_multiplicativity(self, drawn):
         # chi(m) chi(n) = chi(mn) on one gather, which also matches the
         # all-characters table, vanishes exactly on multiples of q, and is
-        # exactly conjugated by the index q - 1 - j
+        # exactly conjugated by the index -j mod q - 1
         q, j, ns = drawn
         group = build_group(q)
         values = group.character_values(j, ns)
@@ -228,7 +251,7 @@ class TestCharValue:
         assert np.array_equal(values == 0, ns % q == 0)
         products = group.character_values(j, np.multiply.outer(ns, ns))
         assert np.all(np.abs(np.multiply.outer(values, values) - products) < 1e-12)
-        assert np.array_equal(group.character_values(q - 1 - j, ns), np.conj(values))
+        assert np.array_equal(group.character_values(-j % (q - 1), ns), np.conj(values))
 
 
 class TestOrthogonality:

@@ -22,8 +22,10 @@ from lextremes import (
     hurwitz_zeta,
     l_value,
     l_value_batch,
+    linear_scheme,
     mangoldt,
     prime_sum,
+    resonator_value,
     sieve_primes,
 )
 import lextremes
@@ -120,6 +122,14 @@ class TestDigamma:
         with pytest.raises(ValueError):
             digamma(-1.5)
 
+    def test_rejects_x_whose_reciprocal_overflows(self):
+        # 1/x is the head term; past DBL_MAX it would make psi(x) -inf
+        edge = 1 / np.finfo(float).max
+        assert digamma(edge * (1 + 1e-6)) == pytest.approx(-1 / (edge * (1 + 1e-6)), rel=1e-12)
+        for x in (edge * (1 - 1e-6), 1e-310, 5e-324):
+            with pytest.raises(ValueError, match="finite float"):
+                digamma(x)
+
 
 class TestHurwitzZeta:
     def test_pi_squared_over_two(self):
@@ -189,6 +199,20 @@ class TestHurwitzZeta:
         with pytest.raises(ValueError):
             hurwitz_zeta(0.4, 0.5)
 
+    @pytest.mark.parametrize("sigma", [0.99, 0.999, 2.0])
+    def test_rejects_x_whose_head_term_overflows(self, sigma):
+        # x**(-sigma) is the head term; the edge x = DBL_MAX**(-1/sigma) is subnormal
+        # below sigma = 1, and below sigma = 0.95 no positive float reaches it
+        assert math.isfinite(hurwitz_zeta(0.51, 5e-324))
+        edge = np.finfo(float).max ** (-1 / sigma)
+        above = hurwitz_zeta(sigma, edge * (1 + 1e-6))
+        assert math.isfinite(above) and above == pytest.approx((edge * (1 + 1e-6)) ** -sigma, rel=1e-12)
+        with pytest.raises(ValueError, match="finite float"):
+            hurwitz_zeta(sigma, edge * (1 - 1e-6))
+        if sigma < 1:  # the cases that returned inf
+            with pytest.raises(ValueError, match="finite float"):
+                hurwitz_zeta(sigma, 5e-324)
+
 
 class TestLValue:
     @settings(max_examples=50, deadline=None)
@@ -251,11 +275,21 @@ class TestLValue:
     @pytest.mark.parametrize("sigma", [1.0, 0.75])
     def test_index_out_of_range_rejected(self, group_of, sigma):
         # (group, q-1) reads chi_0's roots: it would be chi_0 without its
-        # principal constant at sigma < 1, and without the pole error at 1
+        # principal constant at sigma < 1, and without the pole error at 1;
+        # every single-character function would evaluate another character
         group = group_of(101)
+        reads = [
+            lambda chi: l_value(chi, sigma),
+            lambda chi: euler_product_truncated(chi, sigma, 50),
+            lambda chi: dirichlet_poly(chi, sigma, 50),
+            lambda chi: prime_sum(chi, sigma, 50),
+            lambda chi: prime_sum(chi, sigma, 1),  # the empty sum too
+            lambda chi: resonator_value(linear_scheme(50), chi),
+        ]
         for j in (100, -1):
-            with pytest.raises(ValueError, match="character index"):
-                l_value((group, j), sigma)
+            for read in reads:
+                with pytest.raises(ValueError, match=r"character index must lie in \[0, 99\], got " + str(j)):
+                    read((group, j))
 
     def test_sigma_half_rejected(self, group_of):
         with pytest.raises(ValueError):
