@@ -29,6 +29,7 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import math
+import operator
 import os
 import threading
 
@@ -177,7 +178,9 @@ class CharacterGroup:
         return roots
 
     def character(self, index: int) -> tuple[CharacterGroup, int]:
-        """chi_index as the pair (group, index) that single-character functions take."""
+        """chi_index as the pair (group, index) that single-character functions take;
+        the index is an integer (numpy's included) in [0, q-2]."""
+        index = operator.index(index)
         if not 0 <= index <= self.q - 2:
             raise ValueError(f"character index must lie in [0, {self.q - 2}], got {index}")
         return self, index

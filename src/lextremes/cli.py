@@ -78,31 +78,32 @@ class _Key(NamedTuple):
     parse: Callable[[str], object]
     flag: str
     commands: tuple[str, ...]
+    keyword: str | None  # the commands' driver keyword; None for a run setting
     help: str | None = None
     attr: str | None = None  # the RunConfig attribute, when it is not the key
 
 
-# One row per config key: the config file, the flags of each command and
-# RunConfig are all derived from this table.
+# One row per config key: the config file, the flags of each command, RunConfig
+# and each driver's keyword arguments are all derived from this table.
 _KEYS = {
-    "q": _Key((), _list_of(int), "--q", COMMANDS, "comma-separated prime moduli", "q_list"),
-    "sigma": _Key(None, float, "--sigma", ("scan-t3",)),
+    "q": _Key((), _list_of(int), "--q", COMMANDS, None, "comma-separated prime moduli", "q_list"),
+    "sigma": _Key(None, float, "--sigma", ("scan-t3",), "sigma"),
     "delta": _Key(
-        (0.5, 1.0, 2.0, 3.0), _list_of(float), "--delta", ("census",), "comma-separated deltas", "delta_list"
+        (0.5, 1.0, 2.0, 3.0), _list_of(float), "--delta", ("census",), "deltas", "comma-separated deltas", "delta_list"
     ),
-    "b": _Key(1.4, float, "--B", ("certify",)),
-    "epsilon": _Key(0.0, float, "--epsilon", ("scan-t1",)),
-    "a_sigma": _Key(None, float, "--a-sigma", ("scan-t3",)),
-    "x_cap": _Key(1e5, float, "--x-cap", ("scan-t3",)),
-    "y_min": _Key(20.0, float, "--y-min", ("scan-t3",)),
-    "n": _Key(10**4, int, "--N", ("certify", "scan-t3")),
-    "k": _Key(10**4, int, "--K", ("certify", "scan-t3")),
-    "y": _Key(1e4, float, "--Y", ("certify",)),
-    "tol": _Key(1.0, float, "--tol", ("scan-t3",)),
-    "tau_budget": _Key(0.05, float, "--tau-budget", ("certify", "scan-t3")),
-    "output_dir": _Key("results", str, "--output-dir", COMMANDS),
-    "format": _Key("both", str, "--format", COMMANDS, "csv, json or both"),
-    "jobs": _Key(1, int, "--jobs", COMMANDS),
+    "b": _Key(1.4, float, "--B", ("certify",), "b"),
+    "epsilon": _Key(0.0, float, "--epsilon", ("scan-t1",), "epsilon"),
+    "a_sigma": _Key(None, float, "--a-sigma", ("scan-t3",), "a_sigma"),
+    "x_cap": _Key(1e5, float, "--x-cap", ("scan-t3",), "x_cap"),
+    "y_min": _Key(20.0, float, "--y-min", ("scan-t3",), "y_min"),
+    "n": _Key(10**4, int, "--N", ("certify", "scan-t3"), "n_limit"),
+    "k": _Key(10**4, int, "--K", ("certify", "scan-t3"), "k_limit"),
+    "y": _Key(1e4, float, "--Y", ("certify",), "y"),
+    "tol": _Key(1.0, float, "--tol", ("scan-t3",), "census_tol"),
+    "tau_budget": _Key(0.05, float, "--tau-budget", ("certify", "scan-t3"), "tau_budget"),
+    "output_dir": _Key("results", str, "--output-dir", COMMANDS, None),
+    "format": _Key("both", str, "--format", COMMANDS, None, "csv, json or both"),
+    "jobs": _Key(1, int, "--jobs", COMMANDS, None),
 }
 
 RunConfig = make_dataclass(
@@ -242,10 +243,12 @@ _CERTIFY_HEADER = [
 
 
 def _compute_one(command: str, q: int, config: RunConfig) -> _Layout:
+    kwargs = {
+        row.keyword: getattr(config, row.attr or key) for key, row in _KEYS.items()
+        if row.keyword and command in row.commands
+    }
     if command == "certify":
-        report = ratio_certificate(
-            q, config.b, n_limit=config.n, k_limit=config.k, y=config.y, tau_budget=config.tau_budget
-        )
+        report = ratio_certificate(q, **kwargs)
         starred = exclude_principal(report)
         cert = report.certificate
         row = [
@@ -257,26 +260,11 @@ def _compute_one(command: str, q: int, config: RunConfig) -> _Layout:
         payload = {"report": asdict(report), "principal_excluded": asdict(starred)}
         return _Layout(_CERTIFY_HEADER, [row], payload, cert)
     if command == "census":
-        r = threshold_census(q, config.delta_list)
+        r = threshold_census(q, **kwargs)
         cells = zip(r.deltas, r.thresholds, r.counts, r.exponents_emp, r.exponents_ref)
         rows = [[r.q, r.sigma, d, t, c, r.max_abs_l, "", "", emp, ref] for d, t, c, emp, ref in cells]
         return _Layout(_SCAN_HEADER, rows, asdict(r))
-    if command == "scan-t1":
-        r = scan_sigma1(q, epsilon=config.epsilon)
-    elif command == "scan-t3":
-        r = scan_sigma_strip(
-            q,
-            config.sigma,
-            x_cap=config.x_cap,
-            a_sigma=config.a_sigma,
-            y_min=config.y_min,
-            census_tol=config.tol,
-            n_limit=config.n,
-            k_limit=config.k,
-            tau_budget=config.tau_budget,
-        )
-    else:
-        raise AssertionError(command)
+    r = (scan_sigma1 if command == "scan-t1" else scan_sigma_strip)(q, **kwargs)
     row = [r.q, r.sigma, "", "", "", r.max_abs_l, r.bound_value, r.margin, "", ""]
     return _Layout(_SCAN_HEADER, [row], asdict(r), r.quotient.certificate if command == "scan-t3" else None)
 

@@ -59,16 +59,16 @@ def _sigma1_abs(q: int) -> tuple[tuple[float, float, float], np.ndarray]:
     return logs, l_value_batch(build_group(q), 1.0).half_abs()
 
 
-def _resonator_abs_sq_all(group: CharacterGroup, scheme: WeightScheme) -> np.ndarray:
-    """|R(chi_j)|**2 for j = 0..(q-1)/2, as one half-spectrum group DFT.
+def _resonator_log_abs_all(group: CharacterGroup, scheme: WeightScheme) -> np.ndarray:
+    """log |R(chi_j)| for j = 0..(q-1)/2, as one half-spectrum group DFT.
 
     log R(chi) = sum_p sum_{m>=1} w_p**m chi(p**m) / m is a character sum of
-    the fixed terms (p**m mod q, w_p**m / m), so |R(chi_j)|**2 = exp(2 Re)
-    of the transform of their residue sums.  Each prime's series stops at
-    the first m whose tail bound w_p**m / (m (1 - w_p)) is below 2**-64.
+    the fixed terms (p**m mod q, w_p**m / m), so log |R(chi_j)| is the real
+    part of the transform of their residue sums.  Each prime's series stops
+    at the first m whose tail bound w_p**m / (m (1 - w_p)) is below 2**-64.
     `chargroup._term_sums` drops residue 0, so the prime q itself, where
-    every character vanishes, contributes 1.  Conjugate characters tie bit
-    for bit.  Primes and weights come from `resonator._scheme_primes`.
+    every character vanishes, contributes 1 to R.  Conjugate characters tie
+    bit for bit.  Primes and weights come from `resonator._scheme_primes`.
     """
     q = group.q
     ns, terms = [], []
@@ -79,17 +79,15 @@ def _resonator_abs_sq_all(group: CharacterGroup, scheme: WeightScheme) -> np.nda
             terms.append(w_m / m)
             m, w_m, p_m = m + 1, w_m * w, p_m * p % q
     ns, terms = np.array(ns, dtype=np.int64), np.array(terms)  # frees the lists, about 60 bytes per term
-    log_r = _term_sums(group, ns, terms).real
-    log_r *= 2
-    return np.exp(log_r, out=log_r)
+    return _term_sums(group, ns, terms).real
 
 
 def _resonant_index(group: CharacterGroup, scheme: WeightScheme, excluded: tuple[int, ...] = ()) -> int:
     """The first non-principal j outside `excluded` (closed under j <-> q-1-j)
-    that maximises |R(chi_j)|**2: conjugates tie, so it lies in j <= (q-1)/2."""
-    r_sq = _resonator_abs_sq_all(group, scheme)
-    r_sq[[0, *(j for j in excluded if j < r_sq.size)]] = -np.inf
-    return int(np.argmax(r_sq))
+    that maximises log |R(chi_j)|: conjugates tie, so it lies in j <= (q-1)/2."""
+    log_r = _resonator_log_abs_all(group, scheme)
+    log_r[[0, *(j for j in excluded if j < log_r.size)]] = -np.inf
+    return int(np.argmax(log_r))
 
 
 @dataclass(frozen=True)

@@ -166,7 +166,7 @@ def digamma(x: float) -> float:
 def hurwitz_zeta(sigma: float, x: float) -> float:
     """zeta(sigma, x) = K(sigma, x) + 1/(sigma - 1) for sigma > 1/2, sigma != 1,
     0 < x <= 1 with x**(-sigma) a finite float (x >= DBL_MAX**(-1/sigma))."""
-    if sigma <= 0.5:
+    if not sigma > 0.5:
         raise ValueError(f"hurwitz_zeta requires sigma > 1/2, got {sigma}")
     if sigma == 1.0:
         raise ValueError("hurwitz_zeta has a pole at sigma = 1")

@@ -473,7 +473,10 @@ class SetBudget(NamedTuple):
 
 def exceptional_set_budget(q: int, sigma: float, a_sigma: float | None = None, y: float = 20.0) -> SetBudget:
     """Size budget q**(1-a) for the excluded character set and the uniform
-    per-character bound |R(chi)|**2 <= 2**(2 pi(y)) for the half scheme."""
+    per-character bound |R(chi)|**2 <= 2**(2 pi(y)) for the half scheme, for
+    sigma in (1/2, 1) as in `half_weight_certificate`."""
+    if not 0.5 < sigma < 1.0:
+        raise ValueError(f"sigma must lie strictly inside (1/2, 1), got {sigma}")
     count_bound = q ** (1 - _a_sigma(sigma, a_sigma))
     n_primes = len(numth.sieve_primes(int(y)))
     try:

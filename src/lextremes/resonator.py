@@ -241,8 +241,8 @@ def second_moment_integral(x: float) -> IntegralSplit:
     the upper limit), so 2 - 2/x is never rounded.  Against a 40-digit
     reference over 10 <= x <= 1e12 each piece is within 3e-15 relative.
     """
-    if x < 10:
-        raise ValueError(f"second_moment_integral requires x >= 10, got {x}")
+    if not 10 <= x < math.inf:
+        raise ValueError(f"second_moment_integral requires a finite x >= 10, got {x}")
     log_x = math.log(x)
     u_upper = math.log(2) - log_x
     u_split = max(-2 * math.log(log_x), u_upper)

@@ -3,6 +3,7 @@ import ast
 import concurrent.futures
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import multiprocessing
@@ -600,6 +601,79 @@ def test_config_file_keys(tmp_path):
 def test_run_config_attributes():
     fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
     assert fields == (CONFIG_KEYS - {"q", "delta"}) | {"command", "q_list", "delta_list"}
+
+
+# Each command's driver, and a value for every flag it reads, off both the
+# flag's default and the driver's, under the driver keyword it must reach.
+RUN_SETTINGS = {"--q", "--output-dir", "--format", "--jobs"}
+DRIVER_CALLS = {
+    "certify": ("ratio_certificate", {
+        "--B": ("b", 1.5), "--N": ("n_limit", 700), "--K": ("k_limit", 900), "--Y": ("y", 2e4),
+        "--tau-budget": ("tau_budget", 0.1),
+    }),
+    "scan-t1": ("scan_sigma1", {"--epsilon": ("epsilon", 0.25)}),
+    "census": ("threshold_census", {"--delta": ("deltas", (0.75, 1.5))}),
+    "scan-t3": ("scan_sigma_strip", {
+        "--sigma": ("sigma", 0.7), "--a-sigma": ("a_sigma", 0.4), "--x-cap": ("x_cap", 5e4),
+        "--y-min": ("y_min", 25.0), "--N": ("n_limit", 700), "--K": ("k_limit", 900),
+        "--tol": ("census_tol", 0.5), "--tau-budget": ("tau_budget", 0.1),
+    }),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DRIVER_CALLS))
+def test_every_key_reaches_its_driver(monkeypatch, command):
+    name, flags = DRIVER_CALLS[command]
+    assert set(flags) == {row.flag for row in cli._KEYS.values() if command in row.commands} - RUN_SETTINGS
+    parameters = inspect.signature(getattr(cli, name)).parameters
+    calls = []
+
+    class Called(Exception):
+        pass
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise Called
+
+    monkeypatch.setattr(cli, name, record)
+    argv = [command, "--q", "1009"]
+    for flag, (_, value) in flags.items():
+        argv += [flag, ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
+    with pytest.raises(Called):
+        cli._compute_one(command, 1009, parse_config(argv))
+    assert calls == [((1009,), {keyword: value for keyword, value in flags.values()})]
+    assert set(parameters) == {"q", *calls[0][1]}  # every parameter the driver takes
+    for keyword, value in calls[0][1].items():
+        assert value != parameters[keyword].default, keyword
+
+
+@pytest.mark.parametrize("command", sorted(DRIVER_CALLS))
+def test_cli_defaults_are_the_drivers_defaults(monkeypatch, command):
+    # a value the driver requires is given as the CLI's (scan-t3's sigma is the one flag without a default)
+    given = {"certify": {"b": 1.4}, "census": {"deltas": (0.5, 1.0, 2.0, 3.0)}, "scan-t3": {"sigma": 0.75}}
+    given = given.get(command, {})
+    name = DRIVER_CALLS[command][0]
+    driver, calls = getattr(cli, name), []
+
+    def recorded(*args, **kwargs):
+        calls.append((kwargs, driver(*args, **kwargs)))
+        return calls[-1][1]
+
+    def timeless(report):
+        if hasattr(report, "elapsed_seconds"):
+            report = dataclasses.replace(report, elapsed_seconds=0.0)
+        return cli._json_bytes(dataclasses.asdict(report))
+
+    monkeypatch.setattr(cli, name, recorded)
+    argv = [command, "--q", "101", *(["--sigma", "0.75"] if command == "scan-t3" else [])]
+    cli._compute_one(command, 101, parse_config(argv))
+    [(passed, report)] = calls
+    if command == "certify":  # the driver turns y = None into max(x, 1e4), which is 1e4 for every q < 2**31
+        assert passed.pop("y") == 1e4
+    parameters = inspect.signature(driver).parameters
+    assert passed == {**{k: p.default for k, p in parameters.items() if k not in ("q", "y")}, **given}
+    assert timeless(report) == timeless(driver(101, **given))
+
 
 # certify CSV rows recorded before the congruence S1 kernel was regrouped by
 # residue class; the new summation order may move the last ulps of s1, ratio

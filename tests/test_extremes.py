@@ -24,7 +24,7 @@ from lextremes import (
 from lextremes import chargroup, cli, extremes, lfunc, numth
 from lextremes.chargroup import CharacterGroup, build_group
 from lextremes.cli import _json_bytes
-from lextremes.extremes import _resonator_abs_sq_all
+from lextremes.extremes import _resonator_log_abs_all
 from lextremes.resonator import half_scheme, linear_scheme
 
 from conftest import ODD_PRIMES, SPLIT_Q, all_l_values
@@ -60,7 +60,7 @@ class TestResonatorScan:
     def test_matches_complex_product(self, group_of, q, kind, cutoff):
         scheme = linear_scheme(cutoff) if kind == "linear" else half_scheme(cutoff)
         group = group_of(q)
-        got = _resonator_abs_sq_all(group, scheme)  # j = 0..h: the conjugates tie
+        got = np.exp(2 * _resonator_log_abs_all(group, scheme))  # j = 0..h: the conjugates tie
         want = complex_resonator_abs_sq(group, scheme)
         assert got.shape == ((q - 1) // 2 + 1,)
         np.testing.assert_allclose(got, want[: got.size], rtol=1e-12, atol=0)
@@ -456,7 +456,7 @@ class TestUpperCheck:
         def no_scan(*args):
             raise AssertionError("the upper check ran the resonator scan")
 
-        monkeypatch.setattr(extremes, "_resonator_abs_sq_all", no_scan)
+        monkeypatch.setattr(extremes, "_resonator_log_abs_all", no_scan)
         assert sigma1_upper_check(101).max_abs_l == pytest.approx(2.4934830959899292, abs=1e-12)
 
 

@@ -198,6 +198,10 @@ class TestHurwitzZeta:
             hurwitz_zeta(0.75, 1.5)
         with pytest.raises(ValueError):
             hurwitz_zeta(0.4, 0.5)
+        for sigma in (0.5, math.nan):  # nan once passed both sigma checks, and the x check took the blame
+            with pytest.raises(ValueError, match="sigma > 1/2"):
+                hurwitz_zeta(sigma, 0.5)
+        assert math.isfinite(hurwitz_zeta(math.nextafter(0.5, 1), 0.5))
 
     @pytest.mark.parametrize("sigma", [0.99, 0.999, 2.0])
     def test_rejects_x_whose_head_term_overflows(self, sigma):
@@ -290,6 +294,12 @@ class TestLValue:
             for read in reads:
                 with pytest.raises(ValueError, match=r"character index must lie in \[0, 99\], got " + str(j)):
                     read((group, j))
+        # a float index passed the range check, then failed deep inside numpy
+        for j in (2.5, 1.0):
+            for read in [*reads, lambda chi: group.character(chi[1])]:
+                with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                    read((group, j))
+        assert group.character(np.int64(99)) == (group, 99) and group.character(True) == (group, 1)
 
     def test_sigma_half_rejected(self, group_of):
         with pytest.raises(ValueError):

@@ -660,6 +660,14 @@ class TestExceptionalSetBudget:
         assert exceptional_set_budget(1009, 0.75, y=10).resonator_bound == 256.0
         assert exceptional_set_budget(1009, 0.75, y=2).resonator_bound == 4.0
 
+    def test_sigma_domain(self):
+        # sigma = 2 divided by zero, 0.3 gave a count bound above q, and nan gave nan
+        for sigma in (0.5, 1.0, 0.3, 2.0, math.nan):
+            with pytest.raises(ValueError, match=r"sigma must lie strictly inside \(1/2, 1\)"):
+                exceptional_set_budget(101, sigma)
+        for sigma in (math.nextafter(0.5, 1), math.nextafter(1.0, 0)):
+            assert 1 <= exceptional_set_budget(101, sigma).count_bound <= 101
+
 
 class TestReportSerialization:
     def test_json_round_trip(self):

@@ -259,6 +259,14 @@ class TestSecondMomentIntegral:
         with pytest.raises(ValueError):
             second_moment_integral(9.9)
 
+    def test_rejects_nan_and_inf(self):
+        # both once returned nan, after numpy RuntimeWarnings
+        for x in (math.nextafter(10.0, 0), math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite x >= 10"):
+                second_moment_integral(x)
+        for x in (10.0, 1e300):
+            assert 0 < second_moment_integral(x).total < math.inf
+
     def test_main_part_near_log2_over_logx(self):
         result = second_moment_integral(1e4)
         assert 0.9 <= result.main_part * math.log(1e4) / math.log(2) <= 1.1
