@@ -164,10 +164,11 @@ def digamma(x: float) -> float:
 
 
 def hurwitz_zeta(sigma: float, x: float) -> float:
-    """zeta(sigma, x) = K(sigma, x) + 1/(sigma - 1) for sigma > 1/2, sigma != 1,
-    0 < x <= 1 with x**(-sigma) a finite float (x >= DBL_MAX**(-1/sigma))."""
-    if not sigma > 0.5:
-        raise ValueError(f"hurwitz_zeta requires sigma > 1/2, got {sigma}")
+    """zeta(sigma, x) = K(sigma, x) + 1/(sigma - 1) for 1/2 < sigma <= 1e15, sigma != 1,
+    0 < x <= 1 with x**(-sigma) a finite float (x >= DBL_MAX**(-1/sigma)).  Past 1e15 the
+    kernel's coefficients, about sigma**15, head for overflow, and inf - inf follows."""
+    if not 0.5 < sigma <= 1e15:
+        raise ValueError(f"hurwitz_zeta requires sigma > 1/2 and sigma <= 1e15, got {sigma}")
     if sigma == 1.0:
         raise ValueError("hurwitz_zeta has a pole at sigma = 1")
     if not 0 < x <= 1:
@@ -382,12 +383,12 @@ def _approx_error_census(group, sigma, x, tol, labs, k: int = 0, sums=0.0) -> Ap
     if primes.size > k:
         sums = sums + _term_sums(group, primes[k:], primes[k:].astype(float) ** (-s)).real
     deviations = np.abs(np.log(labs) - sums[1:])
-    bad = np.flatnonzero(deviations > tol) + 1
+    bad = np.flatnonzero(deviations > tol) + 1  # j <= h; the partners q-1-j of j < h lie above h
     return ApproxErrorCensus(
         sigma=s,
         x=float(x),
         tol=float(tol),
-        indices=tuple(np.union1d(bad, q - 1 - bad).tolist()),
+        indices=tuple(np.concatenate([bad, q - 1 - bad[bad < (q - 1) // 2][::-1]]).tolist()),
         max_deviation=float(deviations.max()),
         mean_deviation=float((2 * deviations.sum() - deviations[-1]) / (q - 2)),  # j < h stand for pairs
     )

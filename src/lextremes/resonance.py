@@ -458,7 +458,7 @@ def _half_weight_certificate(group, sigma, a_sigma, y_min, x_cap, n_limit, k_lim
     }
     y_primes = numth.sieve_primes(int(y))  # y < q, so q is not among them
     y_cs = [0.5 * p ** (-sigma) for p in y_primes.tolist()]
-    held = np.isin(y_primes, ks)  # the chain may only use terms that S1 sums
+    held = np.arange(y_primes.size) < ks.size  # the chain may only use terms that S1 sums; both lists start at 2
     return _certificate_report(
         q=q, sigma=sigma, x=x, y=y, k_limit=k_limit, coeffs=coeffs, v=v, s1=s1, s2=s2,
         l_principal=l_principal, target=math.fsum(y_cs), chain=(y_primes[held], np.array(y_cs)[held]),
@@ -474,11 +474,13 @@ class SetBudget(NamedTuple):
 def exceptional_set_budget(q: int, sigma: float, a_sigma: float | None = None, y: float = 20.0) -> SetBudget:
     """Size budget q**(1-a) for the excluded character set and the uniform
     per-character bound |R(chi)|**2 <= 2**(2 pi(y)) for the half scheme, for
-    sigma in (1/2, 1) as in `half_weight_certificate`."""
+    sigma in (1/2, 1) as in `half_weight_certificate`, a_sigma in (0, 1] and a finite y >= 0."""
     if not 0.5 < sigma < 1.0:
         raise ValueError(f"sigma must lie strictly inside (1/2, 1), got {sigma}")
+    if not (0 < _a_sigma(sigma, a_sigma) <= 1 and 0 <= y < math.inf):  # false for nan
+        raise ValueError(f"the budget requires a_sigma in (0, 1] and a finite y >= 0, got {a_sigma} and {y}")
     count_bound = q ** (1 - _a_sigma(sigma, a_sigma))
-    n_primes = len(numth.sieve_primes(int(y)))
+    n_primes = len(numth.sieve_primes(int(min(y, 2**16))))  # pi(2**16) = 6542 already overflows 2**(2 pi(y))
     try:
         resonator_bound = float(2 ** (2 * n_primes))
     except OverflowError:

@@ -819,6 +819,15 @@ def test_cli_import_loads_no_scipy():
     assert run_probe(probe).strip() == "[]"
 
 
+def test_scan_t3_and_census_load_no_numpy_ma(tmp_path):
+    # np.isin and np.union1d go through np.unique, whose np.ma.is_masked imports numpy.ma (about 13 ms)
+    runs = [["scan-t3", "--q", "1009", "--sigma", "0.75", "--tol", "0.3"], ["census", "--q", "1009"]]
+    probe = "import sys; from lextremes import cli; "
+    probe += f"[cli.main([*a, '--output-dir', {str(tmp_path)!r}]) for a in {runs}]; print('numpy.ma' in sys.modules)"
+    assert run_probe(probe).strip().splitlines()[-1] == "False"
+    assert json.loads((tmp_path / "scan-t3_q1009.json").read_text())["excluded_indices"]  # the census ran and excluded
+
+
 def test_certify_at_the_largest_modulus_under_a_memory_cap(tmp_path):
     # 2**31 - 1 is the largest modulus certify accepts.  Its residue tables
     # follow N and K, not q, so the run fits a 3 GiB address space (q-long

@@ -203,6 +203,14 @@ class TestHurwitzZeta:
                 hurwitz_zeta(sigma, 0.5)
         assert math.isfinite(hurwitz_zeta(math.nextafter(0.5, 1), 0.5))
 
+    def test_rejects_sigma_past_its_largest(self):
+        # inf and 1e300 formed inf - inf at x = 0.5: a RuntimeWarning, or nan without one
+        for sigma in (math.inf, 1e300, math.nextafter(1e15, math.inf)):
+            with pytest.raises(ValueError, match="sigma <= 1e15"):
+                hurwitz_zeta(sigma, 0.5)
+        assert hurwitz_zeta(1e15, 1.0) == 1.0  # zeta(sigma, 1) = 1 + 2**-sigma + ...
+        assert hurwitz_zeta(1e15, math.nextafter(1.0, 0)) == pytest.approx(math.exp(1e15 * 2**-53), rel=1e-9)
+
     @pytest.mark.parametrize("sigma", [0.99, 0.999, 2.0])
     def test_rejects_x_whose_head_term_overflows(self, sigma):
         # x**(-sigma) is the head term; the edge x = DBL_MAX**(-1/sigma) is subnormal

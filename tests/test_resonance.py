@@ -668,6 +668,21 @@ class TestExceptionalSetBudget:
         for sigma in (math.nextafter(0.5, 1), math.nextafter(1.0, 0)):
             assert 1 <= exceptional_set_budget(101, sigma).count_bound <= 101
 
+    def test_a_sigma_and_y_domains(self):
+        # a_sigma = nan gave a nan count bound, -1 gave q**2, and y = nan failed inside int()
+        for a_sigma in (math.nan, math.inf, -1.0, 0.0, math.nextafter(1.0, 2)):
+            with pytest.raises(ValueError, match=r"a_sigma in \(0, 1\] and a finite y >= 0, got"):
+                exceptional_set_budget(101, 0.75, a_sigma=a_sigma)
+        assert exceptional_set_budget(101, 0.75, a_sigma=1.0).count_bound == 1.0
+        assert exceptional_set_budget(101, 0.75, a_sigma=5e-324).count_bound == pytest.approx(101, rel=1e-12)
+        for y in (math.nan, math.inf, -math.inf, math.nextafter(0.0, -1)):
+            with pytest.raises(ValueError, match=r"a_sigma in \(0, 1\] and a finite y >= 0, got None"):
+                exceptional_set_budget(101, 0.75, y=y)
+        assert exceptional_set_budget(101, 0.75, y=0.0).resonator_bound == 1.0
+        assert exceptional_set_budget(101, 0.75, y=np.finfo(float).max).resonator_bound == math.inf  # 2**(2 pi(y))
+        assert exceptional_set_budget(101, 0.75, y=3671).resonator_bound == math.inf  # pi(3671) = 512: 2**1024
+        assert exceptional_set_budget(101, 0.75, y=3670).resonator_bound == 2.0**1022
+
 
 class TestReportSerialization:
     def test_json_round_trip(self):
