@@ -127,27 +127,6 @@ def _twiddles(group: CharacterGroup, a: int, b: int, out: np.ndarray) -> np.ndar
     return out
 
 
-def _roots_at(group: CharacterGroup, exponents: np.ndarray) -> np.ndarray:
-    """w**e = T_lo[e mod L] * T_hi[e div L] for each int64 0 <= e < q-1, in long double, rounded once."""
-    span = group._roots_lo.size
-    return (group._roots_lo[exponents % span] * group._roots_hi[exponents // span]).astype(complex)
-
-
-def _logs(group: CharacterGroup, ns) -> np.ndarray:
-    """ind n (g**ind n = n mod q) as int64 for each n of `ns` prime to q, with no dlog: the giant steps
-    n * g**(-S i) are looked up in the sorted step table g**k, k < S (Shanks's baby steps, giant steps)."""
-    q, size, order = group.q, group._steps.size, np.argsort(group._steps)
-    table, ns = group._steps[order], np.asarray(ns, dtype=np.int64) % q
-    giants = np.multiply.outer(ns, _powers(pow(group.g, -size, q), q, -(-(q - 1) // size)))
-    giants -= giants // q * q  # products below q**2 < 2**62
-    slots = np.searchsorted(table, giants).clip(max=size - 1)
-    i = (table[slots] == giants).argmax(axis=1)  # the first giant step that lands in the table
-    logs = size * i + order[slots[np.arange(ns.size), i]]
-    if [pow(group.g, k, q) for k in logs.tolist()] != ns.tolist():
-        raise AssertionError(f"some of {ns.tolist()} have no discrete log to the base g={group.g} mod q={q}")
-    return logs
-
-
 class CharacterGroup:
     """Full character group mod an odd prime q, with O(1) evaluation tables.
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import chargroup, numth
+from . import numth
 from .chargroup import CharacterGroup, _term_sums, build_group
 from .lfunc import _approx_error_census, l_value_batch
 from .resonance import EULER_GAMMA, ResonanceReport, _half_weight_certificate, _half_weight_cutoff
@@ -60,21 +60,19 @@ def _sigma1_abs(q: int) -> tuple[tuple[float, float, float], np.ndarray]:
 
 
 def _resonator_log_abs_all(group: CharacterGroup, scheme: WeightScheme) -> np.ndarray:
-    """log |R(chi_j)| for j = 0..(q-1)/2, R(chi) = prod_p (1 - w_p chi(p))**(-1) over the scheme's primes p != q
-    with w_p > 0 (every character vanishes at q); conjugates tie.  P such primes take P passes over h = (q-1)/2
-    in `_resonator_product` and about log2 h in `_resonator_series`, so P <= h.bit_length() takes the first."""
-    q, h = group.q, (group.q - 1) // 2
-    live = [(p, w) for p, w in zip(*_scheme_primes(scheme)) if w > 0 and p != q]
-    path = _resonator_product if len(live) <= h.bit_length() else _resonator_series
-    return path(group, [p for p, _ in live], [w for _, w in live])
+    """log |R(chi_j)| for j = 0..(q-1)/2, as one half-spectrum group DFT.
 
-
-def _resonator_series(group: CharacterGroup, primes, weights) -> np.ndarray:
-    """log |R(chi_j)| as the real part of one group DFT: log R(chi) = sum_p sum_{m>=1} w_p**m chi(p**m) / m
-    is a character sum of the terms (p**m mod q, w_p**m / m).  Each prime's series stops at the first m
-    whose tail bound w_p**m / (m (1 - w_p)) is below 2**-64."""
-    q, ns, terms = group.q, [], []
-    for p, w in zip(primes, weights):
+    log R(chi) = sum_p sum_{m>=1} w_p**m chi(p**m) / m is a character sum of
+    the fixed terms (p**m mod q, w_p**m / m), so log |R(chi_j)| is the real
+    part of the transform of their residue sums.  Each prime's series stops
+    at the first m whose tail bound w_p**m / (m (1 - w_p)) is below 2**-64.
+    `chargroup._term_sums` drops residue 0, so the prime q itself, where
+    every character vanishes, contributes 1 to R.  Conjugate characters tie
+    bit for bit.  Primes and weights come from `resonator._scheme_primes`.
+    """
+    q = group.q
+    ns, terms = [], []
+    for p, w in zip(*_scheme_primes(scheme)):
         m, w_m, p_m = 1, w, p % q  # w**m and p**m mod q
         while w_m / (m * (1 - w)) >= 2.0**-64:
             ns.append(p_m)
@@ -82,31 +80,6 @@ def _resonator_series(group: CharacterGroup, primes, weights) -> np.ndarray:
             m, w_m, p_m = m + 1, w_m * w, p_m * p % q
     ns, terms = np.array(ns, dtype=np.int64), np.array(terms)  # frees the lists, about 60 bytes per term
     return _term_sums(group, ns, terms).real
-
-
-def _resonator_product(group: CharacterGroup, primes, weights) -> np.ndarray:
-    """log |R(chi_j)| = -log|prod_p (1 - w_p chi_j(p))| by blocks of `_blocks`.  A block from a holds
-    j = a + side*u + t, t, u < side, side**2 >= _BLOCK, where chi_j(p) = w**(a ind p) w**(side u ind p)
-    w**(t ind p), w = e(1/(q-1)): the hi table times the block's turn, outer times the lo table.  Roots come
-    from `chargroup._roots_at` and ind p from `chargroup._logs`; the turns tie the bits to _BLOCK, not W."""
-    q, side = group.q, math.isqrt(chargroup._BLOCK - 1) + 1
-    logs, t = chargroup._logs(group, primes), np.arange(side, dtype=np.int64)
-    lo, hi = (chargroup._roots_at(group, np.multiply.outer(logs, k * t) % (q - 1)) for k in (1, side))
-    hi *= -np.array(weights)[:, None]  # -w_p w**(side u ind p)
-    out = np.empty((q + 1) // 2)
-
-    def block(a, b):
-        turns, rows = chargroup._roots_at(group, logs * a % (q - 1)), -(-(b - a) // side)
-        product, factor = np.ones((rows, side), dtype=complex), np.empty((rows, side), dtype=complex)
-        for lo_p, hi_p, turn in zip(lo, hi, turns):
-            np.multiply.outer(hi_p[:rows] * turn, lo_p, out=factor)
-            factor += 1
-            product *= factor
-        flat = product.ravel()[: b - a]
-        out[a:b] = -0.5 * np.log(np.square(flat.real) + np.square(flat.imag))
-
-    chargroup._blocks(block, out.size)
-    return out
 
 
 def _resonant_index(group: CharacterGroup, scheme: WeightScheme, excluded: tuple[int, ...] = ()) -> int:
@@ -177,6 +150,7 @@ def scan_sigma1(q: int, epsilon: float = 0.0) -> ScanReport:
     start = time.perf_counter()
     log_q, log2_q, log3_q = _iterated_logs(q)
     group = build_group(q)  # after _iterated_logs, which rejects q < 17
+    # the resonator's transform is freed before the L-value batch is allocated
     resonant = _resonant_index(group, linear_scheme(log_q * log2_q / 1.4))
     labs = l_value_batch(group, 1.0).half_abs()  # j <= h; argmax keeps the first of a conjugate tie
     const = reference_constants()
@@ -268,7 +242,7 @@ def scan_sigma_strip(
     log_abs[[j - 1 for j in census.indices if j <= labs.size]] = -np.inf
     argmax = 1 + int(np.argmax(log_abs))
     max_log = float(log_abs[argmax - 1])
-    del series, log_abs  # so the resonator's product or transform does not stack on them
+    del series, log_abs  # so the resonator's transform does not stack on them
     target_shape = log_q ** (1 - sigma) * log2_q ** (-sigma)
     resonant = _resonant_index(group, quotient.scheme, census.indices)
     return ScanReport(

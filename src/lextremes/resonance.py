@@ -477,9 +477,10 @@ def exceptional_set_budget(q: int, sigma: float, a_sigma: float | None = None, y
     sigma in (1/2, 1) as in `half_weight_certificate`, a_sigma in (0, 1] and a finite y >= 0."""
     if not 0.5 < sigma < 1.0:
         raise ValueError(f"sigma must lie strictly inside (1/2, 1), got {sigma}")
-    if not (0 < _a_sigma(sigma, a_sigma) <= 1 and 0 <= y < math.inf):  # false for nan
+    a = _a_sigma(sigma, a_sigma)
+    if not (0 < a <= 1 and 0 <= y < math.inf):  # false for nan
         raise ValueError(f"the budget requires a_sigma in (0, 1] and a finite y >= 0, got {a_sigma} and {y}")
-    count_bound = q ** (1 - _a_sigma(sigma, a_sigma))
+    count_bound = q ** (1 - a)
     n_primes = len(numth.sieve_primes(int(min(y, 2**16))))  # pi(2**16) = 6542 already overflows 2**(2 pi(y))
     try:
         resonator_bound = float(2 ** (2 * n_primes))

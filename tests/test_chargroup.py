@@ -93,18 +93,6 @@ class TestBuildGroup:
         assert powers.dtype == np.int64
         assert powers.tolist() == [pow(g, k, q) for k in range(10**4)]
 
-    @pytest.mark.parametrize("q", [3, 5, 7, 101, 1009, SPLIT_Q, 20011])  # 20011: more than one giant step
-    def test_logs_match_dlog(self, group_of, q):
-        group = group_of(q)
-        ns = np.arange(1, min(q, 3000))
-        logs = chargroup._logs(group, np.concatenate([ns, ns + 5 * q]))
-        assert logs.dtype == np.int64
-        assert logs.tolist() == 2 * group.dlog[ns].tolist()
-
-    def test_logs_refuse_a_multiple_of_q(self, group_of):
-        with pytest.raises(AssertionError, match=r"some of \[2, 0\] have no discrete log"):
-            chargroup._logs(group_of(101), [2, 202])
-
     def test_tables_are_int32(self, group_of):
         group = group_of(1009)
         assert group.dlog.dtype == np.int32
