@@ -145,7 +145,7 @@ def scan_sigma1(q: int, epsilon: float = 0.0) -> ScanReport:
     Also identifies the character the linear resonator (prime cutoff
     log q loglog q / 1.4) singles out, and its L-value.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:  # false for nan
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     start = time.perf_counter()
     log_q, log2_q, log3_q = _iterated_logs(q)
@@ -227,10 +227,10 @@ def scan_sigma_strip(
     certificate's cutoff x = quotient.x and reads its series transform of the
     first k_limit (four transforms when pi(x) <= k_limit), over j <= (q-1)/2.
     """
-    if not 0.5 < sigma < 1.0:
-        raise ValueError(f"sigma must lie strictly inside (1/2, 1), got {sigma}")
     log_q, log2_q, _ = _iterated_logs(q)
-    _half_weight_cutoff(q, sigma, a_sigma, y_min)  # reject a bad cutoff before the group is built
+    _half_weight_cutoff(q, sigma, a_sigma, y_min, x_cap, tau_budget)  # the certificate's arguments, before the group
+    if not census_tol >= 0:  # false for nan
+        raise ValueError(f"census_tol must be >= 0, got {census_tol}")
     start = time.perf_counter()
     group = build_group(q)
     quotient, series = _half_weight_certificate(group, sigma, a_sigma, y_min, x_cap, n_limit, k_limit, tau_budget)

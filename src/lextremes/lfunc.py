@@ -178,7 +178,7 @@ def hurwitz_zeta(sigma: float, x: float) -> float:
 
 def hurwitz_zeta_error(sigma: float) -> float:
     """Truncation bound of the kernel K, and so of hurwitz_zeta, uniform over
-    x in (0, 1], sigma > 0.
+    x in (0, 1], for 0 < sigma <= 1e15 (hurwitz_zeta's bound).
 
     Magnitude of the first omitted Euler-Maclaurin correction (the B_2J+2
     term, J = len(_BERNOULLI)) at the smallest shifted argument M + x >= M:
@@ -186,6 +186,8 @@ def hurwitz_zeta_error(sigma: float) -> float:
     The derivatives of (t + x)**(-sigma) keep one sign, so the remainder is
     no larger than this term.  Float rounding is not included.
     """
+    if not 0 < sigma <= 1e15:  # false for nan; past 1e15 the rising factorial heads for overflow
+        raise ValueError(f"hurwitz_zeta_error requires 0 < sigma <= 1e15, got {sigma}")
     order = 2 * len(_BERNOULLI) + 2
     rising = 1.0
     for i in range(order - 1):
@@ -306,8 +308,8 @@ def l_value_batch(group: CharacterGroup, sigma) -> LValueBatch:
 def euler_product_truncated(chi: tuple[CharacterGroup, int], sigma, x: float) -> complex:
     """prod_{p <= x} (1 - chi(p) * p**(-sigma))**(-1) for chi = (group, j)."""
     s = as_sigma(sigma)
-    if x < 2:
-        raise ValueError(f"euler_product_truncated requires x >= 2, got {x}")
+    if not 2 <= x < math.inf:  # false for nan
+        raise ValueError(f"euler_product_truncated requires a finite x >= 2, got {x}")
     group, j = chi
     primes = numth.sieve_primes(int(x))
     product = 1 + 0j
@@ -322,8 +324,8 @@ def dirichlet_poly(chi: tuple[CharacterGroup, int], sigma, x: float) -> complex:
     Since Lambda(p**k)/log(p**k) = 1/k the term is chi(p**k) / (k p**(k sigma)).
     """
     s = as_sigma(sigma)
-    if x < 2:
-        raise ValueError(f"dirichlet_poly requires x >= 2, got {x}")
+    if not 2 <= x < math.inf:  # false for nan
+        raise ValueError(f"dirichlet_poly requires a finite x >= 2, got {x}")
     group, j = chi
     powers = []  # (p**k, k), ascending in p, then in k
     for p in numth.sieve_primes(int(x)).tolist():
@@ -339,8 +341,8 @@ def dirichlet_poly(chi: tuple[CharacterGroup, int], sigma, x: float) -> complex:
 def prime_sum(chi: tuple[CharacterGroup, int], sigma, x: float) -> complex:
     """sum_{p <= x} chi(p) * p**(-sigma) for chi = (group, j); empty sum (x < 2) is 0."""
     s = as_sigma(sigma)
-    if x < 0:
-        raise ValueError(f"prime_sum requires x >= 0, got {x}")
+    if not 0 <= x < math.inf:  # false for nan
+        raise ValueError(f"prime_sum requires a finite x >= 0, got {x}")
     group, j = chi
     primes = numth.sieve_primes(int(x))
     terms = [v * p ** (-s) for p, v in zip(primes.tolist(), group.character_values(j, primes).tolist())]
@@ -365,6 +367,10 @@ def approx_error_census(group: CharacterGroup, sigma, x: float, tol: float, labs
     each j found stands for its conjugate pair {j, q-1-j} in `indices`.  The principal
     character is always excluded; the deviation statistics cover every non-principal character.
     """
+    if not (2 <= x < math.inf and tol >= 0):  # false for nan
+        raise ValueError(f"census requires a finite x >= 2 and tol >= 0, got x = {x} and tol = {tol}")
+    if labs.shape != ((group.q - 1) // 2,):
+        raise ValueError(f"census requires labs of shape ({(group.q - 1) // 2},), got {labs.shape}")
     return _approx_error_census(group, sigma, x, tol, labs)
 
 
@@ -372,13 +378,7 @@ def _approx_error_census(group, sigma, x, tol, labs, k: int = 0, sums=0.0) -> Ap
     """`approx_error_census` given sums[j] = Re sum over the first k primes <= x for j = 0..h
     (the half-weight certificate's series): only the primes past the k-th are transformed."""
     s = as_sigma(sigma)
-    if tol < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
-    if x < 2:
-        raise ValueError(f"census requires x >= 2, got {x}")
     q = group.q
-    if labs.shape != ((q - 1) // 2,):
-        raise ValueError(f"census requires labs of shape ({(q - 1) // 2},), got {labs.shape}")
     primes = numth.sieve_primes(int(x))
     if primes.size > k:
         sums = sums + _term_sums(group, primes[k:], primes[k:].astype(float) ** (-s)).real

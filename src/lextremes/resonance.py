@@ -314,7 +314,7 @@ def ratio_certificate(
     The prime cutoff is x = log(q) * loglog(q) / b with b > log 4 required;
     the ideal target is the full-series value prod_{p<=x} (1 - w_p/p)**(-1).
     tau_cert reports how much of that target the truncated quotient gives
-    up; the certificate passes when tau_cert stays within tau_budget.
+    up; the certificate passes when tau_cert stays within tau_budget in [0, 1).
 
     extras carry the exact positive-tail diagnostics (resonator tail
     fraction is the `tail_fraction` field, the series-coefficient tail and
@@ -322,15 +322,17 @@ def ratio_certificate(
     reference value e**gamma * log x * (1 - 1/log x).
     """
     numth.check_modulus(q)
-    if b <= math.log(4):
+    if not b > math.log(4):  # false for nan, as are the checks of tau_budget and y
         raise ValueError(f"b must exceed log 4 = {math.log(4):.6f}, got {b}")
+    if not 0 <= tau_budget < 1:
+        raise ValueError(f"tau_budget must lie in [0, 1), got {tau_budget}")
     x = math.log(q) * math.log(math.log(q)) / b
     if x >= q:
         raise ValueError(f"cutoff x = {x:.3f} must be < q = {q}")
     if y is None:
         y = max(x, 1e4)
-    if y < x:
-        raise ValueError(f"series cutoff y = {y} must be >= x = {x:.3f}")
+    if not x <= y < math.inf:
+        raise ValueError(f"series cutoff y = {y} must be finite and >= x = {x:.3f}")
     scheme = linear_scheme(x)
     coeffs = enumerate_coeffs(scheme, n_limit)
     ks, bs = _series_support(1.0, y, k_limit)
@@ -405,13 +407,21 @@ def _a_sigma(sigma: float, a_sigma: float | None) -> float:
     return (2 * sigma - 1) / (2 - sigma) if a_sigma is None else a_sigma
 
 
-def _half_weight_cutoff(q: int, sigma: float, a_sigma: float | None, y_min: float) -> tuple[float, float]:
-    """(a_sigma, y) of the half-weight certificate, with the resonator cutoff
-    y = max((a_sigma/2) log q loglog q, y_min) checked to lie in (0, q)."""
+def _half_weight_cutoff(
+    q: int, sigma: float, a_sigma: float | None, y_min: float, x_cap: float, tau_budget: float
+) -> tuple[float, float]:
+    """(a_sigma, y) of the half-weight certificate, with sigma in (1/2, 1), x_cap in [2, 1e8], tau_budget in
+    [0, 1) and the resonator cutoff y = max((a_sigma/2) log q loglog q, y_min) in (0, q) checked (nan fails)."""
+    if not 0.5 < sigma < 1.0:
+        raise ValueError(f"sigma must lie strictly inside (1/2, 1), got {sigma}")
+    if not 2 <= x_cap <= 1e8:  # the series sieves the primes up to x <= x_cap: a mask of at most 100 MB
+        raise ValueError(f"x_cap must lie in [2, 1e8], got {x_cap}")
+    if not 0 <= tau_budget < 1:
+        raise ValueError(f"tau_budget must lie in [0, 1), got {tau_budget}")
     a_sigma = _a_sigma(sigma, a_sigma)
     y = max(a_sigma / 2 * math.log(q) * math.log(math.log(q)), y_min)
-    if not 0 < y < q:
-        raise ValueError(f"half-weight cutoff y = {y:.3f} must lie in (0, q = {q})")
+    if not (0 < y < q and y >= y_min):  # max() drops a nan y_min, which the second test catches
+        raise ValueError(f"half-weight cutoff y = {y:.3f} must lie in (0, q = {q}), with y_min = {y_min}")
     return a_sigma, y
 
 
@@ -441,10 +451,8 @@ def half_weight_certificate(
 def _half_weight_certificate(group, sigma, a_sigma, y_min, x_cap, n_limit, k_limit, tau_budget) -> tuple:
     """`half_weight_certificate` and Re L(chi_j), j <= (q-1)/2, of its series (the first
     k_limit primes p <= x) from the character route, which scan-t3's census shares."""
-    if not 0.5 < sigma < 1.0:
-        raise ValueError(f"sigma must lie strictly inside (1/2, 1), got {sigma}")
     q = group.q
-    a_sigma, y = _half_weight_cutoff(q, sigma, a_sigma, y_min)
+    a_sigma, y = _half_weight_cutoff(q, sigma, a_sigma, y_min, x_cap, tau_budget)
     x = _prime_cutoff(math.log(q), sigma, x_cap)
     coeffs = enumerate_coeffs(half_scheme(y), n_limit)
     ks = numth.sieve_primes(int(x))[:k_limit]

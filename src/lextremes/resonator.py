@@ -33,8 +33,8 @@ class WeightScheme:
     def __post_init__(self):
         if self.kind not in (KIND_LINEAR, KIND_HALF):
             raise ValueError(f"unknown weight scheme kind {self.kind!r}")
-        if self.cutoff <= 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
+        if not 0 < self.cutoff < math.inf:  # false for nan
+            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
 
 
 def linear_scheme(x: float) -> WeightScheme:
@@ -176,9 +176,9 @@ def lower_bound_product(scheme: WeightScheme) -> ProductBreakdown:
 
 
 def mertens_product(x: float) -> float:
-    """prod_{p <= x} (1 - 1/p)**(-1) for x >= 2."""
-    if x < 2:
-        raise ValueError(f"mertens_product requires x >= 2, got {x}")
+    """prod_{p <= x} (1 - 1/p)**(-1) for a finite x >= 2."""
+    if not 2 <= x < math.inf:  # false for nan
+        raise ValueError(f"mertens_product requires a finite x >= 2, got {x}")
     value = 1.0
     for p in numth.sieve_primes(int(x)).tolist():
         value /= 1 - 1 / p

@@ -17,12 +17,13 @@ import tempfile
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import lextremes
-from lextremes import chargroup, cli, enumerate_coeffs, extremes, linear_scheme, numth, resonance
+from lextremes import chargroup, cli, enumerate_coeffs, extremes, lfunc, linear_scheme, numth, resonance
 from lextremes.cli import COMMANDS, ConfigError, main, oracle_check, parse_config, run
 
 from conftest import run_probe
@@ -36,9 +37,13 @@ class TestParseConfig:
         assert config.b == 1.4
         assert config.n == 10**4 and config.k == 10**4 and config.y == 1e4  # defaults
 
-    def test_b_below_log4_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config(["certify", "--q", "10007", "--B", "1.0"])
+    def test_b_below_log4_rejected(self, tmp_path, capsys):
+        # the driver owns the rule; run() turns its ValueError into exit 2 before any work
+        out = tmp_path / "out"
+        assert main(["certify", "--q", "10007", "--B", "1.0", "--output-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "b must exceed log 4" in err[0]
 
     def test_scan_t3_valid(self):
         config = parse_config(["scan-t3", "--q", "1009", "--sigma", "0.75"])
@@ -73,9 +78,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(["scan-t3", "--q", "1009", "--sigma", "1.0"])
 
-    def test_delta_grid_validation(self):
-        with pytest.raises(ConfigError):
-            parse_config(["census", "--q", "1009", "--delta", "0.5,-1"])
+    def test_delta_grid_validation(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["census", "--q", "1009", "--delta", "0.5,-1", "--output-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "deltas in (0, 709.78]" in err[0]
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -286,12 +294,16 @@ class TestRun:
             ["scan-t3", "--q", "17", "--sigma", "0.6", "--x-cap=1e11"],  # once asked the sieve for 1e11 bytes
         ],
     )
-    def test_budget_tol_and_cap_ranges_rejected_before_any_work(self, tmp_path, argv):
-        with pytest.raises(ConfigError):
-            parse_config(argv)
+    def test_budget_tol_and_cap_ranges_rejected_before_any_work(self, tmp_path, capsys, argv):
+        if argv[0] == "scan-t3" and "--tol=-1" not in argv:  # the cutoff loop of cli._validate checks these
+            with pytest.raises(ConfigError):
+                parse_config(argv)
         out = tmp_path / "out"
         assert main([*argv, "--output-dir", str(out)]) == 2
-        assert not out.exists()  # run() never started: no directory, no group, no file
+        assert not out.exists()  # no directory, no group, no file
+        key = argv[-1].split("=")[0].lstrip("-").replace("-", "_")  # tau_budget, tol or x_cap
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and key in err[0]
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_prime_past_modulus_limit_exits_2_before_any_work(self, tmp_path, capsys, command):
@@ -965,6 +977,75 @@ def test_group_tables_are_read_only_by_chargroup():
         if isinstance(node, ast.Attribute) and node.attr in private
     ]
     assert reads == []
+
+
+def test_cli_validate_leaves_the_drivers_rules_to_them():
+    # each rule on a driver's argument has one owner, the driver: cli._validate compares
+    # none of those arguments, by attribute or by name, so no copy of a rule can drift
+    tree = ast.parse(inspect.getsource(cli._validate))
+    compared = {
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for compare in ast.walk(tree)
+        if isinstance(compare, ast.Compare)
+        for node in ast.walk(compare)
+        if isinstance(node, (ast.Attribute, ast.Constant))
+    }
+    named = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert {"format", "jobs", "n", "k", "sigma"} <= compared, "the scan missed a comparison cli._validate keeps"
+    assert (compared | named) & {"b", "delta_list", "epsilon", "tol", "tau_budget", "x_cap"} == set()
+
+
+def _no_group(q):
+    raise AssertionError(f"build_group({q}) was called")
+
+
+# Each argument rule, the driver call that owns it, and the values just outside its domain.
+_ARGUMENT_RULES = {
+    "b > log 4": (lambda group, v: resonance.ratio_certificate(101, v), [math.log(4)], "b must exceed"),
+    "certify tau_budget in [0, 1)": (
+        lambda group, v: resonance.ratio_certificate(101, 1.4, tau_budget=v), [-5e-324, 1.0], "tau_budget"
+    ),
+    "scan-t3 tau_budget in [0, 1)": (
+        lambda group, v: extremes.scan_sigma_strip(1009, 0.75, tau_budget=v), [-5e-324, 1.0], "tau_budget"
+    ),
+    "epsilon >= 0": (lambda group, v: extremes.scan_sigma1(1009, v), [-5e-324], "epsilon"),
+    "delta in (0, 709.78]": (
+        lambda group, v: extremes.threshold_census(1009, (0.5, v)), [0.0, math.nextafter(709.78, math.inf)], "delta"
+    ),
+    "scan-t3 census_tol >= 0": (
+        lambda group, v: extremes.scan_sigma_strip(1009, 0.75, census_tol=v), [-5e-324], "census_tol"
+    ),
+    "approx_error_census tol >= 0": (
+        lambda group, v: lfunc.approx_error_census(group, 0.75, 100.0, v, np.ones(50)), [-5e-324], "tol"
+    ),
+    "sigma in (1/2, 1)": (lambda group, v: extremes.scan_sigma_strip(1009, v), [0.5, 1.0], "sigma"),
+    "x_cap in [2, 1e8]": (
+        lambda group, v: extremes.scan_sigma_strip(1009, 0.75, x_cap=v),
+        [math.nextafter(2, 0), math.nextafter(1e8, 2e8)],
+        "x_cap",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_ARGUMENT_RULES))
+def test_each_driver_refuses_its_arguments_before_any_group(monkeypatch, group_of, rule):
+    call, outside, named = _ARGUMENT_RULES[rule]
+    group = group_of(101)  # for the census, which takes its group from its caller
+    for module in (chargroup, extremes, cli):
+        monkeypatch.setattr(module, "build_group", _no_group)
+    for value in (math.nan, *outside):
+        with pytest.raises(ValueError, match=named):
+            call(group, value)
+
+
+def test_half_weight_certificate_refuses_a_nan_y_min(monkeypatch, group_of):
+    # max() dropped the nan: y = 1.41 at q = 101, an empty resonator and a certificate passed against 0
+    def no_work(*args):
+        raise AssertionError("the certificate started its work")
+
+    monkeypatch.setattr(resonance, "enumerate_coeffs", no_work)
+    with pytest.raises(ValueError, match="y_min = nan"):
+        resonance.half_weight_certificate(group_of(101), 0.75, y_min=math.nan)
 
 
 # Every key's (valid, invalid) values for the CLI-contract property test: its

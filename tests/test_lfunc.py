@@ -31,6 +31,7 @@ from lextremes import (
 import lextremes
 from lextremes import chargroup, lfunc, numth
 from lextremes.lfunc import hurwitz_zeta_error
+from lextremes.resonator import mertens_product
 
 from conftest import (
     ODD_PRIMES,
@@ -210,6 +211,16 @@ class TestHurwitzZeta:
                 hurwitz_zeta(sigma, 0.5)
         assert hurwitz_zeta(1e15, 1.0) == 1.0  # zeta(sigma, 1) = 1 + 2**-sigma + ...
         assert hurwitz_zeta(1e15, math.nextafter(1.0, 0)) == pytest.approx(math.exp(1e15 * 2**-53), rel=1e-9)
+
+    @pytest.mark.parametrize("sigma", [math.inf, 1e300, 2e18, math.nan, -1.0, 0.0, math.nextafter(1e15, math.inf)])
+    def test_error_bound_rejects_sigma_outside_its_domain(self, sigma):
+        # these returned nan (the rising factorial overflowed against an underflowed power) or -0.0
+        with pytest.raises(ValueError, match="sigma"):
+            hurwitz_zeta_error(sigma)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1e15])
+    def test_error_bound_finite_inside_its_domain(self, sigma):
+        assert math.isfinite(hurwitz_zeta_error(sigma)) and hurwitz_zeta_error(sigma) >= 0
 
     @pytest.mark.parametrize("sigma", [0.99, 0.999, 2.0])
     def test_rejects_x_whose_head_term_overflows(self, sigma):
@@ -615,6 +626,26 @@ class TestDirichletPolyAndPrimeSum:
             chi = group.character(j)
             diff = dirichlet_poly(chi, sigma, x) - prime_sum(chi, sigma, x)
             assert abs(diff) <= bound + 1e-12
+
+
+@pytest.mark.parametrize(
+    "call,least",
+    [
+        (lambda group, x: euler_product_truncated(group.character(1), 1.0, x), 2.0),
+        (lambda group, x: dirichlet_poly(group.character(1), 1.0, x), 2.0),
+        (lambda group, x: prime_sum(group.character(1), 1.0, x), 0.0),
+        (lambda group, x: mertens_product(x), 2.0),
+        (lambda group, x: approx_error_census(group, 0.75, x, 1.0, np.ones(50)), 2.0),
+    ],
+    ids=["euler_product_truncated", "dirichlet_poly", "prime_sum", "mertens_product", "approx_error_census"],
+)
+def test_x_bounded_functions_require_a_finite_x_in_range(group_of, call, least):
+    # nan passed `x < 2` and died in int(); inf raised an OverflowError there
+    group = group_of(101)
+    for x in (math.nan, math.inf, -math.inf, math.nextafter(least, -math.inf)):
+        with pytest.raises(ValueError, match="finite x"):
+            call(group, x)
+    call(group, least)
 
 
 def census_of(group, x, tol):

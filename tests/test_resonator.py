@@ -25,6 +25,14 @@ from lextremes import (
 EULER_GAMMA = 0.5772156649015329
 
 
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("make", [linear_scheme, half_scheme])
+def test_scheme_cutoff_must_be_positive_and_finite(make, cutoff):
+    # a nan cutoff once failed later in int(), and an infinite one overflowed the sieve
+    with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+        make(cutoff)
+
+
 class TestWeight:
     def test_linear_examples(self):
         scheme = linear_scheme(3)
